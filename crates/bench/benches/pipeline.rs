@@ -4,24 +4,23 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use arachnet::{ensemble, ArachNet, DeterministicExpertModel};
-use arachnet_repro::CaseStudy;
+use arachnet::ensemble;
+use arachnet_repro::{case_study_engine, CaseStudy};
 use toolkit::catalog;
 
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation");
     group.sample_size(10);
     for case in CaseStudy::ALL {
-        let scenario = case.scenario();
+        let key = format!("cs{}", case.index());
+        let session = case_study_engine(case).session(&key).expect("registered");
+        let scenario = session.scenario();
         let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
         let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
-        let registry = case.registry();
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, registry);
-        group.bench_function(format!("cs{}", case.index()), |b| {
+        group.bench_function(key, |b| {
             b.iter(|| {
                 let solution =
-                    system.generate(case.query(), &context).expect("generation succeeds");
+                    session.generate(case.query(), &context).expect("generation succeeds");
                 std::hint::black_box(solution.loc)
             })
         });
@@ -31,16 +30,14 @@ fn bench_generation(c: &mut Criterion) {
 
 fn bench_ensemble(c: &mut Criterion) {
     let case = CaseStudy::Cs1CableImpact;
-    let scenario = case.scenario();
+    let session = case_study_engine(case).session("cs1").expect("registered");
+    let scenario = session.scenario();
     let context = catalog::query_context(&scenario.world, scenario.now, 10);
-    let registry = case.registry();
-    let model = DeterministicExpertModel::new();
-    let system = ArachNet::new(&model, registry);
     let mut group = c.benchmark_group("ensemble");
     group.sample_size(10);
     group.bench_function("cs1_x5", |b| {
         b.iter(|| {
-            let report = ensemble::generate_ensemble(&system, case.query(), &context, 5)
+            let report = ensemble::generate_ensemble(&session, case.query(), &context, 5)
                 .expect("ensemble succeeds");
             std::hint::black_box(report.consensus)
         })

@@ -4,8 +4,8 @@
 //! The experiment ids (E1–E8, F1) map to DESIGN.md §4; every function here
 //! regenerates one of the paper's evaluation artifacts.
 
-use arachnet::{ensemble, ArachNet, DeterministicExpertModel};
-use arachnet_repro::{run_case_study, CaseStudy, CaseStudyRun};
+use arachnet::{ensemble, DeterministicExpertModel};
+use arachnet_repro::{case_study_engine, run_case_study, CaseStudy, CaseStudyRun};
 use baselines::metrics;
 use toolkit::data::{CountryTableData, TimelineData, VerdictData};
 use toolkit::{catalog, scenarios};
@@ -130,7 +130,7 @@ pub fn padded_registry(n: usize) -> registry::Registry {
 /// E6: ensemble consensus for a case-study query. Members generate
 /// through a serving-engine session (sharing one epoch snapshot).
 pub fn ensemble_consensus(case: CaseStudy, n: usize) -> (f64, Vec<(String, f64)>) {
-    let engine = arachnet_repro::case_study_engine(case);
+    let engine = case_study_engine(case);
     let session = engine
         .session(&format!("cs{}", case.index()))
         .expect("scenario registered by case_study_engine");
@@ -147,8 +147,9 @@ pub fn ensemble_consensus(case: CaseStudy, n: usize) -> (f64, Vec<(String, f64)>
     (report.consensus, agreements)
 }
 
-/// E7: registry evolution — run CS1–CS3, curate, and report what was
-/// added plus the before/after plan size for a repeat query.
+/// E7: registry evolution — generate CS2, curate through the engine, and
+/// report what was added plus the before/after plan size for a repeat
+/// query on a session opened under the new epoch.
 pub struct CurationExperiment {
     pub added: Vec<String>,
     pub rejected: usize,
@@ -157,20 +158,26 @@ pub struct CurationExperiment {
 }
 
 pub fn curation_experiment() -> CurationExperiment {
-    let scenario = scenarios::cs2_scenario();
+    let case = CaseStudy::Cs2DisasterImpact;
+    let engine = case_study_engine(case);
+    let key = format!("cs{}", case.index());
+    let session = engine.session(&key).expect("scenario registered by case_study_engine");
+    let scenario = session.scenario();
     let context = catalog::query_context(&scenario.world, scenario.now, 10);
-    let model = DeterministicExpertModel::new();
-    let mut system = ArachNet::new(&model, catalog::standard_registry());
 
-    let query = CaseStudy::Cs2DisasterImpact.query();
-    let before = system.generate(query, &context).expect("generation succeeds");
+    let before = session.generate(case.query(), &context).expect("generation succeeds");
 
     // A corpus of successful runs (the paper's "as workflows are built and
     // run successfully, patterns emerge").
     let corpus = vec![before.summary(true), before.summary(true), before.summary(true)];
-    let outcome = system.curate(&corpus, 2).expect("curation succeeds");
+    let outcome = engine.curate(&corpus, 2).expect("curation succeeds");
 
-    let after = system.generate(query, &context).expect("generation succeeds");
+    // Sessions opened after curation pin the new epoch.
+    let after = engine
+        .session(&key)
+        .expect("scenario still registered")
+        .generate(case.query(), &context)
+        .expect("generation succeeds");
     CurationExperiment {
         added: outcome.added.iter().map(|f| f.0.clone()).collect(),
         rejected: outcome.rejected.len(),

@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn parses_workspace_table_and_path_deps() {
         let doc = Manifest::parse(
-            "[workspace]\nmembers = [\"crates/*\"]\n\n\
+            "[workspace]\nmembers = [\"crates/*\"]\ndefault-members = [\".\", \"crates/*\"]\n\n\
              [workspace.dependencies]\nserde = { path = \"vendor/serde\" }\n\
              arachnet = { path = \"crates/core\" }\n\n\
              [package]\nname = \"root\"\n\n\

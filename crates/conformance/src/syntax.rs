@@ -147,6 +147,15 @@ fn walk_into<'a>(items: &'a [Item], out: &mut Vec<&'a Item>) {
 /// one themselves.
 const MODIFIERS: [&str; 4] = ["pub", "unsafe", "async", "default"];
 
+/// Where an item opens: its first byte and line, and whether one of its
+/// outer attributes gates it on test compilation.
+#[derive(Clone, Copy)]
+struct ItemStart {
+    byte: usize,
+    line: u32,
+    test_attr: bool,
+}
+
 struct Parser<'a> {
     text: &'a str,
     tokens: &'a [Token],
@@ -194,10 +203,8 @@ impl<'a> Parser<'a> {
 
     /// Parses one item starting at significant index `i`.
     fn parse_item(&mut self, i: usize, end: usize) -> (Item, usize) {
-        let start_byte = self.start_of(i);
-        let line = self.line_of(i);
+        let mut at = ItemStart { byte: self.start_of(i), line: self.line_of(i), test_attr: false };
         let mut j = i;
-        let mut test_attr = false;
 
         // Inner attributes (`#![...]`) and outer attributes (`#[...]`).
         // Inner attributes configure the enclosing scope; they are kept
@@ -213,19 +220,16 @@ impl<'a> Parser<'a> {
             let close = self.matching(k, end);
             let inner = self.txt(j + 1) == "!";
             if !inner && attr_is_test(self, k + 1, close) {
-                test_attr = true;
+                at.test_attr = true;
             }
             j = close.min(end.saturating_sub(1)) + 1;
             if close >= end {
                 // Unterminated attribute: swallow to the end.
-                return (
-                    self.leaf(ItemKind::Other, "", start_byte, line, test_attr, end),
-                    end,
-                );
+                return (self.node(at, ItemKind::Other, String::new(), Vec::new(), end), end);
             }
         }
         if j >= end {
-            return (self.leaf(ItemKind::Other, "", start_byte, line, test_attr, end), end);
+            return (self.node(at, ItemKind::Other, String::new(), Vec::new(), end), end);
         }
 
         // Modifiers: `pub` (with optional `(crate)`/`(super)`/`(in ...)`),
@@ -250,10 +254,7 @@ impl<'a> Parser<'a> {
                 break;
             }
             if j >= end {
-                return (
-                    self.leaf(ItemKind::Other, "", start_byte, line, test_attr, end),
-                    end,
-                );
+                return (self.node(at, ItemKind::Other, String::new(), Vec::new(), end), end);
             }
         }
 
@@ -262,53 +263,53 @@ impl<'a> Parser<'a> {
             "mod" => {
                 let name = self.name_after(j, end);
                 let (children, stop) = self.braced_or_semi(j, end, true);
-                (self.node(ItemKind::Mod, name, start_byte, line, test_attr, children, stop), stop)
+                (self.node(at, ItemKind::Mod, name, children, stop), stop)
             }
             "impl" => {
                 let (children, stop) = self.braced_or_semi(j, end, true);
-                (self.node(ItemKind::Impl, String::new(), start_byte, line, test_attr, children, stop), stop)
+                (self.node(at, ItemKind::Impl, String::new(), children, stop), stop)
             }
             "trait" => {
                 let name = self.name_after(j, end);
                 let (children, stop) = self.braced_or_semi(j, end, true);
-                (self.node(ItemKind::Trait, name, start_byte, line, test_attr, children, stop), stop)
+                (self.node(at, ItemKind::Trait, name, children, stop), stop)
             }
             "fn" => {
                 let name = self.name_after(j, end);
                 let (_, stop) = self.braced_or_semi(j, end, false);
-                (self.node(ItemKind::Fn, name, start_byte, line, test_attr, Vec::new(), stop), stop)
+                (self.node(at, ItemKind::Fn, name, Vec::new(), stop), stop)
             }
             "struct" | "enum" | "union" => {
                 let name = self.name_after(j, end);
                 let (_, stop) = self.braced_or_semi(j, end, false);
-                (self.node(ItemKind::Type, name, start_byte, line, test_attr, Vec::new(), stop), stop)
+                (self.node(at, ItemKind::Type, name, Vec::new(), stop), stop)
             }
             "use" => {
                 let stop = self.to_semi(j, end);
-                (self.node(ItemKind::Use, String::new(), start_byte, line, test_attr, Vec::new(), stop), stop)
+                (self.node(at, ItemKind::Use, String::new(), Vec::new(), stop), stop)
             }
             "extern" => {
                 // `extern crate name;` or `extern "C" { ... }`.
                 if j + 1 < end && self.txt(j + 1) == "crate" {
                     let stop = self.to_semi(j, end);
-                    (self.node(ItemKind::Use, self.name_after(j + 1, end), start_byte, line, test_attr, Vec::new(), stop), stop)
+                    (self.node(at, ItemKind::Use, self.name_after(j + 1, end), Vec::new(), stop), stop)
                 } else {
                     let (children, stop) = self.braced_or_semi(j, end, true);
-                    (self.node(ItemKind::ExternBlock, String::new(), start_byte, line, test_attr, children, stop), stop)
+                    (self.node(at, ItemKind::ExternBlock, String::new(), children, stop), stop)
                 }
             }
             "static" => {
                 let stop = self.to_semi(j, end);
                 let name_at = if j + 1 < end && self.txt(j + 1) == "mut" { j + 1 } else { j };
-                (self.node(ItemKind::Static, self.name_after(name_at, end), start_byte, line, test_attr, Vec::new(), stop), stop)
+                (self.node(at, ItemKind::Static, self.name_after(name_at, end), Vec::new(), stop), stop)
             }
             "const" => {
                 let stop = self.to_semi(j, end);
-                (self.node(ItemKind::Const, self.name_after(j, end), start_byte, line, test_attr, Vec::new(), stop), stop)
+                (self.node(at, ItemKind::Const, self.name_after(j, end), Vec::new(), stop), stop)
             }
             "type" => {
                 let stop = self.to_semi(j, end);
-                (self.node(ItemKind::TypeAlias, self.name_after(j, end), start_byte, line, test_attr, Vec::new(), stop), stop)
+                (self.node(at, ItemKind::TypeAlias, self.name_after(j, end), Vec::new(), stop), stop)
             }
             "macro_rules" => {
                 // `macro_rules! name { ... }` (no trailing `;` for `{}`).
@@ -318,7 +319,7 @@ impl<'a> Parser<'a> {
                     String::new()
                 };
                 let (_, stop) = self.braced_or_semi(j, end, false);
-                (self.node(ItemKind::MacroDef, name, start_byte, line, test_attr, Vec::new(), stop), stop)
+                (self.node(at, ItemKind::MacroDef, name, Vec::new(), stop), stop)
             }
             _ if self.kind(j) == TokenKind::Ident
                 && j + 1 < end
@@ -345,12 +346,12 @@ impl<'a> Parser<'a> {
                 } else {
                     k.min(end)
                 };
-                (self.node(ItemKind::MacroInvocation, name, start_byte, line, test_attr, Vec::new(), stop), stop)
+                (self.node(at, ItemKind::MacroInvocation, name, Vec::new(), stop), stop)
             }
             _ => {
                 // Not an item start: keep the single token as a leaf so
                 // spans still tile the file.
-                (self.leaf(ItemKind::Other, "", start_byte, line, test_attr, j + 1), j + 1)
+                (self.node(at, ItemKind::Other, String::new(), Vec::new(), j + 1), j + 1)
             }
         }
     }
@@ -437,37 +438,16 @@ impl<'a> Parser<'a> {
         end
     }
 
-    fn leaf(
-        &self,
-        kind: ItemKind,
-        name: &str,
-        start: usize,
-        line: u32,
-        test_attr: bool,
-        stop: usize,
-    ) -> Item {
-        Item {
-            kind,
-            name: name.to_string(),
-            start,
-            end: self.end_at(stop, start),
-            line,
-            test_attr,
-            children: Vec::new(),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// The item opened at `at` whose last significant token is `stop - 1`.
     fn node(
         &self,
+        at: ItemStart,
         kind: ItemKind,
         name: String,
-        start: usize,
-        line: u32,
-        test_attr: bool,
         children: Vec<Item>,
         stop: usize,
     ) -> Item {
+        let ItemStart { byte: start, line, test_attr } = at;
         Item { kind, name, start, end: self.end_at(stop, start), line, test_attr, children }
     }
 

@@ -1,9 +1,9 @@
 //! The serving engine: sessions, registry epochs, shared artifacts.
 //!
-//! [`ArachNet`] is a batch-of-one API — one borrowed model, one owned
-//! registry, `&mut self` curation that blocks everything else. The
-//! [`Engine`] is the concurrent serving redesign on top of the same
-//! pipeline:
+//! [`Engine`] and [`Session`] are the only way to run the four agents:
+//! a session generates (QueryMind → WorkflowScout → SolutionWeaver) and
+//! executes, the engine curates (RegistryCurator). Both are built for
+//! concurrent serving:
 //!
 //! * the registry is published as immutable **epochs** (`Arc<Registry>`
 //!   snapshots with a sequence number). Sessions pin the epoch they were
@@ -30,14 +30,19 @@ use scenario_forge::{Family, FamilyParams, ScenarioBlueprint, SharedWorldCache};
 use telemetry::{EventKind, MetricsSnapshot, Recorder, SpanKind, SpanStatus};
 use toolkit::{ArtifactStore, ResilienceConfig, ResilientRuntime, StandardRuntime};
 use workflow::{
-    execute_with, ExecOptions, ExecutionReport, RetryPolicy, RunHealth, Value, Workflow,
+    check, execute_with, to_source, ExecOptions, ExecutionReport, RetryPolicy, RunHealth,
+    ToolRuntime, Value, Workflow,
 };
 use world::Scenario;
 
-use crate::agents::AgentConfig;
+use crate::agents::{AgentConfig, QueryMind, RegistryCurator, SolutionWeaver, WorkflowScout};
 use crate::orchestrator::{
-    run_curation, run_pipeline, CurationOutcome, ExpertHooks, GeneratedSolution, PipelineError,
+    register_composites, to_workflow, CurationOutcome, ExpertHooks, GeneratedSolution,
+    PipelineError,
 };
+
+/// How many repair rounds SolutionWeaver gets when validation fails.
+const MAX_REPAIRS: usize = 2;
 
 /// One immutable registry snapshot, tagged with its publication sequence.
 #[derive(Debug)]
@@ -59,8 +64,6 @@ struct ScenarioSlot {
 /// to open) and safe to curate while queries are in flight.
 pub struct Engine {
     model: Arc<dyn LanguageModel>,
-    config: AgentConfig,
-    max_repairs: usize,
     workers: usize,
     retry: RetryPolicy,
     /// Fault-injection plan applied to every session's runtime (testing
@@ -148,8 +151,6 @@ impl Engine {
     pub fn new(model: Arc<dyn LanguageModel>, registry: Registry) -> Engine {
         Engine {
             model,
-            config: AgentConfig::default(),
-            max_repairs: 2,
             workers: workflow::exec::default_workers(),
             retry: RetryPolicy::default(),
             fault_plan: None,
@@ -363,8 +364,6 @@ impl Engine {
         }
         Ok(Session {
             model: Arc::clone(&self.model),
-            config: self.config.clone(),
-            max_repairs: self.max_repairs,
             epoch,
             scenario: slot.scenario,
             artifacts: slot.artifacts,
@@ -389,8 +388,9 @@ impl Engine {
         let _pass = self.curation.lock();
         let current = self.epoch();
         let mut next = (*current.registry).clone();
-        let outcome =
-            run_curation(&*self.model, &self.config, &mut next, corpus, min_uses)?;
+        let curator = RegistryCurator::new(&*self.model, AgentConfig::default());
+        let proposal = curator.run(corpus, &next, min_uses)?;
+        let outcome = register_composites(&mut next, proposal);
         if !outcome.added.is_empty() {
             let sequence = current.sequence + 1;
             *self.epoch.write() = Arc::new(RegistryEpoch {
@@ -429,8 +429,6 @@ impl SessionRun {
 /// store underneath is shared either way.
 pub struct Session {
     model: Arc<dyn LanguageModel>,
-    config: AgentConfig,
-    max_repairs: usize,
     epoch: Arc<RegistryEpoch>,
     scenario: Arc<Scenario>,
     artifacts: Arc<ArtifactStore>,
@@ -469,11 +467,17 @@ impl Session {
     /// useful for executing externally supplied workflows (e.g. expert
     /// baselines) against the same cache.
     pub fn runtime(&self) -> StandardRuntime {
-        let runtime =
-            StandardRuntime::shared(Arc::clone(&self.scenario), Arc::clone(&self.artifacts));
+        self.traced(
+            StandardRuntime::shared(Arc::clone(&self.scenario), Arc::clone(&self.artifacts)),
+            StandardRuntime::with_recorder,
+        )
+    }
+
+    /// Hands the session's recorder, if any, to one runtime layer.
+    fn traced<L>(&self, layer: L, with_recorder: impl FnOnce(L, Arc<Recorder>) -> L) -> L {
         match &self.recorder {
-            Some(recorder) => runtime.with_recorder(Arc::clone(recorder)),
-            None => runtime,
+            Some(recorder) => with_recorder(layer, Arc::clone(recorder)),
+            None => layer,
         }
     }
 
@@ -483,7 +487,7 @@ impl Session {
         query: &str,
         context: &QueryContext,
     ) -> Result<GeneratedSolution, PipelineError> {
-        self.generate_variant(query, context, 0)
+        self.pipeline(query, context, 0, &ExpertHooks::default())
     }
 
     /// Variant-seeded generation (ensemble machinery).
@@ -493,16 +497,7 @@ impl Session {
         context: &QueryContext,
         variant: u64,
     ) -> Result<GeneratedSolution, PipelineError> {
-        run_pipeline(
-            &*self.model,
-            &self.config,
-            self.max_repairs,
-            &self.epoch.registry,
-            query,
-            context,
-            variant,
-            &ExpertHooks::default(),
-        )
+        self.pipeline(query, context, variant, &ExpertHooks::default())
     }
 
     /// Expert mode: hooks run between pipeline stages.
@@ -512,64 +507,107 @@ impl Session {
         context: &QueryContext,
         hooks: &ExpertHooks,
     ) -> Result<GeneratedSolution, PipelineError> {
-        run_pipeline(
-            &*self.model,
-            &self.config,
-            self.max_repairs,
-            &self.epoch.registry,
-            query,
-            context,
-            0,
-            hooks,
-        )
+        self.pipeline(query, context, 0, hooks)
+    }
+
+    /// The three-agent generation pipeline over the pinned registry. The
+    /// registry is read-only for the whole run, so any number of
+    /// pipelines execute concurrently against one epoch.
+    fn pipeline(
+        &self,
+        query: &str,
+        context: &QueryContext,
+        variant: u64,
+        hooks: &ExpertHooks,
+    ) -> Result<GeneratedSolution, PipelineError> {
+        let model = &*self.model;
+        let registry = &*self.epoch.registry;
+
+        // Stage 1: QueryMind.
+        let querymind = QueryMind::new(model, AgentConfig::default());
+        let mut decomposition = querymind.run(query, context, registry)?;
+        if let Some(hook) = &hooks.adjust_decomposition {
+            decomposition = hook(decomposition);
+        }
+
+        // Stage 2: WorkflowScout.
+        let scout = WorkflowScout::new(model, AgentConfig::default());
+        let mut architecture = scout.run(&decomposition, registry, variant)?;
+        if let Some(hook) = &hooks.adjust_architecture {
+            architecture = hook(architecture);
+        }
+
+        // Stage 3: SolutionWeaver, with a validation-repair loop.
+        let weaver = SolutionWeaver::new(model, AgentConfig::default());
+        let mut feedback: Vec<String> = Vec::new();
+        let mut repair_attempts = 0usize;
+        let (workflow, implementation) = loop {
+            let implementation =
+                weaver.run(&decomposition, &architecture, registry, feedback.clone())?;
+            let wf = to_workflow(query, &decomposition, &implementation, registry);
+            let errors = check(&wf, registry);
+            if errors.is_empty() {
+                break (wf, implementation);
+            }
+            repair_attempts += 1;
+            if repair_attempts > MAX_REPAIRS {
+                return Err(PipelineError::Validation {
+                    errors: errors.iter().map(|e| e.to_string()).collect(),
+                    repair_attempts,
+                });
+            }
+            feedback = errors.iter().map(|e| e.to_string()).collect();
+        };
+
+        let source_code = to_source(&workflow, registry);
+        let loc = workflow::loc(&source_code);
+        let frameworks = workflow.frameworks_used(registry);
+        let expert_notes = hooks
+            .review_workflow
+            .as_ref()
+            .map(|hook| hook(&workflow))
+            .unwrap_or_default();
+
+        Ok(GeneratedSolution {
+            query: query.to_string(),
+            decomposition,
+            architecture,
+            workflow,
+            source_code,
+            loc,
+            frameworks,
+            qa_measures: implementation.qa_measures,
+            repair_attempts,
+            expert_notes,
+        })
     }
 
     /// Executes a workflow against the session's scenario, shared
-    /// artifacts and pinned registry — through the session's resilience
-    /// stack: the standard runtime, optionally under the engine's fault
-    /// plan, optionally under circuit breakers/fallbacks (outermost, so
-    /// breakers see injected faults exactly as they would real ones).
+    /// artifacts and pinned registry — through the session's runtime
+    /// stack, built one layer at a time: the standard runtime, under the
+    /// engine's fault plan when one is set, under circuit
+    /// breakers/fallbacks when configured (outermost, so breakers see
+    /// injected faults exactly as they would real ones).
     pub fn execute(
         &self,
         workflow: &Workflow,
         query_args: &BTreeMap<String, Value>,
     ) -> ExecutionReport {
-        let registry = &self.epoch.registry;
+        let mut runtime: Box<dyn ToolRuntime> = Box::new(self.runtime());
+        if let Some(plan) = &self.fault_plan {
+            let chaos = ChaosRuntime::new(runtime, plan.clone());
+            runtime = Box::new(self.traced(chaos, ChaosRuntime::with_recorder));
+        }
+        if let Some(config) = &self.resilience {
+            let resilient = ResilientRuntime::new(runtime, config.clone());
+            runtime = Box::new(self.traced(resilient, ResilientRuntime::with_recorder));
+        }
         let options = ExecOptions {
             workers: self.workers,
             retry: self.retry,
             recorder: self.recorder.clone(),
         };
-        match (&self.fault_plan, &self.resilience) {
-            (None, None) => {
-                execute_with(workflow, registry, &self.runtime(), query_args, &options)
-            }
-            (Some(plan), None) => {
-                let mut rt = ChaosRuntime::new(self.runtime(), plan.clone());
-                if let Some(recorder) = &self.recorder {
-                    rt = rt.with_recorder(Arc::clone(recorder));
-                }
-                execute_with(workflow, registry, &rt, query_args, &options)
-            }
-            (None, Some(config)) => {
-                let mut rt = ResilientRuntime::new(self.runtime(), config.clone());
-                if let Some(recorder) = &self.recorder {
-                    rt = rt.with_recorder(Arc::clone(recorder));
-                }
-                execute_with(workflow, registry, &rt, query_args, &options)
-            }
-            (Some(plan), Some(config)) => {
-                let mut chaos_rt = ChaosRuntime::new(self.runtime(), plan.clone());
-                if let Some(recorder) = &self.recorder {
-                    chaos_rt = chaos_rt.with_recorder(Arc::clone(recorder));
-                }
-                let mut rt = ResilientRuntime::new(chaos_rt, config.clone());
-                if let Some(recorder) = &self.recorder {
-                    rt = rt.with_recorder(Arc::clone(recorder));
-                }
-                execute_with(workflow, registry, &rt, query_args, &options)
-            }
-        }
+        execute_with(workflow, &self.epoch.registry, &runtime, query_args, &options)
     }
 
     /// Generates and executes in one call — the serving hot path. With a
@@ -606,9 +644,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llm::protocol::Decomposition;
     use llm::DeterministicExpertModel;
     use registry::{CapabilityEntry, DataFormat, Param};
-    use toolkit::{catalog, scenarios};
+    use toolkit::{catalog, scenarios, BreakerConfig};
 
     fn mini_registry() -> Registry {
         let mut r = Registry::new();
@@ -629,6 +668,14 @@ mod tests {
             "processes failure events into a country impact table",
             vec![Param::required("event", DataFormat::FailureEventSpec)],
             DataFormat::CountryImpactTable,
+        ))
+        .unwrap();
+        r.register(CapabilityEntry::new(
+            "qa.verify_output",
+            "qa",
+            "verifies a final result",
+            vec![Param::required("value", DataFormat::Any)],
+            DataFormat::QaReport,
         ))
         .unwrap();
         r
@@ -657,6 +704,44 @@ mod tests {
         assert!(run.report.all_ok(), "qa: {:?}", run.report.qa);
         assert!(!run.report.outputs.is_empty());
         assert_eq!(session.epoch_sequence(), 0);
+    }
+
+    #[test]
+    fn session_generates_a_valid_workflow() {
+        let engine = engine();
+        let session = engine.session("cs2").unwrap();
+        let solution = session.generate(CS2_QUERY, &context(session.scenario())).unwrap();
+        assert!(check(&solution.workflow, session.registry()).is_empty());
+        assert!(solution.loc > 50, "loc {}", solution.loc);
+        assert_eq!(solution.repair_attempts, 0);
+        // QA step woven in.
+        assert!(solution.workflow.steps.iter().any(|s| s.function.0 == "qa.verify_output"));
+        // Restraint: one analysis framework plus plumbing.
+        assert!(solution.frameworks.contains(&"xaminer".to_string()));
+    }
+
+    #[test]
+    fn generate_expert_runs_the_hooks() {
+        let engine = engine();
+        let session = engine.session("cs2").unwrap();
+        let hooks = ExpertHooks {
+            adjust_decomposition: Some(Box::new(|mut d: Decomposition| {
+                d.constraints.push("expert: restrict to coastal assets".into());
+                d
+            })),
+            adjust_architecture: None,
+            review_workflow: Some(Box::new(|wf: &Workflow| {
+                vec![format!("reviewed {} steps", wf.steps.len())]
+            })),
+        };
+        let solution =
+            session.generate_expert(CS2_QUERY, &context(session.scenario()), &hooks).unwrap();
+        assert!(solution
+            .decomposition
+            .constraints
+            .iter()
+            .any(|c| c.contains("expert: restrict")));
+        assert_eq!(solution.expert_notes.len(), 1);
     }
 
     #[test]
@@ -840,9 +925,54 @@ mod tests {
         let corpus = vec![solution.summary(true), solution.summary(true)];
         engine.curate(&corpus, 2).unwrap();
         assert_eq!(engine.epoch().sequence, 1);
-        // Second pass mines nothing new → no epoch churn.
-        engine.curate(&corpus, 2).unwrap();
+        // Second pass mines nothing new → no epoch churn, and the repeat
+        // proposal is rejected as a duplicate.
+        let again = engine.curate(&corpus, 2).unwrap();
         assert_eq!(engine.epoch().sequence, 1);
+        assert!(again.added.is_empty());
+        assert!(again
+            .rejected
+            .iter()
+            .any(|(_, why)| why.contains("already registered") || why.contains("duplicate")));
+    }
+
+    #[test]
+    fn curated_composite_signature_is_derived_from_its_parts() {
+        let engine = engine();
+        let session = engine.session("cs2").unwrap();
+        let solution = session.generate(CS2_QUERY, &context(session.scenario())).unwrap();
+        let corpus = vec![solution.summary(true), solution.summary(true)];
+        let outcome = engine.curate(&corpus, 2).unwrap();
+        let registry = engine.registry();
+        let entry = registry.get(&outcome.added[0]).unwrap();
+        // The composite takes the chain's external inputs and returns the
+        // final output.
+        assert_eq!(entry.output, DataFormat::CountryImpactTable);
+        let input_names: Vec<&str> = entry.inputs.iter().map(|p| p.name.as_str()).collect();
+        assert!(input_names.contains(&"disasters"));
+        assert!(input_names.contains(&"failure_probability"));
+        assert!(!input_names.contains(&"event"), "internally satisfied input must not leak");
+    }
+
+    #[test]
+    fn resilience_without_a_fault_plan_serves_like_a_plain_engine() {
+        let serve = |engine: Engine| {
+            engine.register_scenario("cs5", scenarios::cs5_hijack_scenario());
+            let session = engine.session("cs5").unwrap();
+            session.run(scenarios::CS5_QUERY, &context(session.scenario())).unwrap()
+        };
+        let build = |workers: usize| {
+            Engine::new(Arc::new(DeterministicExpertModel::new()), catalog::standard_registry())
+                .with_exec_workers(workers)
+        };
+        for workers in [1usize, 2, 8] {
+            let plain = serve(build(workers));
+            let resilient = serve(
+                build(workers).with_resilience(ResilienceConfig::new(BreakerConfig::default())),
+            );
+            assert_eq!(resilient.health, RunHealth::Ok, "{workers} workers");
+            assert_eq!(resilient.report, plain.report, "{workers} workers");
+        }
     }
 
     #[test]

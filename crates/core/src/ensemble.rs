@@ -12,42 +12,7 @@ use std::collections::BTreeMap;
 use llm::protocol::QueryContext;
 
 use crate::engine::Session;
-use crate::orchestrator::{ArachNet, GeneratedSolution, PipelineError};
-
-/// Anything that can produce variant-seeded solutions — the legacy
-/// [`ArachNet`] facade or a serving-engine [`Session`] (so ensemble
-/// members run through engine sessions and share the epoch snapshot).
-pub trait SolutionSource: Sync {
-    /// Generates the `variant`-seeded solution for a query.
-    fn generate_variant(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-    ) -> Result<GeneratedSolution, PipelineError>;
-}
-
-impl SolutionSource for ArachNet<'_> {
-    fn generate_variant(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        ArachNet::generate_variant(self, query, context, variant)
-    }
-}
-
-impl SolutionSource for Session {
-    fn generate_variant(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        Session::generate_variant(self, query, context, variant)
-    }
-}
+use crate::orchestrator::{GeneratedSolution, PipelineError};
 
 /// Per-function agreement across the ensemble.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,10 +50,11 @@ impl EnsembleReport {
     }
 }
 
-/// Runs `n` independent generations and scores their consensus. The
-/// source may be the legacy [`ArachNet`] facade or an engine [`Session`].
-pub fn generate_ensemble<S: SolutionSource + ?Sized>(
-    system: &S,
+/// Runs `n` independent generations through one session — so every
+/// member plans against the same pinned epoch — and scores their
+/// consensus.
+pub fn generate_ensemble(
+    session: &Session,
     query: &str,
     context: &QueryContext,
     n: usize,
@@ -105,7 +71,7 @@ pub fn generate_ensemble<S: SolutionSource + ?Sized>(
     std::thread::scope(|scope| {
         for (i, slot) in results.iter_mut().enumerate() {
             scope.spawn(move || {
-                *slot = Some(system.generate_variant(query, context, i as u64));
+                *slot = Some(session.generate_variant(query, context, i as u64));
             });
         }
     });
@@ -180,7 +146,10 @@ pub fn jaccard(a: &[String], b: &[String]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::engine::Engine;
     use llm::DeterministicExpertModel;
     use registry::{CapabilityEntry, DataFormat, Param, Registry};
 
@@ -212,12 +181,17 @@ mod tests {
         QueryContext { cable_names: vec![], now: 864_000, horizon_days: 10 }
     }
 
+    fn session() -> Session {
+        let engine =
+            Engine::new(Arc::new(DeterministicExpertModel::new()), mini_registry());
+        engine.register_scenario("cs2", toolkit::scenarios::cs2_scenario());
+        engine.session("cs2").unwrap()
+    }
+
     #[test]
     fn ensemble_of_identical_plans_has_full_consensus() {
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, mini_registry());
         let report = generate_ensemble(
-            &system,
+            &session(),
             "Identify the impact of severe earthquakes globally assuming a 10% infra \
              failure probability",
             &context(),
@@ -247,10 +221,8 @@ mod tests {
 
     #[test]
     fn empty_ensemble_is_an_invalid_request() {
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, mini_registry());
         let err = generate_ensemble(
-            &system,
+            &session(),
             "Identify the impact of severe earthquakes globally assuming a 10% infra \
              failure probability",
             &context(),
@@ -261,37 +233,9 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_runs_through_engine_sessions() {
-        use crate::engine::Engine;
-        use std::sync::Arc;
-
-        let engine =
-            Engine::new(Arc::new(DeterministicExpertModel::new()), mini_registry());
-        engine.register_scenario("cs2", toolkit::scenarios::cs2_scenario());
-        let session = engine.session("cs2").unwrap();
-        let query = "Identify the impact of severe earthquakes globally assuming a 10% \
-                     infra failure probability";
-        let report = generate_ensemble(&session, query, &context(), 4).unwrap();
-        assert_eq!(report.solutions.len(), 4);
-        assert!((report.consensus - 1.0).abs() < 1e-9);
-
-        // Identical to the legacy facade over the same registry.
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, mini_registry());
-        let legacy = generate_ensemble(&system, query, &context(), 4).unwrap();
-        assert_eq!(
-            report.best().source_code,
-            legacy.best().source_code,
-            "session ensembles mirror the facade"
-        );
-    }
-
-    #[test]
     fn single_member_ensemble() {
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, mini_registry());
         let report = generate_ensemble(
-            &system,
+            &session(),
             "Identify the impact of severe hurricanes globally assuming a 10% infra \
              failure probability",
             &context(),

@@ -9,17 +9,16 @@
 //!   rendered source code);
 //! * [`agents::RegistryCurator`] — systematic registry evolution.
 //!
-//! The [`ArachNet`] orchestrator chains them: by default in **standard**
-//! mode (fully automated); in **expert** mode domain specialists review
-//! and adjust the intermediate artifacts between stages ([`ExpertHooks`]).
+//! The [`engine`] module is the one entry point. An [`Engine`] owns the
+//! model, publishes the registry as immutable epochs and curates it; the
+//! [`Session`]s it hands out chain the first three agents — by default in
+//! **standard** mode (fully automated), in **expert** mode with domain
+//! specialists reviewing and adjusting the intermediate artifacts between
+//! stages ([`ExpertHooks`]) — and execute the result against
+//! per-scenario artifact stores shared across sessions.
 //! [`ensemble`] implements the paper's proposed ensemble-confidence
 //! mechanism (§5, Trust & Verification) and [`conflict`] the
 //! conflicting-tool-outputs mitigation (§5).
-//!
-//! For serving many concurrent queries, use the [`engine`] module:
-//! [`Engine`] publishes the registry as immutable epochs and hands out
-//! [`Session`]s that share per-scenario artifact stores — [`ArachNet`]
-//! remains as the thin single-tenant facade over the same pipeline.
 
 pub mod agents;
 pub mod conflict;
@@ -32,8 +31,8 @@ pub use engine::{
     Engine, FamilyScenario, RegistrationStats, RegistryEpoch, ScenarioRegistration, Session,
     SessionRun,
 };
-pub use ensemble::{EnsembleReport, FunctionAgreement, SolutionSource};
-pub use orchestrator::{ArachNet, CurationOutcome, ExpertHooks, GeneratedSolution, PipelineError};
+pub use ensemble::{EnsembleReport, FunctionAgreement};
+pub use orchestrator::{CurationOutcome, ExpertHooks, GeneratedSolution, PipelineError};
 
 // Re-export the resilience surface (fault plans, breakers, run health)
 // so chaos drills against the engine need one import.

@@ -1,16 +1,15 @@
-//! The coordinated pipeline: QueryMind → WorkflowScout → SolutionWeaver,
-//! with RegistryCurator evolving the registry between runs.
+//! The pipeline's artifacts and the two lowering steps behind
+//! [`crate::Session`] generation and [`crate::Engine::curate`]: expert
+//! hooks, the generated solution, plan → workflow IR lowering, and
+//! registration of curator-mined composites.
 
 use std::collections::BTreeMap;
 
 use llm::protocol::*;
-use llm::LanguageModel;
 use registry::{CapabilityEntry, DataFormat, FunctionId, Implementation, Registry};
-use workflow::{check, to_source, Binding, Step, TypedValue, Workflow};
+use workflow::{Binding, Step, Value, Workflow};
 
-use crate::agents::{
-    AgentConfig, AgentError, QueryMind, RegistryCurator, SolutionWeaver, WorkflowScout,
-};
+use crate::agents::AgentError;
 
 /// An optional expert hook rewriting one intermediate artifact.
 pub type AdjustHook<T> = Option<Box<dyn Fn(T) -> T + Send + Sync>>;
@@ -94,11 +93,11 @@ pub struct GeneratedSolution {
 impl GeneratedSolution {
     /// Query-argument values for executing the workflow, resolved by
     /// QueryMind during decomposition.
-    pub fn query_args(&self) -> BTreeMap<String, TypedValue> {
+    pub fn query_args(&self) -> BTreeMap<String, Value> {
         self.decomposition
             .provided_args
             .iter()
-            .map(|(name, a)| (name.clone(), TypedValue::new(a.format, a.value.clone())))
+            .map(|(name, a)| (name.clone(), Value::new(a.format, a.value.clone())))
             .collect()
     }
 
@@ -121,176 +120,16 @@ pub struct CurationOutcome {
     pub rejected: Vec<(String, String)>,
 }
 
-/// The ArachNet system: a model, a registry, and the coordinated pipeline.
-pub struct ArachNet<'m> {
-    model: &'m dyn LanguageModel,
-    registry: Registry,
-    config: AgentConfig,
-    /// How many repair rounds SolutionWeaver gets when validation fails.
-    max_repairs: usize,
-}
-
-impl<'m> ArachNet<'m> {
-    /// Builds the system over a model and an initial registry.
-    pub fn new(model: &'m dyn LanguageModel, registry: Registry) -> Self {
-        ArachNet { model, registry, config: AgentConfig::default(), max_repairs: 2 }
-    }
-
-    /// Current registry (evolves through curation).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Standard mode: fully automated.
-    pub fn generate(
-        &self,
-        query: &str,
-        context: &QueryContext,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        self.generate_inner(query, context, 0, &ExpertHooks::default())
-    }
-
-    /// Expert mode: hooks run between stages.
-    pub fn generate_expert(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        hooks: &ExpertHooks,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        self.generate_inner(query, context, 0, hooks)
-    }
-
-    /// Variant-seeded generation (used by the ensemble machinery).
-    pub fn generate_variant(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        self.generate_inner(query, context, variant, &ExpertHooks::default())
-    }
-
-    fn generate_inner(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-        hooks: &ExpertHooks,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        run_pipeline(
-            self.model,
-            &self.config,
-            self.max_repairs,
-            &self.registry,
-            query,
-            context,
-            variant,
-            hooks,
-        )
-    }
-
-    /// Stage 4: RegistryCurator. Validated composites are registered;
-    /// the registry grows organically.
-    pub fn curate(
-        &mut self,
-        corpus: &[WorkflowSummary],
-        min_uses: usize,
-    ) -> Result<CurationOutcome, PipelineError> {
-        run_curation(self.model, &self.config, &mut self.registry, corpus, min_uses)
-    }
-}
-
-/// The three-agent generation pipeline over an explicit registry snapshot.
-///
-/// This is the shared core behind [`ArachNet::generate`] and the serving
-/// engine's sessions: the registry is read-only for the whole run, so any
-/// number of pipelines can execute concurrently against one shared
-/// (epoch) snapshot.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline(
-    model: &dyn LanguageModel,
-    config: &AgentConfig,
-    max_repairs: usize,
-    registry: &Registry,
-    query: &str,
-    context: &QueryContext,
-    variant: u64,
-    hooks: &ExpertHooks,
-) -> Result<GeneratedSolution, PipelineError> {
-    // Stage 1: QueryMind.
-    let querymind = QueryMind::new(model, config.clone());
-    let mut decomposition = querymind.run(query, context, registry)?;
-    if let Some(hook) = &hooks.adjust_decomposition {
-        decomposition = hook(decomposition);
-    }
-
-    // Stage 2: WorkflowScout.
-    let scout = WorkflowScout::new(model, config.clone());
-    let mut architecture = scout.run(&decomposition, registry, variant)?;
-    if let Some(hook) = &hooks.adjust_architecture {
-        architecture = hook(architecture);
-    }
-
-    // Stage 3: SolutionWeaver, with a validation-repair loop.
-    let weaver = SolutionWeaver::new(model, config.clone());
-    let mut feedback: Vec<String> = Vec::new();
-    let mut repair_attempts = 0usize;
-    let (workflow, implementation) = loop {
-        let implementation =
-            weaver.run(&decomposition, &architecture, registry, feedback.clone())?;
-        let wf = to_workflow(query, &decomposition, &implementation, registry);
-        let errors = check(&wf, registry);
-        if errors.is_empty() {
-            break (wf, implementation);
-        }
-        repair_attempts += 1;
-        if repair_attempts > max_repairs {
-            return Err(PipelineError::Validation {
-                errors: errors.iter().map(|e| e.to_string()).collect(),
-                repair_attempts,
-            });
-        }
-        feedback = errors.iter().map(|e| e.to_string()).collect();
-    };
-
-    let source_code = to_source(&workflow, registry);
-    let loc = workflow::loc(&source_code);
-    let frameworks = workflow.frameworks_used(registry);
-    let expert_notes = hooks
-        .review_workflow
-        .as_ref()
-        .map(|hook| hook(&workflow))
-        .unwrap_or_default();
-
-    Ok(GeneratedSolution {
-        query: query.to_string(),
-        decomposition,
-        architecture,
-        workflow,
-        source_code,
-        loc,
-        frameworks,
-        qa_measures: implementation.qa_measures,
-        repair_attempts,
-        expert_notes,
-    })
-}
-
-/// Runs RegistryCurator against `registry` and registers the validated
-/// composites — the shared core behind [`ArachNet::curate`] and the
-/// engine's epoch-publishing curation.
-pub(crate) fn run_curation(
-    model: &dyn LanguageModel,
-    config: &AgentConfig,
+/// Registers the composites RegistryCurator proposed into `registry`,
+/// deriving each one's signature from its parts; proposals that reference
+/// unknown functions or collide with existing entries are rejected with
+/// the reason.
+pub(crate) fn register_composites(
     registry: &mut Registry,
-    corpus: &[WorkflowSummary],
-    min_uses: usize,
-) -> Result<CurationOutcome, PipelineError> {
-    let curator = RegistryCurator::new(model, config.clone());
-    let proposal = curator.run(corpus, registry, min_uses)?;
-
+    proposal: CurationProposal,
+) -> CurationOutcome {
     let mut outcome = CurationOutcome {
-        rejected: proposal.rejected.clone(),
+        rejected: proposal.rejected,
         ..Default::default()
     };
     for composite in proposal.composites {
@@ -340,14 +179,14 @@ pub(crate) fn run_curation(
             Err(e) => outcome.rejected.push((composite.id.clone(), e.to_string())),
         }
     }
-    Ok(outcome)
+    outcome
 }
 
 /// Converts an implementation plan into the executable workflow IR.
 /// Steps whose registry entry is tagged `non-critical` (enrichment
 /// detectors) are marked accordingly, so their failures degrade the run
 /// instead of failing it.
-fn to_workflow(
+pub(crate) fn to_workflow(
     query: &str,
     decomposition: &Decomposition,
     plan: &ImplementationPlan,
@@ -385,145 +224,4 @@ fn to_workflow(
         wf = wf.with_output(out);
     }
     wf
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use llm::DeterministicExpertModel;
-    use registry::Param;
-
-    fn mini_registry() -> Registry {
-        let mut r = Registry::new();
-        r.register(CapabilityEntry::new(
-            "util.compile_disasters",
-            "util",
-            "compiles disaster specs into failure events",
-            vec![
-                Param::required("disasters", DataFormat::DisasterSpecs),
-                Param::required("failure_probability", DataFormat::Scalar),
-            ],
-            DataFormat::FailureEventSpec,
-        ))
-        .unwrap();
-        r.register(CapabilityEntry::new(
-            "xaminer.event_impact",
-            "xaminer",
-            "processes failure events into a country impact table",
-            vec![Param::required("event", DataFormat::FailureEventSpec)],
-            DataFormat::CountryImpactTable,
-        ))
-        .unwrap();
-        r.register(CapabilityEntry::new(
-            "qa.verify_output",
-            "qa",
-            "verifies a final result",
-            vec![Param::required("value", DataFormat::Any)],
-            DataFormat::QaReport,
-        ))
-        .unwrap();
-        r
-    }
-
-    fn context() -> QueryContext {
-        QueryContext { cable_names: vec![], now: 864_000, horizon_days: 10 }
-    }
-
-    const CS2_QUERY: &str = "Identify the impact of severe earthquakes and hurricanes \
-                             globally assuming a 10% infra failure probability";
-
-    #[test]
-    fn pipeline_generates_valid_workflow() {
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, mini_registry());
-        let solution = system.generate(CS2_QUERY, &context()).unwrap();
-        assert!(check(&solution.workflow, system.registry()).is_empty());
-        assert!(solution.loc > 50, "loc {}", solution.loc);
-        assert_eq!(solution.repair_attempts, 0);
-        // QA step woven in.
-        assert!(solution.workflow.steps.iter().any(|s| s.function.0 == "qa.verify_output"));
-        // Restraint: one analysis framework plus plumbing.
-        assert!(solution.frameworks.contains(&"xaminer".to_string()));
-    }
-
-    #[test]
-    fn expert_hooks_adjust_and_review() {
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, mini_registry());
-        let hooks = ExpertHooks {
-            adjust_decomposition: Some(Box::new(|mut d: Decomposition| {
-                d.constraints.push("expert: restrict to coastal assets".into());
-                d
-            })),
-            adjust_architecture: None,
-            review_workflow: Some(Box::new(|wf: &Workflow| {
-                vec![format!("reviewed {} steps", wf.steps.len())]
-            })),
-        };
-        let solution = system.generate_expert(CS2_QUERY, &context(), &hooks).unwrap();
-        assert!(solution
-            .decomposition
-            .constraints
-            .iter()
-            .any(|c| c.contains("expert: restrict")));
-        assert_eq!(solution.expert_notes.len(), 1);
-    }
-
-    #[test]
-    fn curation_grows_registry_and_rejects_duplicates() {
-        let model = DeterministicExpertModel::new();
-        let mut system = ArachNet::new(&model, mini_registry());
-        let solution = system.generate(CS2_QUERY, &context()).unwrap();
-        let corpus = vec![solution.summary(true), solution.summary(true)];
-
-        let before = system.registry().len();
-        let outcome = system.curate(&corpus, 2).unwrap();
-        assert_eq!(outcome.added.len(), 1, "rejected: {:?}", outcome.rejected);
-        assert_eq!(system.registry().len(), before + 1);
-
-        // Second pass proposes nothing new.
-        let outcome2 = system.curate(&corpus, 2).unwrap();
-        assert!(outcome2.added.is_empty());
-        assert!(outcome2
-            .rejected
-            .iter()
-            .any(|(_, why)| why.contains("already registered") || why.contains("duplicate")));
-    }
-
-    #[test]
-    fn composite_signature_is_derived_correctly() {
-        let model = DeterministicExpertModel::new();
-        let mut system = ArachNet::new(&model, mini_registry());
-        let solution = system.generate(CS2_QUERY, &context()).unwrap();
-        let corpus = vec![solution.summary(true), solution.summary(true)];
-        let outcome = system.curate(&corpus, 2).unwrap();
-        let id = &outcome.added[0];
-        let entry = system.registry().get(id).unwrap();
-        // The composite takes the chain's external inputs and returns the
-        // final output.
-        assert_eq!(entry.output, DataFormat::CountryImpactTable);
-        let input_names: Vec<&str> = entry.inputs.iter().map(|p| p.name.as_str()).collect();
-        assert!(input_names.contains(&"disasters"));
-        assert!(input_names.contains(&"failure_probability"));
-        assert!(!input_names.contains(&"event"), "internally satisfied input must not leak");
-    }
-
-    #[test]
-    fn generated_workflow_uses_composites_after_curation() {
-        let model = DeterministicExpertModel::new();
-        let mut system = ArachNet::new(&model, mini_registry());
-        let s1 = system.generate(CS2_QUERY, &context()).unwrap();
-        let corpus = vec![s1.summary(true), s1.summary(true)];
-        system.curate(&corpus, 2).unwrap();
-
-        // Regenerate: the planner can now reach the target through the
-        // cheaper composite, shrinking the workflow.
-        let s2 = system.generate(CS2_QUERY, &context()).unwrap();
-        assert!(
-            s2.workflow.steps.len() <= s1.workflow.steps.len(),
-            "curated registry should not grow the plan ({} vs {})",
-            s2.workflow.steps.len(),
-            s1.workflow.steps.len()
-        );
-    }
 }

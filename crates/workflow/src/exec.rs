@@ -31,10 +31,6 @@ use crate::{Binding, StepId, Workflow};
 
 pub use crate::value::{Value, ValueView};
 
-/// Backwards-compatible alias: the PR 3 API renamed `TypedValue` to
-/// [`Value`] when the payload went Arc-shared.
-pub type TypedValue = Value;
-
 /// Errors a tool invocation can raise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToolError {
@@ -105,6 +101,28 @@ pub trait ToolRuntime: Sync {
     ) -> Result<Value, ToolError> {
         let _ = ctx;
         self.invoke(function, args)
+    }
+}
+
+/// Boxed runtimes are runtimes, so optional layers stack into one
+/// `Box<dyn ToolRuntime>`. Both entry points forward: relying on the
+/// default `invoke_with` would drop the [`InvokeContext`] at the box.
+impl<R: ToolRuntime + ?Sized> ToolRuntime for Box<R> {
+    fn invoke(
+        &self,
+        function: &FunctionId,
+        args: &BTreeMap<String, Value>,
+    ) -> Result<Value, ToolError> {
+        (**self).invoke(function, args)
+    }
+
+    fn invoke_with(
+        &self,
+        ctx: &InvokeContext<'_>,
+        function: &FunctionId,
+        args: &BTreeMap<String, Value>,
+    ) -> Result<Value, ToolError> {
+        (**self).invoke_with(ctx, function, args)
     }
 }
 
@@ -387,6 +405,14 @@ pub fn execute_with(
     // preserving the list-order executor's propagation semantics.
     let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
+    let run = StepRunner {
+        registry,
+        runtime,
+        query_args,
+        steps,
+        outcomes: &outcomes,
+        retry: &options.retry,
+    };
     let run_worker = || loop {
         let i = {
             let mut sched = scheduler.lock().expect("scheduler lock");
@@ -402,7 +428,7 @@ pub fn execute_with(
         };
 
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_step(registry, runtime, query_args, steps, &resolved[i], i, &outcomes, &options.retry)
+            run.step(i, &resolved[i])
         }))
         .unwrap_or_else(|payload| {
             let mut first = panicked.lock().expect("panic slot");
@@ -575,167 +601,176 @@ fn compute_health(
     }
 }
 
-/// Runs one step: binding resolution (first unsatisfiable binding in
-/// parameter-name order wins, matching the list-order executor), tool
-/// invocation with budgeted retries, woven-in QA.
-#[allow(clippy::too_many_arguments)]
-fn run_step(
-    registry: &Registry,
-    runtime: &dyn ToolRuntime,
-    query_args: &BTreeMap<String, Value>,
-    steps: &[crate::Step],
-    resolved_targets: &BTreeMap<&String, Option<usize>>,
-    index: usize,
-    outcomes: &[OnceLock<StepOutcome>],
-    retry: &RetryPolicy,
-) -> StepOutcome {
-    let step = &steps[index];
-    let mut qa: Vec<QaFinding> = Vec::new();
+/// What every step of one execution reads: the workflow, its arguments,
+/// the runtime, and the outcomes of steps that already completed.
+#[derive(Clone, Copy)]
+struct StepRunner<'a> {
+    registry: &'a Registry,
+    runtime: &'a dyn ToolRuntime,
+    query_args: &'a BTreeMap<String, Value>,
+    steps: &'a [crate::Step],
+    outcomes: &'a [OnceLock<StepOutcome>],
+    retry: &'a RetryPolicy,
+}
 
-    // Resolve bindings. Once a poisoned binding is seen, the remaining
-    // bindings are scanned only to widen the root-cause list — they can
-    // no longer change the step's category (matching the list-order
-    // executor, where the first unsatisfiable binding decided it).
-    let mut args: BTreeMap<String, Value> = BTreeMap::new();
-    let mut poison_roots: Vec<StepId> = Vec::new();
-    for (name, binding) in &step.inputs {
-        match binding {
-            Binding::Const { format, value } => {
-                args.insert(name.clone(), Value::new(*format, value.clone()));
-            }
-            Binding::QueryArg { name: arg, format } => match query_args.get(arg) {
-                Some(v) => {
-                    args.insert(name.clone(), v.clone());
+impl StepRunner<'_> {
+    /// Runs one step: binding resolution (first unsatisfiable binding in
+    /// parameter-name order wins, matching the list-order executor), tool
+    /// invocation with budgeted retries, woven-in QA.
+    fn step(
+        &self,
+        index: usize,
+        resolved_targets: &BTreeMap<&String, Option<usize>>,
+    ) -> StepOutcome {
+        let StepRunner { registry, runtime, query_args, steps, outcomes, retry } = *self;
+        let step = &steps[index];
+        let mut qa: Vec<QaFinding> = Vec::new();
+
+        // Resolve bindings. Once a poisoned binding is seen, the remaining
+        // bindings are scanned only to widen the root-cause list — they can
+        // no longer change the step's category (matching the list-order
+        // executor, where the first unsatisfiable binding decided it).
+        let mut args: BTreeMap<String, Value> = BTreeMap::new();
+        let mut poison_roots: Vec<StepId> = Vec::new();
+        for (name, binding) in &step.inputs {
+            match binding {
+                Binding::Const { format, value } => {
+                    args.insert(name.clone(), Value::new(*format, value.clone()));
                 }
-                None if poison_roots.is_empty() => {
-                    qa.push(QaFinding {
-                        step: step.id.clone(),
-                        severity: QaSeverity::Error,
-                        message: format!("query argument {arg} ({format}) not supplied"),
-                    });
-                    return StepOutcome {
-                        result: StepResult::Failed(ToolError::BadArgument {
-                            function: step.function.clone(),
-                            message: format!("missing query argument {arg}"),
-                        }),
-                        qa,
-                        invoked: false,
-                        retries: 0,
-                        backoff_ticks: 0,
-                    };
-                }
-                None => {}
-            },
-            Binding::Step(target) => {
-                // The scheduler waited on exactly this index (same map).
-                let resolved_index = resolved_targets.get(name).copied().flatten();
-                let resolved = resolved_index
-                    .and_then(|j| outcomes[j].get())
-                    .and_then(|o| o.result.value());
-                match resolved {
+                Binding::QueryArg { name: arg, format } => match query_args.get(arg) {
                     Some(v) => {
                         args.insert(name.clone(), v.clone());
                     }
-                    None => {
-                        // Attribute the root cause: a failed dependency
-                        // contributes its own id, a poisoned one its
-                        // (already transitive) roots, and an unresolvable
-                        // target — forward or dangling reference — the
-                        // referenced id itself.
-                        let mut attributed = false;
-                        if let Some(outcome) = resolved_index.and_then(|j| outcomes[j].get()) {
-                            match &outcome.result {
-                                StepResult::Failed(_) => {
-                                    let j = resolved_index.unwrap_or(index);
-                                    poison_roots.push(steps[j].id.clone());
-                                    attributed = true;
-                                }
-                                StepResult::Poisoned { failed_dependencies } => {
-                                    poison_roots.extend(failed_dependencies.iter().cloned());
-                                    attributed = true;
-                                }
-                                StepResult::Ok(_) => {}
-                            }
+                    None if poison_roots.is_empty() => {
+                        qa.push(QaFinding {
+                            step: step.id.clone(),
+                            severity: QaSeverity::Error,
+                            message: format!("query argument {arg} ({format}) not supplied"),
+                        });
+                        return StepOutcome {
+                            result: StepResult::Failed(ToolError::BadArgument {
+                                function: step.function.clone(),
+                                message: format!("missing query argument {arg}"),
+                            }),
+                            qa,
+                            invoked: false,
+                            retries: 0,
+                            backoff_ticks: 0,
+                        };
+                    }
+                    None => {}
+                },
+                Binding::Step(target) => {
+                    // The scheduler waited on exactly this index (same map).
+                    let resolved_index = resolved_targets.get(name).copied().flatten();
+                    let resolved = resolved_index
+                        .and_then(|j| outcomes[j].get())
+                        .and_then(|o| o.result.value());
+                    match resolved {
+                        Some(v) => {
+                            args.insert(name.clone(), v.clone());
                         }
-                        if !attributed {
-                            poison_roots.push(target.clone());
+                        None => {
+                            // Attribute the root cause: a failed dependency
+                            // contributes its own id, a poisoned one its
+                            // (already transitive) roots, and an unresolvable
+                            // target — forward or dangling reference — the
+                            // referenced id itself.
+                            let mut attributed = false;
+                            if let Some(outcome) = resolved_index.and_then(|j| outcomes[j].get()) {
+                                match &outcome.result {
+                                    StepResult::Failed(_) => {
+                                        let j = resolved_index.unwrap_or(index);
+                                        poison_roots.push(steps[j].id.clone());
+                                        attributed = true;
+                                    }
+                                    StepResult::Poisoned { failed_dependencies } => {
+                                        poison_roots.extend(failed_dependencies.iter().cloned());
+                                        attributed = true;
+                                    }
+                                    StepResult::Ok(_) => {}
+                                }
+                            }
+                            if !attributed {
+                                poison_roots.push(target.clone());
+                            }
                         }
                     }
                 }
             }
         }
-    }
-    if !poison_roots.is_empty() {
-        poison_roots.sort();
-        poison_roots.dedup();
-        return StepOutcome {
-            result: StepResult::Poisoned { failed_dependencies: poison_roots },
-            qa,
-            invoked: false,
-            retries: 0,
-            backoff_ticks: 0,
-        };
-    }
-
-    // Invoke (composites expand to their sequence), retrying transient
-    // failures within the policy's budget. Backoff is logical ticks, so
-    // the loop — and therefore the report — is deterministic.
-    let mut attempt: u32 = 0;
-    let mut backoff_ticks: u64 = 0;
-    let invoked = loop {
-        let ctx = InvokeContext { step: &step.id, attempt };
-        match invoke_entry(registry, runtime, &ctx, &step.function, &args) {
-            Err(ToolError::Failed { function, message, transient: true })
-                if attempt < retry.max_retries =>
-            {
-                let ticks = retry.backoff_ticks(attempt);
-                backoff_ticks += ticks;
-                qa.push(QaFinding {
-                    step: step.id.clone(),
-                    severity: QaSeverity::Info,
-                    message: format!(
-                        "attempt {}: {function} failed transiently ({message}); retrying after {ticks} logical tick(s)",
-                        attempt + 1
-                    ),
-                });
-                attempt += 1;
-            }
-            other => break other,
+        if !poison_roots.is_empty() {
+            poison_roots.sort();
+            poison_roots.dedup();
+            return StepOutcome {
+                result: StepResult::Poisoned { failed_dependencies: poison_roots },
+                qa,
+                invoked: false,
+                retries: 0,
+                backoff_ticks: 0,
+            };
         }
-    };
-    let retries = attempt as usize;
 
-    match invoked {
-        Ok(value) => {
-            // Woven-in QA: declared format check + emptiness sanity.
-            if let Some(entry) = registry.get(&step.function) {
-                if !value.format.compatible_with(entry.output) {
+        // Invoke (composites expand to their sequence), retrying transient
+        // failures within the policy's budget. Backoff is logical ticks, so
+        // the loop — and therefore the report — is deterministic.
+        let mut attempt: u32 = 0;
+        let mut backoff_ticks: u64 = 0;
+        let invoked = loop {
+            let ctx = InvokeContext { step: &step.id, attempt };
+            match invoke_entry(registry, runtime, &ctx, &step.function, &args) {
+                Err(ToolError::Failed { function, message, transient: true })
+                    if attempt < retry.max_retries =>
+                {
+                    let ticks = retry.backoff_ticks(attempt);
+                    backoff_ticks += ticks;
                     qa.push(QaFinding {
                         step: step.id.clone(),
-                        severity: QaSeverity::Error,
+                        severity: QaSeverity::Info,
                         message: format!(
-                            "output format {} incompatible with declared {}",
-                            value.format, entry.output
+                            "attempt {}: {function} failed transiently ({message}); retrying after {ticks} logical tick(s)",
+                            attempt + 1
                         ),
                     });
+                    attempt += 1;
                 }
+                other => break other,
             }
-            if value.is_empty_payload() {
+        };
+        let retries = attempt as usize;
+
+        match invoked {
+            Ok(value) => {
+                // Woven-in QA: declared format check + emptiness sanity.
+                if let Some(entry) = registry.get(&step.function) {
+                    if !value.format.compatible_with(entry.output) {
+                        qa.push(QaFinding {
+                            step: step.id.clone(),
+                            severity: QaSeverity::Error,
+                            message: format!(
+                                "output format {} incompatible with declared {}",
+                                value.format, entry.output
+                            ),
+                        });
+                    }
+                }
+                if value.is_empty_payload() {
+                    qa.push(QaFinding {
+                        step: step.id.clone(),
+                        severity: QaSeverity::Warning,
+                        message: "step produced an empty result".to_string(),
+                    });
+                }
+                StepOutcome { result: StepResult::Ok(value), qa, invoked: true, retries, backoff_ticks }
+            }
+            Err(e) => {
                 qa.push(QaFinding {
                     step: step.id.clone(),
-                    severity: QaSeverity::Warning,
-                    message: "step produced an empty result".to_string(),
+                    severity: QaSeverity::Error,
+                    message: e.to_string(),
                 });
+                StepOutcome { result: StepResult::Failed(e), qa, invoked: true, retries, backoff_ticks }
             }
-            StepOutcome { result: StepResult::Ok(value), qa, invoked: true, retries, backoff_ticks }
-        }
-        Err(e) => {
-            qa.push(QaFinding {
-                step: step.id.clone(),
-                severity: QaSeverity::Error,
-                message: e.to_string(),
-            });
-            StepOutcome { result: StepResult::Failed(e), qa, invoked: true, retries, backoff_ticks }
         }
     }
 }
@@ -1141,6 +1176,60 @@ mod tests {
             report.qa.iter().filter(|f| f.severity == QaSeverity::Info).count(),
             2,
             "each retry leaves an Info finding"
+        );
+    }
+
+    /// Layers stacked as `Box<dyn ToolRuntime>` must still see the
+    /// executor's context: a boxed runtime that falls back to the
+    /// default `invoke_with` would hand the inner layer no step ids.
+    #[test]
+    fn boxed_runtime_forwards_invoke_context() {
+        struct ContextLog(Arc<Mutex<Vec<(String, u32)>>>);
+        impl ToolRuntime for ContextLog {
+            fn invoke(
+                &self,
+                function: &FunctionId,
+                args: &BTreeMap<String, Value>,
+            ) -> Result<Value, ToolError> {
+                ToyRuntime.invoke(function, args)
+            }
+
+            fn invoke_with(
+                &self,
+                ctx: &InvokeContext<'_>,
+                function: &FunctionId,
+                args: &BTreeMap<String, Value>,
+            ) -> Result<Value, ToolError> {
+                self.0.lock().expect("log lock").push((ctx.step.0.clone(), ctx.attempt));
+                if ctx.step.0 == "a" && ctx.attempt == 0 {
+                    return Err(ToolError::Failed {
+                        function: function.clone(),
+                        message: "flaky".into(),
+                        transient: true,
+                    });
+                }
+                self.invoke(function, args)
+            }
+        }
+
+        let wf = Workflow::new("w", "q")
+            .with_step(Step::new("a", "toy.make"))
+            .with_step(Step::new("b", "toy.count").bind_step("table", "a"))
+            .with_output("b");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let runtime: Box<dyn ToolRuntime> = Box::new(ContextLog(Arc::clone(&seen)));
+        let report = execute_with(
+            &wf,
+            &registry(),
+            &runtime,
+            &BTreeMap::new(),
+            &ExecOptions { workers: 1, retry: RetryPolicy::with_retries(1), ..Default::default() },
+        );
+        assert!(report.all_ok(), "qa: {:?}", report.qa);
+        assert_eq!(report.retries, 1);
+        assert_eq!(
+            *seen.lock().expect("log lock"),
+            vec![("a".to_string(), 0), ("a".to_string(), 1), ("b".to_string(), 0)]
         );
     }
 

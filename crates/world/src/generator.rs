@@ -17,7 +17,7 @@ use crate::cities::{build_cities, City};
 use crate::links::{classify_conduit, IpLink, LinkEnd, PrefixInfo};
 use crate::physical::{PhysicalGraph, TerrestrialEdge};
 use crate::probes::{probes_per_country, Probe};
-use crate::World;
+use crate::{World, WorldIndex};
 
 /// Knobs for world generation. `Default` produces the standard evaluation
 /// world used by every case study; the benches scale some knobs.
@@ -144,8 +144,10 @@ pub fn generate(config: &WorldConfig) -> World {
     let links = build_links(&ases, &relationships, &cities, &graph);
     let probes = build_probes(&ases, &prefixes, &cities, config);
 
-    let world = World::assemble(
-        config,
+    let index = WorldIndex::build(&cables, &ases, &links);
+    let world = World {
+        seed: config.seed,
+        config: config.clone(),
         cities,
         cables,
         terrestrial,
@@ -154,7 +156,8 @@ pub fn generate(config: &WorldConfig) -> World {
         prefixes,
         links,
         probes,
-    );
+        index,
+    };
     debug_assert_eq!(world.validate(), Ok(()));
     world
 }

@@ -77,8 +77,17 @@ pub struct World {
     /// Measurement probes, indexed by [`ProbeId`].
     pub probes: Vec<Probe>,
 
+    /// Lookup tables derived from the layers above at generation time.
+    index: WorldIndex,
+}
+
+/// Cross-layer index tables. These sit inside the Xaminer impact and
+/// toolkit/traceroute hot loops, so they are built once at generation
+/// instead of being recomputed by full scans on every lookup.
+#[derive(Debug, Clone)]
+struct WorldIndex {
     asn_index: BTreeMap<Asn, usize>,
-    /// Cross-layer index: cable → IP links riding it, ascending [`LinkId`].
+    /// Cable → IP links riding it, ascending [`LinkId`].
     cable_links: Vec<Vec<LinkId>>,
     /// Lowercased cable name → cable (first cable wins on duplicate names).
     cable_name_index: BTreeMap<String, CableId>,
@@ -89,61 +98,32 @@ pub struct World {
     pair_links: BTreeMap<(Asn, Asn), Vec<LinkId>>,
 }
 
-impl World {
-    /// Internal constructor used by the generator; computes derived indices.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        config: &WorldConfig,
-        cities: Vec<City>,
-        cables: Vec<Cable>,
-        terrestrial: Vec<physical::TerrestrialEdge>,
-        ases: Vec<AsInfo>,
-        relationships: Vec<AsRelationship>,
-        prefixes: Vec<PrefixInfo>,
-        links: Vec<IpLink>,
-        probes: Vec<Probe>,
-    ) -> World {
+impl WorldIndex {
+    /// Derives every index from the layers it covers.
+    fn build(cables: &[Cable], ases: &[AsInfo], links: &[IpLink]) -> WorldIndex {
         let asn_index: BTreeMap<Asn, usize> =
             ases.iter().enumerate().map(|(i, a)| (a.asn, i)).collect();
-
-        // Cross-layer index tables. These sit inside the Xaminer impact and
-        // toolkit/traceroute hot loops, so they are built once here instead
-        // of being recomputed by full scans on every lookup.
         let mut cable_links: Vec<Vec<LinkId>> = vec![Vec::new(); cables.len()];
         let mut pair_links: BTreeMap<(Asn, Asn), Vec<LinkId>> = BTreeMap::new();
-        for link in &links {
+        for link in links {
             for cable in link.path.cables() {
                 cable_links[cable.index()].push(link.id);
             }
             pair_links.entry(link.as_pair()).or_default().push(link.id);
         }
         let mut cable_name_index: BTreeMap<String, CableId> = BTreeMap::new();
-        for c in &cables {
+        for c in cables {
             cable_name_index.entry(c.name.to_ascii_lowercase()).or_insert(c.id);
         }
         let mut country_asns: BTreeMap<Country, Vec<Asn>> = BTreeMap::new();
-        for a in &ases {
+        for a in ases {
             country_asns.entry(a.country).or_default().push(a.asn);
         }
-
-        World {
-            seed: config.seed,
-            config: config.clone(),
-            cities,
-            cables,
-            terrestrial,
-            ases,
-            relationships,
-            prefixes,
-            links,
-            probes,
-            asn_index,
-            cable_links,
-            cable_name_index,
-            country_asns,
-            pair_links,
-        }
+        WorldIndex { asn_index, cable_links, cable_name_index, country_asns, pair_links }
     }
+}
+
+impl World {
 
     /// Looks up a city.
     pub fn city(&self, id: CityId) -> &City {
@@ -172,7 +152,7 @@ impl World {
 
     /// Looks up AS metadata by ASN.
     pub fn as_info(&self, asn: Asn) -> Option<&AsInfo> {
-        self.asn_index.get(&asn).map(|&i| &self.ases[i])
+        self.index.asn_index.get(&asn).map(|&i| &self.ases[i])
     }
 
     /// The dense position of an ASN in [`World::ases`] (ASNs ascending).
@@ -180,40 +160,40 @@ impl World {
     /// This is the index space the dense routing engine and other
     /// `Vec`-backed per-AS tables share.
     pub fn asn_position(&self, asn: Asn) -> Option<usize> {
-        self.asn_index.get(&asn).copied()
+        self.index.asn_index.get(&asn).copied()
     }
 
     /// Finds a cable by (case-insensitive) name. O(log cables) via the
     /// precomputed name index.
     pub fn cable_by_name(&self, name: &str) -> Option<&Cable> {
         let lower = name.to_ascii_lowercase();
-        self.cable_name_index.get(&lower).map(|&id| self.cable(id))
+        self.index.cable_name_index.get(&lower).map(|&id| self.cable(id))
     }
 
     /// All IP links whose physical path rides the given cable, ascending.
     ///
     /// This is the cross-layer **ground truth** that the Nautilus substrate
     /// tries to *infer* from geometry and latency. O(k) map hit on the
-    /// index precomputed at [`World::assemble`] time.
+    /// index precomputed at generation time.
     pub fn links_on_cable(&self, cable: CableId) -> Vec<LinkId> {
-        self.cable_links[cable.index()].clone()
+        self.index.cable_links[cable.index()].clone()
     }
 
     /// Borrowed variant of [`World::links_on_cable`] for hot loops that
     /// only iterate.
     pub fn links_on_cable_ref(&self, cable: CableId) -> &[LinkId] {
-        &self.cable_links[cable.index()]
+        &self.index.cable_links[cable.index()]
     }
 
     /// ASNs registered in a country, ascending. O(k) map hit.
     pub fn asns_in_country(&self, country: Country) -> Vec<Asn> {
-        self.country_asns.get(&country).cloned().unwrap_or_default()
+        self.index.country_asns.get(&country).cloned().unwrap_or_default()
     }
 
     /// How many ASes are registered in a country, without materializing
     /// the list — the Xaminer impact denominators use this per row.
     pub fn as_count_in_country(&self, country: Country) -> usize {
-        self.country_asns.get(&country).map_or(0, |v| v.len())
+        self.index.country_asns.get(&country).map_or(0, |v| v.len())
     }
 
     /// IP links between an AS pair (order-insensitive), ascending
@@ -221,7 +201,7 @@ impl World {
     /// instead of scanning every link per AS hop.
     pub fn links_between(&self, a: Asn, b: Asn) -> &[LinkId] {
         let pair = if a <= b { (a, b) } else { (b, a) };
-        self.pair_links.get(&pair).map_or(&[], |v| v.as_slice())
+        self.index.pair_links.get(&pair).map_or(&[], |v| v.as_slice())
     }
 
     /// The country a prefix geolocates to (origin-AS home country).
@@ -269,12 +249,12 @@ impl World {
             }
         }
         // The precomputed cross-layer indices must agree with full scans.
-        let indexed: usize = self.cable_links.iter().map(|v| v.len()).sum();
+        let indexed: usize = self.index.cable_links.iter().map(|v| v.len()).sum();
         let scanned: usize = self.links.iter().map(|l| l.path.cables().len()).sum();
         if indexed != scanned {
             return Err(format!("cable-link index covers {indexed} pairs, scan finds {scanned}"));
         }
-        let paired: usize = self.pair_links.values().map(|v| v.len()).sum();
+        let paired: usize = self.index.pair_links.values().map(|v| v.len()).sum();
         if paired != self.links.len() {
             return Err(format!("pair-link index covers {paired}/{} links", self.links.len()));
         }

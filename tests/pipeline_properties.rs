@@ -4,7 +4,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use arachnet::{ArachNet, DeterministicExpertModel};
+use arachnet::Session;
+use arachnet_repro::{case_study_engine, CaseStudy};
 use llm::protocol::QueryContext;
 use toolkit::catalog;
 use workflow::check;
@@ -34,6 +35,13 @@ fn arbitrary_query() -> impl Strategy<Value = String> {
     (verbs, subjects, scopes).prop_map(|(v, s, sc)| format!("{v} {s}{sc}"))
 }
 
+/// A session over the full standard catalog (CS2's registry).
+fn standard_session() -> Session {
+    case_study_engine(CaseStudy::Cs2DisasterImpact)
+        .session("cs2")
+        .expect("registered by case_study_engine")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -41,21 +49,19 @@ proptest! {
     /// renders to deterministic, non-trivial source.
     #[test]
     fn generated_workflows_always_typecheck(query in arbitrary_query()) {
-        let registry = catalog::standard_registry();
         let context = QueryContext {
             cable_names: vec!["SeaMeWe-5".into(), "AAE-1".into(), "FALCON".into()],
             now: 10 * 86_400,
             horizon_days: 10,
         };
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, registry.clone());
+        let session = standard_session();
         // Some queries may be unplannable (that is a legitimate outcome);
         // the invariant applies to every solution that IS produced.
-        if let Ok(solution) = system.generate(&query, &context) {
-            let errors = check(&solution.workflow, &registry);
+        if let Ok(solution) = session.generate(&query, &context) {
+            let errors = check(&solution.workflow, session.registry());
             prop_assert!(errors.is_empty(), "query {query:?}: {errors:?}");
             prop_assert!(solution.loc > 40);
-            let again = system.generate(&query, &context).expect("deterministic");
+            let again = session.generate(&query, &context).expect("deterministic");
             prop_assert_eq!(solution.source_code, again.source_code);
         }
     }
@@ -101,15 +107,12 @@ fn full_catalog_roundtrips_through_json() {
 /// workflow's declared argument set.
 #[test]
 fn provided_args_cover_workflow_requirements() {
-    let registry = catalog::standard_registry();
     let context = QueryContext {
         cable_names: vec!["SeaMeWe-5".into()],
         now: 10 * 86_400,
         horizon_days: 10,
     };
-    let model = DeterministicExpertModel::new();
-    let system = ArachNet::new(&model, registry);
-    let solution = system
+    let solution = standard_session()
         .generate(
             "Identify the impact at a country level due to SeaMeWe-5 cable failure",
             &context,
