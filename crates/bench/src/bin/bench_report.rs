@@ -54,9 +54,10 @@
 //!   the recording tax, which the PR 9 acceptance pins at ≤2%;
 //! * `workflow/trace_export` — serializing a recorded trace to both
 //!   canonical JSON and the Chrome `trace_event` format;
-//! * `conformance/scan_workspace` — the parallel incremental conformance
-//!   scanner (lex + item tree + all rules + crate graph) over the whole
-//!   workspace at per-CPU workers vs the serial scan.
+//! * `conformance/scan_workspace` — the parallel conformance scanner
+//!   (lex + item tree + all rules + crate graph) over the whole
+//!   workspace at per-CPU workers vs the serial scan. Both arms scan
+//!   cold: the scanner keeps no cache between scans.
 
 // conformance: allow(no-wall-clock, reason = "the bench report exists to measure wall time")
 use std::time::Instant;
@@ -546,7 +547,7 @@ fn main() {
         conformance::scan(scan_root).expect("workspace scans").findings.len()
     });
     let scan_par = median_ms(9, || {
-        conformance::scan::scan_parallel(scan_root, 0, None)
+        conformance::scan::scan_parallel(scan_root, 0)
             .expect("workspace scans")
             .findings
             .len()

@@ -17,7 +17,8 @@
 //! * background faults hash `(seed, function, step, attempt)` through a
 //!   splitmix64-style mixer and compare against a parts-per-million
 //!   threshold;
-//! * slow-step costs are logical ticks accumulated in [`ChaosStats`],
+//! * slow-step costs are logical ticks carried by `SlowTicks` events on
+//!   an attached [`Recorder`] (the layer's one record of what it did),
 //!   not sleeps.
 
 use std::collections::BTreeMap;
@@ -42,9 +43,9 @@ pub enum FaultKind {
     /// text payload — exercising the woven-in QA format check and
     /// downstream argument validation.
     Corrupt,
-    /// The invocation succeeds but charges `ticks` logical ticks to
-    /// [`ChaosStats::slow_ticks`] (a logical-time stand-in for a slow
-    /// tool; no wall-clock sleep is ever performed).
+    /// The invocation succeeds but charges `ticks` logical ticks, reported
+    /// in a `SlowTicks` telemetry event (a logical-time stand-in for a
+    /// slow tool; no wall-clock sleep is ever performed).
     Slow { ticks: u64 },
 }
 
@@ -121,21 +122,6 @@ fn fold(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |acc, &b| mix(acc ^ u64::from(b)))
 }
 
-/// Counters of what the chaos layer actually did. Totals are
-/// order-independent sums, so they too are deterministic for a given
-/// plan and workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Invocations that passed through unmodified.
-    pub passthrough: u64,
-    /// Failures injected (scheduled + background).
-    pub injected_failures: u64,
-    /// Outputs replaced with malformed payloads.
-    pub corrupted_outputs: u64,
-    /// Logical ticks charged by `Slow` faults.
-    pub slow_ticks: u64,
-}
-
 /// Wraps any [`ToolRuntime`] and injects the faults a [`FaultPlan`]
 /// schedules.
 ///
@@ -147,7 +133,6 @@ pub struct ChaosStats {
 pub struct ChaosRuntime<R> {
     inner: R,
     plan: FaultPlan,
-    stats: Mutex<ChaosStats>,
     /// Invocation counters for the context-free `invoke` path.
     counters: Mutex<BTreeMap<FunctionId, u32>>,
     /// Optional telemetry sink: injection decisions become trace events.
@@ -159,7 +144,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
         ChaosRuntime {
             inner,
             plan,
-            stats: Mutex::new(ChaosStats::default()),
             counters: Mutex::new(BTreeMap::new()),
             recorder: None,
         }
@@ -183,11 +167,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
         &self.plan
     }
 
-    /// A snapshot of the injection counters.
-    pub fn stats(&self) -> ChaosStats {
-        *self.stats.lock()
-    }
-
     /// Buffer a trace event for the invocation `(salt, attempt)` when the
     /// call has executor context, or just count it when it does not.
     fn note(&self, has_context: bool, salt: &str, attempt: u32, kind: EventKind) {
@@ -201,7 +180,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
     }
 
     fn injected_failure(&self, function: &FunctionId, transient: bool) -> ToolError {
-        self.stats.lock().injected_failures += 1;
         let flavor = if transient { "transient" } else { "persistent" };
         ToolError::Failed {
             function: function.clone(),
@@ -244,7 +222,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
             }
             Some(FaultKind::Corrupt) => {
                 let _ = call(&self.inner)?;
-                self.stats.lock().corrupted_outputs += 1;
                 self.note(
                     has_context,
                     salt,
@@ -257,7 +234,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
                 ));
             }
             Some(FaultKind::Slow { ticks }) => {
-                self.stats.lock().slow_ticks += ticks;
                 self.note(
                     has_context,
                     salt,
@@ -276,7 +252,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
             );
             return Err(self.injected_failure(function, true));
         }
-        self.stats.lock().passthrough += 1;
         call(&self.inner)
     }
 }
@@ -314,6 +289,7 @@ impl<R: ToolRuntime> ToolRuntime for ChaosRuntime<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::{SpanStatus, StepObservation};
     use workflow::StepId;
 
     struct EchoRuntime;
@@ -332,21 +308,26 @@ mod tests {
         InvokeContext { step, attempt }
     }
 
+    /// A chaos runtime over [`EchoRuntime`] reporting into a fresh
+    /// recorder.
+    fn traced(plan: FaultPlan) -> (ChaosRuntime<EchoRuntime>, Arc<Recorder>) {
+        let recorder = Arc::new(Recorder::new());
+        (ChaosRuntime::new(EchoRuntime, plan).with_recorder(Arc::clone(&recorder)), recorder)
+    }
+
     #[test]
     fn empty_plan_passes_through() {
-        let rt = ChaosRuntime::new(EchoRuntime, FaultPlan::empty());
+        let (rt, recorder) = traced(FaultPlan::empty());
         let step = StepId::from("s");
         let out = rt.invoke_with(&ctx(&step, 0), &FunctionId::from("f.x"), &BTreeMap::new());
         assert!(out.is_ok());
-        let stats = rt.stats();
-        assert_eq!(stats.passthrough, 1);
-        assert_eq!(stats.injected_failures, 0);
+        assert!(recorder.metrics_snapshot().is_empty(), "a pass-through records nothing");
     }
 
     #[test]
     fn transient_fault_clears_after_scheduled_failures() {
         let plan = FaultPlan::new(7).with_fault("f.x", FaultKind::Transient { failures: 2 });
-        let rt = ChaosRuntime::new(EchoRuntime, plan);
+        let (rt, recorder) = traced(plan);
         let step = StepId::from("s");
         let f = FunctionId::from("f.x");
         for attempt in 0..2 {
@@ -357,7 +338,7 @@ mod tests {
             );
         }
         assert!(rt.invoke_with(&ctx(&step, 2), &f, &BTreeMap::new()).is_ok());
-        assert_eq!(rt.stats().injected_failures, 2);
+        assert_eq!(recorder.metrics_snapshot().counter("events.fault_injected"), 2);
     }
 
     #[test]
@@ -376,22 +357,44 @@ mod tests {
     #[test]
     fn corrupt_fault_yields_malformed_text() {
         let plan = FaultPlan::new(7).with_fault("f.x", FaultKind::Corrupt);
-        let rt = ChaosRuntime::new(EchoRuntime, plan);
+        let (rt, recorder) = traced(plan);
         let step = StepId::from("s");
         let out = rt.invoke_with(&ctx(&step, 0), &FunctionId::from("f.x"), &BTreeMap::new()).unwrap();
         assert_eq!(out.format, DataFormat::Text);
-        assert_eq!(rt.stats().corrupted_outputs, 1);
+        assert_eq!(recorder.metrics_snapshot().counter("events.output_corrupted"), 1);
     }
 
     #[test]
     fn slow_fault_charges_logical_ticks_only() {
         let plan = FaultPlan::new(7).with_fault("f.x", FaultKind::Slow { ticks: 40 });
-        let rt = ChaosRuntime::new(EchoRuntime, plan);
+        let (rt, recorder) = traced(plan);
         let step = StepId::from("s");
         let f = FunctionId::from("f.x");
         assert!(rt.invoke_with(&ctx(&step, 0), &f, &BTreeMap::new()).is_ok());
         assert!(rt.invoke_with(&ctx(&step, 0), &f, &BTreeMap::new()).is_ok());
-        assert_eq!(rt.stats().slow_ticks, 80);
+        // Fold the buffered attempt into the trace, as the executor does.
+        recorder.record_workflow(
+            "w",
+            1,
+            &[StepObservation {
+                step: "s".into(),
+                function: "f.x".into(),
+                invoked: true,
+                retries: 0,
+                status: SpanStatus::Ok,
+                poison_roots: Vec::new(),
+            }],
+        );
+        let ticks: u64 = recorder
+            .trace()
+            .events
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::SlowTicks { ticks, .. } => ticks,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(ticks, 80);
     }
 
     #[test]

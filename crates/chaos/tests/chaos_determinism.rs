@@ -3,20 +3,23 @@
 //!
 //! * never panics — every injected fault surfaces as a structured
 //!   [`StepResult`] / [`RunHealth`] outcome;
-//! * is byte-identical across 1, 2 and 8 executor workers;
+//! * is byte-identical across 1, 2 and 8 executor workers, including
+//!   the metrics the chaos layer records;
 //! * is byte-identical across reruns with the same seed (fresh runtime,
-//!   fresh counters).
+//!   fresh recorder).
 //!
 //! A fixed seed matrix rides along for CI: the same properties checked
 //! on pinned seeds, so a regression is reproducible from the failure
 //! message alone.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use chaos::{ChaosRuntime, FaultKind, FaultPlan};
 use registry::{CapabilityEntry, DataFormat, FunctionId, Param, Registry};
+use telemetry::{MetricsSnapshot, Recorder};
 use workflow::{
     execute_with, ExecOptions, ExecutionReport, RetryPolicy, RunHealth, Step, ToolError,
     ToolRuntime, Value, Workflow,
@@ -122,23 +125,25 @@ fn build_workflow(specs: &[StepSpec]) -> Workflow {
     wf
 }
 
-/// One full chaos execution with a fresh runtime (fresh counters/stats).
+/// One full chaos execution with a fresh runtime and a fresh recorder
+/// attached to both the chaos layer and the executor.
 fn run(
     wf: &Workflow,
     registry: &Registry,
     plan: &FaultPlan,
     workers: usize,
     retry: RetryPolicy,
-) -> (ExecutionReport, chaos::ChaosStats) {
-    let runtime = ChaosRuntime::new(BaseRuntime, plan.clone());
+) -> (ExecutionReport, MetricsSnapshot) {
+    let recorder = Arc::new(Recorder::new());
+    let runtime = ChaosRuntime::new(BaseRuntime, plan.clone()).with_recorder(Arc::clone(&recorder));
     let report = execute_with(
         wf,
         registry,
         &runtime,
         &BTreeMap::new(),
-        &ExecOptions { workers, retry, recorder: None },
+        &ExecOptions { workers, retry, recorder: Some(Arc::clone(&recorder)) },
     );
-    (report, runtime.stats())
+    (report, recorder.metrics_snapshot())
 }
 
 /// The invariants every chaos execution must satisfy, regardless of the
@@ -170,18 +175,18 @@ fn check_plan(specs: &[StepSpec], plan: &FaultPlan) {
     let wf = build_workflow(specs);
     let registry = chaos_registry();
     let retry = RetryPolicy::with_retries(2);
-    let (baseline, base_stats) = run(&wf, &registry, plan, 1, retry);
+    let (baseline, base_metrics) = run(&wf, &registry, plan, 1, retry);
     assert_structured(&baseline);
     // Byte-identical across worker counts, including chaos counters.
     for workers in [2usize, 8] {
-        let (report, stats) = run(&wf, &registry, plan, workers, retry);
+        let (report, metrics) = run(&wf, &registry, plan, workers, retry);
         assert_eq!(report, baseline, "workers={workers}");
-        assert_eq!(stats, base_stats, "workers={workers}: chaos stats diverged");
+        assert_eq!(metrics, base_metrics, "workers={workers}: metrics diverged");
     }
     // Byte-identical on rerun with the same seed (fresh runtime).
-    let (again, again_stats) = run(&wf, &registry, plan, 1, retry);
+    let (again, again_metrics) = run(&wf, &registry, plan, 1, retry);
     assert_eq!(again, baseline, "rerun with the same seed diverged");
-    assert_eq!(again_stats, base_stats);
+    assert_eq!(again_metrics, base_metrics);
 }
 
 proptest! {
@@ -231,10 +236,10 @@ fn retry_budget_absorbs_scheduled_transient_faults() {
     let wf = build_workflow(&specs);
     let registry = chaos_registry();
     let plan = FaultPlan::new(3).with_fault("c.beta", FaultKind::Transient { failures: 2 });
-    let (report, stats) = run(&wf, &registry, &plan, 4, RetryPolicy::with_retries(2));
+    let (report, metrics) = run(&wf, &registry, &plan, 4, RetryPolicy::with_retries(2));
     assert_eq!(report.health, RunHealth::Ok, "qa: {:?}", report.qa);
     assert_eq!(report.retries, 2);
-    assert_eq!(stats.injected_failures, 2);
+    assert_eq!(metrics.counter("events.fault_injected"), 2);
     // Under-budget retries leave the fault visible instead.
     let (starved, _) = run(&wf, &registry, &plan, 4, RetryPolicy::with_retries(1));
     assert!(matches!(starved.health, RunHealth::Failed { .. }));
@@ -248,8 +253,8 @@ fn corruption_surfaces_as_qa_findings() {
     let wf = build_workflow(&specs);
     let registry = chaos_registry();
     let plan = FaultPlan::new(9).with_fault("c.gamma", FaultKind::Corrupt);
-    let (report, stats) = run(&wf, &registry, &plan, 1, RetryPolicy::default());
-    assert_eq!(stats.corrupted_outputs, 1);
+    let (report, metrics) = run(&wf, &registry, &plan, 1, RetryPolicy::default());
+    assert_eq!(metrics.counter("events.output_corrupted"), 1);
     assert_eq!(report.failed, 0, "corruption is not a failure");
     assert!(
         report

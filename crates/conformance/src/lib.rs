@@ -11,7 +11,7 @@
 //! brace-matched item tree over it ([`syntax`]), a file scanner
 //! ([`source`]), the crate-dependency graph parsed from every
 //! `Cargo.toml` ([`deps`]), inline allow pragmas ([`pragma`]), a rule
-//! framework ([`rules`]), a parallel incremental scanner ([`scan`]) and
+//! framework ([`rules`]), a parallel scanner ([`scan`]) and
 //! a committed baseline for grandfathered findings ([`baseline`]). CI
 //! gates on the binary:
 //!

@@ -5,12 +5,11 @@
 //! cargo run -p conformance -- --deny-new        # CI mode: stale baseline entries fail too
 //! cargo run -p conformance -- --update-baseline # rewrite the baseline from this scan
 //! cargo run -p conformance -- --json report.json
-//! cargo run -p conformance -- --workers 4       # shard the scan (0 = one per CPU)
 //! ```
 //!
-//! The scan is sharded across workers and folded in path order, so its
-//! output is bit-identical at any `--workers` value (including the
-//! serial scan the library exposes).
+//! The scan is sharded across one worker per available CPU and folded
+//! in path order, so its output is bit-identical to the serial scan the
+//! library exposes, whatever the machine.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,7 +21,6 @@ struct Args {
     deny_new: bool,
     update_baseline: bool,
     json_out: Option<PathBuf>,
-    workers: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -33,7 +31,6 @@ fn parse_args() -> Result<Args, String> {
         deny_new: false,
         update_baseline: false,
         json_out: None,
-        workers: 0, // one per available CPU
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -47,12 +44,6 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 let path = it.next().ok_or("--root requires a path")?;
                 args.root = PathBuf::from(path);
-            }
-            "--workers" => {
-                let n = it.next().ok_or("--workers requires a count")?;
-                args.workers = n
-                    .parse()
-                    .map_err(|_| format!("--workers: `{n}` is not a count"))?;
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -69,7 +60,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let result = conformance::scan::scan_parallel(&args.root, args.workers, None);
+    let result = conformance::scan::scan_parallel(&args.root, 0);
     let scan = match result {
         Ok(s) => s,
         Err(e) => {

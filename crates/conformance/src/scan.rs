@@ -1,4 +1,4 @@
-//! The parallel incremental scanner.
+//! The parallel scanner.
 //!
 //! File scans (read + lex + item-tree parse + per-file rules) are
 //! sharded across `std::thread::scope` workers in contiguous
@@ -8,18 +8,11 @@
 //! `tests/scan_determinism.rs` at 1/2/8 workers). Workspace-level rules
 //! (panic-budget, paired-engines, deterministic-closure) and pragma
 //! hygiene then run serially over the folded result, exactly as in
-//! [`crate::scan_workspace`].
-//!
-//! A [`FileCache`] memoizes the per-file work content-addressed, keyed
-//! `(rel_path, fnv1a(content))` like the world layer's `WorldCache`
-//! (`Mutex<BTreeMap>` of build-once slots): a rescan after touching one
-//! file re-lexes only that file. The cache never changes *what* is
-//! computed — hits and misses produce identical bytes — only how much
-//! is recomputed.
+//! [`crate::scan_workspace`]. Every scan starts cold: nothing is
+//! memoized across scans.
 
-use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::rules::{file_rules, Finding};
 use crate::source::{collect_files, SourceFile};
@@ -34,85 +27,19 @@ pub(crate) fn check_file(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// One memoized per-file scan: the parsed file and its per-file rule
-/// findings.
-pub struct CachedFile {
-    pub file: Arc<SourceFile>,
-    pub findings: Vec<Finding>,
-}
-
-/// One build-once cache slot.
-type FileSlot = Arc<OnceLock<Arc<CachedFile>>>;
-
-/// Content-addressed per-file scan cache, keyed like `WorldCache`:
-/// a `Mutex<BTreeMap>` of build-once [`OnceLock`] slots, so concurrent
-/// workers hitting the same key parse once and share the `Arc`.
-#[derive(Default)]
-pub struct FileCache {
-    slots: Mutex<BTreeMap<(String, u64), FileSlot>>,
-}
-
-impl FileCache {
-    pub fn new() -> FileCache {
-        FileCache::default()
-    }
-
-    /// Number of cached (path, content-hash) entries.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("file cache poisoned").len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns the memoized scan of `(rel_path, text)`, computing it on
-    /// first sight of this content.
-    pub fn get_or_scan(&self, rel_path: &str, text: String) -> Arc<CachedFile> {
-        let key = (rel_path.to_string(), fnv1a(text.as_bytes()));
-        let slot = {
-            let mut slots = self.slots.lock().expect("file cache poisoned");
-            Arc::clone(slots.entry(key).or_default())
-        };
-        Arc::clone(slot.get_or_init(|| {
-            let file = Arc::new(SourceFile::from_text(rel_path, text));
-            let findings = check_file(&file);
-            Arc::new(CachedFile { file, findings })
-        }))
-    }
-}
-
-/// The process-global scan cache (what the bench and repeated
-/// programmatic scans share).
-pub fn global_cache() -> &'static FileCache {
-    static CACHE: OnceLock<FileCache> = OnceLock::new();
-    CACHE.get_or_init(FileCache::new)
-}
-
-/// FNV-1a, the workspace's stock content hash for cache keys.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// One file's scan: the parsed file and its per-file rule findings.
+type FileScan = (Arc<SourceFile>, Vec<Finding>);
 
 /// Scans the workspace at `root` with `workers` threads (`0` = one per
-/// available CPU), optionally through a [`FileCache`]. Bit-identical to
-/// [`crate::scan`] at every worker count.
-pub fn scan_parallel(
-    root: &Path,
-    workers: usize,
-    cache: Option<&FileCache>,
-) -> std::io::Result<Scan> {
+/// available CPU). Bit-identical to [`crate::scan`] at every worker
+/// count.
+pub fn scan_parallel(root: &Path, workers: usize) -> std::io::Result<Scan> {
     let rels = collect_files(root)?;
     let workers = effective_workers(workers, rels.len());
 
     // Shard the sorted path list into contiguous chunks. Each worker
     // owns its output slots; nothing is pushed through a shared lock.
-    let mut slots: Vec<Option<std::io::Result<Arc<CachedFile>>>> = Vec::new();
+    let mut slots: Vec<Option<std::io::Result<FileScan>>> = Vec::new();
     slots.resize_with(rels.len(), || None);
     let chunk = rels.len().div_ceil(workers).max(1);
     std::thread::scope(|s| {
@@ -120,14 +47,9 @@ pub fn scan_parallel(
             s.spawn(move || {
                 for (rel, slot) in rel_chunk.iter().zip(out_chunk.iter_mut()) {
                     let scanned = std::fs::read_to_string(root.join(rel)).map(|text| {
-                        match cache {
-                            Some(c) => c.get_or_scan(rel, text),
-                            None => {
-                                let file = Arc::new(SourceFile::from_text(rel, text));
-                                let findings = check_file(&file);
-                                Arc::new(CachedFile { file, findings })
-                            }
-                        }
+                        let file = Arc::new(SourceFile::from_text(rel, text));
+                        let findings = check_file(&file);
+                        (file, findings)
                     });
                     *slot = Some(scanned);
                 }
@@ -139,9 +61,9 @@ pub fn scan_parallel(
     let mut files = Vec::with_capacity(rels.len());
     let mut file_findings = Vec::new();
     for slot in slots {
-        let cached = slot.expect("every slot filled by its shard")?;
-        files.push(Arc::clone(&cached.file));
-        file_findings.extend(cached.findings.iter().cloned());
+        let (file, findings) = slot.expect("every slot filled by its shard")?;
+        files.push(file);
+        file_findings.extend(findings);
     }
 
     let ws = Workspace {
@@ -165,27 +87,6 @@ fn effective_workers(requested: usize, files: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_is_stable() {
-        // Pinned values: cache keys must not drift across builds.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a(b"fn a() {}"), fnv1a(b"fn b() {}"));
-    }
-
-    #[test]
-    fn cache_shares_parsed_files() {
-        let cache = FileCache::new();
-        let a = cache.get_or_scan("crates/world/src/x.rs", "fn f() {}".to_string());
-        let b = cache.get_or_scan("crates/world/src/x.rs", "fn f() {}".to_string());
-        assert!(Arc::ptr_eq(&a, &b), "same content hits the same slot");
-        assert_eq!(cache.len(), 1);
-        // Different content under the same path is a different entry.
-        let c = cache.get_or_scan("crates/world/src/x.rs", "fn g() {}".to_string());
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.len(), 2);
-    }
 
     #[test]
     fn worker_resolution_clamps() {

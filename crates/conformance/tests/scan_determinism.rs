@@ -1,10 +1,10 @@
-//! The parallel incremental scanner is an optimization, not a semantic
-//! change: its output is pinned byte-identical to the serial scan at
-//! 1, 2 and 8 workers, cold or warm cache.
+//! The parallel scanner is an optimization, not a semantic change: its
+//! output is pinned byte-identical to the serial scan at 1, 2 and 8
+//! workers and at the per-CPU default.
 
 use std::path::{Path, PathBuf};
 
-use conformance::scan::{scan_parallel, FileCache};
+use conformance::scan::scan_parallel;
 use conformance::{report, Baseline, Scan, BASELINE_PATH};
 
 fn workspace_root() -> PathBuf {
@@ -28,7 +28,7 @@ fn parallel_scan_is_byte_identical_to_serial_at_every_width() {
     let serial_rendered = rendered(&root, &serial);
 
     for workers in [1, 2, 8] {
-        let par = scan_parallel(&root, workers, None).expect("parallel scan");
+        let par = scan_parallel(&root, workers).expect("parallel scan");
         assert_eq!(par.findings, serial.findings, "findings differ at {workers} workers");
         assert_eq!(par.allowed, serial.allowed, "allowed differ at {workers} workers");
         assert_eq!(
@@ -45,33 +45,11 @@ fn parallel_scan_is_byte_identical_to_serial_at_every_width() {
 }
 
 #[test]
-fn warm_cache_rescan_is_identical_and_hits() {
-    let root = workspace_root();
-    let cache = FileCache::new();
-    assert!(cache.is_empty());
-
-    let cold = scan_parallel(&root, 4, Some(&cache)).expect("cold scan");
-    assert_eq!(cache.len(), cold.files_scanned, "one cache entry per file");
-
-    let warm = scan_parallel(&root, 4, Some(&cache)).expect("warm scan");
-    assert_eq!(warm.findings, cold.findings);
-    assert_eq!(warm.allowed, cold.allowed);
-    assert_eq!(warm.files_scanned, cold.files_scanned);
-    assert_eq!(warm.graph, cold.graph);
-    assert_eq!(
-        cache.len(),
-        cold.files_scanned,
-        "unchanged files reuse their entries instead of growing the cache"
-    );
-    assert_eq!(rendered(&root, &warm), rendered(&root, &cold));
-}
-
-#[test]
 fn default_worker_count_matches_serial_too() {
     let root = workspace_root();
     let serial = conformance::scan(&root).expect("serial scan");
     // 0 = one worker per available core, whatever this machine has.
-    let par = scan_parallel(&root, 0, None).expect("parallel scan");
+    let par = scan_parallel(&root, 0).expect("parallel scan");
     assert_eq!(par.findings, serial.findings);
     assert_eq!(par.allowed, serial.allowed);
     assert_eq!(par.files_scanned, serial.files_scanned);

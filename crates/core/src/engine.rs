@@ -267,7 +267,7 @@ impl Engine {
 
     /// Registers a whole scenario family fleet in one call: expands the
     /// family's blueprints, generates their worlds through the engine's
-    /// content-addressed [`WorldCache`] (N scenarios sharing a config
+    /// content-addressed `WorldCache` (N scenarios sharing a config
     /// pay one generation and hold the *same* `Arc<World>`), and
     /// registers each scenario under `"<family-id>/<blueprint-name>"`.
     /// Sessions opened against any of the keys work unchanged.

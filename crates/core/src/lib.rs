@@ -36,7 +36,7 @@ pub use orchestrator::{CurationOutcome, ExpertHooks, GeneratedSolution, Pipeline
 
 // Re-export the resilience surface (fault plans, breakers, run health)
 // so chaos drills against the engine need one import.
-pub use chaos::{ChaosRuntime, ChaosStats, FaultKind, FaultPlan};
+pub use chaos::{ChaosRuntime, FaultKind, FaultPlan};
 pub use toolkit::{BreakerConfig, ResilienceConfig, ResilientRuntime};
 pub use workflow::{RetryPolicy, RunHealth};
 

@@ -106,7 +106,7 @@ mod tests {
         let a = blueprint().forge(&cache);
         let b = ScenarioBlueprint { name: "other".into(), ..blueprint() }.forge(&cache);
         assert!(Arc::ptr_eq(&a.world, &b.world));
-        assert_eq!(cache.generations(), 1);
+        assert_eq!(cache.len(), 1);
         assert_eq!(a.events.len(), 1);
         assert!(!a.links_down_at(a.now).is_empty(), "the cut is live at now");
     }

@@ -1,4 +1,5 @@
-//! The content-addressed world cache.
+//! Build-once caches: [`OnceMap`], the workspace's one cache shape, and
+//! the content-addressed world cache built on it.
 //!
 //! [`world::generate`] is the serving stack's remaining cold-start cost:
 //! a full world (physical + network + measurement layers) takes hundreds
@@ -7,79 +8,138 @@
 //! names two or three distinct [`WorldConfig`]s — so the cache keys
 //! generated worlds by the config's bit-exact content identity
 //! ([`WorldConfig::canonical_bits`]) and hands every matching request
-//! the same `Arc<World>`.
-//!
-//! Slots are build-once `OnceLock`s behind a short-lived map lock, the
-//! same shape as `toolkit::ArtifactStore`: the slot map is only locked
-//! long enough to clone a slot handle, and concurrent requesters for
-//! one config block on that slot's single builder instead of generating
-//! the world twice. Generation is infallible, so unlike the artifact
-//! store there is no error-eviction path.
+//! the same `Arc<World>`. `toolkit`'s `ArtifactStore` and its
+//! `world_artifacts` map are `OnceMap`s too.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use world::{generate, World, WorldConfig};
 
-/// One build-once world slot.
-type WorldSlot = Arc<OnceLock<Arc<World>>>;
-
-/// A concurrent, shareable cache of generated worlds, content-addressed
-/// by [`WorldConfig`]. A hit is a pointer bump; a miss generates exactly
-/// once no matter how many threads race on the same config.
-#[derive(Default)]
-pub struct WorldCache {
-    slots: Mutex<BTreeMap<WorldConfig, WorldSlot>>,
-    /// How many worlds have actually been generated (diagnostics: the
-    /// cache-sharing tests and the bench trajectory read this).
-    generations: AtomicUsize,
+/// A concurrent map of build-once `OnceLock` slots. The map lock is held
+/// only to find (or insert) a slot; concurrent requesters of one key then
+/// block on that slot's single builder. Lookups borrow the key (`&str`
+/// for `String` keys), so a hit allocates nothing.
+pub struct OnceMap<K, V> {
+    slots: Mutex<BTreeMap<K, Arc<OnceLock<V>>>>,
 }
 
-impl WorldCache {
-    /// An empty cache.
+impl<K, V> Default for OnceMap<K, V> {
+    fn default() -> Self {
+        OnceMap { slots: Mutex::new(BTreeMap::new()) }
+    }
+}
+
+impl<K: Ord, V: Clone> OnceMap<K, V> {
+    /// An empty map.
     pub fn new() -> Self {
-        WorldCache::default()
+        OnceMap::default()
     }
 
-    /// The shared world for `config`, generating (once) on a miss.
-    pub fn get_or_generate(&self, config: &WorldConfig) -> Arc<World> {
-        let slot = Arc::clone(self.slots.lock().entry(config.clone()).or_default());
-        Arc::clone(slot.get_or_init(|| {
-            self.generations.fetch_add(1, Ordering::SeqCst);
-            Arc::new(generate(config))
-        }))
+    /// The value for `key`, built by `init` on a miss. The flag reports
+    /// whether this call ran `init`: concurrent requesters of a cold key
+    /// wait for the one builder, and only that builder sees `true`.
+    pub fn get_or_init<Q>(&self, key: &Q, init: impl FnOnce() -> V) -> (V, bool)
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
+        build(&self.slot(key), init)
     }
 
-    /// The cached world for `config`, if one is already built.
-    pub fn get(&self, config: &WorldConfig) -> Option<Arc<World>> {
-        let slot = Arc::clone(self.slots.lock().get(config)?);
-        slot.get().cloned()
+    /// The value for `key` if it is already built. Never builds and never
+    /// creates a slot; a key whose build is still running misses.
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.slots.lock().get(key)?.get().cloned()
     }
 
-    /// Number of distinct configs with a slot (built or being built).
+    /// Number of slots, built or being built.
     pub fn len(&self) -> usize {
         self.slots.lock().len()
     }
 
-    /// Whether the cache holds nothing.
+    /// Whether the map holds no slot.
     pub fn is_empty(&self) -> bool {
         self.slots.lock().is_empty()
     }
 
-    /// How many worlds this cache has actually generated — stays below
-    /// [`WorldCache::len`]-many requests whenever configs repeat.
-    pub fn generations(&self) -> usize {
-        self.generations.load(Ordering::SeqCst)
+    /// Whether `key` has a slot, built or being built.
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.slots.lock().contains_key(key)
     }
 
-    /// Content hashes of every cached config, ascending (diagnostics).
-    pub fn content_hashes(&self) -> Vec<u64> {
-        let mut hashes: Vec<u64> =
-            self.slots.lock().keys().map(|c| c.content_hash()).collect();
-        hashes.sort_unstable();
-        hashes
+    /// The slot for `key`, inserted on a miss.
+    fn slot<Q>(&self, key: &Q) -> Arc<OnceLock<V>>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
+        let mut slots = self.slots.lock();
+        if let Some(slot) = slots.get(key) {
+            return Arc::clone(slot);
+        }
+        Arc::clone(slots.entry(key.to_owned()).or_default())
+    }
+}
+
+impl<K: Ord, T: Clone, E: Clone> OnceMap<K, Result<T, E>> {
+    /// [`OnceMap::get_or_init`] for a fallible builder. Only successes
+    /// stay cached: a failed build reaches everyone waiting on that slot,
+    /// then the slot is evicted, so the next request rebuilds.
+    pub fn try_get_or_init<Q>(
+        &self,
+        key: &Q,
+        init: impl FnOnce() -> Result<T, E>,
+    ) -> (Result<T, E>, bool)
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
+        let slot = self.slot(key);
+        let (result, built) = build(&slot, init);
+        if result.is_err() {
+            let mut slots = self.slots.lock();
+            // Evict only if the key still points at this failed slot (a
+            // concurrent retry may already have installed a fresh one).
+            if slots.get(key).is_some_and(|current| Arc::ptr_eq(current, &slot)) {
+                slots.remove(key);
+            }
+        }
+        (result, built)
+    }
+}
+
+/// Initializes `slot` with `init` unless it already holds a value, and
+/// reports whether `init` ran.
+fn build<V: Clone>(slot: &OnceLock<V>, init: impl FnOnce() -> V) -> (V, bool) {
+    let mut built = false;
+    let value = slot
+        .get_or_init(|| {
+            built = true;
+            init()
+        })
+        .clone();
+    (value, built)
+}
+
+/// Generated worlds, content-addressed by [`WorldConfig`]. Generation
+/// cannot fail, so `len()` is the number of worlds built.
+pub type WorldCache = OnceMap<WorldConfig, Arc<World>>;
+
+impl WorldCache {
+    /// The shared world for `config`, generating (once) on a miss.
+    pub fn get_or_generate(&self, config: &WorldConfig) -> Arc<World> {
+        self.get_or_init(config, || Arc::new(generate(config))).0
     }
 }
 
@@ -93,11 +153,10 @@ pub fn global_cache() -> &'static WorldCache {
     CACHE.get_or_init(WorldCache::new)
 }
 
-/// A per-owner view over a shared [`WorldCache`] (usually the process
-/// global): generation delegates to the shared cache — so a process
-/// mixing case-study scenarios with engine fleets pays **one** build per
-/// config instead of one per cache — while the view keeps its own
-/// deterministic stats hook.
+/// A per-owner view over the process-wide [`global_cache`]: generation
+/// delegates to the shared cache — so a process mixing case-study
+/// scenarios with engine fleets pays **one** build per config instead of
+/// one per cache — while the view keeps its own deterministic stats hook.
 ///
 /// The hook counts the *distinct configs first requested through this
 /// view*: exactly the number of generations a private cache would have
@@ -113,12 +172,10 @@ pub struct SharedWorldCache {
 impl SharedWorldCache {
     /// A view over the process-wide [`global_cache`].
     pub fn over_global() -> SharedWorldCache {
-        SharedWorldCache::over(global_cache())
-    }
-
-    /// A view over an explicit shared cache.
-    pub fn over(shared: &'static WorldCache) -> SharedWorldCache {
-        SharedWorldCache { shared, requested: Mutex::new(std::collections::BTreeSet::new()) }
+        SharedWorldCache {
+            shared: global_cache(),
+            requested: Mutex::new(std::collections::BTreeSet::new()),
+        }
     }
 
     /// The shared world for `config` — generated at most once per
@@ -135,35 +192,95 @@ impl SharedWorldCache {
         self.requested.lock().len()
     }
 
-    /// Alias of [`SharedWorldCache::generations`], mirroring
-    /// [`WorldCache::len`]'s "distinct configs held" reading.
-    pub fn len(&self) -> usize {
-        self.generations()
-    }
-
-    /// Whether nothing was requested through this view yet.
-    pub fn is_empty(&self) -> bool {
-        self.requested.lock().is_empty()
-    }
-
     /// The underlying shared cache (process-wide stats live there).
     pub fn shared(&self) -> &'static WorldCache {
         self.shared
-    }
-
-    /// Content hashes of every config requested through this view,
-    /// ascending.
-    pub fn content_hashes(&self) -> Vec<u64> {
-        let mut hashes: Vec<u64> =
-            self.requested.lock().iter().map(|c| c.content_hash()).collect();
-        hashes.sort_unstable();
-        hashes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    #[test]
+    fn racing_threads_build_once_and_share_one_arc() {
+        for threads in [1usize, 2, 8] {
+            let map: OnceMap<String, Arc<usize>> = OnceMap::new();
+            let builds = AtomicUsize::new(0);
+            let start = Barrier::new(threads);
+            let results: Vec<(Arc<usize>, bool)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            map.get_or_init("k", || {
+                                Arc::new(builds.fetch_add(1, Ordering::SeqCst))
+                            })
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+            });
+            assert_eq!(builds.load(Ordering::SeqCst), 1, "{threads} threads, one build");
+            assert_eq!(results.iter().filter(|(_, built)| *built).count(), 1);
+            for (value, _) in &results {
+                assert!(Arc::ptr_eq(value, &results[0].0), "{threads} threads");
+            }
+            assert_eq!(map.len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_failed_build_reaches_every_waiter_then_is_evicted() {
+        let threads = 8;
+        let map: OnceMap<String, Result<u32, String>> = OnceMap::new();
+        let builds = AtomicUsize::new(0);
+        let results: Vec<(Result<u32, String>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        map.try_get_or_init("k", || {
+                            // Fail only once every requester holds this
+                            // slot, so all of them wait on this build.
+                            while Arc::strong_count(&map.slots.lock()["k"]) < threads + 1 {
+                                std::thread::yield_now();
+                            }
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            Err("down".to_string())
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert!(results.iter().all(|(result, _)| result == &Err("down".to_string())));
+        assert_eq!(results.iter().filter(|(_, built)| *built).count(), 1);
+        assert!(map.is_empty(), "the failed slot is evicted");
+
+        // The next request rebuilds, and its success stays cached.
+        assert_eq!(map.try_get_or_init("k", || Ok(7)), (Ok(7), true));
+        assert_eq!(map.try_get_or_init("k", || panic!("cached success")), (Ok(7), false));
+        assert_eq!(map.len(), 1);
+    }
+
+    #[test]
+    fn get_misses_until_the_build_completes() {
+        let map: OnceMap<String, u32> = OnceMap::new();
+        assert!(map.get("k").is_none());
+        assert!(!map.contains("k"));
+        let (value, built) = map.get_or_init("k", || {
+            assert!(map.contains("k"), "the slot exists while building");
+            assert!(map.get("k").is_none(), "but holds no value yet");
+            3
+        });
+        assert_eq!((value, built), (3, true));
+        assert_eq!(map.get("k"), Some(3));
+        assert!(map.get("other").is_none(), "get never creates a slot");
+        assert_eq!(map.len(), 1);
+    }
 
     #[test]
     fn hit_returns_the_same_arc_and_generates_once() {
@@ -172,7 +289,6 @@ mod tests {
         let a = cache.get_or_generate(&config);
         let b = cache.get_or_generate(&config);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.generations(), 1);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&config).is_some());
     }
@@ -183,8 +299,7 @@ mod tests {
         let a = cache.get_or_generate(&WorldConfig { seed: 1, ..WorldConfig::default() });
         let b = cache.get_or_generate(&WorldConfig { seed: 2, ..WorldConfig::default() });
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.generations(), 2);
-        assert_eq!(cache.content_hashes().len(), 2);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -201,7 +316,7 @@ mod tests {
         // the *same* Arc — one generation per process per config.
         let a = SharedWorldCache::over_global();
         let b = SharedWorldCache::over_global();
-        assert!(a.is_empty());
+        assert_eq!(a.generations(), 0);
         let config = WorldConfig { seed: 90_001, ..WorldConfig::default() };
         let wa = a.get_or_generate(&config);
         let wb = b.get_or_generate(&config);
@@ -211,8 +326,6 @@ mod tests {
         // Re-requesting through one view does not inflate its count.
         let _ = a.get_or_generate(&config);
         assert_eq!(a.generations(), 1);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a.content_hashes(), vec![config.content_hash()]);
         // The view's stats see only its own traffic.
         let other = WorldConfig { seed: 90_002, ..WorldConfig::default() };
         let _ = b.get_or_generate(&other);

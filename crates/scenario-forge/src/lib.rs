@@ -19,10 +19,11 @@
 //! * the [`WorldCache`] is a **content-addressed** `Arc<World>` cache
 //!   keyed by the config's bit-exact identity: N blueprints that share a
 //!   config pay for one generation, and every realized scenario holds
-//!   the *same* `Arc<World>` (witnessed by `Arc::ptr_eq`). Slots are
-//!   build-once `OnceLock`s, the same shape as `toolkit::ArtifactStore`:
-//!   concurrent requesters for one config block on the single builder
-//!   instead of duplicating the (hundreds of milliseconds) generation.
+//!   the *same* `Arc<World>` (witnessed by `Arc::ptr_eq`). It is a
+//!   [`OnceMap`], the workspace's one build-once cache shape (also under
+//!   `toolkit::ArtifactStore`): concurrent requesters for one config
+//!   block on the single builder instead of duplicating the (hundreds of
+//!   milliseconds) generation.
 //!
 //! Everything is a pure function of [`FamilyParams`]: equal params
 //! expand to byte-identical blueprints and realize byte-identical
@@ -36,7 +37,7 @@ pub mod families;
 pub mod script;
 
 pub use blueprint::ScenarioBlueprint;
-pub use cache::{global_cache, SharedWorldCache, WorldCache};
+pub use cache::{global_cache, OnceMap, SharedWorldCache, WorldCache};
 pub use compose::{compose, merge_scripts, ComposeError};
 pub use families::{Family, FamilyParams};
 pub use script::{AsTarget, CableTarget, DisasterSite, ScriptStep};

@@ -153,8 +153,7 @@ fn cache_hands_one_arc_to_every_thread() {
         for w in &worlds {
             assert!(Arc::ptr_eq(w, &worlds[0]), "{threads} threads");
         }
-        assert_eq!(cache.generations(), 1, "{threads} threads, one generation");
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), 1, "{threads} threads, one generation");
     }
 }
 
@@ -217,7 +216,7 @@ fn control_plane_families_realize_into_control_plane_events() {
     }
 
     // Both families script over the shared base config: one generation.
-    assert_eq!(cache.generations(), 1);
+    assert_eq!(cache.len(), 1);
 }
 
 #[test]
@@ -231,13 +230,12 @@ fn full_forge_fleet_dedups_worlds_through_the_cache() {
         }
     }
     assert_eq!(scenarios.len(), Family::ALL.len() * params.variants);
-    // Generations equals the number of *distinct* configs, not scenarios.
-    assert_eq!(cache.generations(), cache.len());
+    // Generations equal the number of *distinct* configs, not scenarios.
     assert!(
-        cache.generations() < scenarios.len(),
+        cache.len() < scenarios.len(),
         "{} scenarios must share {} worlds",
         scenarios.len(),
-        cache.generations()
+        cache.len()
     );
     // The six event-script families share the base config's Arc.
     let base = &scenarios[0].1;

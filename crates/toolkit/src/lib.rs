@@ -29,9 +29,7 @@ pub mod scenarios;
 
 pub use catalog::{query_context, standard_registry};
 pub use metrics::QueryMetrics;
-pub use resilience::{
-    BreakerConfig, BreakerPhase, ResilienceConfig, ResilienceStats, ResilientRuntime,
-};
+pub use resilience::{BreakerConfig, BreakerPhase, ResilienceConfig, ResilientRuntime};
 pub use runtime::{ArtifactStore, StandardRuntime};
 
 #[cfg(test)]

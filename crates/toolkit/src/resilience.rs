@@ -18,6 +18,9 @@
 //!   its circuit is open, the substitute is invoked instead, and the
 //!   step carries the substitute's output.
 //!
+//! Trips, sheds and fallbacks are read back from an attached
+//! [`Recorder`] as events and `events.*` counters.
+//!
 //! Breaker state is per-runtime, and runtimes are built per
 //! epoch-pinned session (see `arachnet::Session`): a curated registry
 //! swap never leaks breaker counters across epochs, because the new
@@ -115,23 +118,11 @@ impl BreakerState {
     }
 }
 
-/// Order-independent counters of what the resilience layer did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceStats {
-    /// Invocations shed because a circuit was open.
-    pub shed: u64,
-    /// Fallback invocations (after a primary failure or while open).
-    pub fallback_invocations: u64,
-    /// Circuit-open transitions.
-    pub trips: u64,
-}
-
 /// The wrapper. See the module docs for semantics.
 pub struct ResilientRuntime<R> {
     inner: R,
     config: ResilienceConfig,
     breakers: Mutex<BTreeMap<FunctionId, BreakerState>>,
-    stats: Mutex<ResilienceStats>,
     /// Optional telemetry sink: breaker transitions, sheds and fallback
     /// substitutions become trace events.
     recorder: Option<Arc<Recorder>>,
@@ -143,7 +134,6 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
             inner,
             config,
             breakers: Mutex::new(BTreeMap::new()),
-            stats: Mutex::new(ResilienceStats::default()),
             recorder: None,
         }
     }
@@ -173,11 +163,6 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
     /// The wrapped runtime.
     pub fn inner(&self) -> &R {
         &self.inner
-    }
-
-    /// A snapshot of the resilience counters.
-    pub fn stats(&self) -> ResilienceStats {
-        *self.stats.lock()
     }
 
     /// The observable breaker phase of a function (Closed when never
@@ -224,37 +209,25 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
         let open = BreakerState::Open {
             remaining_cooldown: self.config.breaker.cooldown_invocations.max(1),
         };
-        let mut tripped = false;
-        let transition;
-        {
-            let mut breakers = self.breakers.lock();
-            let state = breakers
-                .entry(function.clone())
-                .or_insert(BreakerState::Closed { consecutive_failures: 0 });
-            let from = state.label();
-            *state = match (*state, failed) {
-                (BreakerState::Closed { consecutive_failures }, true) => {
-                    if consecutive_failures + 1 >= self.config.breaker.trip_after {
-                        tripped = true;
-                        open
-                    } else {
-                        BreakerState::Closed { consecutive_failures: consecutive_failures + 1 }
-                    }
-                }
-                (BreakerState::HalfOpen, true) => {
-                    tripped = true;
+        let mut breakers = self.breakers.lock();
+        let state = breakers
+            .entry(function.clone())
+            .or_insert(BreakerState::Closed { consecutive_failures: 0 });
+        let from = state.label();
+        *state = match (*state, failed) {
+            (BreakerState::Closed { consecutive_failures }, true) => {
+                if consecutive_failures + 1 >= self.config.breaker.trip_after {
                     open
+                } else {
+                    BreakerState::Closed { consecutive_failures: consecutive_failures + 1 }
                 }
-                (_, false) => BreakerState::Closed { consecutive_failures: 0 },
-                (still_open @ BreakerState::Open { .. }, true) => still_open,
-            };
-            let to = state.label();
-            transition = if from != to { Some((from, to)) } else { None };
-        }
-        if tripped {
-            self.stats.lock().trips += 1;
-        }
-        transition
+            }
+            (BreakerState::HalfOpen, true) => open,
+            (_, false) => BreakerState::Closed { consecutive_failures: 0 },
+            (still_open @ BreakerState::Open { .. }, true) => still_open,
+        };
+        let to = state.label();
+        (from != to).then_some((from, to))
     }
 
     /// The shared serving path: breaker admission, primary invocation,
@@ -280,10 +253,8 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
             );
         }
         if !admitted {
-            self.stats.lock().shed += 1;
             self.note(key, EventKind::CallShed { function: function.to_string() });
             if let Some(substitute) = fallback {
-                self.stats.lock().fallback_invocations += 1;
                 self.note(
                     key,
                     EventKind::FallbackInvoked {
@@ -318,7 +289,6 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
         }
         match (primary, fallback) {
             (Err(ToolError::Failed { .. }), Some(substitute)) => {
-                self.stats.lock().fallback_invocations += 1;
                 self.note(
                     key,
                     EventKind::FallbackInvoked {
@@ -358,6 +328,8 @@ impl<R: ToolRuntime> ToolRuntime for ResilientRuntime<R> {
 mod tests {
     use super::*;
     use registry::DataFormat;
+    use telemetry::{SpanStatus, StepObservation};
+    use workflow::StepId;
 
     /// A runtime with one failing primary and one healthy substitute.
     struct SplitRuntime;
@@ -383,27 +355,68 @@ mod tests {
         rt.invoke(&FunctionId::from(f), &BTreeMap::new())
     }
 
+    /// A resilient runtime over `inner` reporting into a fresh recorder.
+    fn traced<R: ToolRuntime>(
+        inner: R,
+        config: ResilienceConfig,
+    ) -> (ResilientRuntime<R>, Arc<Recorder>) {
+        let recorder = Arc::new(Recorder::new());
+        (ResilientRuntime::new(inner, config).with_recorder(Arc::clone(&recorder)), recorder)
+    }
+
+    /// Invokes `f` as attempt `n` of step `s`, so the recorder buffers the
+    /// call's events under that key as it does under the executor.
+    fn invoke_at(rt: &impl ToolRuntime, f: &str, n: u32) -> Result<Value, ToolError> {
+        let step = StepId::from("s");
+        let ctx = InvokeContext { step: &step, attempt: n };
+        rt.invoke_with(&ctx, &FunctionId::from(f), &BTreeMap::new())
+    }
+
+    /// Folds the buffered attempts `0..calls` of step `s` into the trace,
+    /// as the executor's fold does, and counts the breaker trips recorded
+    /// so far: transitions into `Open`.
+    fn trips(recorder: &Recorder, calls: u32) -> usize {
+        recorder.record_workflow(
+            "w",
+            1,
+            &[StepObservation {
+                step: "s".into(),
+                function: "t".into(),
+                invoked: true,
+                retries: calls - 1,
+                status: SpanStatus::Failed,
+                poison_roots: Vec::new(),
+            }],
+        );
+        recorder
+            .trace()
+            .events
+            .iter()
+            .filter(|e| matches!(&e.kind, EventKind::BreakerTransition { to, .. } if to == "Open"))
+            .count()
+    }
+
     #[test]
     fn breaker_trips_after_consecutive_failures_and_half_opens() {
         let config = ResilienceConfig::new(BreakerConfig { trip_after: 3, cooldown_invocations: 2 });
-        let rt = ResilientRuntime::new(SplitRuntime, config);
+        let (rt, recorder) = traced(SplitRuntime, config);
         let f = FunctionId::from("t.flaky");
         // Three primary failures trip the circuit.
-        for _ in 0..3 {
-            assert!(invoke(&rt, "t.flaky").is_err());
+        for n in 0..3 {
+            assert!(invoke_at(&rt, "t.flaky", n).is_err());
         }
         assert_eq!(rt.breaker_phase(&f), BreakerPhase::Open);
-        assert_eq!(rt.stats().trips, 1);
+        assert_eq!(trips(&recorder, 3), 1);
         // Two shed invocations drain the cooldown...
-        assert!(invoke(&rt, "t.flaky").is_err());
-        assert!(invoke(&rt, "t.flaky").is_err());
-        assert_eq!(rt.stats().shed, 2);
+        assert!(invoke_at(&rt, "t.flaky", 3).is_err());
+        assert!(invoke_at(&rt, "t.flaky", 4).is_err());
+        assert_eq!(recorder.metrics_snapshot().counter("events.call_shed"), 2);
         // ...then the next call half-opens and probes the (still broken)
         // primary, re-opening the circuit.
         assert_eq!(rt.breaker_phase(&f), BreakerPhase::HalfOpen);
-        assert!(invoke(&rt, "t.flaky").is_err());
+        assert!(invoke_at(&rt, "t.flaky", 5).is_err());
         assert_eq!(rt.breaker_phase(&f), BreakerPhase::Open);
-        assert_eq!(rt.stats().trips, 2);
+        assert_eq!(trips(&recorder, 6), 2);
     }
 
     #[test]
@@ -447,7 +460,7 @@ mod tests {
     fn fallback_substitutes_on_failure_and_while_open() {
         let config = ResilienceConfig::new(BreakerConfig { trip_after: 2, cooldown_invocations: 8 })
             .with_fallback("t.flaky", "t.reference");
-        let rt = ResilientRuntime::new(SplitRuntime, config);
+        let (rt, recorder) = traced(SplitRuntime, config);
         // Primary fails → fallback output is served, call still counts
         // toward the trip.
         let first = invoke(&rt, "t.flaky").unwrap();
@@ -459,8 +472,9 @@ mod tests {
         // serves.
         let shed = invoke(&rt, "t.flaky").unwrap();
         assert_eq!(shed.json(), &serde_json::json!(["t.reference"]));
-        assert_eq!(rt.stats().shed, 1);
-        assert_eq!(rt.stats().fallback_invocations, 3);
+        let metrics = recorder.metrics_snapshot();
+        assert_eq!(metrics.counter("events.call_shed"), 1);
+        assert_eq!(metrics.counter("events.fallback_invoked"), 3);
     }
 
     #[test]
@@ -476,12 +490,12 @@ mod tests {
             }
         }
         let config = ResilienceConfig::new(BreakerConfig { trip_after: 1, cooldown_invocations: 1 });
-        let rt = ResilientRuntime::new(BadArgs, config);
-        for _ in 0..4 {
-            assert!(matches!(invoke(&rt, "t.x"), Err(ToolError::BadArgument { .. })));
+        let (rt, recorder) = traced(BadArgs, config);
+        for n in 0..4 {
+            assert!(matches!(invoke_at(&rt, "t.x", n), Err(ToolError::BadArgument { .. })));
         }
         assert_eq!(rt.breaker_phase(&FunctionId::from("t.x")), BreakerPhase::Closed);
-        assert_eq!(rt.stats().trips, 0);
+        assert_eq!(trips(&recorder, 4), 0);
     }
 
     #[test]

@@ -12,16 +12,20 @@
 //! campaigns) live in an [`ArtifactStore`] keyed per scenario — shareable
 //! across runtimes, sessions and whole engine epochs, exactly as a real
 //! deployment caches collector downloads and mapping runs once per
-//! dataset, not once per query.
+//! dataset, not once per query. Artifacts that depend only on the world
+//! live in a store shared per world ([`world_artifacts`]). Both are
+//! [`OnceMap`]s, the workspace's one build-once cache shape, and every
+//! probe of either goes through one counted path, so
+//! `artifact_cache.hit`/`artifact_cache.miss` see them all.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use net_model::{CableId, Region, SimDuration, SimTime, TimeWindow};
-use parking_lot::Mutex;
 use registry::{DataFormat as F, FunctionId};
+use scenario_forge::OnceMap;
 use workflow::{ToolError, ToolRuntime, Value, ValueView};
-use world::{Scenario, World};
+use world::{Scenario, World, WorldConfig};
 
 use bgp_sim::{
     detect_moas_conflicts, detect_update_bursts, detect_valley_violations, BgpSimulator,
@@ -35,17 +39,14 @@ use crate::analysis;
 use crate::data::*;
 use crate::disasters;
 
-/// One build-once artifact slot.
-type ArtifactSlot = Arc<OnceLock<Result<Value, ToolError>>>;
-
 /// A concurrent, shareable cache of expensive measurement artifacts,
-/// keyed by artifact id. Each slot is built exactly once — concurrent
-/// requesters for the same key block on the builder instead of
-/// duplicating the work — and the cached [`Value`]s are Arc-shared, so a
-/// hit is a pointer bump.
+/// keyed by artifact id: each is built once, and a hit is a pointer bump
+/// (the cached [`Value`]s are Arc-shared). Only successes stay cached
+/// (see [`OnceMap::try_get_or_init`]). [`StandardRuntime`] is the only
+/// builder, so every probe is counted.
 #[derive(Default)]
 pub struct ArtifactStore {
-    slots: Mutex<BTreeMap<String, ArtifactSlot>>,
+    slots: OnceMap<String, Result<Value, ToolError>>,
 }
 
 impl ArtifactStore {
@@ -54,49 +55,20 @@ impl ArtifactStore {
         ArtifactStore::default()
     }
 
-    /// Returns the cached value for `key`, building (once) on a miss.
-    ///
-    /// Only successes stay cached: a failed build is returned to everyone
-    /// who was waiting on that slot, but the slot is evicted so the next
-    /// request retries instead of serving the stale error for the store's
-    /// lifetime.
-    pub fn get_or_build(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> Result<Value, ToolError>,
-    ) -> Result<Value, ToolError> {
-        let slot = Arc::clone(self.slots.lock().entry(key.to_string()).or_default());
-        let result = slot.get_or_init(build).clone();
-        if result.is_err() {
-            let mut slots = self.slots.lock();
-            // Evict only if the key still points at this failed slot (a
-            // concurrent retry may already have installed a fresh one).
-            if slots.get(key).is_some_and(|current| Arc::ptr_eq(current, &slot)) {
-                slots.remove(key);
-            }
-        }
-        result
-    }
-
-    /// Number of artifacts cached (or being built).
-    pub fn len(&self) -> usize {
-        self.slots.lock().len()
-    }
-
     /// Whether the store holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
+        self.slots.is_empty()
     }
 
     /// Whether an artifact is cached (or being built) under `key`.
     pub fn contains(&self, key: &str) -> bool {
-        self.slots.lock().contains_key(key)
+        self.slots.contains(key)
     }
 }
 
 /// The process-wide store of **world-level** artifact stores,
-/// content-addressed by the world's full [`world::WorldConfig`] (the
-/// same bit-exact identity `scenario_forge::WorldCache` keys worlds by).
+/// content-addressed by the world's full [`WorldConfig`] (the same
+/// bit-exact identity `scenario_forge::WorldCache` keys worlds by).
 ///
 /// Artifacts that depend only on the world — the Nautilus mapping run,
 /// the default dependency table — used to live in the per-*scenario*
@@ -109,10 +81,8 @@ pub fn world_artifacts(world: &World) -> Arc<ArtifactStore> {
     // Keyed by the full config (bit-exact `Ord`, the same identity the
     // scenario-forge `WorldCache` uses), not the u64 content hash — a
     // hash collision must not silently alias two worlds' artifacts.
-    static STORES: OnceLock<Mutex<BTreeMap<world::WorldConfig, Arc<ArtifactStore>>>> =
-        OnceLock::new();
-    let stores = STORES.get_or_init(|| Mutex::new(BTreeMap::new()));
-    Arc::clone(stores.lock().entry(world.config.clone()).or_default())
+    static STORES: OnceLock<OnceMap<WorldConfig, Arc<ArtifactStore>>> = OnceLock::new();
+    STORES.get_or_init(OnceMap::new).get_or_init(&world.config, Arc::default).0
 }
 
 /// The standard runtime over one scenario.
@@ -152,19 +122,16 @@ impl StandardRuntime {
         self
     }
 
-    /// `get_or_build` with hit/miss accounting: the build closure runs
-    /// only on a cold slot, so whether it ran *is* the miss signal.
+    /// The value cached in `store` under `key`, built (once) on a miss,
+    /// with hit/miss accounting: the build closure runs only on a cold
+    /// slot, so whether it ran *is* the miss signal.
     fn cached(
         &self,
         store: &ArtifactStore,
         key: &str,
         build: impl FnOnce() -> Result<Value, ToolError>,
     ) -> Result<Value, ToolError> {
-        let mut built = false;
-        let result = store.get_or_build(key, || {
-            built = true;
-            build()
-        });
+        let (result, built) = store.slots.try_get_or_init(key, build);
         if let Some(recorder) = &self.recorder {
             let counter = if built { "artifact_cache.miss" } else { "artifact_cache.hit" };
             recorder.counter_add(counter, 1);
@@ -468,7 +435,7 @@ impl ToolRuntime for StandardRuntime {
                 let dst = parse_region(function, "dst_region", need(args, function, "dst_region")?)?;
                 let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
                 let key = format!("campaign:{src:?}:{dst:?}:{}:{}", w.start, w.end);
-                self.artifacts.get_or_build(&key, || {
+                self.cached(&self.artifacts, &key, || {
                     let campaign = run_campaign(&self.scenario, src, dst, w.to_window());
                     Ok(Value::native(F::TracerouteCampaign, campaign, false))
                 })
@@ -1005,25 +972,15 @@ mod tests {
 
     #[test]
     fn artifact_store_retries_after_a_failed_build() {
+        let rt = StandardRuntime::new(scenarios::cs1_scenario());
         let store = ArtifactStore::new();
-        let err = store.get_or_build("k", || {
-            Err(ToolError::Failed {
-                function: FunctionId::from("t.flaky"),
-                message: "transient".into(),
-                transient: true,
-            })
-        });
-        assert!(err.is_err());
+        let down = ToolError::Failed { function: "t.flaky".into(), message: "down".into(), transient: true };
+        assert_eq!(rt.cached(&store, "k", || Err(down.clone())), Err(down));
         assert!(store.is_empty(), "failed slots are evicted");
         // The next request rebuilds and the success stays cached.
-        let ok = store
-            .get_or_build("k", || Ok(Value::new(F::Scalar, serde_json::json!(1))))
-            .unwrap();
-        assert_eq!(ok.json(), &serde_json::json!(1));
-        let cached = store
-            .get_or_build("k", || panic!("must not rebuild a cached success"))
-            .unwrap();
-        assert_eq!(cached, ok);
+        let ok = Value::new(F::Scalar, serde_json::json!(1));
+        assert_eq!(rt.cached(&store, "k", || Ok(ok.clone())), Ok(ok.clone()));
+        assert_eq!(rt.cached(&store, "k", || panic!("must not rebuild a cached success")), Ok(ok));
     }
 
     #[test]
@@ -1040,6 +997,28 @@ mod tests {
         let p1: *const MappingTable = m1.native_ref::<MappingTable>().unwrap();
         let p2: *const MappingTable = m2.native_ref::<MappingTable>().unwrap();
         assert!(std::ptr::eq(p1, p2), "artifact is shared, not recomputed");
+    }
+
+    #[test]
+    fn traceroute_campaign_probes_count_as_artifact_probes() {
+        let recorder = Arc::new(telemetry::Recorder::new());
+        let rt = StandardRuntime::new(scenarios::cs4_scenario()).with_recorder(Arc::clone(&recorder));
+        let campaign = || {
+            invoke(
+                &rt,
+                "traceroute.campaign",
+                vec![
+                    ("src_region", tv(F::RegionScope, serde_json::json!("Europe"))),
+                    ("dst_region", tv(F::RegionScope, serde_json::json!("Asia"))),
+                    ("window", tv(F::TimeWindow, serde_json::json!({"start": 0, "end": 86_400}))),
+                ],
+            )
+            .unwrap()
+        };
+        assert_eq!(campaign(), campaign());
+        let metrics = recorder.metrics_snapshot();
+        assert_eq!(metrics.counter("artifact_cache.miss"), 1);
+        assert_eq!(metrics.counter("artifact_cache.hit"), 1);
     }
 
     #[test]

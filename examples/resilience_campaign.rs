@@ -48,7 +48,7 @@ fn main() {
         "\ncampaign: {} scenario-queries over {} distinct worlds \
          ({} fresh registrations, {} mismatches)",
         report.scorecard.queries,
-        engine.world_cache().len(),
+        engine.world_cache().generations(),
         report.registration.fresh,
         report.registration.mismatched,
     );

@@ -31,7 +31,7 @@ fn main() {
         "\nfleet: {} scenarios over {} distinct worlds ({} generated — \
          cache deduplicated {} scenario-world bindings)",
         fleet.len(),
-        engine.world_cache().len(),
+        engine.world_cache().generations(),
         engine.world_cache().generations(),
         fleet.len() - engine.world_cache().generations(),
     );
