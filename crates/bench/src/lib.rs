@@ -77,7 +77,8 @@ pub fn verdicts(run: &CaseStudyRun) -> (Option<VerdictData>, Option<VerdictData>
 
 /// E5: registry exploration cost vs registry size. Returns
 /// `(registry_size, planner_micros)` pairs for one decomposition planned
-/// against registries padded with `n` extra irrelevant entries.
+/// against registries padded with `n` extra irrelevant entries; the
+/// micros are the [`sample`] median over 11 rounds.
 pub fn registry_scaling_curve(sizes: &[usize]) -> Vec<(usize, u128)> {
     use llm::protocol::{DecomposeRequest, QueryContext};
     let scenario = scenarios::cs2_scenario();
@@ -95,15 +96,65 @@ pub fn registry_scaling_curve(sizes: &[usize]) -> Vec<(usize, u128)> {
             registry: registry.clone(),
         };
         let decomposition = llm::expert::decompose(&req);
-        // conformance: allow(no-wall-clock, reason = "bench crate measures wall time; E5 times the planner")
-        let start = std::time::Instant::now();
-        let plan = llm::planner::plan_architecture(&decomposition, &registry, 0)
-            .expect("plannable at any padding");
-        let micros = start.elapsed().as_micros();
-        assert!(!plan.steps.is_empty());
-        out.push((registry.len(), micros));
+        let [plan] = sample(11, &mut [&mut || {
+            let plan = llm::planner::plan_architecture(&decomposition, &registry, 0)
+                .expect("plannable at any padding");
+            assert!(!plan.steps.is_empty());
+        }]);
+        out.push((registry.len(), (plan.median_ms * 1e3).round() as u128));
     }
     out
+}
+
+// -- Wall-clock sampling ------------------------------------------------------
+
+/// One sampled arm: nearest-rank p10, median and p90 of its per-round
+/// wall-clock milliseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    pub p10_ms: f64,
+    pub median_ms: f64,
+    pub p90_ms: f64,
+}
+
+impl Spread {
+    /// The nearest-rank p10/p50/p90 of `samples` (any order, non-empty).
+    pub fn of(samples: &[f64]) -> Spread {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        // Nearest rank: the smallest sample with at least pct% of the
+        // samples at or below it.
+        let rank = |pct: usize| sorted[(pct * sorted.len()).div_ceil(100) - 1];
+        Spread { p10_ms: rank(10), median_ms: rank(50), p90_ms: rank(90) }
+    }
+}
+
+/// Runs every arm once untimed, then `rounds` timed rounds of all arms.
+/// Round `r` starts at arm `r % arms.len()` and goes round the list, so
+/// with two arms the order is AB BA AB …: both arms see the same machine
+/// state and neither always runs first. Returns each arm's samples in
+/// milliseconds, `rounds` per arm.
+pub fn sample_arms(rounds: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
+    for arm in arms.iter_mut() {
+        arm();
+    }
+    let mut samples = vec![Vec::with_capacity(rounds); arms.len()];
+    for r in 0..rounds {
+        for k in 0..arms.len() {
+            let i = (r + k) % arms.len();
+            // conformance: allow(no-wall-clock, reason = "the one clock read behind every bench number")
+            let t0 = std::time::Instant::now();
+            arms[i]();
+            samples[i].push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    samples
+}
+
+/// [`sample_arms`] summarized: one [`Spread`] per arm.
+pub fn sample<const N: usize>(rounds: usize, arms: &mut [&mut dyn FnMut(); N]) -> [Spread; N] {
+    let samples = sample_arms(rounds, arms);
+    std::array::from_fn(|i| Spread::of(&samples[i]))
 }
 
 /// The standard registry padded with `n` irrelevant (but well-typed)
@@ -341,6 +392,31 @@ mod tests {
         let query = "Identify the impact at a country level due to SeaMeWe-5 cable failure";
         assert_eq!(serve_sessions(&scenario, query, 2, true, 2), 2);
         assert_eq!(serve_sessions(&scenario, query, 2, false, 1), 2);
+    }
+
+    #[test]
+    fn sampler_alternates_the_first_arm_and_samples_arms_equally() {
+        let log = std::cell::RefCell::new(Vec::new());
+        let (mut a, mut b) = (|| log.borrow_mut().push('A'), || log.borrow_mut().push('B'));
+        let samples = sample_arms(4, &mut [&mut a, &mut b]);
+        let order: String = log.into_inner().into_iter().collect();
+        // One untimed warmup call per arm, then four rounds: AB BA AB BA.
+        assert_eq!((&order[..2], &order[2..]), ("AB", "ABBAABBA"));
+        assert_eq!(samples.iter().map(Vec::len).collect::<Vec<_>>(), vec![4, 4]);
+    }
+
+    #[test]
+    fn spread_is_nearest_rank() {
+        let shuffled = [7.0, 3.0, 10.0, 1.0, 5.0, 9.0, 2.0, 8.0, 4.0, 6.0];
+        let s = Spread::of(&shuffled);
+        assert_eq!((s.p10_ms, s.median_ms, s.p90_ms), (1.0, 5.0, 9.0));
+        let twenty: Vec<f64> = (1..=20).rev().map(f64::from).collect();
+        let s = Spread::of(&twenty);
+        assert_eq!((s.p10_ms, s.median_ms, s.p90_ms), (2.0, 10.0, 18.0));
+        let s = Spread::of(&[3.0, 1.0, 2.0]);
+        assert_eq!((s.p10_ms, s.median_ms, s.p90_ms), (1.0, 2.0, 3.0));
+        let s = Spread::of(&[4.0]);
+        assert_eq!((s.p10_ms, s.median_ms, s.p90_ms), (4.0, 4.0, 4.0));
     }
 
     #[test]
