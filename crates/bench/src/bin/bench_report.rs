@@ -201,10 +201,10 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     let spans = traced.trace().spans.len();
     let mapping =
         nautilus_sim::NautilusMapper::new(nautilus_sim::MappingConfig::default()).map_world(world);
-    let xaminer = xaminer_sim::XaminerEngine::oracle(world);
+    let deps = nautilus_sim::DependencyTable::from_ground_truth(world);
     let cable = world.cable_by_name("SeaMeWe-5").expect("curated cable").id;
     let failure = xaminer_sim::FailureEvent::CableFailure { cable };
-    let initial = xaminer.process(&failure);
+    let initial = xaminer_sim::process_event(world, &deps, &failure);
     let cascade = xaminer_sim::CascadeConfig { base_load: 0.75, ..Default::default() };
     let tracer = traceroute_sim::TracerouteSimulator::new(scenario);
     let probe = world.probes[0].id;
@@ -250,7 +250,8 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             bgp_sim::routing::reference::compute(&g, world).len()
         }),
         row("substrates/xaminer/impact_report", 25, move || {
-            xaminer.impact_report(&failure).total_links
+            let impact = xaminer_sim::process_event(world, &deps, &failure);
+            xaminer_sim::impact::aggregate(world, &impact).total_links
         }),
         row("substrates/xaminer/cascade", 25, move || {
             xaminer_sim::cascade::propagate(world, &initial, &cascade).depth()

@@ -1,8 +1,8 @@
-//! Regenerates every evaluation artifact of the paper (DESIGN.md §4).
+//! Regenerates every evaluation artifact of the paper.
 //!
 //! ```text
-//! cargo run --release -p arachnet-bench --bin report -- all
-//! cargo run --release -p arachnet-bench --bin report -- cs1 cs4 ensemble
+//! cargo run --release -p benchkit --bin report -- all
+//! cargo run --release -p benchkit --bin report -- cs1 cs4 ensemble
 //! ```
 //!
 //! Artifacts: `figure1`, `cs1`…`cs4` (E1–E4), `scaling` (E5),

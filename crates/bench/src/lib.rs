@@ -1,8 +1,8 @@
 //! # benchkit — shared evaluation helpers for benches and the report
 //! binary.
 //!
-//! The experiment ids (E1–E8, F1) map to DESIGN.md §4; every function here
-//! regenerates one of the paper's evaluation artifacts.
+//! The experiment ids (E1–E8, F1) name the `report` binary's sections;
+//! every function here regenerates one of the paper's evaluation artifacts.
 
 use arachnet::{ensemble, DeterministicExpertModel};
 use arachnet_repro::{case_study_engine, run_case_study, CaseStudy, CaseStudyRun};

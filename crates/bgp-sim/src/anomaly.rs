@@ -261,24 +261,6 @@ fn valley_pivot(graph: &AsGraph, path: &[Asn]) -> Option<Option<Asn>> {
     None
 }
 
-/// Counts updates per `(time bucket)` — a convenience series for plots and
-/// temporal correlation.
-pub fn update_rate_series(
-    updates: &[BgpUpdate],
-    window: TimeWindow,
-    buckets: usize,
-) -> Vec<(TimeWindow, usize)> {
-    assert!(buckets > 0);
-    let bins = window.buckets(buckets);
-    let mut counts = vec![0usize; bins.len()];
-    for u in updates {
-        if let Some(i) = bucket_index(&window, buckets, u.time) {
-            counts[i] += 1;
-        }
-    }
-    bins.into_iter().zip(counts).collect()
-}
-
 /// The index of the bucket of `TimeWindow::buckets(n)` containing `t`,
 /// computed arithmetically — O(1) per update instead of the former
 /// O(buckets) linear scan. Mirrors the bucket geometry exactly: buckets
@@ -328,14 +310,6 @@ mod tests {
         let horizon = TimeWindow::new(SimTime(0), SimTime(86_400));
         let bursts = detect_update_bursts(&[], horizon, 24, 2.5);
         assert!(bursts.is_empty());
-    }
-
-    #[test]
-    fn rate_series_counts_everything_inside_window() {
-        let (_, horizon, ups) = cut_scenario_updates();
-        let series = update_rate_series(&ups, horizon, 100);
-        let total: usize = series.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, ups.len());
     }
 
     #[test]

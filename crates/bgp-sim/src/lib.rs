@@ -12,16 +12,16 @@
 //! * [`updates`] — update streams derived by diffing RIBs across each
 //!   scenario event, with deterministic convergence jitter and path
 //!   exploration transients;
-//! * [`mrt`] — a compact MRT-flavoured binary encoding (over `bytes`)
-//!   with an iterator-based reader, so downstream tools parse dumps the
-//!   way real pipelines parse RouteViews files;
-//! * [`anomaly`] — update-burst and reachability-loss detectors.
+//! * [`anomaly`] — update-burst, reachability-loss, MOAS and
+//!   valley-violation detectors.
 //!
 //! Everything is a pure function of the scenario; there is no hidden state.
+//! Each capability has one entry point, and `toolkit::runtime` is what
+//! binds them to registry functions: [`RibSnapshot::capture`] for RIBs,
+//! [`BgpSimulator::updates`] for update streams, and the detectors.
 
 pub mod anomaly;
 pub mod graph;
-pub mod mrt;
 pub mod rib;
 pub mod routing;
 pub mod updates;
@@ -35,10 +35,9 @@ pub use rib::{RibEntry, RibSnapshot};
 pub use routing::{PolicyOverrides, Route, RouteKind, RoutingTable};
 pub use updates::{BgpUpdate, UpdateKind};
 
-use net_model::SimTime;
 use world::Scenario;
 
-/// Facade over the substrate: collectors, RIBs, updates for one scenario.
+/// One scenario's collector deployment and the update stream it observes.
 #[derive(Debug)]
 pub struct BgpSimulator<'a> {
     scenario: &'a Scenario,
@@ -70,21 +69,6 @@ impl<'a> BgpSimulator<'a> {
         &self.collectors
     }
 
-    /// AS graph as of `t` (adjacencies with all links down are removed).
-    pub fn graph_at(&self, t: SimTime) -> AsGraph {
-        AsGraph::at_time(self.scenario, t)
-    }
-
-    /// Full routing state as of `t`.
-    pub fn routing_at(&self, t: SimTime) -> RoutingTable {
-        RoutingTable::compute(&self.graph_at(t), &self.scenario.world)
-    }
-
-    /// RIB snapshot (all collector peers) as of `t`.
-    pub fn rib_at(&self, t: SimTime) -> RibSnapshot {
-        RibSnapshot::capture(self.scenario, &self.collectors, t)
-    }
-
     /// Update stream across the whole horizon.
     pub fn updates(&self) -> Vec<BgpUpdate> {
         updates::derive_updates(self.scenario, &self.collectors)
@@ -106,8 +90,9 @@ mod tests {
             Scenario::quiet(world, 10).with_event(EventKind::CableCut { cable }, cut_at);
         let sim = BgpSimulator::new(&scenario);
 
-        let before = sim.rib_at(cut_at - SimDuration::hours(1));
-        let after = sim.rib_at(cut_at + SimDuration::hours(1));
+        let peers = sim.collectors();
+        let before = RibSnapshot::capture(&scenario, peers, cut_at - SimDuration::hours(1));
+        let after = RibSnapshot::capture(&scenario, peers, cut_at + SimDuration::hours(1));
         assert!(!before.entries.is_empty());
         // The cut must change at least one best path somewhere.
         assert_ne!(before.entries, after.entries);

@@ -58,24 +58,10 @@ impl RibSnapshot {
         Self::capture_with(&scenario.world, &graph, peers, t, &scenario.control_plane_at(t))
     }
 
-    /// Captures the snapshot for a pre-built AS graph with a quiet
-    /// control plane. Routing is a pure function of the topology, so
-    /// callers diffing many instants (e.g. `derive_updates`) can compare
-    /// graphs first and skip captures entirely when connectivity did not
-    /// change.
-    pub fn capture_from_graph(
-        world: &World,
-        graph: &AsGraph,
-        peers: &[Asn],
-        t: SimTime,
-    ) -> RibSnapshot {
-        Self::capture_with(world, graph, peers, t, &ControlPlaneState::default())
-    }
-
-    /// [`RibSnapshot::capture_from_graph`] with an explicit control-plane
-    /// state. Routing (and therefore the snapshot) is a pure function of
-    /// `(topology, control-plane state)` — `derive_updates` memoizes on
-    /// exactly that pair.
+    /// Captures the snapshot for a pre-built AS graph under an explicit
+    /// control-plane state. Routing (and therefore the snapshot) is a pure
+    /// function of `(topology, control-plane state)` — `derive_updates`
+    /// memoizes on exactly that pair.
     pub fn capture_with(
         world: &World,
         graph: &AsGraph,
@@ -131,11 +117,6 @@ impl RibSnapshot {
         }
         entries.sort_by_key(|a| (a.peer, a.prefix));
         RibSnapshot { at: t, entries }
-    }
-
-    /// Entries of one peer.
-    pub fn for_peer(&self, peer: Asn) -> impl Iterator<Item = &RibEntry> + '_ {
-        self.entries.iter().filter(move |e| e.peer == peer)
     }
 
     /// Index by (peer, prefix) for diffing.

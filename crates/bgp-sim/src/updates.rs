@@ -193,15 +193,10 @@ fn jittered(seed: u64, event: SimTime, peer: Asn, prefix: &Ipv4Net, stage: u64) 
     SimTime(event.0 + base + stage as i64 * 3 + 1)
 }
 
-/// Convenience: the updates within a half-open window.
-pub fn updates_in_window(updates: &[BgpUpdate], w: net_model::TimeWindow) -> Vec<&BgpUpdate> {
-    updates.iter().filter(|u| w.contains(u.time)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use net_model::{SimDuration, TimeWindow};
+    use net_model::SimDuration;
     use world::{generate, EventKind, WorldConfig};
 
     fn updates_for_cut() -> (Scenario, SimTime, Vec<BgpUpdate>) {
@@ -393,14 +388,5 @@ mod tests {
             UpdateKind::Withdraw => false,
         });
         assert!(through_leaker, "some announced path must ride the leaker");
-    }
-
-    #[test]
-    fn window_filter_works() {
-        let (_, cut, ups) = updates_for_cut();
-        let w = TimeWindow::new(cut, SimTime(cut.0 + 600));
-        assert_eq!(updates_in_window(&ups, w).len(), ups.len());
-        let empty = TimeWindow::new(SimTime::EPOCH, cut);
-        assert!(updates_in_window(&ups, empty).is_empty());
     }
 }

@@ -40,11 +40,6 @@ const ALLOWED_EDGES: &[(&str, &str, &str)] = &[
          acquisition order never reaches any output",
     ),
     (
-        "*",
-        "vendor/bytes",
-        "vendored buffer stand-in: pure byte containers with no ambient state",
-    ),
-    (
         "campaign",
         "core",
         "campaign drives the serving engine; engine outputs are pinned \

@@ -344,11 +344,6 @@ impl Engine {
         &self.worlds
     }
 
-    /// Scenario keys currently registered.
-    pub fn scenario_keys(&self) -> Vec<String> {
-        self.scenarios.lock().keys().cloned().collect()
-    }
-
     /// Opens a session against a registered scenario. The session pins
     /// the *current* epoch and the scenario's shared artifact store.
     pub fn session(&self, scenario_key: &str) -> Result<Session, PipelineError> {

@@ -1,5 +1,5 @@
 //! The deterministic expert model: the reproduction's stand-in for Claude
-//! Sonnet 4 (DESIGN.md §3).
+//! Sonnet 4.
 //!
 //! Each handler encodes the "generalized reasoning a human expert would
 //! naturally apply" that the paper describes embedding into its prompts:

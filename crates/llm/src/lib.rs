@@ -1,11 +1,10 @@
 //! # llm — the language-model substrate
 //!
 //! ArachNet's agents are prompt/completion loops over an LLM (the paper
-//! uses Claude Sonnet 4). Reproducing that offline requires the
-//! substitution documented in DESIGN.md §3: a [`LanguageModel`] trait with
-//! a deterministic implementation, [`DeterministicExpertModel`], that
-//! encodes the same expert reasoning the authors iteratively embedded in
-//! their prompts.
+//! uses Claude Sonnet 4). Reproducing that offline substitutes a
+//! [`LanguageModel`] trait with a deterministic implementation,
+//! [`DeterministicExpertModel`], that encodes the same expert reasoning
+//! the authors iteratively embedded in their prompts.
 //!
 //! The mechanics of the real system are preserved end to end:
 //!

@@ -21,6 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use net_model::hash::{stable_hash, stable_str_hash};
 use registry::{CapabilityEntry, DataFormat, Registry};
 
 use crate::protocol::{
@@ -361,32 +362,10 @@ fn step_cost(
     }
     if variant > 0 {
         // Deterministic jitter for ensemble diversity: up to ±0.4.
-        let h = world_hash(&[variant, id_hash(&entry.id.0)]);
+        let h = stable_hash(&[variant, stable_str_hash(&entry.id.0)]);
         cost += ((h % 800) as f64 / 1000.0) - 0.4;
     }
     cost
-}
-
-fn id_hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix-style mixer (kept local: the llm crate does not depend on the
-/// world crate).
-fn world_hash(parts: &[u64]) -> u64 {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for &p in parts {
-        let mut z = h ^ p.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h = z ^ (z >> 31);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! on each cable system — the data product the Xaminer substrate and the
 //! case-study workflows consume.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use net_model::{Asn, CableId, Country, LinkId};
 use serde::{Deserialize, Serialize};
@@ -80,11 +80,6 @@ impl DependencyTable {
     pub fn cables(&self) -> Vec<CableId> {
         self.entries.keys().copied().collect()
     }
-
-    /// Countries depending on `cable`.
-    pub fn countries_on(&self, cable: CableId) -> Vec<Country> {
-        self.for_cable(cable).countries
-    }
 }
 
 fn push_link(world: &World, e: &mut CableDependencies, link: &world::IpLink) {
@@ -108,21 +103,10 @@ fn dedup_sorted<T: Ord>(v: &mut Vec<T>) {
     v.dedup();
 }
 
-/// Countries affected by the failure of a set of links: endpoint countries
-/// of each failed link.
-pub fn countries_of_links(world: &World, links: &[LinkId]) -> BTreeSet<Country> {
-    links
-        .iter()
-        .flat_map(|&l| {
-            let link = world.link(l);
-            [world.city(link.a.city).country, world.city(link.b.city).country]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use crate::mapping::{MappingConfig, NautilusMapper};
     use world::{generate, WorldConfig};
 
@@ -165,15 +149,6 @@ mod tests {
                 assert!(w[0] < w[1]);
             }
         }
-    }
-
-    #[test]
-    fn countries_of_links_collects_endpoints() {
-        let world = generate(&WorldConfig::default());
-        let link = &world.links[0];
-        let set = countries_of_links(&world, &[link.id]);
-        assert!(set.contains(&world.city(link.a.city).country));
-        assert!(set.contains(&world.city(link.b.city).country));
     }
 
     #[test]

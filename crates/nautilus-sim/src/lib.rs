@@ -18,7 +18,11 @@
 //!
 //! Because the world generator *does* know the truth, the crate also ships
 //! an evaluation harness ([`evaluate`]) reporting precision/recall of the
-//! inferred mapping — the numbers quoted in EXPERIMENTS.md.
+//! inferred mapping; `end_to_end_mapping_quality` below pins its floor.
+//!
+//! Workflows reach the crate through [`NautilusMapper::map_world`] and
+//! [`DependencyTable::from_mapping`] (or
+//! [`DependencyTable::from_ground_truth`] in oracle mode).
 
 pub mod dependency;
 pub mod mapping;

@@ -1,7 +1,5 @@
 //! The link→cable inference algorithm.
 
-use std::collections::BTreeMap;
-
 use net_model::{CableId, LinkId};
 use serde::{Deserialize, Serialize};
 use world::World;
@@ -55,26 +53,6 @@ pub struct MappingTable {
 }
 
 impl MappingTable {
-    /// Mapping for a specific link.
-    pub fn for_link(&self, link: LinkId) -> Option<&CableMapping> {
-        self.mappings.iter().find(|m| m.link == link)
-    }
-
-    /// Links predicted (at any confidence) to ride `cable`, with their
-    /// confidence, descending.
-    pub fn predicted_links_on_cable(&self, cable: CableId) -> Vec<(LinkId, f64)> {
-        let mut out: Vec<(LinkId, f64)> = self
-            .mappings
-            .iter()
-            .filter_map(|m| {
-                let c = m.confidence_for(cable);
-                (c > 0.0).then_some((m.link, c))
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        out
-    }
-
     /// Number of links with at least one candidate.
     pub fn mapped_count(&self) -> usize {
         self.mappings.iter().filter(|m| !m.candidates.is_empty()).count()
@@ -251,17 +229,6 @@ fn landmass(region: net_model::Region) -> u8 {
         Region::SouthAmerica => 2,
         Region::Oceania => 3,
     }
-}
-
-/// Groups mappings by best-candidate cable: the inferred cable→links view.
-pub fn links_by_cable(table: &MappingTable) -> BTreeMap<CableId, Vec<LinkId>> {
-    let mut out: BTreeMap<CableId, Vec<LinkId>> = BTreeMap::new();
-    for m in &table.mappings {
-        if let Some(best) = m.best() {
-            out.entry(best).or_default().push(m.link);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

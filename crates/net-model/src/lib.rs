@@ -13,6 +13,7 @@
 
 pub mod country;
 pub mod geo;
+pub mod hash;
 pub mod ids;
 pub mod ip;
 pub mod time;

@@ -38,9 +38,6 @@ impl SimDuration {
     pub fn as_seconds(&self) -> i64 {
         self.0
     }
-    pub fn as_hours_f64(&self) -> f64 {
-        self.0 as f64 / 3600.0
-    }
     pub fn abs(&self) -> SimDuration {
         SimDuration(self.0.abs())
     }

@@ -152,14 +152,6 @@ impl Registry {
         self.entries.values().zip(self.tokens.values())
     }
 
-    /// Entries from one framework.
-    pub fn from_framework<'a>(
-        &'a self,
-        framework: &'a str,
-    ) -> impl Iterator<Item = &'a CapabilityEntry> + 'a {
-        self.iter().filter(move |e| e.framework == framework)
-    }
-
     /// Entries whose output format is compatible with `format`.
     pub fn producing(&self, format: DataFormat) -> Vec<&CapabilityEntry> {
         self.iter().filter(|e| e.output.compatible_with(format)).collect()

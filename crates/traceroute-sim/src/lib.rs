@@ -21,12 +21,14 @@
 //! * **congestion confounders** — scenario congestion surges raise RTTs
 //!   without any routing change, giving forensic workflows a true-negative
 //!   to distinguish.
+//!
+//! The one entry point is [`TracerouteSimulator::measure`]. Probe
+//! campaigns (probe × destination × time sweeps) are built on it by the
+//! `traceroute.campaign` function in `toolkit::runtime`.
 
-pub mod campaign;
 pub mod path;
 pub mod rtt;
 
-pub use campaign::{Campaign, CampaignSpec};
 pub use path::{ForwardingPath, PathStep};
 pub use rtt::{Hop, Traceroute};
 

@@ -108,11 +108,6 @@ impl ForwardingPath {
     pub fn links(&self) -> Vec<LinkId> {
         self.steps.iter().map(|s| s.link).collect()
     }
-
-    /// Whether the path crosses the given link.
-    pub fn uses_link(&self, link: LinkId) -> bool {
-        self.steps.iter().any(|s| s.link == link)
-    }
 }
 
 #[cfg(test)]

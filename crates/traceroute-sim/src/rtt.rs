@@ -271,6 +271,54 @@ mod tests {
     }
 
     #[test]
+    fn cable_cut_shifts_mean_rtt_for_europe_asia() {
+        let (s, cut) = fixture();
+        let sim = TracerouteSimulator::new(&s);
+        let probes: Vec<ProbeId> = s
+            .world
+            .probes
+            .iter()
+            .filter(|p| p.region == net_model::Region::Europe)
+            .map(|p| p.id)
+            .collect();
+        let dests: Vec<Ipv4Addr> = s
+            .world
+            .prefixes
+            .iter()
+            .filter(|p| {
+                s.world.as_info(p.origin).map(|a| {
+                    a.region == net_model::Region::Asia && a.tier == world::AsTier::Access
+                }) == Some(true)
+            })
+            .take(6)
+            .map(|p| p.net.host(1))
+            .collect();
+        // Every probe × destination pair, sampled every 8 h across the
+        // horizon; completed RTTs split at the cut.
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        let mut t = s.horizon.start;
+        while t < s.horizon.end {
+            for &probe in &probes {
+                for &dst in &dests {
+                    if let Some(rtt) = sim.measure(probe, dst, t, 0).end_to_end_rtt() {
+                        let side = if t < cut { &mut before } else { &mut after };
+                        side.push(rtt);
+                    }
+                }
+            }
+            t = t + SimDuration::hours(8);
+        }
+        assert!(!before.is_empty(), "pre-cut samples");
+        assert!(!after.is_empty(), "post-cut samples");
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let (before, after) = (mean(&before), mean(&after));
+        assert!(
+            after > before,
+            "cutting SeaMeWe-5 must raise Europe→Asia mean RTT ({before:.1} → {after:.1})"
+        );
+    }
+
+    #[test]
     fn unrouted_destination_yields_incomplete_trace() {
         let (s, _) = fixture();
         let sim = TracerouteSimulator::new(&s);

@@ -107,11 +107,6 @@ impl Value {
         Value { format, payload: Payload::Json(Arc::new(value)) }
     }
 
-    /// A JSON value sharing an existing allocation.
-    pub fn from_shared_json(format: DataFormat, value: Arc<serde_json::Value>) -> Value {
-        Value { format, payload: Payload::Json(value) }
-    }
-
     /// A native artifact value. `empty` must mirror what
     /// [`Value::is_empty_payload`] would say about the JSON projection
     /// (structs project to non-empty objects; pass `v.is_empty()` for
@@ -147,15 +142,6 @@ impl Value {
         match &self.payload {
             Payload::Json(v) => v,
             Payload::Native { artifact, json } => json.get_or_init(|| artifact.to_json()),
-        }
-    }
-
-    /// The JSON projection behind a shared `Arc` (cheap for JSON payloads;
-    /// clones the cached projection once for native ones).
-    pub fn json_arc(&self) -> Arc<serde_json::Value> {
-        match &self.payload {
-            Payload::Json(v) => Arc::clone(v),
-            Payload::Native { .. } => Arc::new(self.json().clone()),
         }
     }
 

@@ -54,13 +54,6 @@ pub struct AsInfo {
     pub presence: Vec<CityId>,
 }
 
-impl AsInfo {
-    /// Whether the AS has a PoP in the given city.
-    pub fn present_at(&self, city: CityId) -> bool {
-        self.presence.contains(&city)
-    }
-}
-
 /// Kind of business relationship, directed from `a` to `b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RelKind {

@@ -79,11 +79,6 @@ impl Cable {
     pub fn total_length_km(&self) -> f64 {
         self.segments.iter().map(|s| s.length_km).sum()
     }
-
-    /// Whether the cable lands in the given city.
-    pub fn lands_at(&self, city: CityId) -> bool {
-        self.landings.contains(&city)
-    }
 }
 
 /// Sea-path length between two landings: great circle inflated by slack.

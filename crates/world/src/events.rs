@@ -20,6 +20,10 @@ use net_model::{Asn, CableId, GeoPoint, Ipv4Net, Region, SimTime};
 use net_model::geo::GeoCircle;
 use serde::{Deserialize, Serialize};
 
+/// Re-exported from `net_model::hash`, where the workspace's stable
+/// hashes live.
+pub use net_model::hash::stable_hash;
+
 /// Identifier of a timeline event within a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct EventId(pub u32);
@@ -180,19 +184,6 @@ impl DisasterSpec {
             failure_prob: p,
         }
     }
-}
-
-/// SplitMix64-style mixing of a sequence of words into one hash.
-/// Stable across platforms and releases — scenario outcomes depend on it.
-pub fn stable_hash(parts: &[u64]) -> u64 {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for &p in parts {
-        let mut z = h ^ p.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h = z ^ (z >> 31);
-    }
-    h
 }
 
 /// Deterministic Bernoulli draw: does `asset` fail under `event` given

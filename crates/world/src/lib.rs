@@ -204,17 +204,6 @@ impl World {
         self.index.pair_links.get(&pair).map_or(&[], |v| v.as_slice())
     }
 
-    /// The country a prefix geolocates to (origin-AS home country).
-    pub fn prefix_country(&self, id: PrefixId) -> Country {
-        let p = self.prefix(id);
-        self.as_info(p.origin).expect("prefix origin AS exists").country
-    }
-
-    /// All cities in a country, in id order.
-    pub fn cities_in_country(&self, country: Country) -> Vec<&City> {
-        self.cities.iter().filter(|c| c.country == country).collect()
-    }
-
     /// Quick structural sanity check; used by tests and the generator.
     pub fn validate(&self) -> Result<(), String> {
         for (i, c) in self.cities.iter().enumerate() {

@@ -77,11 +77,6 @@ impl PhysicalPath {
         }
         seen
     }
-
-    /// Whether any hop rides the given cable.
-    pub fn uses_cable(&self, cable: CableId) -> bool {
-        self.hops.iter().any(|h| matches!(h, PathHop::Cable { cable: c, .. } if *c == cable))
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -79,15 +79,6 @@ impl CascadeTimeline {
         v
     }
 
-    /// Every degraded AS across all rounds.
-    pub fn all_degraded_ases(&self) -> Vec<Asn> {
-        let mut v: Vec<Asn> =
-            self.rounds.iter().flat_map(|r| r.newly_degraded_ases.iter().copied()).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// Number of rounds with any new failure (round 0 included).
     pub fn depth(&self) -> usize {
         self.rounds.iter().filter(|r| !r.newly_failed_links.is_empty()).count()

@@ -10,8 +10,9 @@ use std::collections::BTreeSet;
 
 use net_model::{Asn, CableId, Country, LinkId};
 use net_model::geo::GeoCircle;
+use net_model::hash::{stable_hash, stable_str_hash};
 use serde::{Deserialize, Serialize};
-use world::events::{fails, stable_hash, DisasterSpec};
+use world::events::{fails, DisasterSpec};
 use world::World;
 
 use nautilus_sim::DependencyTable;
@@ -113,7 +114,7 @@ pub fn process_event(
 /// Bernoulli draws the scenario machinery uses (event identity is derived
 /// from the spec's name so distinct disasters draw independently).
 pub fn disaster_segments(world: &World, spec: &DisasterSpec) -> Vec<(CableId, usize)> {
-    let event_id = stable_hash(&[name_hash(&spec.name), name_hash(&spec.kind)]);
+    let event_id = stable_hash(&[stable_str_hash(&spec.name), stable_str_hash(&spec.kind)]);
     let mut out = Vec::new();
     for cable in &world.cables {
         for (si, seg) in cable.segments.iter().enumerate() {
@@ -132,15 +133,6 @@ fn segment_exposed(world: &World, footprint: &GeoCircle, seg: &world::CableSegme
     let pa = world.city(seg.a).location;
     let pb = world.city(seg.b).location;
     footprint.contains(&pa) || footprint.contains(&pb)
-}
-
-fn name_hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// Computes the downstream impact of a set of failed segments using the

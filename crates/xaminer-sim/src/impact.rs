@@ -56,11 +56,6 @@ impl ImpactReport {
     pub fn top_countries(&self, n: usize) -> Vec<Country> {
         self.per_country.iter().take(n).map(|c| c.country).collect()
     }
-
-    /// Impact entry for a specific country.
-    pub fn for_country(&self, country: Country) -> Option<&CountryImpact> {
-        self.per_country.iter().find(|c| c.country == country)
-    }
 }
 
 /// Aggregates a failure into the report.

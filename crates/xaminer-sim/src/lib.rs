@@ -16,8 +16,16 @@
 //! * [`cascade`] — **cascade propagation**: load-redistribution rounds
 //!   over the dependency graph until fixpoint, producing the multi-layer
 //!   cascade timelines of case study 3.
+//! * [`control_plane`] — **control-plane incidents**: who a prefix hijack
+//!   misdirects and whose best paths a route leak drags through the
+//!   leaker, computed on the BGP substrate while every link stays up.
 //! * [`risk`] — **risk profiles**: per-country dependency concentration
 //!   (HHI), critical-cable rankings and resilience scores.
+//!
+//! Callers pass the world and a [`nautilus_sim::DependencyTable`] to
+//! [`process_event`], then feed the resulting [`FailureImpact`] to
+//! [`impact::aggregate`] or [`cascade::propagate`], as `toolkit::runtime`
+//! does.
 
 pub mod cascade;
 pub mod control_plane;
@@ -31,56 +39,19 @@ pub use event::{process_event, FailureEvent, FailureImpact};
 pub use impact::{AsImpact, CountryImpact, ImpactReport};
 pub use risk::{country_risk_profile, CountryRiskProfile};
 
-use nautilus_sim::DependencyTable;
-use world::World;
-
-/// Facade bundling the world with a dependency table.
-#[derive(Debug, Clone)]
-pub struct XaminerEngine<'a> {
-    pub world: &'a World,
-    pub deps: DependencyTable,
-}
-
-impl<'a> XaminerEngine<'a> {
-    /// Engine over an inferred (Nautilus) dependency table.
-    pub fn new(world: &'a World, deps: DependencyTable) -> Self {
-        XaminerEngine { world, deps }
-    }
-
-    /// Engine over the generator's ground truth (oracle mode).
-    pub fn oracle(world: &'a World) -> Self {
-        XaminerEngine { world, deps: DependencyTable::from_ground_truth(world) }
-    }
-
-    /// Processes one failure event into a concrete impact set.
-    pub fn process(&self, event: &FailureEvent) -> FailureImpact {
-        event::process_event(self.world, &self.deps, event)
-    }
-
-    /// Processes an event and aggregates country/AS impact metrics.
-    pub fn impact_report(&self, event: &FailureEvent) -> ImpactReport {
-        let failure = self.process(event);
-        impact::aggregate(self.world, &failure)
-    }
-
-    /// Runs cascade propagation from an initial event.
-    pub fn cascade(&self, event: &FailureEvent, config: &CascadeConfig) -> CascadeTimeline {
-        let initial = self.process(event);
-        cascade::propagate(self.world, &initial, config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nautilus_sim::DependencyTable;
     use world::{generate, WorldConfig};
 
     #[test]
     fn oracle_engine_processes_cable_failure() {
         let world = generate(&WorldConfig::default());
-        let engine = XaminerEngine::oracle(&world);
+        let deps = DependencyTable::from_ground_truth(&world);
         let cable = world.cable_by_name("SeaMeWe-5").unwrap().id;
-        let report = engine.impact_report(&FailureEvent::CableFailure { cable });
+        let failure = process_event(&world, &deps, &FailureEvent::CableFailure { cable });
+        let report = impact::aggregate(&world, &failure);
         assert!(!report.per_country.is_empty());
         // France and Singapore land the cable; both should appear.
         let fr = net_model::Country(*b"FR");

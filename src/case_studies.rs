@@ -65,7 +65,8 @@ impl CaseStudy {
         }
     }
 
-    /// Paper-reported generated-solution size, for EXPERIMENTS.md.
+    /// Paper-reported generated-solution size, printed beside the measured
+    /// one in the `report` binary's E1–E4 tables.
     pub fn paper_loc(&self) -> usize {
         match self {
             CaseStudy::Cs1CableImpact => 250,

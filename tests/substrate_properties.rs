@@ -92,11 +92,12 @@ proptest! {
     #[test]
     fn impact_scores_always_normalized(cable_idx in 0usize..25) {
         use world::{generate, WorldConfig};
-        use xaminer_sim::{FailureEvent, XaminerEngine};
+        use xaminer_sim::{impact, process_event, FailureEvent};
         let world = generate(&WorldConfig::default());
-        let engine = XaminerEngine::oracle(&world);
+        let deps = nautilus_sim::DependencyTable::from_ground_truth(&world);
         let cable = world.cables[cable_idx].id;
-        let report = engine.impact_report(&FailureEvent::CableFailure { cable });
+        let failure = process_event(&world, &deps, &FailureEvent::CableFailure { cable });
+        let report = impact::aggregate(&world, &failure);
         for c in &report.per_country {
             prop_assert!((0.0..=1.0).contains(&c.impact_score));
             prop_assert!((0.0..=1.0).contains(&c.link_fraction));
