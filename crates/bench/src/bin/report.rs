@@ -243,17 +243,17 @@ fn cs4() {
 
 /// E5 — registry scaling.
 fn scaling() {
-    header("E5 | Registry scaling — exploration cost vs registry size");
+    header("E5 | Registry scaling — warm Session::generate cost vs registry size");
     let sizes = [0usize, 25, 50, 100, 200, 400];
     let curve = registry_scaling_curve(&sizes);
-    println!("  {:>10} | {:>12}", "entries", "plan µs");
+    println!("  {:>10} | {:>12}", "entries", "generate µs");
     for (n, us) in &curve {
         println!("  {n:>10} | {us:>12}");
     }
     let (n0, t0) = curve.first().copied().unwrap();
     let (n1, t1) = curve.last().copied().unwrap();
     println!(
-        "  growth: {:.1}x entries -> {:.1}x time (linear-ish expected)",
+        "  growth: {:.1}x entries -> {:.1}x time",
         n1 as f64 / n0 as f64,
         t1 as f64 / t0.max(1) as f64
     );

@@ -4,7 +4,9 @@
 //! The experiment ids (E1–E8, F1) name the `report` binary's sections;
 //! every function here regenerates one of the paper's evaluation artifacts.
 
-use arachnet::{ensemble, DeterministicExpertModel};
+use std::sync::Arc;
+
+use arachnet::{ensemble, DeterministicExpertModel, Engine};
 use arachnet_repro::{case_study_engine, run_case_study, CaseStudy, CaseStudyRun};
 use baselines::metrics;
 use toolkit::data::{CountryTableData, TimelineData, VerdictData};
@@ -75,33 +77,27 @@ pub fn verdicts(run: &CaseStudyRun) -> (Option<VerdictData>, Option<VerdictData>
     (run.output_as(), run.expert_output_as())
 }
 
-/// E5: registry exploration cost vs registry size. Returns
-/// `(registry_size, planner_micros)` pairs for one decomposition planned
-/// against registries padded with `n` extra irrelevant entries; the
-/// micros are the [`sample`] median over 11 rounds.
+/// E5: planning cost vs registry size. Returns `(registry_size,
+/// generate_micros)` pairs: warm calls of the full `Session::generate`
+/// for the CS2 query on engines over registries padded with `n` extra
+/// irrelevant entries. The micros are the [`sample`] median over 11
+/// rounds, after one untimed warm-up call.
 pub fn registry_scaling_curve(sizes: &[usize]) -> Vec<(usize, u128)> {
-    use llm::protocol::{DecomposeRequest, QueryContext};
-    let scenario = scenarios::cs2_scenario();
-    let context = QueryContext {
-        cable_names: scenario.world.cables.iter().map(|c| c.name.clone()).collect(),
-        now: scenario.now.seconds_since_epoch(),
-        horizon_days: 10,
-    };
+    let query = CaseStudy::Cs2DisasterImpact.query();
     let mut out = Vec::new();
     for &n in sizes {
         let registry = padded_registry(n);
-        let req = DecomposeRequest {
-            query: CaseStudy::Cs2DisasterImpact.query().to_string(),
-            context: context.clone(),
-            registry: registry.clone(),
-        };
-        let decomposition = llm::expert::decompose(&req);
-        let [plan] = sample(11, &mut [&mut || {
-            let plan = llm::planner::plan_architecture(&decomposition, &registry, 0)
-                .expect("plannable at any padding");
-            assert!(!plan.steps.is_empty());
+        let entries = registry.len();
+        let engine = Engine::new(Arc::new(DeterministicExpertModel::new()), registry);
+        engine.register_scenario("cs2", scenarios::cs2_scenario());
+        let session = engine.session("cs2").expect("scenario registered");
+        let scenario = session.scenario();
+        let context = catalog::query_context(&scenario.world, scenario.now, 10);
+        let [generate] = sample(11, &mut [&mut || {
+            let solution = session.generate(query, &context).expect("plannable at any padding");
+            assert!(!solution.workflow.steps.is_empty());
         }]);
-        out.push((registry.len(), (plan.median_ms * 1e3).round() as u128));
+        out.push((entries, (generate.median_ms * 1e3).round() as u128));
     }
     out
 }

@@ -4,11 +4,12 @@
 //! request into the prompt payload, and parses the model's *text*
 //! completion back into the protocol type — retrying with feedback when
 //! the output does not parse (real LLMs emit malformed JSON sometimes;
-//! `llm::FaultyModel` simulates that in tests).
+//! `llm::FaultyModel` simulates that in tests). Requests name the
+//! registry by its document's hash; every prompt carries that
+//! [`RegistryDocument`] by reference.
 
 use llm::protocol::*;
-use llm::{LanguageModel, LlmError, Prompt};
-use registry::Registry;
+use llm::{LanguageModel, LlmError, Prompt, RegistryDocument};
 
 /// Shared agent settings.
 #[derive(Debug, Clone)]
@@ -59,7 +60,8 @@ impl From<LlmError> for AgentError {
     }
 }
 
-/// Shared prompt/parse/retry loop.
+/// Shared prompt/parse/retry loop. Every prompt carries `registry`, the
+/// document the request names by hash.
 fn run_task<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
     model: &dyn LanguageModel,
     config: &AgentConfig,
@@ -67,17 +69,19 @@ fn run_task<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
     system: &str,
     task: &str,
     request: &Req,
+    registry: &RegistryDocument,
 ) -> Result<Resp, AgentError> {
-    let mut payload = serde_json::to_value(request).expect("requests serialize");
+    let payload = serde_json::to_value(request).expect("requests serialize");
+    let mut prompt = Prompt::new(system, task, payload).with_document(registry.clone());
     let mut last_error = String::new();
     for attempt in 0..=config.max_retries {
-        let completion = model.complete(&Prompt::new(system, task, payload.clone()))?;
+        let completion = model.complete(&prompt)?;
         match serde_json::from_str::<Resp>(&completion.text) {
             Ok(parsed) => return Ok(parsed),
             Err(e) => {
                 last_error = e.to_string();
                 // Re-prompt with feedback, exactly like a real agent loop.
-                if let serde_json::Value::Object(map) = &mut payload {
+                if let serde_json::Value::Object(map) = &mut prompt.payload {
                     map.insert(
                         "repair_feedback".to_string(),
                         serde_json::json!(format!(
@@ -118,12 +122,12 @@ impl<'m> QueryMind<'m> {
         &self,
         query: &str,
         context: &QueryContext,
-        registry: &Registry,
+        registry: &RegistryDocument,
     ) -> Result<Decomposition, AgentError> {
         let request = DecomposeRequest {
             query: query.to_string(),
             context: context.clone(),
-            registry: registry.clone(),
+            registry: registry.hash(),
         };
         run_task(
             self.model,
@@ -132,6 +136,7 @@ impl<'m> QueryMind<'m> {
             Self::SYSTEM,
             "querymind.decompose",
             &request,
+            registry,
         )
     }
 }
@@ -157,12 +162,12 @@ impl<'m> WorkflowScout<'m> {
     pub fn run(
         &self,
         decomposition: &Decomposition,
-        registry: &Registry,
+        registry: &RegistryDocument,
         variant: u64,
     ) -> Result<ArchitecturePlan, AgentError> {
         let request = ExploreRequest {
             decomposition: decomposition.clone(),
-            registry: registry.clone(),
+            registry: registry.hash(),
             variant,
         };
         run_task(
@@ -172,6 +177,7 @@ impl<'m> WorkflowScout<'m> {
             Self::SYSTEM,
             "workflowscout.explore",
             &request,
+            registry,
         )
     }
 }
@@ -198,13 +204,13 @@ impl<'m> SolutionWeaver<'m> {
         &self,
         decomposition: &Decomposition,
         architecture: &ArchitecturePlan,
-        registry: &Registry,
+        registry: &RegistryDocument,
         feedback: Vec<String>,
     ) -> Result<ImplementationPlan, AgentError> {
         let request = ImplementRequest {
             decomposition: decomposition.clone(),
             architecture: architecture.clone(),
-            registry: registry.clone(),
+            registry: registry.hash(),
             feedback,
         };
         run_task(
@@ -214,6 +220,7 @@ impl<'m> SolutionWeaver<'m> {
             Self::SYSTEM,
             "solutionweaver.implement",
             &request,
+            registry,
         )
     }
 }
@@ -238,12 +245,12 @@ impl<'m> RegistryCurator<'m> {
     pub fn run(
         &self,
         corpus: &[WorkflowSummary],
-        registry: &Registry,
+        registry: &RegistryDocument,
         min_uses: usize,
     ) -> Result<CurationProposal, AgentError> {
         let request = CurateRequest {
             corpus: corpus.to_vec(),
-            registry: registry.clone(),
+            registry: registry.hash(),
             min_uses,
         };
         run_task(
@@ -253,6 +260,7 @@ impl<'m> RegistryCurator<'m> {
             Self::SYSTEM,
             "registrycurator.curate",
             &request,
+            registry,
         )
     }
 }
@@ -261,9 +269,14 @@ impl<'m> RegistryCurator<'m> {
 mod tests {
     use super::*;
     use llm::{DeterministicExpertModel, FaultyModel, ScriptedModel};
-    use registry::{CapabilityEntry, DataFormat, Param};
+    use registry::{CapabilityEntry, DataFormat, Param, Registry};
 
-    fn mini_registry() -> Registry {
+    /// The mini registry as agents send it: its document.
+    fn mini_registry() -> RegistryDocument {
+        RegistryDocument::new(&entries())
+    }
+
+    fn entries() -> Registry {
         let mut r = Registry::new();
         r.register(CapabilityEntry::new(
             "xaminer.event_impact",
@@ -347,11 +360,14 @@ mod tests {
         let canned = serde_json::to_string(&plan).unwrap();
         let model = ScriptedModel::new(vec![("workflowscout.explore", canned.as_str())]);
         let scout = WorkflowScout::new(&model, AgentConfig::default());
-        let d = llm::expert::decompose(&DecomposeRequest {
-            query: "impact of earthquakes at 10%".into(),
-            context: context(),
-            registry: mini_registry(),
-        });
+        let d = llm::expert::decompose(
+            &DecomposeRequest {
+                query: "impact of earthquakes at 10%".into(),
+                context: context(),
+                registry: mini_registry().hash(),
+            },
+            &entries(),
+        );
         let got = scout.run(&d, &mini_registry(), 0).unwrap();
         assert_eq!(got.rationale, "canned");
     }

@@ -6,10 +6,12 @@
 //! concurrent serving:
 //!
 //! * the registry is published as immutable **epochs** (`Arc<Registry>`
-//!   snapshots with a sequence number). Sessions pin the epoch they were
-//!   opened under; [`Engine::curate`] takes `&self`, builds the next
-//!   registry off-line and swaps the epoch pointer — in-flight sessions
-//!   are never blocked and never observe a half-curated registry;
+//!   snapshots with a sequence number, plus the registry's JSON document,
+//!   serialized once per epoch and sent to the model by reference with
+//!   every prompt). Sessions pin the epoch they were opened under;
+//!   [`Engine::curate`] takes `&self`, builds the next registry off-line
+//!   and swaps the epoch pointer — in-flight sessions are never blocked
+//!   and never observe a half-curated registry;
 //! * measurement artifacts live in per-scenario [`ArtifactStore`]s shared
 //!   by every session of that scenario (and across epochs): the mapping
 //!   run, the BGP update stream, probe campaigns are computed once per
@@ -22,8 +24,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use chaos::{ChaosRuntime, FaultPlan};
-use llm::protocol::{QueryContext, WorkflowSummary};
-use llm::LanguageModel;
+use llm::protocol::{Decomposition, QueryContext, WorkflowSummary};
+use llm::{LanguageModel, RegistryDocument};
 use parking_lot::{Mutex, RwLock};
 use registry::Registry;
 use scenario_forge::{Family, FamilyParams, ScenarioBlueprint, SharedWorldCache};
@@ -51,6 +53,17 @@ pub struct RegistryEpoch {
     pub sequence: u64,
     /// The registry as of this epoch.
     pub registry: Arc<Registry>,
+    /// The registry serialized once for the model: every prompt planned
+    /// under this epoch carries it, and requests name it by its hash.
+    pub document: RegistryDocument,
+}
+
+impl RegistryEpoch {
+    /// Publishes `registry` as epoch `sequence`, serializing its document.
+    pub fn new(sequence: u64, registry: Registry) -> RegistryEpoch {
+        let document = RegistryDocument::new(&registry);
+        RegistryEpoch { sequence, registry: Arc::new(registry), document }
+    }
 }
 
 /// Everything a scenario's sessions share.
@@ -155,10 +168,7 @@ impl Engine {
             retry: RetryPolicy::default(),
             fault_plan: None,
             resilience: None,
-            epoch: RwLock::new(Arc::new(RegistryEpoch {
-                sequence: 0,
-                registry: Arc::new(registry),
-            })),
+            epoch: RwLock::new(Arc::new(RegistryEpoch::new(0, registry))),
             curation: Mutex::new(()),
             scenarios: Mutex::new(BTreeMap::new()),
             reg_stats: Mutex::new(RegistrationStats::default()),
@@ -384,14 +394,11 @@ impl Engine {
         let current = self.epoch();
         let mut next = (*current.registry).clone();
         let curator = RegistryCurator::new(&*self.model, AgentConfig::default());
-        let proposal = curator.run(corpus, &next, min_uses)?;
+        let proposal = curator.run(corpus, &current.document, min_uses)?;
         let outcome = register_composites(&mut next, proposal);
         if !outcome.added.is_empty() {
             let sequence = current.sequence + 1;
-            *self.epoch.write() = Arc::new(RegistryEpoch {
-                sequence,
-                registry: Arc::new(next),
-            });
+            *self.epoch.write() = Arc::new(RegistryEpoch::new(sequence, next));
             if let Some(recorder) = &self.recorder {
                 recorder.emit(EventKind::EpochPublished { sequence });
             }
@@ -515,19 +522,42 @@ impl Session {
         variant: u64,
         hooks: &ExpertHooks,
     ) -> Result<GeneratedSolution, PipelineError> {
+        let decomposition = self.decompose(query, context, hooks)?;
+        self.design(query, decomposition, variant, hooks)
+    }
+
+    /// Stage 1: QueryMind. Nothing here depends on the variant, so an
+    /// ensemble decomposes once and designs each variant from the result.
+    pub(crate) fn decompose(
+        &self,
+        query: &str,
+        context: &QueryContext,
+        hooks: &ExpertHooks,
+    ) -> Result<Decomposition, PipelineError> {
+        let querymind = QueryMind::new(&*self.model, AgentConfig::default());
+        let decomposition = querymind.run(query, context, &self.epoch.document)?;
+        Ok(match &hooks.adjust_decomposition {
+            Some(hook) => hook(decomposition),
+            None => decomposition,
+        })
+    }
+
+    /// Stages 2 and 3: WorkflowScout explores under `variant`, then
+    /// SolutionWeaver implements and validates.
+    pub(crate) fn design(
+        &self,
+        query: &str,
+        decomposition: Decomposition,
+        variant: u64,
+        hooks: &ExpertHooks,
+    ) -> Result<GeneratedSolution, PipelineError> {
         let model = &*self.model;
         let registry = &*self.epoch.registry;
-
-        // Stage 1: QueryMind.
-        let querymind = QueryMind::new(model, AgentConfig::default());
-        let mut decomposition = querymind.run(query, context, registry)?;
-        if let Some(hook) = &hooks.adjust_decomposition {
-            decomposition = hook(decomposition);
-        }
+        let document = &self.epoch.document;
 
         // Stage 2: WorkflowScout.
         let scout = WorkflowScout::new(model, AgentConfig::default());
-        let mut architecture = scout.run(&decomposition, registry, variant)?;
+        let mut architecture = scout.run(&decomposition, document, variant)?;
         if let Some(hook) = &hooks.adjust_architecture {
             architecture = hook(architecture);
         }
@@ -538,7 +568,7 @@ impl Session {
         let mut repair_attempts = 0usize;
         let (workflow, implementation) = loop {
             let implementation =
-                weaver.run(&decomposition, &architecture, registry, feedback.clone())?;
+                weaver.run(&decomposition, &architecture, document, feedback.clone())?;
             let wf = to_workflow(query, &decomposition, &implementation, registry);
             let errors = check(&wf, registry);
             if errors.is_empty() {
@@ -639,7 +669,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm::protocol::Decomposition;
     use llm::DeterministicExpertModel;
     use registry::{CapabilityEntry, DataFormat, Param};
     use toolkit::{catalog, scenarios, BreakerConfig};
@@ -909,6 +938,112 @@ mod tests {
             solution.workflow.steps.len()
         );
         assert!(new_session.run(CS2_QUERY, &ctx).unwrap().report.all_ok());
+    }
+
+    #[test]
+    fn curation_publishes_a_new_document_and_each_epoch_plans_against_its_own() {
+        let model = Arc::new(llm::RecordingModel::new(DeterministicExpertModel::new()));
+        let engine = Engine::new(model.clone(), mini_registry());
+        engine.register_scenario("cs2", scenarios::cs2_scenario());
+        let old_session = engine.session("cs2").unwrap();
+        let ctx = context(old_session.scenario());
+        let solution = old_session.generate(CS2_QUERY, &ctx).unwrap();
+        let corpus = vec![solution.summary(true), solution.summary(true)];
+        let old_hash = engine.epoch().document.hash();
+        let outcome = engine.curate(&corpus, 2).unwrap();
+        let composite = &outcome.added[0];
+        let new_hash = engine.epoch().document.hash();
+        assert_ne!(new_hash, old_hash, "a grown registry publishes a new hash");
+        assert_eq!(new_hash, RegistryDocument::new(&engine.registry()).hash());
+
+        // Every prompt a session sends names, and carries, its own epoch's
+        // document; the new one includes the composite, the old one not.
+        let new_session = engine.session("cs2").unwrap();
+        for (session, hash, has_composite) in
+            [(&old_session, old_hash, false), (&new_session, new_hash, true)]
+        {
+            let before = model.exchanges();
+            session.generate(CS2_QUERY, &ctx).unwrap();
+            let transcript = model.transcript();
+            for (prompt, _) in &transcript[before..] {
+                assert_eq!(prompt.payload["registry"], serde_json::json!(hash));
+                let document = prompt.document.as_ref().expect("document attached");
+                assert_eq!(document.hash(), hash);
+                assert_eq!(document.json().contains(&composite.0), has_composite);
+            }
+        }
+    }
+
+    #[test]
+    fn equal_registries_share_one_parse() {
+        let model = Arc::new(DeterministicExpertModel::new());
+        let engines = [
+            Engine::new(model.clone(), mini_registry()),
+            Engine::new(model.clone(), mini_registry()),
+        ];
+        assert_eq!(engines[0].epoch().document, engines[1].epoch().document);
+        let mut sources = Vec::new();
+        for engine in &engines {
+            engine.register_scenario("cs2", scenarios::cs2_scenario());
+            let session = engine.session("cs2").unwrap();
+            let ctx = context(session.scenario());
+            sources.push(session.generate(CS2_QUERY, &ctx).unwrap().source_code);
+        }
+        assert_eq!(sources[0], sources[1]);
+        assert_eq!(model.parsed_registries(), 1);
+    }
+
+    type Tamper = fn(&mut llm::Prompt);
+
+    /// Rewrites every prompt before the expert model sees it.
+    struct Tampering {
+        inner: DeterministicExpertModel,
+        tamper: Tamper,
+    }
+
+    impl LanguageModel for Tampering {
+        fn complete(&self, prompt: &llm::Prompt) -> Result<llm::Completion, llm::LlmError> {
+            let mut prompt = prompt.clone();
+            (self.tamper)(&mut prompt);
+            self.inner.complete(&prompt)
+        }
+
+        fn name(&self) -> &str {
+            "tampering"
+        }
+    }
+
+    #[test]
+    fn bad_registry_documents_surface_as_agent_errors() {
+        let cases: [(&str, Tamper); 3] = [
+            ("missing", |p| p.document = None),
+            ("another registry's", |p| {
+                p.document = Some(RegistryDocument::new(&Registry::new()))
+            }),
+            ("unparseable", |p| {
+                let garbled = RegistryDocument::from_json("{\"entries\":");
+                if let serde_json::Value::Object(map) = &mut p.payload {
+                    map.insert("registry".into(), serde_json::json!(garbled.hash()));
+                }
+                p.document = Some(garbled);
+            }),
+        ];
+        for (case, tamper) in cases {
+            let model = Tampering { inner: DeterministicExpertModel::new(), tamper };
+            let engine = Engine::new(Arc::new(model), mini_registry());
+            engine.register_scenario("cs2", scenarios::cs2_scenario());
+            let session = engine.session("cs2").unwrap();
+            let err = session.generate(CS2_QUERY, &context(session.scenario())).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(PipelineError::Agent(crate::AgentError::Model(
+                        llm::LlmError::BadPayload { .. }
+                    )))
+                ),
+                "{case} document: {err:?}"
+            );
+        }
     }
 
     #[test]

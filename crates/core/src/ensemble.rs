@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use llm::protocol::QueryContext;
 
 use crate::engine::Session;
-use crate::orchestrator::{GeneratedSolution, PipelineError};
+use crate::orchestrator::{ExpertHooks, GeneratedSolution, PipelineError};
 
 /// Per-function agreement across the ensemble.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,9 +50,10 @@ impl EnsembleReport {
     }
 }
 
-/// Runs `n` independent generations through one session — so every
-/// member plans against the same pinned epoch — and scores their
-/// consensus.
+/// Runs `n` generations through one session — so every member plans
+/// against the same pinned epoch — and scores their consensus. Only
+/// WorkflowScout takes the variant, so the query is decomposed once and
+/// each member explores and implements from that decomposition.
 pub fn generate_ensemble(
     session: &Session,
     query: &str,
@@ -65,13 +66,16 @@ pub fn generate_ensemble(
         ));
     }
 
-    // Parallel generation: each variant is independent and deterministic.
+    // Parallel design: each variant is independent and deterministic.
+    let hooks = ExpertHooks::default();
+    let decomposition = session.decompose(query, context, &hooks)?;
     let mut results: Vec<Option<Result<GeneratedSolution, PipelineError>>> =
         (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         for (i, slot) in results.iter_mut().enumerate() {
+            let (decomposition, hooks) = (&decomposition, &hooks);
             scope.spawn(move || {
-                *slot = Some(session.generate_variant(query, context, i as u64));
+                *slot = Some(session.design(query, decomposition.clone(), i as u64, hooks));
             });
         }
     });
@@ -207,6 +211,24 @@ mod tests {
             vec!["util.compile_disasters", "xaminer.event_impact"]
         );
         assert!(report.representative < 4);
+    }
+
+    #[test]
+    fn members_match_their_standalone_variants() {
+        let engine = Engine::new(
+            Arc::new(DeterministicExpertModel::new()),
+            toolkit::catalog::standard_registry(),
+        );
+        engine.register_scenario("cs2", toolkit::scenarios::cs2_scenario());
+        let session = engine.session("cs2").unwrap();
+        let query = "Identify the impact of severe earthquakes and hurricanes globally \
+                     assuming a 10% infra failure probability";
+        let report = generate_ensemble(&session, query, &context(), 5).unwrap();
+        for (i, member) in report.solutions.iter().enumerate() {
+            let alone = session.generate_variant(query, &context(), i as u64).unwrap();
+            assert_eq!(member.decomposition, alone.decomposition, "member {i}");
+            assert_eq!(member.source_code, alone.source_code, "member {i}");
+        }
     }
 
     #[test]

@@ -14,24 +14,61 @@
 //! * `registrycurator.curate` — mine successful workflows for recurring,
 //!   type-chainable function pairs and propose validated composites.
 //!
-//! Handlers communicate only via JSON text, like a real model.
+//! Handlers communicate only via JSON text, like a real model. The
+//! registry arrives as the prompt's attached [`RegistryDocument`], named
+//! by hash in the payload; the model parses each document once and keeps
+//! the parse in a [`OnceMap`] keyed by that hash.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use registry::{DataFormat, FunctionId};
+use net_model::OnceMap;
+use registry::{DataFormat, FunctionId, Registry};
 
 use crate::lexicon;
 use crate::planner;
 use crate::protocol::*;
-use crate::{Completion, LanguageModel, LlmError, Prompt};
+use crate::{Completion, LanguageModel, LlmError, Prompt, RegistryDocument};
 
 /// The deterministic expert model.
-#[derive(Debug, Default, Clone)]
-pub struct DeterministicExpertModel;
+#[derive(Default)]
+pub struct DeterministicExpertModel {
+    /// Parsed registry documents by content hash. Failed parses are not
+    /// kept (see [`OnceMap::try_get_or_init`]).
+    registries: OnceMap<u64, Result<Arc<Registry>, String>>,
+}
 
 impl DeterministicExpertModel {
     pub fn new() -> Self {
-        DeterministicExpertModel
+        DeterministicExpertModel::default()
+    }
+
+    /// Number of registry documents parsed and kept so far.
+    pub fn parsed_registries(&self) -> usize {
+        self.registries.len()
+    }
+
+    /// The registry `hash` names, parsed from the prompt's attached
+    /// document. Fails closed: a missing document, one with another hash,
+    /// or one that does not parse is a [`LlmError::BadPayload`].
+    fn registry(&self, prompt: &Prompt, hash: u64) -> Result<Arc<Registry>, LlmError> {
+        let bad = |message: String| LlmError::BadPayload { task: prompt.task.clone(), message };
+        let document: &RegistryDocument = prompt
+            .document
+            .as_ref()
+            .ok_or_else(|| bad(format!("no registry document attached for {hash:016x}")))?;
+        if document.hash() != hash {
+            return Err(bad(format!(
+                "payload names registry {hash:016x} but the attached document is {:016x}",
+                document.hash()
+            )));
+        }
+        let (parsed, _) = self.registries.try_get_or_init(&hash, || {
+            serde_json::from_str::<Registry>(document.json())
+                .map(Arc::new)
+                .map_err(|e| format!("registry document {hash:016x} does not parse: {e}"))
+        });
+        parsed.map_err(bad)
     }
 }
 
@@ -40,11 +77,12 @@ impl LanguageModel for DeterministicExpertModel {
         let text = match prompt.task.as_str() {
             "querymind.decompose" => {
                 let req: DecomposeRequest = parse(&prompt.task, &prompt.payload)?;
-                to_text(&decompose(&req))
+                to_text(&decompose(&req, &*self.registry(prompt, req.registry)?))
             }
             "workflowscout.explore" => {
                 let req: ExploreRequest = parse(&prompt.task, &prompt.payload)?;
-                match planner::plan_architecture(&req.decomposition, &req.registry, req.variant) {
+                let registry = self.registry(prompt, req.registry)?;
+                match planner::plan_architecture(&req.decomposition, &registry, req.variant) {
                     Ok(plan) => to_text(&plan),
                     Err(e) => {
                         return Err(LlmError::BadPayload {
@@ -56,11 +94,11 @@ impl LanguageModel for DeterministicExpertModel {
             }
             "solutionweaver.implement" => {
                 let req: ImplementRequest = parse(&prompt.task, &prompt.payload)?;
-                to_text(&implement(&req))
+                to_text(&implement(&req, &*self.registry(prompt, req.registry)?))
             }
             "registrycurator.curate" => {
                 let req: CurateRequest = parse(&prompt.task, &prompt.payload)?;
-                to_text(&curate(&req))
+                to_text(&curate(&req, &*self.registry(prompt, req.registry)?))
             }
             other => return Err(LlmError::UnknownTask(other.to_string())),
         };
@@ -76,7 +114,7 @@ fn parse<T: serde::de::DeserializeOwned>(
     task: &str,
     payload: &serde_json::Value,
 ) -> Result<T, LlmError> {
-    serde_json::from_value(payload.clone()).map_err(|e| LlmError::BadPayload {
+    T::deserialize_json(payload).map_err(|e| LlmError::BadPayload {
         task: task.to_string(),
         message: e.to_string(),
     })
@@ -90,8 +128,8 @@ fn to_text<T: serde::Serialize>(value: &T) -> String {
 // QueryMind reasoning
 // ---------------------------------------------------------------------------
 
-/// The decomposition handler.
-pub fn decompose(req: &DecomposeRequest) -> Decomposition {
+/// The decomposition handler, over the registry `req.registry` names.
+pub fn decompose(req: &DecomposeRequest, registry: &Registry) -> Decomposition {
     let entities = lexicon::extract_entities(&req.query, &req.context.cable_names);
     let intent = lexicon::classify_intent(&req.query, &entities);
 
@@ -405,8 +443,7 @@ pub fn decompose(req: &DecomposeRequest) -> Decomposition {
         Intent::Generic => {
             complexity = Complexity::Simple;
             // Ground the target in whatever the registry best matches.
-            let target = req
-                .registry
+            let target = registry
                 .search(&req.query, 1)
                 .first()
                 .map(|h| h.entry.output)
@@ -456,8 +493,8 @@ fn push_region_args(args: &mut BTreeMap<String, ResolvedArg>, entities: &Entitie
 // ---------------------------------------------------------------------------
 
 /// The implementation handler: hardens the architecture into a final
-/// workflow program.
-pub fn implement(req: &ImplementRequest) -> ImplementationPlan {
+/// workflow program, over the registry `req.registry` names.
+pub fn implement(req: &ImplementRequest, registry: &Registry) -> ImplementationPlan {
     let mut steps = req.architecture.steps.clone();
 
     // Format-translation hardening: if a binding's source format only
@@ -466,16 +503,16 @@ pub fn implement(req: &ImplementRequest) -> ImplementationPlan {
     // converter in the registry and splice it in.
     let mut extra: Vec<(usize, PlannedStep)> = Vec::new();
     for (idx, step) in steps.iter().enumerate() {
-        let Some(entry) = req.registry.get(&FunctionId::from(step.function.as_str())) else {
+        let Some(entry) = registry.get(&FunctionId::from(step.function.as_str())) else {
             continue;
         };
         for (param_name, binding) in &step.bindings {
             let Some(param) = entry.param(param_name) else { continue };
-            let source_format = binding_format(binding, req, &steps);
+            let source_format = binding_format(binding, req, registry, &steps);
             if let Some(sf) = source_format {
                 if !sf.compatible_with(param.format) {
                     // Find a converter sf -> param.format.
-                    if let Some(conv) = req.registry.iter().find(|e| {
+                    if let Some(conv) = registry.iter().find(|e| {
                         e.output.compatible_with(param.format)
                             && e.required_inputs().count() == 1
                             && e.required_inputs()
@@ -531,8 +568,7 @@ pub fn implement(req: &ImplementRequest) -> ImplementationPlan {
         "empty-result sanity checks".to_string(),
         "uncertainty propagation across merges".to_string(),
     ];
-    if let Some(qa_fn) = req
-        .registry
+    if let Some(qa_fn) = registry
         .iter()
         .find(|e| e.framework == "qa" && e.required_inputs().count() == 1)
     {
@@ -574,6 +610,7 @@ pub fn implement(req: &ImplementRequest) -> ImplementationPlan {
 fn binding_format(
     binding: &PlannedBinding,
     req: &ImplementRequest,
+    registry: &Registry,
     steps: &[PlannedStep],
 ) -> Option<DataFormat> {
     match binding {
@@ -584,7 +621,7 @@ fn binding_format(
         PlannedBinding::FromStep(sid) => steps
             .iter()
             .find(|s| &s.id == sid)
-            .and_then(|s| req.registry.get(&FunctionId::from(s.function.as_str())))
+            .and_then(|s| registry.get(&FunctionId::from(s.function.as_str())))
             .map(|e| e.output),
     }
 }
@@ -593,8 +630,9 @@ fn binding_format(
 // RegistryCurator reasoning
 // ---------------------------------------------------------------------------
 
-/// The curation handler: validation-first pattern mining.
-pub fn curate(req: &CurateRequest) -> CurationProposal {
+/// The curation handler: validation-first pattern mining over the
+/// registry `req.registry` names.
+pub fn curate(req: &CurateRequest, registry: &Registry) -> CurationProposal {
     // Count adjacent function pairs across *successful* workflows.
     let mut pair_counts: BTreeMap<(String, String), usize> = BTreeMap::new();
     for wf in req.corpus.iter().filter(|w| w.success) {
@@ -618,8 +656,8 @@ pub fn curate(req: &CurateRequest) -> CurationProposal {
             continue;
         }
         let (Some(ef), Some(eg)) = (
-            req.registry.get(&FunctionId::from(f.as_str())),
-            req.registry.get(&FunctionId::from(g.as_str())),
+            registry.get(&FunctionId::from(f.as_str())),
+            registry.get(&FunctionId::from(g.as_str())),
         ) else {
             rejected.push((pattern, "references unregistered functions".into()));
             continue;
@@ -637,7 +675,7 @@ pub fn curate(req: &CurateRequest) -> CurationProposal {
         // g must not need other non-defaultable inputs (keep composites
         // self-contained: any extra required inputs pass through by name).
         let id = format!("composite.{}__{}", short(&f), short(&g));
-        if req.registry.contains(&FunctionId::from(id.as_str())) {
+        if registry.contains(&FunctionId::from(id.as_str())) {
             rejected.push((pattern, "equivalent composite already registered".into()));
             continue;
         }
@@ -659,7 +697,7 @@ fn short(function: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use registry::{CapabilityEntry, Param, Registry};
+    use registry::{CapabilityEntry, Param};
 
     fn context() -> QueryContext {
         QueryContext {
@@ -693,15 +731,19 @@ mod tests {
         r
     }
 
+    fn mini_document() -> RegistryDocument {
+        RegistryDocument::new(&mini_registry())
+    }
+
     #[test]
     fn cs1_decomposition_shape() {
         let req = DecomposeRequest {
             query: "Identify the impact at a country level due to SeaMeWe-5 cable failure"
                 .into(),
             context: context(),
-            registry: mini_registry(),
+            registry: mini_document().hash(),
         };
-        let d = decompose(&req);
+        let d = decompose(&req, &mini_registry());
         assert_eq!(d.intent, Intent::CableImpact);
         assert_eq!(d.sub_problems.len(), 3);
         assert!(d.provided_args.contains_key("cable_name"));
@@ -718,9 +760,9 @@ mod tests {
                     assuming a 10% infra failure probability"
                 .into(),
             context: context(),
-            registry: mini_registry(),
+            registry: mini_document().hash(),
         };
-        let d = decompose(&req);
+        let d = decompose(&req, &mini_registry());
         assert_eq!(d.intent, Intent::DisasterImpact);
         let p = &d.provided_args["failure_probability"];
         assert_eq!(p.value, serde_json::json!(0.1));
@@ -741,9 +783,9 @@ mod tests {
                     failure caused this, and if so, identify the specific cable."
                 .into(),
             context: context(),
-            registry: mini_registry(),
+            registry: mini_document().hash(),
         };
-        let d = decompose(&req);
+        let d = decompose(&req, &mini_registry());
         assert_eq!(d.intent, Intent::ForensicRootCause);
         let w = &d.provided_args["window"].value;
         let start = w["start"].as_i64().unwrap();
@@ -757,33 +799,40 @@ mod tests {
     #[test]
     fn model_end_to_end_over_prompts() {
         let model = DeterministicExpertModel::new();
+        let document = mini_document();
         let req = DecomposeRequest {
             query: "Identify the impact of severe earthquakes and hurricanes globally \
                     assuming a 10% infra failure probability"
                 .into(),
             context: context(),
-            registry: mini_registry(),
+            registry: document.hash(),
         };
         let c = model
-            .complete(&Prompt::new(
-                "you are QueryMind",
-                "querymind.decompose",
-                serde_json::to_value(&req).unwrap(),
-            ))
+            .complete(
+                &Prompt::new(
+                    "you are QueryMind",
+                    "querymind.decompose",
+                    serde_json::to_value(&req).unwrap(),
+                )
+                .with_document(document.clone()),
+            )
             .unwrap();
         let d: Decomposition = serde_json::from_str(&c.text).unwrap();
 
         let c2 = model
-            .complete(&Prompt::new(
-                "you are WorkflowScout",
-                "workflowscout.explore",
-                serde_json::to_value(&ExploreRequest {
-                    decomposition: d.clone(),
-                    registry: mini_registry(),
-                    variant: 0,
-                })
-                .unwrap(),
-            ))
+            .complete(
+                &Prompt::new(
+                    "you are WorkflowScout",
+                    "workflowscout.explore",
+                    serde_json::to_value(&ExploreRequest {
+                        decomposition: d.clone(),
+                        registry: document.hash(),
+                        variant: 0,
+                    })
+                    .unwrap(),
+                )
+                .with_document(document.clone()),
+            )
             .unwrap();
         let plan: ArchitecturePlan = serde_json::from_str(&c2.text).unwrap();
         let fns: Vec<&str> = plan.steps.iter().map(|s| s.function.as_str()).collect();
@@ -801,21 +850,79 @@ mod tests {
         );
 
         let c3 = model
-            .complete(&Prompt::new(
-                "you are SolutionWeaver",
-                "solutionweaver.implement",
-                serde_json::to_value(&ImplementRequest {
-                    decomposition: d,
-                    architecture: plan,
-                    registry: mini_registry(),
-                    feedback: vec![],
-                })
-                .unwrap(),
-            ))
+            .complete(
+                &Prompt::new(
+                    "you are SolutionWeaver",
+                    "solutionweaver.implement",
+                    serde_json::to_value(&ImplementRequest {
+                        decomposition: d,
+                        architecture: plan,
+                        registry: document.hash(),
+                        feedback: vec![],
+                    })
+                    .unwrap(),
+                )
+                .with_document(document),
+            )
             .unwrap();
         let impl_plan: ImplementationPlan = serde_json::from_str(&c3.text).unwrap();
         assert_eq!(impl_plan.workflow_id, "wf-disaster-impact");
         assert!(impl_plan.qa_measures.len() >= 3);
+        // Three exchanges over one document: parsed once.
+        assert_eq!(model.parsed_registries(), 1);
+    }
+
+    fn decompose_prompt(registry: u64) -> Prompt {
+        let req = DecomposeRequest {
+            query: "impact of earthquakes at 10%".into(),
+            context: context(),
+            registry,
+        };
+        Prompt::new("s", "querymind.decompose", serde_json::to_value(&req).unwrap())
+    }
+
+    #[test]
+    fn bad_registry_documents_fail_closed() {
+        let model = DeterministicExpertModel::new();
+        let document = mini_document();
+        let garbled = RegistryDocument::from_json(&document.json()[..document.json().len() / 2]);
+        let cases = [
+            ("missing", decompose_prompt(document.hash())),
+            (
+                "another registry's",
+                decompose_prompt(document.hash() ^ 1).with_document(document.clone()),
+            ),
+            ("unparseable", decompose_prompt(garbled.hash()).with_document(garbled)),
+        ];
+        for (case, prompt) in cases {
+            match model.complete(&prompt) {
+                Err(LlmError::BadPayload { task, .. }) => {
+                    assert_eq!(task, "querymind.decompose", "{case}")
+                }
+                other => panic!("{case} document: expected BadPayload, got {other:?}"),
+            }
+        }
+        assert_eq!(model.parsed_registries(), 0, "a failed parse is not kept");
+        assert!(model.complete(&decompose_prompt(document.hash()).with_document(document)).is_ok());
+        assert_eq!(model.parsed_registries(), 1);
+    }
+
+    #[test]
+    fn equal_registries_share_one_document_hash() {
+        let (a, b) = (mini_document(), mini_document());
+        assert_eq!(a, b);
+        assert_eq!(a.hash(), net_model::hash::stable_str_hash(a.json()));
+        let mut grown = mini_registry();
+        grown
+            .register(CapabilityEntry::new(
+                "qa.verify",
+                "qa",
+                "verifies outputs",
+                vec![Param::required("value", DataFormat::Any)],
+                DataFormat::QaReport,
+            ))
+            .unwrap();
+        assert_ne!(RegistryDocument::new(&grown).hash(), a.hash());
     }
 
     #[test]
@@ -852,10 +959,10 @@ mod tests {
                 wf("w2", &["util.compile_disasters", "xaminer.event_impact"], true),
                 wf("w3", &["util.compile_disasters", "xaminer.event_impact"], false),
             ],
-            registry: reg,
+            registry: RegistryDocument::new(&reg).hash(),
             min_uses: 2,
         };
-        let proposal = curate(&req);
+        let proposal = curate(&req, &reg);
         assert_eq!(proposal.composites.len(), 1);
         let c = &proposal.composites[0];
         assert_eq!(c.observed_uses, 2, "failed workflow must not count");

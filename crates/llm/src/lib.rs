@@ -9,6 +9,13 @@
 //! The mechanics of the real system are preserved end to end:
 //!
 //! * agents build a [`Prompt`] (system text + task tag + JSON payload),
+//! * the payload names the capability registry by content hash; the
+//!   prompt carries the pinned epoch's [`RegistryDocument`] (the
+//!   registry's canonical JSON, serialized once per epoch) by reference,
+//!   so the registry is not re-serialized into every exchange. The
+//!   deterministic model parses each document once per content hash and
+//!   fails closed when the document is missing, names another registry
+//!   or does not parse,
 //! * the model returns a [`Completion`] containing **text** (JSON the
 //!   agent must parse — nothing is passed as native structs),
 //! * agents parse defensively and **retry with feedback** on malformed
@@ -27,24 +34,69 @@ pub mod protocol;
 
 pub use expert::DeterministicExpertModel;
 
+use std::sync::Arc;
+
+use net_model::hash::stable_str_hash;
 use parking_lot::Mutex;
+use registry::Registry;
 use serde::{Deserialize, Serialize};
 
+/// A registry as the model reads it: its canonical JSON, serialized once,
+/// named by [`stable_str_hash`] of that text. Cloning shares the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegistryDocument {
+    hash: u64,
+    json: Arc<str>,
+}
+
+impl RegistryDocument {
+    /// Serializes `registry` into its document.
+    pub fn new(registry: &Registry) -> RegistryDocument {
+        RegistryDocument::from_json(serde_json::to_string(registry).expect("registries serialize"))
+    }
+
+    /// A document over already-serialized registry JSON. The hash is
+    /// always computed from `json`, so equal text means equal hash.
+    pub fn from_json(json: impl Into<Arc<str>>) -> RegistryDocument {
+        let json = json.into();
+        RegistryDocument { hash: stable_str_hash(&json), json }
+    }
+
+    /// The content hash requests name the registry by.
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The registry's canonical JSON.
+    pub fn json(&self) -> &str {
+        &self.json
+    }
+}
+
 /// A prompt sent to the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prompt {
     /// The agent's system prompt (role + instructions). Carried for
     /// fidelity and transcripts; the deterministic model keys off `task`.
     pub system: String,
     /// Task tag, e.g. `"querymind.decompose"`.
     pub task: String,
-    /// Structured payload (query, context, registry view, prior artifacts).
+    /// Structured payload (query, context, registry hash, prior artifacts).
     pub payload: serde_json::Value,
+    /// The registry document the payload names by hash, attached by
+    /// reference rather than copied into the payload.
+    pub document: Option<RegistryDocument>,
 }
 
 impl Prompt {
     pub fn new(system: &str, task: &str, payload: serde_json::Value) -> Prompt {
-        Prompt { system: system.to_string(), task: task.to_string(), payload }
+        Prompt { system: system.to_string(), task: task.to_string(), payload, document: None }
+    }
+
+    /// Attaches the registry document the payload names.
+    pub fn with_document(mut self, document: RegistryDocument) -> Prompt {
+        self.document = Some(document);
+        self
     }
 }
 
@@ -143,7 +195,10 @@ impl<M: LanguageModel> LanguageModel for FaultyModel<M> {
         if *remaining > 0 {
             *remaining -= 1;
             let good = self.inner.complete(prompt)?;
-            let cut = good.text.len() / 2;
+            let mut cut = good.text.len() / 2;
+            while !good.text.is_char_boundary(cut) {
+                cut -= 1;
+            }
             return Ok(Completion { text: good.text[..cut].to_string() });
         }
         self.inner.complete(prompt)
@@ -216,5 +271,16 @@ mod tests {
         assert!(serde_json::from_str::<serde_json::Value>(&first.text).is_err());
         let second = m.complete(&p).unwrap();
         assert!(serde_json::from_str::<serde_json::Value>(&second.text).is_ok());
+    }
+
+    #[test]
+    fn faulty_model_cuts_on_a_char_boundary() {
+        // 6 bytes: the midpoint (3) falls inside the two-byte `é` at 2..4.
+        let text = "[\"é\"]";
+        assert!(!text.is_char_boundary(text.len() / 2));
+        let m = FaultyModel::new(ScriptedModel::new(vec![("t", text)]), 1);
+        let p = Prompt::new("s", "t", serde_json::json!({}));
+        assert_eq!(m.complete(&p).unwrap().text, "[\"");
+        assert_eq!(m.complete(&p).unwrap().text, text);
     }
 }

@@ -5,10 +5,16 @@
 //! expert model here) speak these types, but always *serialized* — agents
 //! put requests into `Prompt::payload` and parse `Completion::text`, so
 //! the malformed-output/retry path stays honest.
+//!
+//! Requests name the capability registry by content hash
+//! ([`RegistryDocument::hash`](crate::RegistryDocument::hash)) rather
+//! than carrying a copy: the prompt carries the pinned epoch's document,
+//! and the model resolves the hash against it. Completions are still
+//! text.
 
 use std::collections::BTreeMap;
 
-use registry::{DataFormat, Registry};
+use registry::DataFormat;
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -36,7 +42,8 @@ pub struct QueryContext {
 pub struct DecomposeRequest {
     pub query: String,
     pub context: QueryContext,
-    pub registry: Registry,
+    /// Content hash of the registry document attached to the prompt.
+    pub registry: u64,
 }
 
 /// Classified analysis intent.
@@ -169,7 +176,8 @@ pub struct Decomposition {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExploreRequest {
     pub decomposition: Decomposition,
-    pub registry: Registry,
+    /// Content hash of the registry document attached to the prompt.
+    pub registry: u64,
     /// Deterministic diversity seed (ensemble generation varies it).
     pub variant: u64,
 }
@@ -215,7 +223,8 @@ pub struct ArchitecturePlan {
 pub struct ImplementRequest {
     pub decomposition: Decomposition,
     pub architecture: ArchitecturePlan,
-    pub registry: Registry,
+    /// Content hash of the registry document attached to the prompt.
+    pub registry: u64,
     /// Validation errors from a previous attempt (repair loop), if any.
     pub feedback: Vec<String>,
 }
@@ -248,7 +257,8 @@ pub struct WorkflowSummary {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CurateRequest {
     pub corpus: Vec<WorkflowSummary>,
-    pub registry: Registry,
+    /// Content hash of the registry document attached to the prompt.
+    pub registry: u64,
     /// Minimum observations before a pattern is proposed.
     pub min_uses: usize,
 }
@@ -325,5 +335,23 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: ArchitecturePlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
+    }
+
+    #[test]
+    fn plan_with_non_ascii_and_escapes_roundtrips() {
+        let plan = ArchitecturePlan {
+            steps: vec![],
+            outputs: vec!["s1".into()],
+            alternatives_considered: 2,
+            frameworks: vec!["xaminer".into()],
+            rationale: "Türkiye → Ägypten:\n\t\"cut\" at 30°E \\ ✓ 😀".into(),
+        };
+        for json in [
+            serde_json::to_string(&plan).unwrap(),
+            serde_json::to_string_pretty(&plan).unwrap(),
+        ] {
+            let back: ArchitecturePlan = serde_json::from_str(&json).unwrap();
+            assert_eq!(plan, back);
+        }
     }
 }

@@ -3,7 +3,9 @@
 //! Foundational types shared by every crate in the ArachNet reproduction:
 //! geography (coordinates, great-circle distance, fiber latency), political
 //! geography (countries and regions), network identifiers (ASNs, prefixes,
-//! IP addresses, cable/link/probe ids), and simulation time.
+//! IP addresses, cable/link/probe ids), and simulation time — plus the two
+//! pieces of shared machinery every layer leans on: the stable hashes
+//! ([`hash`]) and [`OnceMap`], the workspace's one build-once cache shape.
 //!
 //! The design goal is the same as smoltcp's: simple, robust, well-documented
 //! value types with no clever type machinery. Everything here is `Copy` or
@@ -11,6 +13,7 @@
 //! canonical order exists — the substrate simulators rely on deterministic
 //! iteration order for reproducibility.
 
+pub mod cache;
 pub mod country;
 pub mod geo;
 pub mod hash;
@@ -18,6 +21,7 @@ pub mod ids;
 pub mod ip;
 pub mod time;
 
+pub use cache::OnceMap;
 pub use country::{Country, Region};
 pub use geo::GeoPoint;
 pub use ids::{Asn, CableId, CityId, LandingId, LinkId, PrefixId, ProbeId};

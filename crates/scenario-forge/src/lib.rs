@@ -20,8 +20,9 @@
 //!   keyed by the config's bit-exact identity: N blueprints that share a
 //!   config pay for one generation, and every realized scenario holds
 //!   the *same* `Arc<World>` (witnessed by `Arc::ptr_eq`). It is a
-//!   [`OnceMap`], the workspace's one build-once cache shape (also under
-//!   `toolkit::ArtifactStore`): concurrent requesters for one config
+//!   [`OnceMap`], the workspace's one build-once cache shape (it lives in
+//!   `net_model` and also backs `toolkit::ArtifactStore` and the expert
+//!   model's parsed registry documents): concurrent requesters for one config
 //!   block on the single builder instead of duplicating the (hundreds of
 //!   milliseconds) generation.
 //!
