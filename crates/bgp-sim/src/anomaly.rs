@@ -23,7 +23,7 @@ use net_model::{Asn, Ipv4Net, SimTime, TimeWindow};
 use serde::{Deserialize, Serialize};
 
 use crate::graph::{AsGraph, NeighborKind};
-use crate::rib::RibSnapshot;
+use crate::rib::{OriginIndex, RibSnapshot};
 use crate::updates::{BgpUpdate, UpdateKind};
 
 /// A detected burst of update activity.
@@ -131,32 +131,40 @@ pub fn detect_moas_conflicts(
     updates: &[BgpUpdate],
     baseline: &RibSnapshot,
 ) -> Vec<MoasConflict> {
+    detect_moas_conflicts_indexed(updates, &baseline.origins())
+}
+
+/// [`detect_moas_conflicts`] over a baseline already folded to its
+/// per-prefix origin sets (what [`crate::BgpSimulator::observe`] returns),
+/// so a call costs the stream plus the baseline's conflicted prefixes,
+/// not a pass over every RIB entry.
+pub fn detect_moas_conflicts_indexed(
+    updates: &[BgpUpdate],
+    baseline: &OriginIndex,
+) -> Vec<MoasConflict> {
     struct Acc {
         origins: BTreeSet<Asn>,
         first_conflict: Option<SimTime>,
         announcements: usize,
         conflicted_in_baseline: bool,
     }
-    let mut by_prefix: BTreeMap<Ipv4Net, Acc> = BTreeMap::new();
-    for e in &baseline.entries {
-        let acc = by_prefix.entry(e.prefix).or_insert(Acc {
-            origins: BTreeSet::new(),
-            first_conflict: None,
-            announcements: 0,
-            conflicted_in_baseline: false,
-        });
-        acc.origins.insert(e.origin());
-        acc.conflicted_in_baseline = acc.origins.len() > 1;
-    }
+    let start = |prefix: &Ipv4Net| {
+        let origins: BTreeSet<Asn> = baseline
+            .binary_search_by_key(prefix, |(p, _)| *p)
+            .map(|i| baseline[i].1.iter().copied().collect())
+            .unwrap_or_default();
+        let conflicted_in_baseline = origins.len() > 1;
+        Acc { origins, first_conflict: None, announcements: 0, conflicted_in_baseline }
+    };
+    let mut by_prefix: BTreeMap<Ipv4Net, Acc> = baseline
+        .iter()
+        .filter(|(_, origins)| origins.len() > 1)
+        .map(|(prefix, _)| (*prefix, start(prefix)))
+        .collect();
     for u in updates {
         let UpdateKind::Announce { as_path } = &u.kind else { continue };
         let Some(&origin) = as_path.last() else { continue };
-        let acc = by_prefix.entry(u.prefix).or_insert(Acc {
-            origins: BTreeSet::new(),
-            first_conflict: None,
-            announcements: 0,
-            conflicted_in_baseline: false,
-        });
+        let acc = by_prefix.entry(u.prefix).or_insert_with(|| start(&u.prefix));
         acc.announcements += 1;
         let grew = acc.origins.insert(origin);
         if grew && acc.origins.len() > 1 && acc.first_conflict.is_none() {

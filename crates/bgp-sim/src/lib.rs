@@ -9,16 +9,20 @@
 //! * [`routing`] — Gao–Rexford valley-free path computation with the
 //!   standard customer > peer > provider preference;
 //! * [`rib`] — RIB snapshots from a set of collector vantage points;
-//! * [`updates`] — update streams derived by diffing RIBs across each
-//!   scenario event, with deterministic convergence jitter and path
-//!   exploration transients;
+//! * [`updates`] — update streams derived by diffing routing state across
+//!   each scenario event in origin space (each `(peer, origin)` path is
+//!   compared once, and one routing table serves every state with the
+//!   same topology and policy overrides), with deterministic convergence
+//!   jitter and path exploration transients;
 //! * [`anomaly`] — update-burst, reachability-loss, MOAS and
 //!   valley-violation detectors.
 //!
 //! Everything is a pure function of the scenario; there is no hidden state.
 //! Each capability has one entry point, and `toolkit::runtime` is what
 //! binds them to registry functions: [`RibSnapshot::capture`] for RIBs,
-//! [`BgpSimulator::updates`] for update streams, and the detectors.
+//! [`BgpSimulator::observe`] for a scenario's update stream together with
+//! the baseline origin sets the MOAS detector reads (one derivation per
+//! scenario), and the detectors.
 
 pub mod anomaly;
 pub mod graph;
@@ -27,13 +31,13 @@ pub mod routing;
 pub mod updates;
 
 pub use anomaly::{
-    detect_moas_conflicts, detect_update_bursts, detect_valley_violations,
-    reachability_losses, MoasConflict, UpdateBurst, ValleyViolation,
+    detect_moas_conflicts, detect_moas_conflicts_indexed, detect_update_bursts,
+    detect_valley_violations, reachability_losses, MoasConflict, UpdateBurst, ValleyViolation,
 };
 pub use graph::AsGraph;
-pub use rib::{RibEntry, RibSnapshot};
+pub use rib::{OriginIndex, RibEntry, RibSnapshot};
 pub use routing::{PolicyOverrides, Route, RouteKind, RoutingTable};
-pub use updates::{BgpUpdate, UpdateKind};
+pub use updates::{BgpUpdate, Observation, UpdateKind};
 
 use world::Scenario;
 
@@ -69,9 +73,10 @@ impl<'a> BgpSimulator<'a> {
         &self.collectors
     }
 
-    /// Update stream across the whole horizon.
-    pub fn updates(&self) -> Vec<BgpUpdate> {
-        updates::derive_updates(self.scenario, &self.collectors)
+    /// The update stream across the whole horizon, with the origin sets
+    /// of the collector RIB at the horizon start.
+    pub fn observe(&self) -> Observation {
+        updates::observe(self.scenario, &self.collectors)
     }
 }
 
@@ -97,7 +102,7 @@ mod tests {
         // The cut must change at least one best path somewhere.
         assert_ne!(before.entries, after.entries);
 
-        let updates = sim.updates();
+        let updates = sim.observe().updates;
         assert!(!updates.is_empty(), "a cable cut must generate updates");
         assert!(updates.iter().all(|u| u.time >= cut_at));
     }

@@ -12,11 +12,11 @@
 //! [`crate::routing::PolicyOverrides`], so leaked (valley-violating,
 //! inflated) paths appear verbatim in the snapshot entries.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use net_model::{Asn, Ipv4Net, SimTime};
 use serde::{Deserialize, Serialize};
-use world::{ControlPlaneState, Scenario, World};
+use world::{ControlPlaneState, Scenario};
 
 use crate::graph::AsGraph;
 use crate::routing::RoutingTable;
@@ -45,73 +45,53 @@ pub struct RibSnapshot {
     pub entries: Vec<RibEntry>,
 }
 
+/// Per-prefix origin sets of a RIB: `(prefix, origins)` in ascending
+/// prefix order, each origin list ascending and non-empty. Prefixes no
+/// peer routes are absent. This is all the MOAS detector needs of a
+/// baseline RIB ([`crate::anomaly::detect_moas_conflicts_indexed`]).
+pub type OriginIndex = Vec<(Ipv4Net, Vec<Asn>)>;
+
 impl RibSnapshot {
     /// Captures the snapshot for the given collector peers at `t`,
     /// including whatever control-plane incidents the scenario has active
-    /// at that instant.
+    /// at that instant. Peers are sorted and deduplicated first, so the
+    /// entries are in `(peer, prefix)` order with no duplicates whatever
+    /// order or repetition `peers` arrives in.
     ///
     /// Many prefixes share an origin AS, so the best path per
     /// `(peer, origin)` pair is materialized from the routing table once
     /// and reused for every prefix that origin announces.
     pub fn capture(scenario: &Scenario, peers: &[Asn], t: SimTime) -> RibSnapshot {
+        let world = &scenario.world;
+        let control = scenario.control_plane_at(t);
         let graph = AsGraph::at_time(scenario, t);
-        Self::capture_with(&scenario.world, &graph, peers, t, &scenario.control_plane_at(t))
-    }
-
-    /// Captures the snapshot for a pre-built AS graph under an explicit
-    /// control-plane state. Routing (and therefore the snapshot) is a pure
-    /// function of `(topology, control-plane state)` — `derive_updates`
-    /// memoizes on exactly that pair.
-    pub fn capture_with(
-        world: &World,
-        graph: &AsGraph,
-        peers: &[Asn],
-        t: SimTime,
-        control: &ControlPlaneState,
-    ) -> RibSnapshot {
         let routing = RoutingTable::compute_with(
-            graph,
+            &graph,
             world,
             crate::routing::default_threads(),
-            &control.into(),
+            &(&control).into(),
         );
-        // Hijacked prefixes, pre-indexed so quiet prefixes stay on the
-        // memoized per-origin fast path.
-        let mut hijacked: BTreeMap<Ipv4Net, Vec<Asn>> = BTreeMap::new();
-        for &(prefix, origin) in &control.hijacks {
-            hijacked.entry(prefix).or_default().push(origin);
-        }
+        let mut peers = peers.to_vec();
+        peers.sort();
+        peers.dedup();
+        let hijacked = hijack_index(&control);
         let mut entries = Vec::new();
         let mut paths: BTreeMap<Asn, Option<Vec<Asn>>> = BTreeMap::new();
-        for peer in peers {
+        for &peer in &peers {
             paths.clear();
             for pfx in &world.prefixes {
-                // MOAS arbitration: the vantage point holds the route to
-                // whichever candidate origin its selection prefers —
-                // `(kind, hops, next hop)`, then lowest origin ASN.
                 let origin = match hijacked.get(&pfx.net) {
                     None => pfx.origin,
-                    Some(bogus) => {
-                        let best = bogus
-                            .iter()
-                            .chain(std::iter::once(&pfx.origin))
-                            .filter_map(|&o| routing.selection(*peer, o).map(|k| (k, o)))
-                            .min();
-                        match best {
-                            Some((_, o)) => o,
-                            None => continue, // no candidate origin is routed
-                        }
-                    }
+                    Some(bogus) => match arbitrate(&routing, peer, pfx.origin, bogus) {
+                        Some(o) => o,
+                        None => continue, // no candidate origin is routed
+                    },
                 };
                 let path = paths
                     .entry(origin)
-                    .or_insert_with(|| routing.route(*peer, origin).map(|r| r.as_path));
+                    .or_insert_with(|| routing.route(peer, origin).map(|r| r.as_path));
                 if let Some(path) = path {
-                    entries.push(RibEntry {
-                        peer: *peer,
-                        prefix: pfx.net,
-                        as_path: path.clone(),
-                    });
+                    entries.push(RibEntry { peer, prefix: pfx.net, as_path: path.clone() });
                 }
             }
         }
@@ -119,9 +99,16 @@ impl RibSnapshot {
         RibSnapshot { at: t, entries }
     }
 
-    /// Index by (peer, prefix) for diffing.
-    pub fn index(&self) -> BTreeMap<(Asn, Ipv4Net), &RibEntry> {
-        self.entries.iter().map(|e| ((e.peer, e.prefix), e)).collect()
+    /// The snapshot folded to its per-prefix origin sets.
+    pub fn origins(&self) -> OriginIndex {
+        let mut by_prefix: BTreeMap<Ipv4Net, BTreeSet<Asn>> = BTreeMap::new();
+        for e in &self.entries {
+            by_prefix.entry(e.prefix).or_default().insert(e.origin());
+        }
+        by_prefix
+            .into_iter()
+            .map(|(prefix, origins)| (prefix, origins.into_iter().collect()))
+            .collect()
     }
 
     /// Fraction of (peer, prefix) pairs with a route, relative to the full
@@ -132,6 +119,35 @@ impl RibSnapshot {
         }
         self.entries.len() as f64 / (peers * prefixes) as f64
     }
+}
+
+/// The active hijacks of a control-plane state, indexed by victim prefix
+/// (bogus origins in ascending order), so quiet prefixes stay on the
+/// memoized per-origin fast path.
+pub(crate) fn hijack_index(control: &ControlPlaneState) -> BTreeMap<Ipv4Net, Vec<Asn>> {
+    let mut hijacked: BTreeMap<Ipv4Net, Vec<Asn>> = BTreeMap::new();
+    for &(prefix, origin) in &control.hijacks {
+        hijacked.entry(prefix).or_default().push(origin);
+    }
+    hijacked
+}
+
+/// MOAS arbitration for one hijacked prefix: the vantage point holds the
+/// route to whichever candidate origin — a bogus one or the legitimate
+/// `origin` — its selection prefers, `(kind, hops, next hop)` and then
+/// the lowest origin ASN. `None` when no candidate is routed.
+pub(crate) fn arbitrate(
+    routing: &RoutingTable,
+    peer: Asn,
+    origin: Asn,
+    bogus: &[Asn],
+) -> Option<Asn> {
+    bogus
+        .iter()
+        .chain(std::iter::once(&origin))
+        .filter_map(|&o| routing.selection(peer, o).map(|k| (k, o)))
+        .min()
+        .map(|(_, o)| o)
 }
 
 #[cfg(test)]
@@ -158,6 +174,24 @@ mod tests {
         }
         let cov = rib.coverage(peers.len(), s.world.prefixes.len());
         assert!(cov > 0.9, "coverage {cov}");
+    }
+
+    #[test]
+    fn peer_order_and_duplicates_do_not_change_the_snapshot() {
+        let (s, _, cut) = scenario_with_cut();
+        let peers: Vec<Asn> = s.world.ases.iter().take(12).map(|a| a.asn).collect();
+        let t = cut + SimDuration::hours(1);
+        let canonical = RibSnapshot::capture(&s, &peers, t);
+        let mut reversed = peers.clone();
+        reversed.reverse();
+        assert_eq!(RibSnapshot::capture(&s, &reversed, t), canonical);
+        let mut with_dups = reversed.clone();
+        with_dups.extend(peers.iter().take(4).copied());
+        with_dups.insert(0, peers[7]);
+        assert_eq!(RibSnapshot::capture(&s, &with_dups, t), canonical);
+        for w in canonical.entries.windows(2) {
+            assert!((w[0].peer, w[0].prefix) < (w[1].peer, w[1].prefix));
+        }
     }
 
     #[test]
@@ -224,7 +258,8 @@ mod tests {
         let peers: Vec<Asn> = s.world.ases.iter().map(|a| a.asn).take(30).collect();
         let before = RibSnapshot::capture(&s, &peers, cut - SimDuration::hours(1));
         let after = RibSnapshot::capture(&s, &peers, cut + SimDuration::hours(1));
-        let bi = before.index();
+        let bi: BTreeMap<(Asn, Ipv4Net), &RibEntry> =
+            before.entries.iter().map(|e| ((e.peer, e.prefix), e)).collect();
         let changed = after
             .entries
             .iter()

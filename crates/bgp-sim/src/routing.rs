@@ -21,11 +21,12 @@
 //! flat slot per `(destination, holder)` pair holding a compact
 //! `(kind, hops, record)` triple, where `record` points into a frozen
 //! parent-pointer arena. Relaxations append one arena record instead of
-//! cloning a `Vec<Asn>` path, and full paths are materialized lazily on
-//! [`RoutingTable::route`] — eliminating the seed algorithm's
-//! O(V·E·path-len) allocation storm while producing **byte-identical**
-//! routes (the arena freezes exactly the path snapshots the seed's clones
-//! froze; see [`reference`] and the `dense_equivalence` suite).
+//! cloning a `Vec<Asn>` path, and full paths are walked lazily by
+//! [`RoutingTable::path`] (collected by [`RoutingTable::route`]) —
+//! eliminating the seed algorithm's O(V·E·path-len) allocation storm
+//! while producing **byte-identical** routes (the arena freezes exactly
+//! the path snapshots the seed's clones froze; see [`reference`] and the
+//! `dense_equivalence` suite).
 //!
 //! Destinations are independent, so [`RoutingTable::compute`] shards the
 //! per-destination sweep across cores with `std::thread::scope`; each
@@ -271,6 +272,17 @@ impl RoutingTable {
         (slot.rec != NONE).then(|| self.materialize(dest, slot))
     }
 
+    /// The AS path of the best `src → dst` route, if any, walked lazily
+    /// along the frozen parent-pointer chain (holder first, destination
+    /// last) without allocating. [`RoutingTable::route`] collects it;
+    /// comparing two tables' paths for one pair needs no allocation at all.
+    pub fn path(&self, src: Asn, dst: Asn) -> Option<Path<'_>> {
+        let (s, d) = (self.idx(src)?, self.idx(dst)?);
+        let dest = &self.dests[d];
+        let slot = dest.slots[s];
+        (slot.rec != NONE).then(|| self.walk(dest, slot))
+    }
+
     /// The selection class of the `src → dst` route without materializing
     /// the path.
     pub fn kind(&self, src: Asn, dst: Asn) -> Option<RouteKind> {
@@ -331,15 +343,36 @@ impl RoutingTable {
         Some(self.dests[d].slots[s])
     }
 
+    fn walk<'a>(&'a self, dest: &'a DestRoutes, slot: Slot) -> Path<'a> {
+        Path { asns: &self.asns, records: &dest.records, rec: slot.rec }
+    }
+
     fn materialize(&self, dest: &DestRoutes, slot: Slot) -> Route {
         let mut as_path = Vec::with_capacity(slot.hops as usize + 1);
-        let mut r = slot.rec;
-        while r != NONE {
-            let (node, parent) = dest.records[r as usize];
-            as_path.push(self.asns[node as usize]);
-            r = parent;
-        }
+        as_path.extend(self.walk(dest, slot));
         Route { as_path, kind: slot.kind }
+    }
+}
+
+/// A route's AS path, walked along the frozen parent-pointer chain of one
+/// destination — see [`RoutingTable::path`].
+#[derive(Debug, Clone)]
+pub struct Path<'a> {
+    asns: &'a [Asn],
+    records: &'a [PathRec],
+    rec: u32,
+}
+
+impl Iterator for Path<'_> {
+    type Item = Asn;
+
+    fn next(&mut self) -> Option<Asn> {
+        if self.rec == NONE {
+            return None;
+        }
+        let (node, parent) = self.records[self.rec as usize];
+        self.rec = parent;
+        Some(self.asns[node as usize])
     }
 }
 
@@ -964,6 +997,8 @@ mod tests {
             assert_eq!(rt.kind(src, dst), Some(route.kind));
             assert_eq!(rt.hop_count(src, dst), Some(route.hop_count()));
             assert!(rt.has_route(src, dst));
+            let walked: Vec<Asn> = rt.path(src, dst).expect("routed").collect();
+            assert_eq!(walked, route.as_path);
             assert_eq!(rt.route(src, dst), Some(route));
         }
     }
@@ -974,6 +1009,7 @@ mod tests {
         let known = scenario.world.ases[0].asn;
         assert_eq!(rt.route(Asn(1), known), None);
         assert_eq!(rt.route(known, Asn(1)), None);
+        assert!(rt.path(Asn(1), known).is_none());
         assert!(!rt.has_route(Asn(1), known));
         assert_eq!(rt.reachable_from(Asn(1)), 0);
     }

@@ -12,13 +12,44 @@
 //!
 //! Each update's timestamp is the event time plus a per-(peer, prefix)
 //! convergence jitter of up to two minutes, derived from `stable_hash`.
+//!
+//! ## Diffing in origin space
+//!
+//! A vantage point's route to a prefix is its route to the prefix's
+//! origin AS, and many prefixes share an origin. So the derivation never
+//! materializes a RIB per event: between two routing states it compares
+//! each `(peer, origin)` path once, walking both routing tables' frozen
+//! parent chains ([`RoutingTable::path`], no allocation), and emits
+//! updates for the prefixes of the origins whose path changed. Prefixes
+//! hijacked in either state go through the same MOAS arbitration as
+//! [`crate::RibSnapshot::capture`]. The result is the stream a full
+//! snapshot diff would produce, byte for byte (the `reference` oracle in
+//! this module's tests pins it).
+//!
+//! Routing is a pure function of `(AS-graph topology, policy overrides)`,
+//! and hijacks never enter it, so the derivation keeps one routing table
+//! per distinct pair it meets: a boundary that changes only hijacks, or
+//! a bounded incident whose end restores an earlier state, reuses a
+//! table instead of recomputing it. Events that change neither topology
+//! nor control-plane state (congestion surges, cuts on already-dead
+//! cables, sub-threshold disasters) are skipped outright.
+//!
+//! [`observe`] derives the stream together with the origin sets of the
+//! RIB at the horizon start — the MOAS detector's baseline — read from
+//! the derivation's own start state, so one scenario needs one
+//! derivation.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use net_model::{Asn, Ipv4Net, SimTime};
 use serde::{Deserialize, Serialize};
 use world::events::stable_hash;
-use world::Scenario;
+use world::{ControlPlaneState, Scenario, World};
 
-use crate::rib::{RibEntry, RibSnapshot};
+use crate::graph::AsGraph;
+use crate::rib::{arbitrate, hijack_index, OriginIndex};
+use crate::routing::{Path, PolicyOverrides, RoutingTable};
 
 /// Kind of update.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,6 +76,17 @@ impl BgpUpdate {
     }
 }
 
+/// What a collector observes of one scenario: the update stream across
+/// the horizon and the per-prefix origin sets of its RIB at the horizon
+/// start.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Observation {
+    /// Ordered by (time, peer, prefix), as [`derive_updates`] returns it.
+    pub updates: Vec<BgpUpdate>,
+    /// Equal to [`crate::RibSnapshot::origins`] of the start capture.
+    pub baseline_origins: OriginIndex,
+}
+
 /// Derives the full update stream for a scenario from the given collector
 /// peers, ordered by (time, peer, prefix).
 ///
@@ -53,7 +95,16 @@ impl BgpUpdate {
 /// withdrawn route leak produces its reconvergence churn, not just its
 /// onset.
 pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
-    let mut updates = Vec::new();
+    derive(scenario, peers, false).updates
+}
+
+/// [`derive_updates`] plus the baseline origin sets, from one derivation.
+pub fn observe(scenario: &Scenario, peers: &[Asn]) -> Observation {
+    derive(scenario, peers, true)
+}
+
+/// Every event start and end inside the horizon, ascending and distinct.
+fn boundaries(scenario: &Scenario) -> Vec<SimTime> {
     let mut boundaries: Vec<SimTime> = scenario
         .events
         .iter()
@@ -63,107 +114,241 @@ pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
         .collect();
     boundaries.sort();
     boundaries.dedup();
-    if boundaries.is_empty() {
-        return updates;
-    }
+    boundaries
+}
 
-    // A duplicated peer would duplicate (peer, prefix) entries in the
-    // snapshots, and the merge-join below would emit its updates twice
-    // (the old map-indexed diff deduplicated implicitly).
+fn derive(scenario: &Scenario, peers: &[Asn], baseline: bool) -> Observation {
+    let boundaries = boundaries(scenario);
+    if boundaries.is_empty() && !baseline {
+        return Observation::default();
+    }
+    // A duplicated peer would emit its updates twice.
     let mut peers: Vec<Asn> = peers.to_vec();
     peers.sort();
     peers.dedup();
-    let peers = &peers[..];
 
-    // RIB snapshots are memoized across events: a capture is one full
-    // routing run plus per-(peer, origin) path materialization (the
-    // dominant cost centre once routing went dense), but routing state is
-    // a pure function of `(AS-graph topology, control-plane state)`.
-    // Events that change neither (congestion surges, cuts on already-dead
-    // cables, sub-threshold disasters) reuse the previous snapshot and
-    // produce no diff, instead of recomputing one capture per event.
-    // Control-plane incidents (prefix hijacks, route leaks) are
-    // *topology-neutral but routing-relevant*, which is why the
-    // `same_topology` check alone is not a sound skip condition — the
-    // active hijack/leak set must match, too.
     let world = &scenario.world;
+    let prefixes = PrefixOrigins::new(world);
+    let mut tables = Vec::new();
     let start = scenario.horizon.start;
-    let mut prev_graph = crate::graph::AsGraph::at_time(scenario, start);
-    let mut prev_control = scenario.control_plane_at(start);
-    let mut prev = RibSnapshot::capture_with(world, &prev_graph, peers, start, &prev_control);
+    let mut prev = State::new(
+        &mut tables,
+        world,
+        AsGraph::at_time(scenario, start),
+        scenario.control_plane_at(start),
+    );
+    let baseline_origins =
+        if baseline { origins_at(&prev, &peers, &prefixes) } else { Vec::new() };
+
+    let mut updates = Vec::new();
+    let mut changed = Vec::new();
     for at in boundaries {
         let after_t = SimTime(at.0 + 1);
-        let graph = crate::graph::AsGraph::at_time(scenario, after_t);
+        let graph = AsGraph::at_time(scenario, after_t);
         let control = scenario.control_plane_at(after_t);
-        if graph.same_topology(&prev_graph) && control == prev_control {
+        if graph.same_topology(&prev.table.graph) && control == prev.control {
             continue;
         }
-        let next = RibSnapshot::capture_with(world, &graph, peers, after_t, &control);
-        diff_into(scenario, &prev, &next, at, &mut updates);
+        let next = State::new(&mut tables, world, graph, control);
+        let diff = Diff {
+            seed: world.seed,
+            event_time: at,
+            before: &prev,
+            after: &next,
+            prefixes: &prefixes,
+        };
+        for &peer in &peers {
+            diff.peer_into(peer, &mut changed, &mut updates);
+        }
         prev = next;
-        prev_graph = graph;
-        prev_control = control;
     }
 
     updates.sort_by_key(|a| (a.time, a.peer, a.prefix));
-    updates
+    Observation { updates, baseline_origins }
 }
 
-/// Diffs two snapshots by merge-joining their canonically sorted entry
-/// vectors — no per-diff `(peer, prefix)` index maps. Relies on
-/// [`RibSnapshot::capture`]'s invariant that entries are sorted by
-/// `(peer, prefix)` with no duplicates (peers are deduplicated by
-/// `derive_updates`). Updates are pushed unordered here; `derive_updates`
-/// sorts the full stream at the end (the `(time, peer, prefix)` key is
-/// collision-free, so output order is independent of emission order).
-fn diff_into(
-    scenario: &Scenario,
-    before: &RibSnapshot,
-    after: &RibSnapshot,
+/// The world's prefixes in ascending prefix order, each with the slot of
+/// its origin in the distinct-origin list.
+struct PrefixOrigins {
+    /// `(prefix, origin, origin slot)`.
+    prefixes: Vec<(Ipv4Net, Asn, usize)>,
+    /// Distinct origins, ascending.
+    origins: Vec<Asn>,
+}
+
+impl PrefixOrigins {
+    fn new(world: &World) -> PrefixOrigins {
+        let origins: Vec<Asn> = world
+            .prefixes
+            .iter()
+            .map(|p| p.origin)
+            .collect::<BTreeSet<Asn>>()
+            .into_iter()
+            .collect();
+        let mut prefixes: Vec<(Ipv4Net, Asn, usize)> = world
+            .prefixes
+            .iter()
+            .map(|p| (p.net, p.origin, origins.binary_search(&p.origin).unwrap_or(0)))
+            .collect();
+        prefixes.sort_by_key(|&(net, _, _)| net);
+        PrefixOrigins { prefixes, origins }
+    }
+}
+
+/// The routing table of one distinct `(topology, policy overrides)` pair.
+struct Table {
+    graph: AsGraph,
+    overrides: PolicyOverrides,
+    routing: RoutingTable,
+}
+
+/// One state of the timeline: the routing table that applies, plus the
+/// control-plane state it came from and its hijacks by victim prefix.
+struct State {
+    table: Rc<Table>,
+    control: ControlPlaneState,
+    hijacked: BTreeMap<Ipv4Net, Vec<Asn>>,
+}
+
+impl State {
+    /// The state for `(graph, control)`, computing its routing table only
+    /// when none of the `known` tables has the same topology and overrides.
+    fn new(
+        known: &mut Vec<Rc<Table>>,
+        world: &World,
+        graph: AsGraph,
+        control: ControlPlaneState,
+    ) -> State {
+        let overrides = PolicyOverrides::from(&control);
+        let found =
+            known.iter().find(|t| t.overrides == overrides && t.graph.same_topology(&graph));
+        let table = match found {
+            Some(table) => Rc::clone(table),
+            None => {
+                let threads = crate::routing::default_threads();
+                let routing = RoutingTable::compute_with(&graph, world, threads, &overrides);
+                let table = Rc::new(Table { graph, overrides, routing });
+                known.push(Rc::clone(&table));
+                table
+            }
+        };
+        let hijacked = hijack_index(&control);
+        State { table, control, hijacked }
+    }
+
+    fn routing(&self) -> &RoutingTable {
+        &self.table.routing
+    }
+
+    /// The path a vantage point's route to a prefix takes in this state:
+    /// towards the prefix's own origin, or towards the MOAS arbitration's
+    /// pick when the prefix is hijacked.
+    fn path(&self, peer: Asn, prefix: &Ipv4Net, origin: Asn) -> Option<Path<'_>> {
+        let origin = match self.hijacked.get(prefix) {
+            None => origin,
+            Some(bogus) => arbitrate(self.routing(), peer, origin, bogus)?,
+        };
+        self.routing().path(peer, origin)
+    }
+}
+
+/// The per-prefix origin sets of the RIB the state's collector peers hold.
+fn origins_at(state: &State, peers: &[Asn], prefixes: &PrefixOrigins) -> OriginIndex {
+    let routing = state.routing();
+    let routed: Vec<bool> = prefixes
+        .origins
+        .iter()
+        .map(|&o| peers.iter().any(|&p| routing.has_route(p, o)))
+        .collect();
+    let mut index = OriginIndex::new();
+    for &(net, origin, slot) in &prefixes.prefixes {
+        let Some(bogus) = state.hijacked.get(&net) else {
+            if routed[slot] {
+                index.push((net, vec![origin]));
+            }
+            continue;
+        };
+        let seen: BTreeSet<Asn> =
+            peers.iter().filter_map(|&peer| arbitrate(routing, peer, origin, bogus)).collect();
+        if !seen.is_empty() {
+            index.push((net, seen.into_iter().collect()));
+        }
+    }
+    index
+}
+
+/// The diff between two consecutive routing states at one boundary.
+struct Diff<'a> {
+    seed: u64,
     event_time: SimTime,
-    out: &mut Vec<BgpUpdate>,
-) {
-    let seed = scenario.world.seed;
-    let (b, a) = (&before.entries, &after.entries);
-    let (mut i, mut j) = (0, 0);
-    while i < b.len() || j < a.len() {
-        let bk = b.get(i).map(|e| (e.peer, e.prefix));
-        let ak = a.get(j).map(|e| (e.peer, e.prefix));
-        match (bk, ak) {
-            (Some(bk), ak) if ak.is_none() || bk < ak.unwrap() => {
-                // Withdrawal: in before, not in after.
-                let t = jittered(seed, event_time, bk.0, &bk.1, 0);
-                out.push(BgpUpdate { time: t, peer: bk.0, prefix: bk.1, kind: UpdateKind::Withdraw });
-                i += 1;
+    before: &'a State,
+    after: &'a State,
+    prefixes: &'a PrefixOrigins,
+}
+
+impl Diff<'_> {
+    /// Emits one peer's updates, in ascending prefix order. Updates are
+    /// pushed per peer in ascending peer order, so the emission order is
+    /// the `(peer, prefix)` order of a snapshot diff, and the final stable
+    /// sort yields the same stream.
+    fn peer_into(&self, peer: Asn, changed: &mut Vec<bool>, out: &mut Vec<BgpUpdate>) {
+        let (before, after) = (self.before, self.after);
+        let same_routing = Rc::ptr_eq(&before.table, &after.table);
+        changed.clear();
+        if !same_routing {
+            changed.extend(self.prefixes.origins.iter().map(|&o| {
+                !same_path(before.routing().path(peer, o), after.routing().path(peer, o))
+            }));
+        }
+        for &(net, origin, slot) in &self.prefixes.prefixes {
+            let hijacked = before.hijacked.contains_key(&net) || after.hijacked.contains_key(&net);
+            if !hijacked && (same_routing || !changed[slot]) {
+                continue;
             }
-            (bk, Some(ak)) if bk.is_none() || ak < bk.unwrap() => {
-                // New route.
-                announce_into(seed, event_time, &a[j], out);
-                j += 1;
-            }
-            _ => {
-                // Present in both: announce only on path change.
-                if b[i].as_path != a[j].as_path {
-                    announce_into(seed, event_time, &a[j], out);
+            match (before.path(peer, &net, origin), after.path(peer, &net, origin)) {
+                (Some(_), None) => {
+                    let time = jittered(self.seed, self.event_time, peer, &net, 0);
+                    out.push(BgpUpdate { time, peer, prefix: net, kind: UpdateKind::Withdraw });
                 }
-                i += 1;
-                j += 1;
+                (None, Some(path)) => {
+                    announce_into(self.seed, self.event_time, peer, net, path.collect(), out);
+                }
+                (Some(b), Some(a)) => {
+                    if !b.eq(a.clone()) {
+                        announce_into(self.seed, self.event_time, peer, net, a.collect(), out);
+                    }
+                }
+                (None, None) => {}
             }
         }
     }
 }
 
-/// Emits the announcement for a new/changed entry, preceded by its 0–2
+fn same_path(a: Option<Path<'_>>, b: Option<Path<'_>>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => a.eq(b),
+        _ => false,
+    }
+}
+
+/// Emits the announcement of a new/changed route, preceded by its 0–2
 /// deterministic path-exploration transients.
-fn announce_into(seed: u64, event_time: SimTime, entry: &RibEntry, out: &mut Vec<BgpUpdate>) {
-    let (peer, prefix) = (entry.peer, entry.prefix);
+fn announce_into(
+    seed: u64,
+    event_time: SimTime,
+    peer: Asn,
+    prefix: Ipv4Net,
+    as_path: Vec<Asn>,
+    out: &mut Vec<BgpUpdate>,
+) {
     let n_transients =
         (stable_hash(&[seed, peer.0 as u64, prefix.network().0 as u64, 0xA11]) % 3) as usize;
     for k in 0..n_transients {
         // Transient: the final path with the next hop's provider chain
         // artificially extended (prepend the peer again — synthetic
         // "exploration" path, clearly longer).
-        let mut path = entry.as_path.clone();
+        let mut path = as_path.clone();
         if let Some(&first) = path.first() {
             path.insert(0, first);
         }
@@ -176,12 +361,7 @@ fn announce_into(seed: u64, event_time: SimTime, entry: &RibEntry, out: &mut Vec
         });
     }
     let t = jittered(seed, event_time, peer, &prefix, 10);
-    out.push(BgpUpdate {
-        time: t,
-        peer,
-        prefix,
-        kind: UpdateKind::Announce { as_path: entry.as_path.clone() },
-    });
+    out.push(BgpUpdate { time: t, peer, prefix, kind: UpdateKind::Announce { as_path } });
 }
 
 /// Event time plus 0–89 s of deterministic convergence jitter. The jitter
@@ -191,6 +371,86 @@ fn jittered(seed: u64, event: SimTime, peer: Asn, prefix: &Ipv4Net, stage: u64) 
     let h = stable_hash(&[seed, peer.0 as u64, prefix.network().0 as u64]);
     let base = (h % 90) as i64; // 0–89 s
     SimTime(event.0 + base + stage as i64 * 3 + 1)
+}
+
+/// The snapshot-diff derivation the origin-space diff replaced, kept as
+/// its oracle: one full [`RibSnapshot`] capture per routing-relevant
+/// boundary, merge-joined against the previous capture.
+///
+/// [`RibSnapshot`]: crate::RibSnapshot
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::rib::RibSnapshot;
+
+    pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
+        let mut updates = Vec::new();
+        let boundaries = boundaries(scenario);
+        if boundaries.is_empty() {
+            return updates;
+        }
+        let start = scenario.horizon.start;
+        let mut prev_graph = AsGraph::at_time(scenario, start);
+        let mut prev_control = scenario.control_plane_at(start);
+        let mut prev = RibSnapshot::capture(scenario, peers, start);
+        for at in boundaries {
+            let after_t = SimTime(at.0 + 1);
+            let graph = AsGraph::at_time(scenario, after_t);
+            let control = scenario.control_plane_at(after_t);
+            if graph.same_topology(&prev_graph) && control == prev_control {
+                continue;
+            }
+            let next = RibSnapshot::capture(scenario, peers, after_t);
+            diff_into(scenario.world.seed, &prev, &next, at, &mut updates);
+            prev = next;
+            prev_graph = graph;
+            prev_control = control;
+        }
+        updates.sort_by_key(|a| (a.time, a.peer, a.prefix));
+        updates
+    }
+
+    /// Merge-joins two canonically sorted snapshots.
+    fn diff_into(
+        seed: u64,
+        before: &RibSnapshot,
+        after: &RibSnapshot,
+        event_time: SimTime,
+        out: &mut Vec<BgpUpdate>,
+    ) {
+        let (b, a) = (&before.entries, &after.entries);
+        let (mut i, mut j) = (0, 0);
+        while i < b.len() || j < a.len() {
+            let bk = b.get(i).map(|e| (e.peer, e.prefix));
+            let ak = a.get(j).map(|e| (e.peer, e.prefix));
+            let announce = |e: &crate::RibEntry, out: &mut Vec<BgpUpdate>| {
+                announce_into(seed, event_time, e.peer, e.prefix, e.as_path.clone(), out)
+            };
+            match (bk, ak) {
+                (Some(bk), ak) if ak.is_none() || bk < ak.unwrap() => {
+                    let t = jittered(seed, event_time, bk.0, &bk.1, 0);
+                    out.push(BgpUpdate {
+                        time: t,
+                        peer: bk.0,
+                        prefix: bk.1,
+                        kind: UpdateKind::Withdraw,
+                    });
+                    i += 1;
+                }
+                (bk, Some(ak)) if bk.is_none() || ak < bk.unwrap() => {
+                    announce(&a[j], out);
+                    j += 1;
+                }
+                _ => {
+                    if b[i].as_path != a[j].as_path {
+                        announce(&a[j], out);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -388,5 +648,166 @@ mod tests {
             UpdateKind::Withdraw => false,
         });
         assert!(through_leaker, "some announced path must ride the leaker");
+    }
+
+    // -- equivalence with the snapshot-diff oracle ---------------------------
+
+    use std::sync::{Arc, OnceLock};
+
+    use proptest::prelude::*;
+    use scenario_forge::{compose, Family, FamilyParams, WorldCache};
+
+    fn collectors(s: &Scenario) -> Vec<Asn> {
+        crate::BgpSimulator::new(s).collectors().to_vec()
+    }
+
+    fn assert_matches_reference(s: &Scenario, peers: &[Asn], what: &str) {
+        let expected = reference::derive_updates(s, peers);
+        assert_eq!(derive_updates(s, peers), expected, "{what}");
+        assert_eq!(observe(s, peers).updates, expected, "{what} (observe)");
+    }
+
+    #[test]
+    fn origin_diff_matches_reference_on_every_family_blueprint() {
+        let cache = WorldCache::new();
+        // The member pairs of campaign's `ComposedFamily::ALL`.
+        let composed = [
+            [Family::CableCutCascade, Family::TargetedPrefixHijack],
+            [Family::NationalCensorship, Family::AccidentalTransitLeak],
+        ];
+        for draw in 0..2 {
+            let params = FamilyParams { variants: 2, ..FamilyParams::default() }.reseed(draw);
+            let mut blueprints = Vec::new();
+            for family in Family::ALL {
+                blueprints.extend(family.expand(&params));
+            }
+            for members in composed {
+                let fleets: Vec<_> = members.iter().map(|f| f.expand(&params)).collect();
+                for i in 0..params.variants {
+                    let parts: Vec<_> = fleets.iter().map(|fleet| &fleet[i]).collect();
+                    blueprints.push(compose(format!("v{i}-composed"), &parts).expect("one world"));
+                }
+            }
+            for bp in &blueprints {
+                let s = bp.forge(&cache);
+                assert_matches_reference(&s, &collectors(&s), &bp.name);
+            }
+        }
+    }
+
+    /// The default world's multi-homed ASes, ascending.
+    fn multi_homed(s: &Scenario) -> Vec<Asn> {
+        let graph = AsGraph::at_time(s, SimTime::EPOCH);
+        s.world.ases.iter().map(|a| a.asn).filter(|&a| graph.providers(a).len() >= 2).collect()
+    }
+
+    #[test]
+    fn origin_diff_matches_reference_on_composed_and_staggered_timelines() {
+        let world = generate(&WorldConfig::default());
+        let day = |d: i64| SimTime::EPOCH + SimDuration::days(d);
+        let quiet = Scenario::quiet(world, 10);
+        let homed = multi_homed(&quiet);
+
+        // dense_equivalence's composed timeline: a cut, a bounded leak, and
+        // a hijack that goes live inside the leak window.
+        let cable = quiet.world.cable_by_name("SeaMeWe-5").unwrap().id;
+        let victim = quiet.world.prefixes[0];
+        let hijacker =
+            quiet.world.ases.iter().map(|a| a.asn).find(|&a| a != victim.origin).unwrap();
+        let mut composed = quiet.clone().with_event(EventKind::CableCut { cable }, day(2));
+        composed.push_event(EventKind::RouteLeak { leaker: homed[0] }, day(4), Some(day(7)));
+        composed.push_event(
+            EventKind::PrefixHijack { origin: hijacker, victim_prefix: victim.net },
+            day(5),
+            None,
+        );
+
+        // Its staggered timeline: two leaks whose windows overlap.
+        let mut staggered = quiet.clone();
+        staggered.push_event(EventKind::RouteLeak { leaker: homed[0] }, day(2), Some(day(6)));
+        staggered.push_event(EventKind::RouteLeak { leaker: homed[1] }, day(4), Some(day(8)));
+
+        for (s, what) in [(&composed, "composed"), (&staggered, "staggered leaks")] {
+            let eight: Vec<Asn> = s.world.ases.iter().take(8).map(|a| a.asn).collect();
+            assert_matches_reference(s, &eight, what);
+            assert_matches_reference(s, &collectors(s), what);
+        }
+    }
+
+    #[test]
+    fn baseline_origins_match_the_start_capture() {
+        let world = generate(&WorldConfig::default());
+        let victim = world.prefixes[3];
+        let hijacker = world.ases.iter().map(|a| a.asn).find(|&a| a != victim.origin).unwrap();
+        let cable = world.cable_by_name("SeaMeWe-5").unwrap().id;
+        let day = |d: i64| SimTime::EPOCH + SimDuration::days(d);
+        let quiet = Scenario::quiet(world, 10);
+        let mut hijacked_at_start = quiet.clone();
+        hijacked_at_start.push_event(
+            EventKind::PrefixHijack { origin: hijacker, victim_prefix: victim.net },
+            SimTime::EPOCH - SimDuration::days(1),
+            None,
+        );
+        let cut = quiet.clone().with_event(EventKind::CableCut { cable }, day(3));
+        let cases = [(&quiet, "no events"), (&hijacked_at_start, "live hijack"), (&cut, "cut")];
+        for (s, what) in cases {
+            let peers = collectors(s);
+            let observed = observe(s, &peers);
+            let start = crate::RibSnapshot::capture(s, &peers, s.horizon.start);
+            assert_eq!(observed.baseline_origins, start.origins(), "{what}");
+            assert!(!observed.baseline_origins.is_empty(), "{what}");
+        }
+        let moas = observe(&hijacked_at_start, &collectors(&hijacked_at_start));
+        assert!(moas.updates.is_empty(), "the hijack predates the horizon");
+        assert!(
+            moas.baseline_origins.iter().any(|(p, o)| *p == victim.net && o.len() > 1),
+            "a live partial hijack is a MOAS prefix in the baseline"
+        );
+    }
+
+    /// One random incident on the default world: `(kind, target, onset
+    /// day, duration in days — 0 for an unbounded incident)`.
+    fn incident() -> impl Strategy<Value = (u8, u16, i64, i64)> {
+        (any::<u8>(), any::<u16>(), 0i64..11, 0i64..5)
+    }
+
+    fn timeline(world: &Arc<World>, incidents: &[(u8, u16, i64, i64)]) -> Scenario {
+        let mut s = Scenario::quiet(Arc::clone(world), 10);
+        let homed = multi_homed(&s);
+        for &(kind, target, onset, duration) in incidents {
+            let t = target as usize;
+            let at = SimTime::EPOCH + SimDuration::days(onset) + SimDuration::hours(t as i64 % 24);
+            let until = (duration > 0).then(|| at + SimDuration::days(duration));
+            let kind = match kind % 3 {
+                0 => EventKind::CableCut { cable: world.cables[t % world.cables.len()].id },
+                1 => {
+                    let victim = world.prefixes[t % world.prefixes.len()];
+                    let origin = world.ases[(t / 7) % world.ases.len()].asn;
+                    EventKind::PrefixHijack { origin, victim_prefix: victim.net }
+                }
+                _ => EventKind::RouteLeak { leaker: homed[t % homed.len()] },
+            };
+            s.push_event(kind, at, until);
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Random cut, hijack and bounded-leak timelines: the origin-space
+        /// diff and the snapshot diff emit the same stream.
+        #[test]
+        fn origin_diff_matches_reference_on_random_timelines(
+            incidents in proptest::collection::vec(incident(), 1..5),
+            take in 4usize..40,
+        ) {
+            static WORLD: OnceLock<Arc<World>> = OnceLock::new();
+            let world = WORLD.get_or_init(|| Arc::new(generate(&WorldConfig::default())));
+            let s = timeline(world, &incidents);
+            let mut peers: Vec<Asn> = s.world.ases.iter().rev().take(take).map(|a| a.asn).collect();
+            peers.extend(collectors(&s).into_iter().step_by(3));
+            prop_assert_eq!(derive_updates(&s, &peers), reference::derive_updates(&s, &peers));
+        }
     }
 }

@@ -16,6 +16,12 @@
 //!    physically impossible and is discarded,
 //! 4. **normalize** surviving scores into per-link confidence values.
 //!
+//! A cable's fit depends only on a link's endpoint cities, so
+//! [`NautilusMapper::map_world`] computes one fit per city pair: it builds
+//! the city-to-city distance table and each cable's landing prefix sums
+//! once per run, and hundreds of suspected links share a few dozen city
+//! pairs. Per link only the latency and detour filters and the score run.
+//!
 //! Because the world generator *does* know the truth, the crate also ships
 //! an evaluation harness ([`evaluate`]) reporting precision/recall of the
 //! inferred mapping; `end_to_end_mapping_quality` below pins its floor.

@@ -8,12 +8,15 @@
 //! through [`Value::view`]: zero-copy when the producing step emitted the
 //! native type, a JSON deserialization otherwise.
 //!
-//! Expensive artifacts (cross-layer mapping, BGP update stream, probe
-//! campaigns) live in an [`ArtifactStore`] keyed per scenario — shareable
-//! across runtimes, sessions and whole engine epochs, exactly as a real
-//! deployment caches collector downloads and mapping runs once per
-//! dataset, not once per query. Artifacts that depend only on the world
-//! live in a store shared per world ([`world_artifacts`]). Both are
+//! Expensive artifacts live in an [`ArtifactStore`] keyed per scenario —
+//! shareable across runtimes, sessions and whole engine epochs, exactly
+//! as a real deployment caches collector downloads and mapping runs once
+//! per dataset, not once per query. A scenario's store holds its probe
+//! campaigns and one `bgp.observation`: the update stream and the
+//! baseline origin sets from a single derivation, which `bgp.updates`
+//! windows and `bgp.detect_moas` reads. Artifacts that depend only on the
+//! world (the Nautilus mapping run, the default dependency table) live in
+//! a store shared per world ([`world_artifacts`]). Both are
 //! [`OnceMap`]s, the workspace's one build-once cache shape, and every
 //! probe of either goes through one counted path, so
 //! `artifact_cache.hit`/`artifact_cache.miss` see them all.
@@ -28,8 +31,8 @@ use workflow::{ToolError, ToolRuntime, Value, ValueView};
 use world::{Scenario, World, WorldConfig};
 
 use bgp_sim::{
-    detect_moas_conflicts, detect_update_bursts, detect_valley_violations, BgpSimulator,
-    BgpUpdate, MoasConflict, ValleyViolation,
+    detect_moas_conflicts_indexed, detect_update_bursts, detect_valley_violations, BgpSimulator,
+    BgpUpdate, MoasConflict, Observation, ValleyViolation,
 };
 use nautilus_sim::{DependencyTable, MappingConfig, MappingTable, NautilusMapper};
 use traceroute_sim::TracerouteSimulator;
@@ -88,7 +91,7 @@ pub fn world_artifacts(world: &World) -> Arc<ArtifactStore> {
 /// The standard runtime over one scenario.
 pub struct StandardRuntime {
     scenario: Arc<Scenario>,
-    /// Scenario-level artifacts (update streams, campaigns): shared by
+    /// Scenario-level artifacts (bgp observation, campaigns): shared by
     /// every session of this scenario.
     artifacts: Arc<ArtifactStore>,
     /// World-level artifacts (mapping run, default deps): shared by every
@@ -178,27 +181,16 @@ impl StandardRuntime {
         })
     }
 
-    fn updates_value(&self) -> Result<Value, ToolError> {
-        self.cached(&self.artifacts, "bgp.updates_full", || {
-            let sim = BgpSimulator::new(&self.scenario);
-            let updates = sim.updates();
-            let empty = updates.is_empty();
-            Ok(Value::native(F::BgpUpdates, updates, empty))
-        })
-    }
-
-    fn baseline_rib_value(&self) -> Result<Value, ToolError> {
-        // The collector RIB at the horizon start: the MOAS detector's
-        // baseline. Scenario-level (the timeline could in principle start
-        // with an already-active incident).
-        self.cached(&self.artifacts, "bgp.rib_baseline", || {
-            let sim = BgpSimulator::new(&self.scenario);
-            let rib = bgp_sim::RibSnapshot::capture(
-                &self.scenario,
-                sim.collectors(),
-                self.scenario.horizon.start,
-            );
-            Ok(Value::native(F::RibSnapshot, rib, false))
+    fn observation_value(&self) -> Result<Value, ToolError> {
+        // One derivation per scenario: the full update stream (windowed
+        // per call by `bgp.updates`) and the origin sets of the collector
+        // RIB at the horizon start (the MOAS detector's baseline — the
+        // timeline may start with an incident already active). The format
+        // tag is nominal; this artifact never leaves the runtime.
+        self.cached(&self.artifacts, "bgp.observation", || {
+            let observation = BgpSimulator::new(&self.scenario).observe();
+            let empty = observation.updates.is_empty();
+            Ok(Value::native(F::BgpUpdates, observation, empty))
         })
     }
 }
@@ -368,11 +360,11 @@ impl ToolRuntime for StandardRuntime {
             "bgp.updates" => {
                 let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
                 let window = w.to_window();
-                let full_value = self.updates_value()?;
-                let full: ValueView<'_, Vec<BgpUpdate>> =
-                    view_of(&full_value, "bgp updates")?;
+                let observed = self.observation_value()?;
+                let observed: ValueView<'_, Observation> =
+                    view_of(&observed, "bgp observation")?;
                 let updates: Vec<BgpUpdate> =
-                    full.iter().filter(|u| window.contains(u.time)).cloned().collect();
+                    observed.updates.iter().filter(|u| window.contains(u.time)).cloned().collect();
                 out_seq(F::BgpUpdates, updates)
             }
             "bgp.rib_snapshot" => {
@@ -399,10 +391,11 @@ impl ToolRuntime for StandardRuntime {
             "bgp.detect_moas" => {
                 let updates: ValueView<'_, Vec<BgpUpdate>> =
                     view(function, "updates", need(args, function, "updates")?)?;
-                let baseline_value = self.baseline_rib_value()?;
-                let baseline: ValueView<'_, bgp_sim::RibSnapshot> =
-                    view_of(&baseline_value, "baseline rib")?;
-                out_seq(F::MoasConflicts, detect_moas_conflicts(&updates, &baseline))
+                let observed = self.observation_value()?;
+                let observed: ValueView<'_, Observation> =
+                    view_of(&observed, "bgp observation")?;
+                let conflicts = detect_moas_conflicts_indexed(&updates, &observed.baseline_origins);
+                out_seq(F::MoasConflicts, conflicts)
             }
             "bgp.valley_violations" => {
                 let updates: ValueView<'_, Vec<BgpUpdate>> =
@@ -1056,6 +1049,31 @@ mod tests {
         .unwrap();
         let b: Vec<bgp_sim::UpdateBurst> = bursts.parse().unwrap();
         assert!(!b.is_empty(), "two cable cuts must burst");
+    }
+
+    #[test]
+    fn updates_and_moas_share_one_bgp_observation() {
+        let recorder = Arc::new(telemetry::Recorder::new());
+        let rt = StandardRuntime::new(scenarios::cs5_hijack_scenario())
+            .with_recorder(Arc::clone(&recorder));
+        let window = tv(F::TimeWindow, serde_json::json!({"start": 0, "end": 10 * 86_400}));
+        let updates = invoke(&rt, "bgp.updates", vec![("window", window)]).unwrap();
+        let moas = invoke(&rt, "bgp.detect_moas", vec![("updates", updates.clone())]).unwrap();
+        let metrics = recorder.metrics_snapshot();
+        assert_eq!(metrics.counter("artifact_cache.miss"), 1, "one derivation");
+        assert_eq!(metrics.counter("artifact_cache.hit"), 1);
+        assert!(rt.artifacts().contains("bgp.observation"));
+
+        // The detector over the observation's origin index reports what it
+        // reports over a full collector RIB captured at the horizon start.
+        let scenario = rt.scenario();
+        let sim = BgpSimulator::new(scenario);
+        let baseline =
+            bgp_sim::RibSnapshot::capture(scenario, sim.collectors(), scenario.horizon.start);
+        let stream: Vec<BgpUpdate> = updates.parse().unwrap();
+        let conflicts: Vec<MoasConflict> = moas.parse().unwrap();
+        assert!(!conflicts.is_empty());
+        assert_eq!(conflicts, bgp_sim::detect_moas_conflicts(&stream, &baseline));
     }
 
     #[test]
