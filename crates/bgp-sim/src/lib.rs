@@ -2,7 +2,7 @@
 //!
 //! Reproduces the slice of the BGP ecosystem the paper's workflows consume:
 //! RouteViews/RIS-style collectors ([6, 7] in the paper) exposed through a
-//! BGPStream-like reader API ([21]).
+//! BGPStream-like reader API (\[21\]).
 //!
 //! * [`graph`] — the AS-level graph induced by a scenario at an instant
 //!   (adjacencies disappear while all their IP links are down);

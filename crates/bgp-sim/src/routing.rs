@@ -25,7 +25,7 @@
 //! [`RoutingTable::path`] (collected by [`RoutingTable::route`]) —
 //! eliminating the seed algorithm's O(V·E·path-len) allocation storm
 //! while producing **byte-identical** routes (the arena freezes exactly
-//! the path snapshots the seed's clones froze; see [`reference`] and the
+//! the path snapshots the seed's clones froze; see [`reference`](mod@reference) and the
 //! `dense_equivalence` suite).
 //!
 //! Destinations are independent, so [`RoutingTable::compute`] shards the
@@ -43,7 +43,7 @@
 //! improvements propagate through one more deterministic phase sweep.
 //! The semantics are **one leak round over the pre-leak snapshot** —
 //! well-defined, deterministic, and implemented identically by the dense
-//! engine and [`reference`] (pinned byte-identical by the
+//! engine and [`reference`](mod@reference) (pinned byte-identical by the
 //! `dense_equivalence` suite). Prefix hijacks do not touch AS-level
 //! routing at all — they change prefix *origination* and are arbitrated
 //! per vantage point in [`crate::rib`] via [`RoutingTable::selection`].

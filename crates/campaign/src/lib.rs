@@ -9,7 +9,7 @@
 //!   *interacting* incidents (a targeted prefix hijack live while a
 //!   cable-cut cascade reconverges; a censorship cut joined by an
 //!   accidental transit leak). Scripts merge through
-//!   [`scenario_forge::compose`] in a canonical content-determined
+//!   [`scenario_forge::compose()`] in a canonical content-determined
 //!   order — no map iteration, no insertion-order dependence.
 //! * **Ensembles** ([`ensemble`]) — an [`EnsembleSpec`] sweeps a family
 //!   over Monte Carlo seed draws ([`FamilyParams::reseed`]) and

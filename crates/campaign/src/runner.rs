@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use arachnet::{Engine, PipelineError, RegistrationStats};
-use telemetry::{MetricsSnapshot, Recorder};
+use telemetry::Recorder;
 use toolkit::QueryMetrics;
 use workflow::RunHealth;
 use world::Scenario;
@@ -46,8 +46,6 @@ pub struct QueryOutcome {
     pub metrics: QueryMetrics,
     /// Transient-failure retries this run spent.
     pub retries: usize,
-    /// Logical backoff ticks those retries accumulated.
-    pub backoff_ticks: u64,
     /// Content hash of this run's deterministic trace, when the campaign
     /// ran with [`CampaignRunner::with_tracing`] — equal hashes mean
     /// byte-identical traces.
@@ -58,20 +56,18 @@ pub struct QueryOutcome {
 }
 
 /// Everything a campaign returns: per-query outcomes (in deterministic
-/// task order), the scorecard reduction, and the registration counters
-/// this campaign contributed to the engine's fleet stats.
+/// task order), the scorecard reduction, and the outcomes of this
+/// campaign's own scenario registrations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     pub outcomes: Vec<QueryOutcome>,
     pub scorecard: ResilienceScorecard,
-    /// Registration outcomes for this campaign's fleet (a nonzero
+    /// Registration outcomes for this campaign's fleet, folded from the
+    /// scenarios its own registrations returned, so registrations other
+    /// threads make on the same engine never count here (a nonzero
     /// `mismatched` means the spec's keys collided with different
     /// timelines already registered on the engine).
     pub registration: RegistrationStats,
-    /// Campaign-level metrics snapshot: `campaign.*` counters derived
-    /// from the scorecard fold plus `registration.*` counters — one fold,
-    /// deterministic at any worker count.
-    pub metrics: MetricsSnapshot,
 }
 
 impl CampaignReport {
@@ -127,7 +123,7 @@ impl<'a> CampaignRunner<'a> {
     /// scenario registers under `"<family>/d<draw>/<variant>"`. The
     /// task list is then served across the worker pool.
     pub fn run(&self, spec: &CampaignSpec) -> CampaignReport {
-        let before = self.engine.registration_stats();
+        let mut registration = RegistrationStats::default();
         let mut tasks: Vec<Task> = Vec::new();
         for ensemble in &spec.ensembles {
             let family = ensemble.family.id();
@@ -136,6 +132,7 @@ impl<'a> CampaignRunner<'a> {
                 let params_hash = draw.params.content_hash();
                 let fleet = self.engine.register_blueprints(&prefix, &draw.blueprints);
                 for registered in fleet {
+                    registration.count(!registered.fresh, registered.matched);
                     for query in &spec.queries {
                         tasks.push(Task {
                             key: registered.key.clone(),
@@ -149,20 +146,14 @@ impl<'a> CampaignRunner<'a> {
                 }
             }
         }
-        let registration = delta(self.engine.registration_stats(), before);
 
         let outcomes = self.serve(&tasks);
         let mut builder = ScorecardBuilder::default();
         for outcome in &outcomes {
-            builder.record_run(
-                &outcome.health,
-                &outcome.metrics,
-                outcome.retries,
-                outcome.backoff_ticks,
-            );
+            builder.record(&outcome.health, &outcome.metrics, outcome.retries);
         }
-        let (scorecard, metrics) = builder.finish_with_metrics(&registration);
-        CampaignReport { outcomes, scorecard, registration, metrics }
+        let scorecard = builder.finish();
+        CampaignReport { outcomes, scorecard, registration }
     }
 
     /// Serves the task list across the worker pool: slot `i` holds task
@@ -212,7 +203,6 @@ impl<'a> CampaignRunner<'a> {
             health: RunHealth::Failed { failed_steps: Vec::new() },
             metrics: QueryMetrics::default(),
             retries: 0,
-            backoff_ticks: 0,
             trace_hash,
             error: Some(error.to_string()),
         };
@@ -241,7 +231,6 @@ impl<'a> CampaignRunner<'a> {
                     query: task.query.clone(),
                     metrics: QueryMetrics::extract(&run.solution.workflow, &run.report),
                     retries: run.report.retries,
-                    backoff_ticks: run.report.backoff_ticks,
                     health: run.health,
                     trace_hash,
                     error: None,
@@ -255,16 +244,6 @@ impl<'a> CampaignRunner<'a> {
     }
 }
 
-/// Counter delta between two registration-stat snapshots.
-fn delta(after: RegistrationStats, before: RegistrationStats) -> RegistrationStats {
-    RegistrationStats {
-        registered: after.registered.saturating_sub(before.registered),
-        fresh: after.fresh.saturating_sub(before.fresh),
-        kept_existing: after.kept_existing.saturating_sub(before.kept_existing),
-        mismatched: after.mismatched.saturating_sub(before.mismatched),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +251,7 @@ mod tests {
     use crate::ensemble::CampaignFamily;
     use arachnet::DeterministicExpertModel;
     use scenario_forge::{Family, FamilyParams};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     const FORENSICS_QUERY: &str =
         "Multiple origin ASes were observed announcing the same prefixes starting two \
@@ -344,15 +324,44 @@ mod tests {
             report.outcomes.iter().map(|o| o.trace_hash).collect::<Vec<_>>()
         };
         assert_eq!(hashes(&first), hashes(&second), "traces replay bit-identically");
-        // The campaign metrics fold mirrors the scorecard and the
-        // registration delta for this run.
-        assert_eq!(first.metrics.counter("campaign.queries"), 2);
-        assert_eq!(first.metrics.counter("campaign.failed"), 0);
-        assert_eq!(first.metrics.counter("registration.fresh"), 2);
-        assert_eq!(second.metrics.counter("registration.kept_existing"), 2);
         // Without tracing the stamp stays empty.
         let untraced = CampaignRunner::new(&engine).run(&small_spec());
         assert!(untraced.outcomes.iter().all(|o| o.trace_hash.is_none()));
+    }
+
+    #[test]
+    fn registration_counts_only_this_campaigns_scenarios() {
+        // Another thread registering on the same engine while the
+        // campaign registers its fleet must not leak into the campaign's
+        // counts. The noise cycles over 64 keys to keep memory flat; each
+        // re-registration still counts in the engine-wide stats.
+        let engine = engine();
+        let params = FamilyParams { variants: 1, ..FamilyParams::default() };
+        let noise = engine.register_family(Family::RegionalBlackout, &params);
+        let noise = (*noise[0].scenario).clone();
+        let spec = CampaignSpec::new(
+            vec![EnsembleSpec::new(Family::TargetedPrefixHijack, FamilyParams::default())
+                .with_draws(4)],
+            vec![FORENSICS_QUERY.to_string()],
+        );
+        let done = AtomicBool::new(false);
+        let report = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut i = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    engine.register_scenario(&format!("noise/{}", i % 64), noise.clone());
+                    i += 1;
+                }
+            });
+            let report = CampaignRunner::new(&engine).with_workers(2).run(&spec);
+            done.store(true, Ordering::Relaxed);
+            report
+        });
+        assert_eq!(report.outcomes.len(), 12, "4 draws × 3 variants × 1 query");
+        assert_eq!(report.registration.registered, report.outcomes.len() / spec.queries.len());
+        assert_eq!(report.registration.fresh, 12);
+        assert_eq!(report.registration.kept_existing, 0);
+        assert_eq!(report.registration.mismatched, 0);
     }
 
     #[test]

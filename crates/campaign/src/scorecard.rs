@@ -1,9 +1,7 @@
 //! The resilience scorecard: what a campaign's thousands of runs reduce
 //! to.
 
-use arachnet::RegistrationStats;
 use serde::{Deserialize, Serialize};
-use telemetry::{MetricsRegistry, MetricsSnapshot};
 use toolkit::QueryMetrics;
 use workflow::RunHealth;
 
@@ -48,25 +46,12 @@ pub struct ScorecardBuilder {
     failed: usize,
     detector_hits: usize,
     retries: usize,
-    backoff_ticks: u64,
     impacts: Vec<f64>,
 }
 
 impl ScorecardBuilder {
+    /// Folds one query outcome.
     pub fn record(&mut self, health: &RunHealth, metrics: &QueryMetrics, retries: usize) {
-        self.record_run(health, metrics, retries, 0);
-    }
-
-    /// Folds one query outcome, including the logical backoff ticks its
-    /// retries spent (those feed the campaign metrics snapshot, not the
-    /// scorecard itself).
-    pub fn record_run(
-        &mut self,
-        health: &RunHealth,
-        metrics: &QueryMetrics,
-        retries: usize,
-        backoff_ticks: u64,
-    ) {
         match health {
             RunHealth::Ok => self.ok += 1,
             RunHealth::Degraded { .. } => self.degraded += 1,
@@ -76,32 +61,7 @@ impl ScorecardBuilder {
             self.detector_hits += 1;
         }
         self.retries += retries;
-        self.backoff_ticks = self.backoff_ticks.saturating_add(backoff_ticks);
         self.impacts.push(metrics.impact_score);
-    }
-
-    /// Finishes the fold and derives the campaign-level metrics snapshot
-    /// from the finished card plus the campaign's registration counters —
-    /// the snapshot and the scorecard agree by construction.
-    pub fn finish_with_metrics(
-        self,
-        registration: &RegistrationStats,
-    ) -> (ResilienceScorecard, MetricsSnapshot) {
-        let backoff_ticks = self.backoff_ticks;
-        let card = self.finish();
-        let mut metrics = MetricsRegistry::new();
-        metrics.add("campaign.queries", card.queries as u64);
-        metrics.add("campaign.ok", card.ok as u64);
-        metrics.add("campaign.degraded", card.degraded as u64);
-        metrics.add("campaign.failed", card.failed as u64);
-        metrics.add("campaign.detector_hits", card.detector_hits as u64);
-        metrics.add("campaign.retries", card.retries as u64);
-        metrics.add("campaign.backoff_ticks", backoff_ticks);
-        metrics.add("registration.registered", registration.registered as u64);
-        metrics.add("registration.fresh", registration.fresh as u64);
-        metrics.add("registration.kept_existing", registration.kept_existing as u64);
-        metrics.add("registration.mismatched", registration.mismatched as u64);
-        (card, metrics.snapshot())
     }
 
     pub fn finish(self) -> ResilienceScorecard {
@@ -153,36 +113,5 @@ mod tests {
     fn empty_scorecard_has_zero_rates() {
         let card = ScorecardBuilder::default().finish();
         assert_eq!(card, ResilienceScorecard::default());
-    }
-
-    #[test]
-    fn metrics_snapshot_mirrors_the_finished_card() {
-        let mut builder = ScorecardBuilder::default();
-        let hit = QueryMetrics { moas_conflicts: 1, ..QueryMetrics::default() };
-        builder.record_run(&RunHealth::Ok, &hit, 2, 5);
-        builder.record_run(
-            &RunHealth::Degraded { failed_steps: vec![StepId::from("s")] },
-            &QueryMetrics::default(),
-            1,
-            3,
-        );
-        let registration = RegistrationStats {
-            registered: 4,
-            fresh: 3,
-            kept_existing: 1,
-            mismatched: 0,
-        };
-        let (card, metrics) = builder.finish_with_metrics(&registration);
-        assert_eq!(metrics.counter("campaign.queries"), card.queries as u64);
-        assert_eq!(metrics.counter("campaign.ok"), 1);
-        assert_eq!(metrics.counter("campaign.degraded"), 1);
-        assert_eq!(metrics.counter("campaign.failed"), 0);
-        assert_eq!(metrics.counter("campaign.detector_hits"), 1);
-        assert_eq!(metrics.counter("campaign.retries"), 3);
-        assert_eq!(metrics.counter("campaign.backoff_ticks"), 8);
-        assert_eq!(metrics.counter("registration.registered"), 4);
-        assert_eq!(metrics.counter("registration.fresh"), 3);
-        assert_eq!(metrics.counter("registration.kept_existing"), 1);
-        assert_eq!(metrics.counter("registration.mismatched"), 0);
     }
 }

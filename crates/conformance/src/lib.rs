@@ -11,7 +11,7 @@
 //! brace-matched item tree over it ([`syntax`]), a file scanner
 //! ([`source`]), the crate-dependency graph parsed from every
 //! `Cargo.toml` ([`deps`]), inline allow pragmas ([`pragma`]), a rule
-//! framework ([`rules`]), a parallel scanner ([`scan`]) and
+//! framework ([`rules`]), a parallel scanner ([`scan`](mod@scan)) and
 //! a committed baseline for grandfathered findings ([`baseline`]). CI
 //! gates on the binary:
 //!
@@ -93,7 +93,7 @@ pub fn scan(root: &Path) -> std::io::Result<Scan> {
     Ok(scan_workspace(&ws))
 }
 
-/// [`scan`] over an already-loaded workspace (used by the fixture
+/// [`scan()`] over an already-loaded workspace (used by the fixture
 /// tests, which assemble workspaces from strings).
 pub fn scan_workspace(ws: &Workspace) -> Scan {
     let mut file_findings = Vec::new();

@@ -64,13 +64,13 @@ const ALLOWED_EDGES: &[(&str, &str, &str)] = &[
 /// ([`crate::deps`]) that
 ///
 /// 1. every `[dependencies]` edge out of a deterministic crate lands on
-///    another deterministic crate or a reasoned [`ALLOWED_EDGES`] entry
+///    another deterministic crate or a reasoned `ALLOWED_EDGES` entry
 ///    — the `DETERMINISTIC_CRATES` list cannot silently rot;
 /// 2. the manifest markers (`[package.metadata.conformance]
 ///    deterministic = true`) and the `DETERMINISTIC_CRATES` const agree
 ///    in both directions;
 /// 3. no deterministic crate pulls an external registry dependency;
-/// 4. every [`ALLOWED_EDGES`] entry still matches a live edge
+/// 4. every `ALLOWED_EDGES` entry still matches a live edge
 ///    (shrink-only, like the baseline).
 pub struct DeterministicClosure;
 

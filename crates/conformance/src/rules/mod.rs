@@ -2,7 +2,7 @@
 //!
 //! Rules come in two shapes. A [`FileRule`] checks one file at a time —
 //! these are the parallelizable, cacheable majority, sharded across
-//! workers by the scanner ([`crate::scan`]). A workspace [`Rule`] sees
+//! workers by the scanner ([`crate::scan`](mod@crate::scan)). A workspace [`Rule`] sees
 //! the whole [`Workspace`] (and its crate graph), so cross-file
 //! invariants like the dense/reference engine pairing and the
 //! dependency closure are expressible; those run serially after the

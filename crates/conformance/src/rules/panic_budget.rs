@@ -34,7 +34,7 @@ pub const BUDGETS: [(&str, usize); 6] = [
     // DAG executor: mutex-poisoning expects + the worker panic relay.
     ("workflow", 7),
     // tool runtime + scenario curation (curated-world expects).
-    ("toolkit", 9),
+    ("toolkit", 8),
 ];
 
 /// `panic-budget`: counts panic sites per budgeted crate and reports

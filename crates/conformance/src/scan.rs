@@ -31,7 +31,7 @@ pub(crate) fn check_file(file: &SourceFile) -> Vec<Finding> {
 type FileScan = (Arc<SourceFile>, Vec<Finding>);
 
 /// Scans the workspace at `root` with `workers` threads (`0` = one per
-/// available CPU). Bit-identical to [`crate::scan`] at every worker
+/// available CPU). Bit-identical to [`crate::scan()`] at every worker
 /// count.
 pub fn scan_parallel(root: &Path, workers: usize) -> std::io::Result<Scan> {
     let rels = collect_files(root)?;

@@ -29,7 +29,7 @@ use llm::{LanguageModel, RegistryDocument};
 use parking_lot::{Mutex, RwLock};
 use registry::Registry;
 use scenario_forge::{Family, FamilyParams, ScenarioBlueprint, SharedWorldCache};
-use telemetry::{EventKind, MetricsSnapshot, Recorder, SpanKind, SpanStatus};
+use telemetry::{EventKind, Recorder, SpanKind, SpanStatus};
 use toolkit::{ArtifactStore, ResilienceConfig, ResilientRuntime, StandardRuntime};
 use workflow::{
     check, execute_with, to_source, ExecOptions, ExecutionReport, RetryPolicy, RunHealth,
@@ -139,6 +139,21 @@ pub struct RegistrationStats {
     /// Kept slots where the offered timeline did *not* match the slot —
     /// almost always a key-collision bug in the caller's fleet naming.
     pub mismatched: usize,
+}
+
+impl RegistrationStats {
+    /// Counts one registration outcome.
+    pub fn count(&mut self, kept_existing: bool, matched: bool) {
+        self.registered += 1;
+        if kept_existing {
+            self.kept_existing += 1;
+        } else {
+            self.fresh += 1;
+        }
+        if !matched {
+            self.mismatched += 1;
+        }
+    }
 }
 
 /// One scenario of a family fleet, as registered by
@@ -254,16 +269,7 @@ impl Engine {
                 }
             }
         };
-        let mut stats = self.reg_stats.lock();
-        stats.registered += 1;
-        if registration.kept_existing {
-            stats.kept_existing += 1;
-        } else {
-            stats.fresh += 1;
-        }
-        if !registration.matched {
-            stats.mismatched += 1;
-        }
+        self.reg_stats.lock().count(registration.kept_existing, registration.matched);
         registration
     }
 
@@ -416,13 +422,6 @@ pub struct SessionRun {
     /// enrichment — surviving outputs are trustworthy), or `Failed`.
     /// Callers distinguish "detector unavailable" from "no anomaly".
     pub health: RunHealth,
-}
-
-impl SessionRun {
-    /// The executor metrics for this run (see `ExecutionReport::metrics`).
-    pub fn metrics(&self) -> &MetricsSnapshot {
-        &self.report.metrics
-    }
 }
 
 /// One serving session: an epoch-pinned registry snapshot plus a shared

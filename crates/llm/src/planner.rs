@@ -6,7 +6,7 @@
 //! planned step produces it, or some registry function whose required
 //! inputs are all satisfiable outputs it. Candidate chains are scored by
 //!
-//! * execution cost (the entry's [`CostClass`] weight),
+//! * execution cost (the entry's [`CostClass`](registry::CostClass) weight),
 //! * unreliability penalty (`(1 − reliability) × 4`),
 //! * **framework-spread penalty** — each framework beyond those already in
 //!   the plan costs extra. This is what produces the "skilled restraint"
@@ -104,8 +104,7 @@ pub fn plan_architecture(
         alternatives_total += candidates.len();
         let best = candidates.into_iter().min_by(|a, b| {
             a.score
-                .partial_cmp(&b.score)
-                .unwrap()
+                .total_cmp(&b.score)
                 .then_with(|| a.functions.cmp(&b.functions))
         });
         let chain = best.ok_or_else(|| PlanError {
@@ -253,7 +252,7 @@ fn enumerate_chains(
         }
     }
     candidates.sort_by(|a, b| {
-        a.score.partial_cmp(&b.score).unwrap().then_with(|| a.functions.cmp(&b.functions))
+        a.score.total_cmp(&b.score).then_with(|| a.functions.cmp(&b.functions))
     });
     candidates.truncate(beam.max(1));
     candidates

@@ -1,6 +1,6 @@
 //! # nautilus-sim — cross-layer cartography
 //!
-//! A from-scratch implementation of the role Nautilus ([22] in the paper)
+//! A from-scratch implementation of the role Nautilus (\[22\] in the paper)
 //! plays in the ArachNet case studies: mapping IP-layer links to the
 //! submarine cable systems they ride, with confidence scores.
 //!

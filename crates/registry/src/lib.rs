@@ -179,27 +179,6 @@ impl Registry {
     pub fn from_json(s: &str) -> Result<Self, RegistryError> {
         serde_json::from_str(s).map_err(|e| RegistryError::Serde(e.to_string()))
     }
-
-    /// The compact "registry view" serialized into agent prompts: one line
-    /// per entry — id, capability, typed signature, cost and reliability.
-    pub fn prompt_view(&self) -> String {
-        let mut out = String::new();
-        for e in self.iter() {
-            let inputs: Vec<String> =
-                e.inputs.iter().map(|p| format!("{}: {}", p.name, p.format)).collect();
-            out.push_str(&format!(
-                "{} [{}] ({}) -> {} | {} | cost={} reliability={:.2}\n",
-                e.id,
-                e.framework,
-                inputs.join(", "),
-                e.output,
-                e.capability,
-                e.cost,
-                e.reliability
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -258,17 +237,6 @@ mod tests {
         let back = Registry::from_json(&json).unwrap();
         assert_eq!(back.len(), 2);
         assert!(back.contains(&FunctionId::from("b.g")));
-    }
-
-    #[test]
-    fn prompt_view_is_one_line_per_entry() {
-        let mut r = Registry::new();
-        r.register(entry("a.f", DataFormat::ImpactReport)).unwrap();
-        r.register(entry("b.g", DataFormat::CableDependencies)).unwrap();
-        let view = r.prompt_view();
-        assert_eq!(view.lines().count(), 2);
-        assert!(view.contains("a.f"));
-        assert!(view.contains("ImpactReport"));
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! - [`Span`] — session → workflow → step → attempt intervals,
 //! - [`Event`] — retries, fault injections, breaker transitions, cache
 //!   probes, epoch lifecycle, poison attribution ([`EventKind`]),
-//! - [`MetricsRegistry`] / [`MetricsSnapshot`] — counters and
-//!   logical-duration histograms (fixed-width buckets, the
-//!   `TimeWindow::buckets` geometry),
+//! - [`MetricsSnapshot`] — name-ordered counters for the facts no typed
+//!   report holds: `events.*`, `artifact_cache.*` and `world_cache.*`
+//!   (a run's own counts live on its typed report, `ExecutionReport`
+//!   or `CampaignReport`),
 //! - [`Recorder`] — the shared collection point handed down through
 //!   `ExecOptions` / `Engine` / `CampaignRunner`,
 //! - exporters — canonical JSON ([`Trace::to_canonical_json`], hashed by
@@ -30,6 +31,6 @@ pub mod metrics;
 pub mod recorder;
 pub mod trace;
 
-pub use metrics::{CounterSnapshot, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{CounterSnapshot, MetricsSnapshot};
 pub use recorder::{Recorder, StepObservation};
 pub use trace::{Event, EventKind, Span, SpanKind, SpanStatus, Trace};

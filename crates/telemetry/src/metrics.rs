@@ -1,58 +1,11 @@
-//! Deterministic metrics: named counters and logical-duration
-//! histograms.
+//! Deterministic named counters.
 //!
 //! Everything is keyed by `BTreeMap`, so snapshots enumerate in name
 //! order and two identical runs produce identical snapshots byte for
-//! byte. Histogram buckets use the same fixed-width geometry as the
-//! world substrate's `TimeWindow::buckets`: `n` equal slices of
-//! `[lo, hi)`, with out-of-range observations clamped into the first or
-//! last bucket (never dropped — `count`/`sum`/`min`/`max` always cover
-//! every observation).
+//! byte.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Internal accumulation state for one histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct HistogramState {
-    lo: u64,
-    hi: u64,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl HistogramState {
-    fn new(lo: u64, hi: u64, buckets: usize) -> Self {
-        HistogramState {
-            lo,
-            hi,
-            buckets: vec![0; buckets.max(1)],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    fn observe(&mut self, value: u64) {
-        let n = self.buckets.len() as u64;
-        let width = (self.hi.saturating_sub(self.lo)) / n;
-        // width == 0 (degenerate range) clamps everything to the last
-        // bucket.
-        let index = (value.max(self.lo) - self.lo)
-            .checked_div(width)
-            .unwrap_or(n - 1)
-            .min(n - 1);
-        self.buckets[index as usize] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-}
 
 /// A counter captured at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,31 +14,14 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
-/// A histogram captured at snapshot time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    pub name: String,
-    /// Lower bound of the bucketed range (inclusive).
-    pub lo: u64,
-    /// Upper bound of the bucketed range (exclusive).
-    pub hi: u64,
-    /// Fixed-width bucket occupancy over `[lo, hi)`; the first and last
-    /// buckets also absorb out-of-range observations.
-    pub buckets: Vec<u64>,
-    pub count: u64,
-    pub sum: u64,
-    /// Smallest observation (`0` when `count == 0`).
-    pub min: u64,
-    /// Largest observation (`0` when `count == 0`).
-    pub max: u64,
-}
-
-/// An immutable, ordered view of every counter and histogram — attached
-/// to `ExecutionReport`, `SessionRun` and `CampaignReport`.
+/// An immutable, name-ordered view of every counter a [`Recorder`]
+/// holds — the facts no typed report carries (`events.*`,
+/// `artifact_cache.*`, `world_cache.*`).
+///
+/// [`Recorder`]: crate::Recorder
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     pub counters: Vec<CounterSnapshot>,
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -98,80 +34,28 @@ impl MetricsSnapshot {
             .unwrap_or(0)
     }
 
-    /// A histogram by name, if any observation was recorded under it.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty()
     }
 }
 
-/// Mutable registry of counters and histograms. Name order (BTreeMap)
-/// makes `snapshot()` deterministic.
+/// Mutable registry of counters. Name order (BTreeMap) makes
+/// `snapshot()` deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, HistogramState>,
 }
 
 impl MetricsRegistry {
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
     /// Add `delta` to the named counter (creating it at zero).
-    pub fn add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn add(&mut self, name: &str, delta: u64) {
         let slot = self.counters.entry(name.to_string()).or_insert(0);
         *slot = slot.saturating_add(delta);
     }
 
-    /// Record one observation into the named histogram. The bucket
-    /// geometry (`lo`, `hi`, `buckets`) is fixed by the first call for a
-    /// given name; later calls reuse it and ignore their own geometry
-    /// arguments.
-    pub fn observe(&mut self, name: &str, lo: u64, hi: u64, buckets: usize, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramState::new(lo, hi, buckets))
-            .observe(value);
-    }
-
-    /// Fold another registry into this one: counters add, histograms
-    /// merge bucket-wise (the earlier geometry wins on conflicts).
-    pub fn merge(&mut self, snapshot: &MetricsSnapshot) {
-        for counter in &snapshot.counters {
-            self.add(&counter.name, counter.value);
-        }
-        for hist in &snapshot.histograms {
-            let state = self
-                .histograms
-                .entry(hist.name.clone())
-                .or_insert_with(|| HistogramState::new(hist.lo, hist.hi, hist.buckets.len()));
-            if state.buckets.len() == hist.buckets.len() {
-                for (slot, add) in state.buckets.iter_mut().zip(hist.buckets.iter()) {
-                    *slot += add;
-                }
-            } else {
-                // Geometry mismatch: keep totals exact, spread into the
-                // clamped buckets via min/max as best effort.
-                for _ in 0..hist.count {
-                    state.observe(hist.min);
-                }
-            }
-            state.count += hist.count;
-            state.sum = state.sum.saturating_add(hist.sum);
-            if hist.count > 0 {
-                state.min = state.min.min(hist.min);
-                state.max = state.max.max(hist.max);
-            }
-        }
-    }
-
     /// Capture the current state, ordered by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
                 .counters
@@ -179,20 +63,6 @@ impl MetricsRegistry {
                 .map(|(name, value)| CounterSnapshot {
                     name: name.clone(),
                     value: *value,
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(name, h)| HistogramSnapshot {
-                    name: name.clone(),
-                    lo: h.lo,
-                    hi: h.hi,
-                    buckets: h.buckets.clone(),
-                    count: h.count,
-                    sum: h.sum,
-                    min: if h.count == 0 { 0 } else { h.min },
-                    max: h.max,
                 })
                 .collect(),
         }
@@ -205,7 +75,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.add("a", 2);
         reg.add("a", 3);
         let snap = reg.snapshot();
@@ -214,51 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_clamp_out_of_range() {
-        let mut reg = MetricsRegistry::new();
-        // [0, 8) in 4 buckets of width 2.
-        for v in [0, 1, 3, 7, 100] {
-            reg.observe("h", 0, 8, 4, v);
-        }
-        let snap = reg.snapshot();
-        let h = snap.histogram("h").expect("histogram recorded");
-        assert_eq!(h.buckets, vec![2, 1, 0, 2]); // 100 clamps into the last
-        assert_eq!(h.count, 5);
-        assert_eq!(h.sum, 111);
-        assert_eq!(h.min, 0);
-        assert_eq!(h.max, 100);
-    }
-
-    #[test]
-    fn degenerate_geometry_is_safe() {
-        let mut reg = MetricsRegistry::new();
-        reg.observe("z", 5, 5, 0, 9);
-        let h = reg.snapshot();
-        let h = h.histogram("z").expect("histogram recorded");
-        assert_eq!(h.buckets.len(), 1);
-        assert_eq!(h.buckets[0], 1);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_buckets() {
-        let mut a = MetricsRegistry::new();
-        a.add("c", 1);
-        a.observe("h", 0, 8, 4, 1);
-        let mut b = MetricsRegistry::new();
-        b.add("c", 2);
-        b.observe("h", 0, 8, 4, 7);
-        a.merge(&b.snapshot());
-        let snap = a.snapshot();
-        assert_eq!(snap.counter("c"), 3);
-        let h = snap.histogram("h").expect("merged histogram");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 8);
-        assert_eq!(h.buckets, vec![1, 0, 0, 1]);
-    }
-
-    #[test]
     fn snapshots_enumerate_in_name_order() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.add("zeta", 1);
         reg.add("alpha", 1);
         let snap = reg.snapshot();

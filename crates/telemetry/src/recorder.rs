@@ -161,11 +161,6 @@ impl Recorder {
         self.state.lock().metrics.add(name, delta);
     }
 
-    /// Record a histogram observation (geometry fixed at first use).
-    pub fn observe(&self, name: &str, lo: u64, hi: u64, buckets: usize, value: u64) {
-        self.state.lock().metrics.observe(name, lo, hi, buckets, value);
-    }
-
     // -- serial lane (session / engine lifecycles) --------------------
 
     /// Open a span as a child of the innermost open span. Returns the
@@ -201,12 +196,8 @@ impl Recorder {
     pub fn record_workflow(&self, workflow: &str, backoff_base: u64, steps: &[StepObservation]) {
         let mut state = self.state.lock();
         state.begin(SpanKind::Workflow, workflow);
-        let mut attempts_total = 0u64;
-        let mut retries_total = 0u64;
-        let mut backoff_total = 0u64;
         let mut worst = SpanStatus::Ok;
         for obs in steps {
-            let step_start = state.clock;
             state.begin(SpanKind::Step, &obs.step);
             if !obs.invoked {
                 if !obs.poison_roots.is_empty() {
@@ -218,8 +209,6 @@ impl Recorder {
                 state.end(obs.status);
             } else {
                 let attempts = obs.retries + 1;
-                attempts_total += attempts as u64;
-                retries_total += obs.retries as u64;
                 for attempt in 0..attempts {
                     state.begin(SpanKind::Attempt, &obs.function);
                     let buffered = state
@@ -240,15 +229,10 @@ impl Recorder {
                             backoff_ticks: backoff,
                         });
                         state.clock += backoff;
-                        backoff_total += backoff;
                     }
                 }
                 state.end(obs.status);
             }
-            let step_ticks = state.clock - step_start;
-            state
-                .metrics
-                .observe("trace.step_ticks", 0, 64, 8, step_ticks);
             if obs.status > worst {
                 worst = obs.status;
             }
@@ -259,11 +243,6 @@ impl Recorder {
             // session span carries the authoritative RunHealth mapping.
             _ => SpanStatus::Degraded,
         });
-        state.metrics.add("trace.workflows", 1);
-        state.metrics.add("trace.steps", steps.len() as u64);
-        state.metrics.add("trace.attempts", attempts_total);
-        state.metrics.add("trace.retries", retries_total);
-        state.metrics.add("trace.backoff_ticks", backoff_total);
         state.pending.clear();
     }
 
@@ -290,7 +269,7 @@ impl Recorder {
         self.state.lock().trace.content_hash()
     }
 
-    /// Snapshot of every counter and histogram recorded so far.
+    /// Snapshot of every counter recorded so far.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.state.lock().metrics.snapshot()
     }
@@ -369,8 +348,6 @@ mod tests {
             .collect();
         assert_eq!(retries.len(), 2);
         let snap = recorder.metrics_snapshot();
-        assert_eq!(snap.counter("trace.retries"), 2);
-        assert_eq!(snap.counter("trace.backoff_ticks"), 6);
         assert_eq!(snap.counter("events.retry"), 2);
     }
 

@@ -6,7 +6,9 @@
 //!   the executor's single-threaded fold in workflow list order;
 //! * byte-identical across reruns (fresh recorder, fresh runtime);
 //! * structurally well-formed — every span parent and every event span
-//!   reference resolves.
+//!   reference resolves;
+//! * in agreement with the typed `ExecutionReport` on every count both
+//!   records carry (attempts, retries, backoff, poisonings, failures).
 //!
 //! A pinned degraded-CS5 serve rides along: fault injection plus a
 //! circuit breaker over the full engine stack, with the expected event
@@ -20,9 +22,10 @@ use proptest::prelude::*;
 
 use chaos::{ChaosRuntime, FaultKind, FaultPlan};
 use registry::{CapabilityEntry, DataFormat, FunctionId, Param, Registry};
-use telemetry::{EventKind, MetricsSnapshot, Recorder, SpanKind, Trace};
+use telemetry::{EventKind, MetricsSnapshot, Recorder, SpanKind, SpanStatus, Trace};
 use workflow::{
-    execute_with, ExecOptions, RetryPolicy, Step, ToolError, ToolRuntime, Value, Workflow,
+    execute_with, ExecOptions, ExecutionReport, RetryPolicy, Step, ToolError, ToolRuntime, Value,
+    Workflow,
 };
 
 /// The three workable functions fault plans can target (mirrors the
@@ -128,18 +131,19 @@ fn build_workflow(specs: &[StepSpec]) -> Workflow {
 
 /// One traced chaos execution with a fresh recorder and runtime.
 /// Returns the canonical JSON, its content hash, the Chrome export and
-/// the metrics snapshot — everything a replay must reproduce exactly.
+/// the metrics snapshot — everything a replay must reproduce exactly —
+/// plus the trace and the run's typed report.
 fn traced_run(
     wf: &Workflow,
     registry: &Registry,
     plan: &FaultPlan,
     workers: usize,
     retry: RetryPolicy,
-) -> (String, u64, String, MetricsSnapshot, Trace) {
+) -> (String, u64, String, MetricsSnapshot, Trace, ExecutionReport) {
     let recorder = Arc::new(Recorder::new());
     let runtime =
         ChaosRuntime::new(BaseRuntime, plan.clone()).with_recorder(Arc::clone(&recorder));
-    let _ = execute_with(
+    let report = execute_with(
         wf,
         registry,
         &runtime,
@@ -152,6 +156,7 @@ fn traced_run(
         recorder.chrome_trace(),
         recorder.metrics_snapshot(),
         recorder.trace(),
+        report,
     )
 }
 
@@ -173,12 +178,42 @@ fn assert_well_formed(trace: &Trace) {
     }
 }
 
+/// The trace and the typed report are two records of one run: they must
+/// agree on every count both carry.
+fn assert_trace_matches_report(trace: &Trace, report: &ExecutionReport) {
+    let attempts = trace.spans.iter().filter(|s| s.kind == SpanKind::Attempt).count();
+    assert_eq!(attempts, report.executed + report.retries, "attempt spans");
+    let backoffs: Vec<u64> = trace
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Retry { backoff_ticks, .. } => Some(backoff_ticks),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(backoffs.len(), report.retries, "retry events");
+    assert_eq!(backoffs.iter().sum::<u64>(), report.backoff_ticks, "retry backoff ticks");
+    let attributions = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::PoisonAttributed { .. }))
+        .count();
+    assert_eq!(attributions, report.poisoned, "poison attributions");
+    let failed_steps = trace
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Step && s.status == SpanStatus::Failed)
+        .count();
+    assert_eq!(failed_steps, report.failed, "failed step spans");
+}
+
 fn check_plan(specs: &[StepSpec], plan: &FaultPlan) {
     let wf = build_workflow(specs);
     let registry = toy_registry();
     let retry = RetryPolicy::with_retries(2);
     let baseline = traced_run(&wf, &registry, plan, 1, retry);
     assert_well_formed(&baseline.4);
+    assert_trace_matches_report(&baseline.4, &baseline.5);
     // Byte-identical across worker counts: same JSON, hash, Chrome
     // export and metrics snapshot.
     for workers in [2usize, 8] {

@@ -309,7 +309,7 @@ pub fn score_suspects(
             evidence_links: links.len(),
         })
         .collect();
-    ranked.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.cable.cmp(&b.cable)));
+    ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.cable.cmp(&b.cable)));
     SuspectData { ranked }
 }
 

@@ -186,7 +186,7 @@ pub fn execute(
             let t = world.city(current_city).location;
             let dx = world.city(x).location.distance_km(&t);
             let dy = world.city(y).location.distance_km(&t);
-            dx.partial_cmp(&dy).unwrap().then(x.cmp(&y))
+            dx.total_cmp(&dy).then(x.cmp(&y))
         })
         .unwrap_or(current_city);
     let a = world.city(current_city).location;

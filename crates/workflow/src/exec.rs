@@ -3,7 +3,7 @@
 //! Steps run over a dependency DAG against a [`ToolRuntime`] (the binding
 //! from function ids to actual measurement-tool calls lives in the
 //! `toolkit` crate). Values cross step boundaries as Arc-shared
-//! [`Value`]s — a declared [`DataFormat`] plus a payload that is either
+//! [`Value`]s — a declared [`DataFormat`](registry::DataFormat) plus a payload that is either
 //! JSON or a native substrate artifact (see [`crate::value`]) — so
 //! fan-out never deep-clones.
 //!
@@ -25,7 +25,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use registry::{FunctionId, Registry};
 use serde::{Deserialize, Serialize};
-use telemetry::{MetricsRegistry, MetricsSnapshot, Recorder, SpanStatus, StepObservation};
+use telemetry::{Recorder, SpanStatus, StepObservation};
 
 use crate::{Binding, StepId, Workflow};
 
@@ -223,10 +223,6 @@ pub struct ExecutionReport {
     pub backoff_ticks: u64,
     /// Health classification of the run.
     pub health: RunHealth,
-    /// Executor metrics for this run (step counters plus the
-    /// `exec.step_ticks` logical-duration histogram). Always populated
-    /// from the deterministic fold, recorder or not.
-    pub metrics: MetricsSnapshot,
 }
 
 impl ExecutionReport {
@@ -310,7 +306,7 @@ pub fn default_workers() -> usize {
 /// Executes a workflow with default options.
 ///
 /// `query_args` supplies values for [`Binding::QueryArg`] bindings. The
-/// workflow should already have passed [`crate::check`]; execution is
+/// workflow should already have passed [`crate::check()`]; execution is
 /// defensive regardless.
 pub fn execute(
     workflow: &Workflow,
@@ -486,7 +482,6 @@ pub fn execute_with(
     let mut qa: Vec<QaFinding> = Vec::new();
     let (mut executed, mut failed, mut poisoned) = (0usize, 0usize, 0usize);
     let (mut retries, mut backoff_ticks) = (0usize, 0u64);
-    let mut exec_metrics = MetricsRegistry::new();
     let mut observations: Vec<StepObservation> = Vec::with_capacity(n);
     for (i, step) in steps.iter().enumerate() {
         let outcome = outcomes[i].get().expect("all steps completed");
@@ -507,14 +502,6 @@ pub fn execute_with(
         };
         retries += outcome.retries;
         backoff_ticks += outcome.backoff_ticks;
-        // Per-step logical duration: one tick per attempt plus the
-        // backoff ticks between attempts; a never-invoked step costs one.
-        let step_ticks = if outcome.invoked {
-            outcome.retries as u64 + 1 + outcome.backoff_ticks
-        } else {
-            1
-        };
-        exec_metrics.observe("exec.step_ticks", 0, 64, 8, step_ticks);
         if options.recorder.is_some() {
             observations.push(StepObservation {
                 step: step.id.0.clone(),
@@ -530,14 +517,6 @@ pub fn execute_with(
         critical.insert(&step.id, step.critical);
     }
 
-    exec_metrics.add("exec.steps", n as u64);
-    exec_metrics.add("exec.executed", executed as u64);
-    exec_metrics.add("exec.failed", failed as u64);
-    exec_metrics.add("exec.poisoned", poisoned as u64);
-    exec_metrics.add("exec.retries", retries as u64);
-    exec_metrics.add("exec.backoff_ticks", backoff_ticks);
-    exec_metrics.add("exec.qa_findings", qa.len() as u64);
-
     if let Some(recorder) = &options.recorder {
         recorder.record_workflow(&workflow.id, options.retry.backoff_base_ticks, &observations);
     }
@@ -550,7 +529,6 @@ pub fn execute_with(
 
     let health = compute_health(&results, &critical);
 
-    let metrics = exec_metrics.snapshot();
     ExecutionReport {
         results,
         outputs,
@@ -561,7 +539,6 @@ pub fn execute_with(
         retries,
         backoff_ticks,
         health,
-        metrics,
     }
 }
 

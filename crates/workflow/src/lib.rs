@@ -7,7 +7,7 @@
 //! The crate provides the three things the paper's pipeline needs from its
 //! "executable code" stage:
 //!
-//! * [`check`] — static validation (unknown functions, missing required
+//! * [`check()`] — static validation (unknown functions, missing required
 //!   parameters, format mismatches, dangling references, cycles) so agents
 //!   catch wiring mistakes before anything runs;
 //! * [`value`] — the Arc-shared [`Value`] model: payloads cross step

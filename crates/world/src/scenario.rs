@@ -81,8 +81,9 @@ impl Scenario {
 
     /// Content identity of the whole scenario: world config hash, the
     /// observation window, "now", and every timeline event (id, kind,
-    /// bounds) folded through [`stable_hash`]. Two scenarios hash equal
-    /// iff a replay from their specs produces identical measurement
+    /// bounds) folded through
+    /// [`stable_hash`](net_model::hash::stable_hash). Two scenarios hash
+    /// equal iff a replay from their specs produces identical measurement
     /// records — this is the word a campaign provenance record stamps
     /// on every query result.
     pub fn content_hash(&self) -> u64 {

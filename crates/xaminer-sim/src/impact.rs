@@ -145,8 +145,7 @@ pub fn aggregate(world: &World, failure: &FailureImpact) -> ImpactReport {
         .collect();
     country_rows.sort_by(|a, b| {
         b.impact_score
-            .partial_cmp(&a.impact_score)
-            .unwrap()
+            .total_cmp(&a.impact_score)
             .then(a.country.cmp(&b.country))
     });
 
@@ -158,7 +157,7 @@ pub fn aggregate(world: &World, failure: &FailureImpact) -> ImpactReport {
         })
         .collect();
     as_rows.sort_by(|a, b| {
-        b.link_fraction.partial_cmp(&a.link_fraction).unwrap().then(a.asn.cmp(&b.asn))
+        b.link_fraction.total_cmp(&a.link_fraction).then(a.asn.cmp(&b.asn))
     });
 
     ImpactReport {

@@ -1,6 +1,6 @@
 //! # xaminer-sim — cross-layer resilience analysis
 //!
-//! A from-scratch implementation of the analysis layer Xaminer ([23] in
+//! A from-scratch implementation of the analysis layer Xaminer (\[23\] in
 //! the paper) provides to the case studies. It consumes Nautilus-style
 //! dependency tables (inferred or oracle) and answers resilience
 //! questions:

@@ -54,7 +54,7 @@ pub fn country_risk_profile(
         .into_iter()
         .map(|(c, n)| (c, n as f64 / total.max(1) as f64))
         .collect();
-    cable_shares.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    cable_shares.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
     let hhi = cable_shares.iter().map(|(_, s)| s * s).sum::<f64>();
 
@@ -77,8 +77,7 @@ pub fn all_risk_profiles(world: &World, deps: &DependencyTable) -> Vec<CountryRi
         .collect();
     out.sort_by(|a, b| {
         b.concentration_hhi
-            .partial_cmp(&a.concentration_hhi)
-            .unwrap()
+            .total_cmp(&a.concentration_hhi)
             .then(a.country.cmp(&b.country))
     });
     out
