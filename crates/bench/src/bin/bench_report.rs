@@ -1,5 +1,5 @@
 //! Bench trajectory: the component rows behind the paper's timing claims,
-//! written as `BENCH_pr18.json` at the repo root.
+//! written as `BENCH_pr20.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p benchkit --bin bench_report            # repo root
@@ -237,6 +237,31 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         assert_eq!(report.scorecard.queries, scenario_queries);
         report.scorecard.queries
     };
+    // The warm forensic kernels on the case-study inputs a served query
+    // hands them: CS4's campaign (built once here, as the artifact store
+    // keeps it), CS5's hijack, and a multi-homed leaker.
+    let cs4 = toolkit::scenarios::cs4_scenario();
+    let cs4_args = baselines::expert::expert_args(4, cs4.horizon.end.0);
+    let cs4_campaign: toolkit::data::CampaignData = toolkit::StandardRuntime::new(cs4)
+        .invoke(&registry::FunctionId::from("traceroute.campaign"), &cs4_args)
+        .expect("the CS4 campaign serves")
+        .parse()
+        .expect("a campaign");
+    let cs4_measurements = cs4_campaign.measurements.len();
+    let cs5_world = &*fx.cs5.world;
+    let (hijacker, hijacked) = toolkit::scenarios::cs5_actors(cs5_world);
+    let cs5_hijack = [xaminer_sim::ControlPlaneIncident::PrefixHijack {
+        origin: hijacker,
+        victim_prefix: hijacked,
+    }];
+    let quiet = xaminer_sim::control_plane::quiet_graph(world);
+    let leaker = world
+        .ases
+        .iter()
+        .map(|a| a.asn)
+        .find(|&a| quiet.providers(a).len() >= 2)
+        .expect("a multi-homed AS");
+    let leak = xaminer_sim::ControlPlaneIncident::RouteLeak { leaker };
     let scan_root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let scan_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -379,6 +404,16 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             .with("scenario_queries", scenario_queries)
             .with("scenarios", fx.campaign_scenarios)
             .with("workers", workers),
+        row("toolkit/detect_anomaly_cs4", 51, move || {
+            toolkit::analysis::detect_anomaly(&cs4_campaign).affected_pairs.len()
+        })
+        .with("measurements", cs4_measurements),
+        row("xaminer/control_plane_hijack_cs5", 51, move || {
+            xaminer_sim::control_plane::assess_many(cs5_world, &cs5_hijack)[0].affected_ases.len()
+        }),
+        row("xaminer/control_plane_leak", 25, move || {
+            xaminer_sim::control_plane::assess(world, &leak).affected_ases.len()
+        }),
         // The scan keeps no cache between scans, so both arms scan cold.
         row("conformance/scan_workspace", 9, move || {
             conformance::scan::scan_parallel(scan_root, 0).expect("workspace scans").findings.len()
@@ -424,7 +459,7 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| {
         // The binary lives in crates/bench; the trajectory file lives at
         // the repo root.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr18.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr20.json").to_string()
     });
 
     let fx = Fixtures::new();
@@ -435,7 +470,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
-        "pr": 18,
+        "pr": 20,
         "machine": { "cpus": cpus, "profile": profile },
         "world": {
             "ases": world.ases.len(),

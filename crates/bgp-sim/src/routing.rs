@@ -31,7 +31,9 @@
 //! Destinations are independent, so [`RoutingTable::compute`] shards the
 //! per-destination sweep across cores with `std::thread::scope`; each
 //! destination is computed single-threaded, so the output is bit-identical
-//! regardless of worker count.
+//! regardless of worker count. [`SelectionSweep`] runs the same sweep for
+//! one destination on the caller's thread and hands back the selection
+//! keys without building a table.
 //!
 //! ## Control-plane policy overrides
 //!
@@ -143,6 +145,13 @@ struct Slot {
 }
 
 const EMPTY: Slot = Slot { rec: NONE, next_asn: 0, hops: 0, kind: RouteKind::Origin };
+
+impl Slot {
+    /// The `(kind, hops, next-hop ASN)` selection key, `None` when unrouted.
+    fn key(self) -> Option<(RouteKind, usize, Asn)> {
+        (self.rec != NONE).then_some((self.kind, self.hops as usize, Asn(self.next_asn)))
+    }
+}
 
 /// One frozen-path record: `(node, parent record)`; the parent chain walks
 /// towards the destination, whose record has parent [`NONE`].
@@ -305,8 +314,7 @@ impl RoutingTable {
     /// next-hop ASN of an origin route is `Asn(0)` (never compared: the
     /// `Origin` kind already wins).
     pub fn selection(&self, src: Asn, dst: Asn) -> Option<(RouteKind, usize, Asn)> {
-        let slot = self.slot(src, dst)?;
-        (slot.rec != NONE).then_some((slot.kind, slot.hops as usize, Asn(slot.next_asn)))
+        self.slot(src, dst)?.key()
     }
 
     /// Whether `src` holds a route towards `dst` — an O(log n) + O(1)
@@ -376,8 +384,48 @@ impl Iterator for Path<'_> {
     }
 }
 
+/// Every holder's selection towards one destination at a time, without a
+/// [`RoutingTable`]: the per-destination computation the table runs, on
+/// the caller's thread, over buffers reused from call to call. A caller
+/// that needs a few destinations (a hijack's capture cone compares two)
+/// skips the other destinations, the arena compaction and the workers.
+#[derive(Default)]
+pub struct SelectionSweep {
+    scratch: Scratch,
+    /// The overrides' leakers as dense indices, ascending.
+    leakers: Vec<u32>,
+}
+
+impl SelectionSweep {
+    /// Each holder's `(kind, hops, next-hop ASN)` key towards `dst` under
+    /// `overrides`, in `graph`'s dense index order (ascending ASN), `None`
+    /// for an unrouted holder. The keys are bit for bit what
+    /// [`RoutingTable::selection`] reads from
+    /// [`RoutingTable::compute_for_graph_with`] with the same overrides.
+    /// Nobody routes towards a `dst` absent from the graph.
+    pub fn selections(
+        &mut self,
+        graph: &AsGraph,
+        dst: Asn,
+        overrides: &PolicyOverrides,
+    ) -> impl ExactSizeIterator<Item = Option<(RouteKind, usize, Asn)>> + '_ {
+        let scratch = &mut self.scratch;
+        scratch.slots.resize(graph.node_count(), EMPTY);
+        self.leakers.clear();
+        self.leakers.extend(
+            overrides.leakers().iter().filter_map(|&a| graph.index_of(a).map(|i| i as u32)),
+        );
+        match graph.index_of(dst) {
+            Some(d) => sweep(graph, d as u32, scratch, &self.leakers),
+            None => scratch.slots.fill(EMPTY),
+        }
+        scratch.slots.iter().map(|s| s.key())
+    }
+}
+
 /// Reusable per-worker buffers: route slots, the (uncompacted) frozen-path
 /// arena and the BFS queue — zero allocation per destination after warmup.
+#[derive(Default)]
 struct Scratch {
     slots: Vec<Slot>,
     records: Vec<PathRec>,
@@ -425,8 +473,16 @@ fn compute_destination(
     scratch: &mut Scratch,
     leakers: &[u32],
 ) -> DestRoutes {
+    sweep(graph, d, scratch, leakers);
+    freeze(scratch)
+}
+
+/// The route computation of [`compute_destination`]: leaves every
+/// holder's final slot in `scratch.slots`, pointing into the uncompacted
+/// arena in `scratch.records`.
+fn sweep(graph: &AsGraph, d: u32, scratch: &mut Scratch, leakers: &[u32]) {
     let n = graph.node_count();
-    let Scratch { slots, records, remap, stack, queue } = scratch;
+    let Scratch { slots, records, queue, .. } = scratch;
     slots.fill(EMPTY);
     records.clear();
     queue.clear();
@@ -588,9 +644,13 @@ fn compute_destination(
             }
         }
     }
+}
 
-    // Compact the arena down to records reachable from a final slot, in
-    // deterministic holder order.
+/// Compacts a finished [`sweep`]'s arena down to the records reachable
+/// from a final slot, in deterministic holder order.
+fn freeze(scratch: &mut Scratch) -> DestRoutes {
+    let Scratch { slots, records, remap, stack, .. } = scratch;
+    let n = slots.len();
     remap.clear();
     remap.resize(records.len(), NONE);
     let mut out = DestRoutes { slots: Vec::with_capacity(n), records: Vec::new() };

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use bgp_sim::routing::{is_valley_free, reference};
+use bgp_sim::routing::{is_valley_free, reference, SelectionSweep};
 use bgp_sim::{AsGraph, PolicyOverrides, RoutingTable};
 use net_model::{Asn, SimDuration, SimTime};
 use world::{generate, EventKind, RelKind, Scenario, WorldConfig};
@@ -67,6 +67,34 @@ fn sharded_sweep_is_bit_identical_across_worker_counts() {
     let all8: Vec<_> = t8.iter().collect();
     assert_eq!(all1, all2, "1 vs 2 workers");
     assert_eq!(all1, all8, "1 vs 8 workers");
+}
+
+/// One reused [`SelectionSweep`] yields, for every destination, the keys
+/// [`RoutingTable::selection`] reads from the full table.
+fn assert_sweep_matches_table(graph: &AsGraph, overrides: &PolicyOverrides) {
+    let table = RoutingTable::compute_for_graph_with(graph, 2, overrides);
+    let mut sweep = SelectionSweep::default();
+    for dst in graph.nodes() {
+        let keys: Vec<_> = sweep.selections(graph, dst, overrides).collect();
+        let expected: Vec<_> = graph.nodes().map(|src| table.selection(src, dst)).collect();
+        assert_eq!(keys, expected, "selections towards {dst} diverge from the table");
+    }
+}
+
+#[test]
+fn selection_sweep_matches_the_table_on_default_world() {
+    let world = generate(&WorldConfig::default());
+    let scenario = Scenario::quiet(world, 10);
+    let graph = AsGraph::at_time(&scenario, SimTime::EPOCH);
+    assert_sweep_matches_table(&graph, &PolicyOverrides::none());
+    assert_sweep_matches_table(&graph, &default_world_leaker(&scenario, &graph));
+    let leakers = multi_homed(&scenario, &graph).into_iter().step_by(7);
+    assert_sweep_matches_table(&graph, &PolicyOverrides::leaking(leakers));
+
+    let mut sweep = SelectionSweep::default();
+    let absent = sweep.selections(&graph, Asn(1), &PolicyOverrides::none());
+    assert_eq!(absent.len(), graph.node_count());
+    assert!(absent.into_iter().all(|k| k.is_none()), "nobody routes to an absent AS");
 }
 
 /// A leaker fixture on the default world: a multi-homed access AS (two
@@ -357,6 +385,20 @@ proptest! {
                 prop_assert_eq!(dense, t3.route(src, dst));
             }
         }
+    }
+
+    /// One sweep reused across arbitrary graphs and leaker sets matches
+    /// the full table's selections bit for bit.
+    #[test]
+    fn selection_sweep_matches_the_table_on_arbitrary_graphs(
+        spec in arbitrary_graph(),
+        picks in proptest::collection::vec(any::<u16>(), 0..4),
+    ) {
+        let (asns, edges) = spec;
+        let leakers: Vec<Asn> =
+            picks.iter().map(|&p| asns[p as usize % asns.len()]).collect();
+        let graph = AsGraph::from_relationships(asns, edges);
+        assert_sweep_matches_table(&graph, &PolicyOverrides::leaking(leakers));
     }
 
     /// Sharding arbitrary graphs across workers never changes the output.

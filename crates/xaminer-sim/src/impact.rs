@@ -90,7 +90,8 @@ pub fn aggregate(world: &World, failure: &FailureImpact) -> ImpactReport {
         let inter_as = link.a.asn != link.b.asn;
 
         let a = per_country.entry(ca).or_default();
-        a.ips += 1;
+        // A same-country link's second endpoint IP counts there too.
+        a.ips += if cb == ca { 2 } else { 1 };
         a.links += 1;
         if inter_as {
             a.as_links += 1;
@@ -102,9 +103,6 @@ pub fn aggregate(world: &World, failure: &FailureImpact) -> ImpactReport {
             if inter_as {
                 b.as_links += 1;
             }
-        } else {
-            // Same-country link: second endpoint IP still counts.
-            per_country.get_mut(&ca).expect("just inserted").ips += 1;
         }
 
         *per_as.entry(link.a.asn).or_default() += 1;
