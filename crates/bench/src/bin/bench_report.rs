@@ -1,5 +1,5 @@
 //! Bench trajectory: the component rows behind the paper's timing claims,
-//! written as `BENCH_pr20.json` at the repo root.
+//! written as `BENCH_pr21.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p benchkit --bin bench_report            # repo root
@@ -191,6 +191,13 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     let victim = world.prefixes[0];
     let origin =
         world.ases.iter().map(|a| a.asn).find(|&a| a != victim.origin).expect("another AS");
+    let cut_at = net_model::SimTime(5 * 86_400);
+    let cable_cut = Scenario::quiet(scenario.world_handle(), 10).with_event(
+        world::EventKind::CableCut {
+            cable: world.cable_by_name("SeaMeWe-5").expect("curated cable").id,
+        },
+        cut_at,
+    );
     let hijack = Scenario::quiet(scenario.world_handle(), 10).with_event(
         world::EventKind::PrefixHijack { origin, victim_prefix: victim.net },
         net_model::SimTime(5 * 86_400),
@@ -366,6 +373,11 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         row("bgp/derive_updates_hijack", 7, move || {
             bgp_sim::updates::derive_updates(&hijack, &fx.peers).len()
         }),
+        // The quiet start and the first instant after a SeaMeWe-5 cut.
+        row("bgp/as_graph_at_time", 51, move || {
+            [net_model::SimTime::EPOCH, cut_at + net_model::SimDuration::hours(1)]
+                .map(|t| bgp_sim::AsGraph::at_time(&cable_cut, t).edge_count())
+        }),
         row("toolkit/mapping_shared_world", 5, move || {
             (0..4)
                 .map(|_| {
@@ -459,7 +471,7 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| {
         // The binary lives in crates/bench; the trajectory file lives at
         // the repo root.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr20.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr21.json").to_string()
     });
 
     let fx = Fixtures::new();
@@ -470,7 +482,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
-        "pr": 20,
+        "pr": 21,
         "machine": { "cpus": cpus, "profile": profile },
         "world": {
             "ases": world.ases.len(),

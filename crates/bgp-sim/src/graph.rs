@@ -51,17 +51,11 @@ impl AsGraph {
     pub fn at_time(scenario: &Scenario, t: SimTime) -> AsGraph {
         let world = &scenario.world;
         let down = scenario.links_down_at(t);
-        // An adjacency is live while at least one of its links is up.
-        let mut live: std::collections::BTreeSet<(Asn, Asn)> = std::collections::BTreeSet::new();
-        for link in &world.links {
-            if !down.contains(&link.id) {
-                live.insert(link.as_pair());
-            }
-        }
         let asns: Vec<Asn> = world.ases.iter().map(|a| a.asn).collect();
+        // An adjacency is live while at least one of its links is up.
         let edges = world.relationships.iter().filter_map(|rel| {
-            let pair = if rel.a <= rel.b { (rel.a, rel.b) } else { (rel.b, rel.a) };
-            live.contains(&pair).then_some((rel.a, rel.b, rel.kind))
+            let live = world.links_between(rel.a, rel.b).iter().any(|l| !down.contains(l));
+            live.then_some((rel.a, rel.b, rel.kind))
         });
         Self::build(asns, edges)
     }
@@ -82,37 +76,38 @@ impl AsGraph {
     fn build(asns: Vec<Asn>, edges: impl IntoIterator<Item = (Asn, Asn, RelKind)>) -> AsGraph {
         let index: BTreeMap<Asn, u32> =
             asns.iter().enumerate().map(|(i, &a)| (a, i as u32)).collect();
-        // Per-node sorted maps first (later relationship rows overwrite
-        // earlier ones for the same pair, matching the seed semantics),
-        // then flatten to CSR.
-        let mut adj: Vec<BTreeMap<u32, NeighborKind>> = vec![BTreeMap::new(); asns.len()];
+        // Both half-edges of every row, in row order.
+        let mut half: Vec<(u32, u32, NeighborKind)> = Vec::new();
         for (a, b, kind) in edges {
             let (ia, ib) = match (index.get(&a), index.get(&b)) {
                 (Some(&ia), Some(&ib)) => (ia, ib),
                 _ => continue,
             };
-            match kind {
-                RelKind::ProviderCustomer => {
-                    // `a` is provider of `b`.
-                    adj[ia as usize].insert(ib, NeighborKind::Customer);
-                    adj[ib as usize].insert(ia, NeighborKind::Provider);
-                }
-                RelKind::Peer => {
-                    adj[ia as usize].insert(ib, NeighborKind::Peer);
-                    adj[ib as usize].insert(ia, NeighborKind::Peer);
-                }
-            }
+            let (toward_b, toward_a) = match kind {
+                // `a` is provider of `b`.
+                RelKind::ProviderCustomer => (NeighborKind::Customer, NeighborKind::Provider),
+                RelKind::Peer => (NeighborKind::Peer, NeighborKind::Peer),
+            };
+            half.push((ia, ib, toward_b));
+            half.push((ib, ia, toward_a));
         }
-        let mut offsets = Vec::with_capacity(asns.len() + 1);
-        let mut nbr_index = Vec::new();
-        let mut nbr_kind = Vec::new();
-        offsets.push(0u32);
-        for m in &adj {
-            for (&n, &k) in m {
-                nbr_index.push(n);
-                nbr_kind.push(k);
+        // A stable sort keeps each `(node, neighbour)` run in row order, so
+        // the last row for a pair wins (a self-loop's second half-edge
+        // included), as the seed's per-node map inserts did.
+        half.sort_by_key(|&(node, nbr, _)| (node, nbr));
+        let mut offsets = vec![0u32; asns.len() + 1];
+        let mut nbr_index = Vec::with_capacity(half.len());
+        let mut nbr_kind = Vec::with_capacity(half.len());
+        for (k, &(node, nbr, kind)) in half.iter().enumerate() {
+            if half.get(k + 1).is_some_and(|&(n, m, _)| (n, m) == (node, nbr)) {
+                continue;
             }
-            offsets.push(nbr_index.len() as u32);
+            nbr_index.push(nbr);
+            nbr_kind.push(kind);
+            offsets[node as usize + 1] += 1;
+        }
+        for i in 0..asns.len() {
+            offsets[i + 1] += offsets[i];
         }
         AsGraph { asns, index, offsets, nbr_index, nbr_kind }
     }
@@ -206,11 +201,179 @@ impl AsGraph {
     }
 }
 
+/// The graph construction the half-edge build and the `links_between`
+/// liveness test replaced, kept verbatim as the oracle the equivalence
+/// tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::BTreeMap;
+
+    use net_model::{Asn, SimTime};
+    use world::{RelKind, Scenario};
+
+    use super::{AsGraph, NeighborKind};
+
+    /// The seed `AsGraph::at_time`: liveness from a set of every up
+    /// link's AS pair.
+    pub(crate) fn at_time(scenario: &Scenario, t: SimTime) -> AsGraph {
+        let world = &scenario.world;
+        let down = scenario.links_down_at(t);
+        // An adjacency is live while at least one of its links is up.
+        let mut live: std::collections::BTreeSet<(Asn, Asn)> = std::collections::BTreeSet::new();
+        for link in &world.links {
+            if !down.contains(&link.id) {
+                live.insert(link.as_pair());
+            }
+        }
+        let asns: Vec<Asn> = world.ases.iter().map(|a| a.asn).collect();
+        let edges = world.relationships.iter().filter_map(|rel| {
+            let pair = if rel.a <= rel.b { (rel.a, rel.b) } else { (rel.b, rel.a) };
+            live.contains(&pair).then_some((rel.a, rel.b, rel.kind))
+        });
+        build(asns, edges)
+    }
+
+    /// The seed `AsGraph::from_relationships`.
+    pub(crate) fn from_relationships(
+        mut asns: Vec<Asn>,
+        edges: impl IntoIterator<Item = (Asn, Asn, RelKind)>,
+    ) -> AsGraph {
+        asns.sort();
+        asns.dedup();
+        build(asns, edges)
+    }
+
+    fn build(asns: Vec<Asn>, edges: impl IntoIterator<Item = (Asn, Asn, RelKind)>) -> AsGraph {
+        let index: BTreeMap<Asn, u32> =
+            asns.iter().enumerate().map(|(i, &a)| (a, i as u32)).collect();
+        // Per-node sorted maps first (later relationship rows overwrite
+        // earlier ones for the same pair, matching the seed semantics),
+        // then flatten to CSR.
+        let mut adj: Vec<BTreeMap<u32, NeighborKind>> = vec![BTreeMap::new(); asns.len()];
+        for (a, b, kind) in edges {
+            let (ia, ib) = match (index.get(&a), index.get(&b)) {
+                (Some(&ia), Some(&ib)) => (ia, ib),
+                _ => continue,
+            };
+            match kind {
+                RelKind::ProviderCustomer => {
+                    // `a` is provider of `b`.
+                    adj[ia as usize].insert(ib, NeighborKind::Customer);
+                    adj[ib as usize].insert(ia, NeighborKind::Provider);
+                }
+                RelKind::Peer => {
+                    adj[ia as usize].insert(ib, NeighborKind::Peer);
+                    adj[ib as usize].insert(ia, NeighborKind::Peer);
+                }
+            }
+        }
+        let mut offsets = Vec::with_capacity(asns.len() + 1);
+        let mut nbr_index = Vec::new();
+        let mut nbr_kind = Vec::new();
+        offsets.push(0u32);
+        for m in &adj {
+            for (&n, &k) in m {
+                nbr_index.push(n);
+                nbr_kind.push(k);
+            }
+            offsets.push(nbr_index.len() as u32);
+        }
+        AsGraph { asns, index, offsets, nbr_index, nbr_kind }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use net_model::geo::{GeoCircle, GeoPoint};
     use net_model::SimDuration;
+    use proptest::prelude::*;
+    use std::sync::Arc;
     use world::{generate, EventKind, WorldConfig};
+
+    /// Both builds agree on the topology and on every field `Debug` shows.
+    fn assert_matches_reference(asns: Vec<Asn>, rows: Vec<(Asn, Asn, RelKind)>) {
+        let dense = AsGraph::from_relationships(asns.clone(), rows.clone());
+        let seed = reference::from_relationships(asns, rows.clone());
+        assert!(dense.same_topology(&seed), "topology differs for {rows:?}");
+        assert_eq!(format!("{dense:?}"), format!("{seed:?}"), "rows {rows:?}");
+    }
+
+    #[test]
+    fn half_edge_build_matches_the_reference_on_overwritten_rows() {
+        use RelKind::{Peer, ProviderCustomer as P2c};
+        let asns = vec![Asn(30), Asn(10), Asn(20), Asn(40), Asn(10)];
+        let shapes: [&[(u32, u32, RelKind)]; 7] = [
+            // A repeated pair.
+            &[(10, 20, P2c), (20, 30, Peer), (10, 20, P2c), (20, 30, Peer)],
+            // A P2C row later overwritten by a Peer row.
+            &[(10, 20, P2c), (20, 40, P2c), (10, 20, Peer)],
+            // A P2C row reversed.
+            &[(10, 20, P2c), (30, 40, Peer), (20, 10, P2c)],
+            // Self-loops: the second half-edge of the row wins.
+            &[(20, 20, P2c), (10, 30, P2c)],
+            &[(20, 20, Peer), (20, 20, P2c), (40, 40, P2c), (40, 40, Peer)],
+            // Rows naming an ASN outside the node set are dropped.
+            &[(10, 99, P2c), (99, 20, Peer), (10, 20, Peer), (99, 99, P2c)],
+            &[],
+        ];
+        for rows in shapes {
+            let rows = rows.iter().map(|&(a, b, k)| (Asn(a), Asn(b), k)).collect();
+            assert_matches_reference(asns.clone(), rows);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Small ASN ranges make repeated, overwritten, reversed and
+        /// self-loop rows common, and rows past the node range name
+        /// unknown ASNs.
+        #[test]
+        fn half_edge_build_matches_the_reference(
+            asns in proptest::collection::vec(0u32..12, 0..12),
+            rows in proptest::collection::vec((0u32..14, 0u32..14, any::<bool>()), 0..48),
+        ) {
+            let asns: Vec<Asn> = asns.into_iter().map(Asn).collect();
+            let rows: Vec<(Asn, Asn, RelKind)> = rows
+                .into_iter()
+                .map(|(a, b, peer)| {
+                    (Asn(a), Asn(b), if peer { RelKind::Peer } else { RelKind::ProviderCustomer })
+                })
+                .collect();
+            let dense = AsGraph::from_relationships(asns.clone(), rows.clone());
+            let seed = reference::from_relationships(asns, rows);
+            prop_assert!(dense.same_topology(&seed));
+            prop_assert_eq!(format!("{dense:?}"), format!("{seed:?}"));
+        }
+    }
+
+    #[test]
+    fn at_time_matches_the_reference_across_cuts_and_disasters() {
+        let config = WorldConfig { festoon_cables: 10, ..WorldConfig::default() };
+        let world = Arc::new(generate(&config));
+        let day = |d: i64| net_model::SimTime::EPOCH + SimDuration::days(d);
+        // Global ASes interconnect at their first two shared hubs, London
+        // and Marseille, so a London quake downs one of two links of many
+        // pairs: the pair stays adjacent through Marseille.
+        let quake = GeoCircle::new(GeoPoint::of(51.5, -0.1), 200.0);
+        let mut scenario = Scenario::quiet(Arc::clone(&world), 10)
+            .with_event(EventKind::Earthquake { footprint: quake, failure_prob: 0.8 }, day(2));
+        for (k, cable) in world.cables.iter().step_by(4).enumerate() {
+            let cut = EventKind::CableCut { cable: cable.id };
+            scenario = scenario.with_event(cut, day(3 + k as i64 / 4));
+        }
+        let mut distinct = std::collections::BTreeSet::new();
+        for hour in (0..10 * 24).step_by(6) {
+            let t = net_model::SimTime::EPOCH + SimDuration::hours(hour);
+            let dense = AsGraph::at_time(&scenario, t);
+            let seed = reference::at_time(&scenario, t);
+            assert!(dense.same_topology(&seed), "topology differs at hour {hour}");
+            assert_eq!(format!("{dense:?}"), format!("{seed:?}"), "hour {hour}");
+            distinct.insert(dense.edge_count());
+        }
+        assert!(distinct.len() > 3, "the timeline removes adjacencies step by step: {distinct:?}");
+    }
 
     #[test]
     fn graph_reflects_world_relationships() {

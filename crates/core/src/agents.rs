@@ -333,6 +333,27 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_completions_fail_closed() {
+        // A run of `[` used to overflow the JSON parser's stack and abort
+        // the process; now it is one more unparseable completion. A 2 MiB
+        // thread (the default for spawned threads) shows it.
+        let nested = "[".repeat(1_000_000);
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                assert!(serde_json::from_str::<serde_json::Value>(&nested).is_err());
+                let model = ScriptedModel::new(vec![("querymind.decompose", nested.as_str())]);
+                let qm = QueryMind::new(&model, AgentConfig { max_retries: 1 });
+                qm.run("impact of earthquakes", &context(), &mini_registry()).map(|_| ())
+            })
+            .expect("thread spawns")
+            .join()
+            .expect("parsing returns instead of overflowing the stack")
+            .unwrap_err();
+        assert!(matches!(err, AgentError::Unparseable { attempts: 2, .. }), "{err}");
+    }
+
+    #[test]
     fn agents_give_up_after_retries() {
         // Corrupt more completions than the retry budget allows.
         let model = FaultyModel::new(DeterministicExpertModel::new(), 10);

@@ -125,22 +125,17 @@ pub fn execute(
         rtt_ms: Some(2.0 * one_way_ms),
     });
 
-    if !fwd.routed {
-        // No route: a few anonymous timeouts, then give up — the classic
-        // look of traceroute into a withdrawn prefix.
+    // No route: a few anonymous timeouts, then give up — the classic look
+    // of traceroute into a withdrawn prefix.
+    let unrouted = |mut hops: Vec<Hop>, mut ttl: u8| {
         for _ in 0..3 {
             ttl += 1;
             hops.push(Hop { ttl, addr: None, asn: None, city: None, rtt_ms: None });
         }
-        return Traceroute {
-            probe,
-            src: probe_info.addr,
-            dst,
-            time,
-            flow_id,
-            hops,
-            completed: false,
-        };
+        Traceroute { probe, src: probe_info.addr, dst, time, flow_id, hops, completed: false }
+    };
+    if !fwd.routed {
+        return unrouted(hops, ttl);
     }
 
     for (i, step) in fwd.steps.iter().enumerate() {
@@ -176,8 +171,14 @@ pub fn execute(
 
     // Final segment: ingress city of the origin AS to the destination host
     // (hosted at the origin AS's PoP nearest to the entry point).
-    let origin = *fwd.as_path.last().expect("routed paths are non-empty");
-    let origin_info = world.as_info(origin).expect("origin AS exists");
+    // A routed path names its origin, which the world knows; should either
+    // fail, the destination is unreachable past the last hop.
+    let Some(&origin) = fwd.as_path.last() else {
+        return unrouted(hops, ttl);
+    };
+    let Some(origin_info) = world.as_info(origin) else {
+        return unrouted(hops, ttl);
+    };
     let dest_city = origin_info
         .presence
         .iter()

@@ -15,7 +15,7 @@ use crate::ases::{asn_bands, AsInfo, AsRelationship, AsTier, RelKind};
 use crate::cables::{build_curated_cables, sea_path_km, Cable};
 use crate::cities::{build_cities, City};
 use crate::links::{classify_conduit, IpLink, LinkEnd, PrefixInfo};
-use crate::physical::{PhysicalGraph, TerrestrialEdge};
+use crate::physical::{PathScratch, PhysicalGraph, TerrestrialEdge};
 use crate::probes::{probes_per_country, Probe};
 use crate::{World, WorldIndex};
 
@@ -132,10 +132,7 @@ impl Ord for WorldConfig {
 pub fn generate(config: &WorldConfig) -> World {
     let mut rng = StdRng::seed_from_u64(config.seed);
 
-    let cities = build_cities();
-    let mut cables = build_curated_cables(&cities);
-    add_festoon_cables(&mut cables, &cities, config.festoon_cables, &mut rng);
-    let terrestrial = build_terrestrial(&cities);
+    let (cities, cables, terrestrial) = physical_layer(config, &mut rng);
     let graph = PhysicalGraph::build(&cities, &cables, &terrestrial);
 
     let ases = build_ases(&cities, config);
@@ -165,6 +162,32 @@ pub fn generate(config: &WorldConfig) -> World {
 // ---------------------------------------------------------------------------
 // Physical layer
 // ---------------------------------------------------------------------------
+
+/// Cities, cables (curated, then festoons drawn from `rng`) and
+/// terrestrial conduits: the inputs of the conduit graph.
+pub(crate) fn physical_layer(
+    config: &WorldConfig,
+    rng: &mut StdRng,
+) -> (Vec<City>, Vec<Cable>, Vec<TerrestrialEdge>) {
+    let cities = build_cities();
+    let mut cables = build_curated_cables(&cities);
+    add_festoon_cables(&mut cables, &cities, config.festoon_cables, rng);
+    let terrestrial = build_terrestrial(&cities);
+    (cities, cables, terrestrial)
+}
+
+/// The 80 configs the dense conduit graph is pinned on: 20 seeds, each
+/// with 0, 10, 30 and 60 festoon cables.
+#[cfg(test)]
+pub(crate) fn festoon_configs() -> impl Iterator<Item = WorldConfig> {
+    (0..20u64).flat_map(|seed| {
+        [0, 10, 30, 60].map(|festoon_cables| WorldConfig {
+            seed,
+            festoon_cables,
+            ..WorldConfig::default()
+        })
+    })
+}
 
 /// Countries that are islands (no terrestrial conduits except curated
 /// exceptions like the Channel Tunnel).
@@ -498,21 +521,33 @@ fn build_links(
     cities: &[City],
     graph: &PhysicalGraph,
 ) -> Vec<IpLink> {
-    let by_asn = |asn: Asn| ases.iter().find(|a| a.asn == asn).expect("known ASN");
+    // `ases` is ASN-ascending (`build_ases` sorts it).
+    let by_asn = |asn: Asn| {
+        &ases[ases.binary_search_by_key(&asn, |a| a.asn).expect("known ASN")]
+    };
     let mut links: Vec<IpLink> = Vec::new();
     let is_global = |a: &AsInfo| matches!(a.tier, AsTier::Tier1 | AsTier::Content);
-    let nearest_presence = |of: &AsInfo, to: CityId| -> CityId {
+    // `km[x * n + t]` is `x.distance_km(t)`, in that argument order, filled
+    // on first use (NaN marks an unfilled cell), so the nearest-PoP choice
+    // matches computing every distance on demand.
+    let n = cities.len();
+    let mut km = vec![f64::NAN; n * n];
+    let mut nearest_presence = |of: &AsInfo, to: CityId| -> CityId {
         let target = cities[to.index()].location;
+        let mut km_to = |x: CityId| {
+            let cell = &mut km[x.index() * n + to.index()];
+            if cell.is_nan() {
+                *cell = cities[x.index()].location.distance_km(&target);
+            }
+            *cell
+        };
         of.presence
             .iter()
             .copied()
-            .min_by(|&x, &y| {
-                let dx = cities[x.index()].location.distance_km(&target);
-                let dy = cities[y.index()].location.distance_km(&target);
-                dx.total_cmp(&dy).then(x.cmp(&y))
-            })
+            .min_by(|&x, &y| km_to(x).total_cmp(&km_to(y)).then(x.cmp(&y)))
             .expect("ASes have at least one PoP")
     };
+    let mut scratch = PathScratch::default();
 
     for rel in rels {
         let a = by_asn(rel.a);
@@ -562,7 +597,7 @@ fn build_links(
                 ca.0 as u64,
                 cb.0 as u64,
             ]);
-            let path = match graph.shortest_path_biased(ca, cb, Some(bias)) {
+            let path = match graph.shortest_path_in(ca, cb, Some(bias), &mut scratch) {
                 Some(p) => p,
                 None => continue, // physically unreachable pair: skip
             };
@@ -611,7 +646,7 @@ fn build_links(
                 ca.0 as u64,
                 cb.0 as u64,
             ]);
-            let path = match graph.shortest_path_biased(ca, cb, Some(bias)) {
+            let path = match graph.shortest_path_in(ca, cb, Some(bias), &mut scratch) {
                 Some(p) => p,
                 None => continue,
             };
@@ -674,12 +709,186 @@ fn build_probes(
     probes
 }
 
+/// The link builder before the distance table and the ASN binary
+/// search, over the `BTreeMap` Dijkstra, kept verbatim as the oracle the
+/// equivalence test compares [`generate`] against.
+#[cfg(test)]
+mod reference {
+    use net_model::{Asn, CityId, Ipv4Addr, LinkId};
+
+    use crate::ases::{AsInfo, AsRelationship, AsTier, RelKind};
+    use crate::cities::City;
+    use crate::links::{classify_conduit, IpLink, LinkEnd};
+    use crate::physical::reference::PhysicalGraph;
+
+    pub(super) fn build_links(
+        ases: &[AsInfo],
+        rels: &[AsRelationship],
+        cities: &[City],
+        graph: &PhysicalGraph,
+    ) -> Vec<IpLink> {
+        let by_asn = |asn: Asn| ases.iter().find(|a| a.asn == asn).expect("known ASN");
+        let mut links: Vec<IpLink> = Vec::new();
+        let is_global = |a: &AsInfo| matches!(a.tier, AsTier::Tier1 | AsTier::Content);
+        let nearest_presence = |of: &AsInfo, to: CityId| -> CityId {
+            let target = cities[to.index()].location;
+            of.presence
+                .iter()
+                .copied()
+                .min_by(|&x, &y| {
+                    let dx = cities[x.index()].location.distance_km(&target);
+                    let dy = cities[y.index()].location.distance_km(&target);
+                    dx.total_cmp(&dy).then(x.cmp(&y))
+                })
+                .expect("ASes have at least one PoP")
+        };
+
+        for rel in rels {
+            let a = by_asn(rel.a);
+            let b = by_asn(rel.b);
+
+            let endpoints: Vec<(CityId, CityId)> = if is_global(a) && is_global(b) {
+                let shared: Vec<CityId> =
+                    a.presence.iter().copied().filter(|c| b.presence.contains(c)).collect();
+                if shared.is_empty() {
+                    let home = a.presence[0];
+                    vec![(home, nearest_presence(b, home))]
+                } else {
+                    shared.into_iter().take(2).map(|c| (c, c)).collect()
+                }
+            } else {
+                // Anchor at the more local AS (customer in P2C, else lower tier,
+                // else lower ASN). `a_is_local` keeps endpoint order aligned
+                // with the link's (a, b) ends.
+                let a_is_local = if is_global(a) {
+                    false
+                } else if is_global(b) {
+                    true
+                } else {
+                    rel.kind != RelKind::ProviderCustomer // in P2C, rel.b is customer
+                };
+                let (local, other) = if a_is_local { (a, b) } else { (b, a) };
+                let anchor = *local
+                    .presence
+                    .iter()
+                    .find(|c| cities[c.index()].country == local.country)
+                    .unwrap_or(&local.presence[0]);
+                let far = nearest_presence(other, anchor);
+                if a_is_local {
+                    vec![(anchor, far)]
+                } else {
+                    vec![(far, anchor)]
+                }
+            };
+
+            for (ca, cb) in endpoints {
+                // Per-link bias spreads long-haul links across parallel cable
+                // systems on the same corridor (route diversity).
+                let bias = crate::events::stable_hash(&[
+                    0x4C4E4B, // "LNK"
+                    rel.a.0 as u64,
+                    rel.b.0 as u64,
+                    ca.0 as u64,
+                    cb.0 as u64,
+                ]);
+                let path = match graph.shortest_path_biased(ca, cb, Some(bias)) {
+                    Some(p) => p,
+                    None => continue, // physically unreachable pair: skip
+                };
+                let conduit = classify_conduit(&path);
+                let id = LinkId(links.len() as u32);
+                // /30 per link out of 172.16.0.0/12.
+                let base = (172u32 << 24) | (16u32 << 16);
+                let net_base = base + id.0 * 4;
+                let latency_ms = if path.hops.is_empty() {
+                    0.5 // metro
+                } else {
+                    path.propagation_ms() + 0.5
+                };
+                let capacity_gbps = match (a.tier, b.tier) {
+                    (AsTier::Tier1, AsTier::Tier1) => 1_000.0,
+                    (AsTier::Content, _) | (_, AsTier::Content) => 400.0,
+                    (AsTier::Tier1, _) | (_, AsTier::Tier1) => 200.0,
+                    (AsTier::Transit, AsTier::Transit) => 100.0,
+                    _ => 40.0,
+                };
+                links.push(IpLink {
+                    id,
+                    a: LinkEnd { asn: a.asn, city: ca, addr: Ipv4Addr(net_base + 1) },
+                    b: LinkEnd { asn: b.asn, city: cb, addr: Ipv4Addr(net_base + 2) },
+                    latency_ms,
+                    capacity_gbps,
+                    path,
+                    conduit,
+                });
+            }
+        }
+
+        // Intra-AS backbones: chain each AS's PoPs in id order. These carry no
+        // AS-level adjacency but dominate the physical-layer dependency counts.
+        for a in ases {
+            if a.presence.len() < 2 {
+                continue;
+            }
+            let mut pops = a.presence.clone();
+            pops.sort();
+            for w in pops.windows(2) {
+                let (ca, cb) = (w[0], w[1]);
+                let bias = crate::events::stable_hash(&[
+                    0xBB0E, // backbone marker
+                    a.asn.0 as u64,
+                    ca.0 as u64,
+                    cb.0 as u64,
+                ]);
+                let path = match graph.shortest_path_biased(ca, cb, Some(bias)) {
+                    Some(p) => p,
+                    None => continue,
+                };
+                let conduit = classify_conduit(&path);
+                let id = LinkId(links.len() as u32);
+                let base = (172u32 << 24) | (16u32 << 16);
+                let net_base = base + id.0 * 4;
+                let latency_ms =
+                    if path.hops.is_empty() { 0.5 } else { path.propagation_ms() + 0.5 };
+                links.push(IpLink {
+                    id,
+                    a: LinkEnd { asn: a.asn, city: ca, addr: Ipv4Addr(net_base + 1) },
+                    b: LinkEnd { asn: a.asn, city: cb, addr: Ipv4Addr(net_base + 2) },
+                    latency_ms,
+                    capacity_gbps: 800.0,
+                    path,
+                    conduit,
+                });
+            }
+        }
+        links
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn world() -> World {
         generate(&WorldConfig::default())
+    }
+
+    #[test]
+    fn generate_matches_the_reference_link_builder() {
+        for config in festoon_configs() {
+            let w = generate(&config);
+            let graph = crate::physical::reference::PhysicalGraph::build(
+                &w.cities,
+                &w.cables,
+                &w.terrestrial,
+            );
+            let links = reference::build_links(&w.ases, &w.relationships, &w.cities, &graph);
+            assert_eq!(
+                format!("{:?}", w.links),
+                format!("{links:?}"),
+                "links differ for {config:?}"
+            );
+        }
     }
 
     #[test]
