@@ -1,5 +1,5 @@
 //! Bench trajectory: the component rows behind the paper's timing claims,
-//! written as `BENCH_pr21.json` at the repo root.
+//! written as `BENCH_pr22.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p benchkit --bin bench_report            # repo root
@@ -269,6 +269,31 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         .find(|&a| quiet.providers(a).len() >= 2)
         .expect("a multi-homed AS");
     let leak = xaminer_sim::ControlPlaneIncident::RouteLeak { leaker };
+    // CS5 and the leak world of perfbench's `fault_drill` at seed 7,
+    // world 0. Counting their horizon-wide updates derives (and caches)
+    // each one's `bgp.observation`, so the row times warm stores.
+    let drill_leak = arachnet::FamilyParams { seed: 7, variants: 1, ..Default::default() };
+    let control_plane: Vec<(toolkit::StandardRuntime, workflow::Value)> = [
+        fx.cs5.clone(),
+        arachnet::Family::AccidentalTransitLeak.expand(&drill_leak)[0]
+            .forge(&arachnet::WorldCache::new()),
+    ]
+    .into_iter()
+    .map(|scenario| {
+        let horizon = scenario.horizon;
+        let window = json!({ "start": horizon.start.0, "end": horizon.end.0 });
+        let rt = toolkit::StandardRuntime::new(scenario);
+        (rt, workflow::Value::new(registry::DataFormat::TimeWindow, window))
+    })
+    .collect();
+    let control_plane_updates: usize = control_plane
+        .iter()
+        .map(|(rt, window)| {
+            let args = BTreeMap::from([("window".to_string(), window.clone())]);
+            let updates = rt.invoke(&registry::FunctionId::from("bgp.updates"), &args);
+            updates.expect("updates serve").native_ref::<bgp_sim::UpdateWindow>().map_or(0, |w| w.len())
+        })
+        .sum();
     let scan_root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let scan_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -354,19 +379,32 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         .vs("one full world generation (world/generate_cold)", move || {
             generate(&WorldConfig::default()).links.len()
         }),
-        // Engine setup + fleet registration only: the model and registry
-        // are built outside the arm.
-        row("forge/register_family_fleet", 3, move || {
-            Engine::new(Arc::clone(&fx.model), fleet_registry.clone())
-                .register_families(&arachnet::Family::ALL, fleet_params)
-                .len()
+        // Engine setup + fleet registration of cold worlds: every call
+        // draws a fresh reseed of the fleet params, so the process-wide
+        // world cache has none of its worlds and the arm generates each
+        // distinct world once. The baseline generates one world per
+        // scenario from the same draws. The model and registry are built
+        // outside the arm.
+        row("forge/register_family_fleet", 3, {
+            let mut draw = 0;
+            move || {
+                draw += 1;
+                Engine::new(Arc::clone(&fx.model), fleet_registry.clone())
+                    .register_families(&arachnet::Family::ALL, &fleet_params.reseed(draw))
+                    .len()
+            }
         })
-        .vs("one cold world generation per scenario (no cache)", move || {
-            arachnet::Family::ALL
-                .iter()
-                .flat_map(|f| f.expand(fleet_params))
-                .map(|bp| bp.realize(Arc::new(generate(&bp.config))).events.len())
-                .sum::<usize>()
+        .vs("one cold world generation per scenario (no cache)", {
+            let mut draw = 0;
+            move || {
+                draw += 1;
+                let params = fleet_params.reseed(draw);
+                arachnet::Family::ALL
+                    .iter()
+                    .flat_map(|f| f.expand(&params))
+                    .map(|bp| bp.realize(Arc::new(generate(&bp.config))).events.len())
+                    .sum::<usize>()
+            }
         })
         .with("scenarios", fleet_size)
         .with("families", arachnet::Family::ALL.len()),
@@ -420,6 +458,13 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             toolkit::analysis::detect_anomaly(&cs4_campaign).affected_pairs.len()
         })
         .with("measurements", cs4_measurements),
+        // The drill's warm control-plane pair on CS5 and on a drill leak
+        // world: `bgp.updates` over the horizon, then `bgp.detect_moas`,
+        // both against a warm `bgp.observation`.
+        row("toolkit/control_plane_window_warm", 51, move || {
+            control_plane.iter().map(|(rt, window)| warm_moas(rt, window)).sum::<usize>()
+        })
+        .with("updates", control_plane_updates),
         row("xaminer/control_plane_hijack_cs5", 51, move || {
             xaminer_sim::control_plane::assess_many(cs5_world, &cs5_hijack)[0].affected_ases.len()
         }),
@@ -467,11 +512,23 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     rows
 }
 
+/// `bgp.updates` over `window`, then `bgp.detect_moas` on the result:
+/// how many conflicts the window shows.
+fn warm_moas(rt: &toolkit::StandardRuntime, window: &workflow::Value) -> usize {
+    let invoke = |function: &str, name: &str, arg: workflow::Value| {
+        let args = BTreeMap::from([(name.to_string(), arg)]);
+        rt.invoke(&registry::FunctionId::from(function), &args).expect("bgp serves")
+    };
+    let updates = invoke("bgp.updates", "window", window.clone());
+    let moas = invoke("bgp.detect_moas", "updates", updates);
+    moas.native_ref::<Vec<bgp_sim::MoasConflict>>().map_or(0, Vec::len)
+}
+
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| {
         // The binary lives in crates/bench; the trajectory file lives at
         // the repo root.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr21.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr22.json").to_string()
     });
 
     let fx = Fixtures::new();
@@ -482,7 +539,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
-        "pr": 21,
+        "pr": 22,
         "machine": { "cpus": cpus, "profile": profile },
         "world": {
             "ases": world.ases.len(),

@@ -17,14 +17,12 @@
 //!   of a route leak (with the pivot AS — the leaker candidate —
 //!   attributed per violation).
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use net_model::{Asn, Ipv4Net, SimTime, TimeWindow};
 use serde::{Deserialize, Serialize};
 
 use crate::graph::{AsGraph, NeighborKind};
 use crate::rib::{OriginIndex, RibSnapshot};
-use crate::updates::{BgpUpdate, UpdateKind};
+use crate::updates::{BgpUpdate, Observation, UpdateKind, UpdateWindow};
 
 /// A detected burst of update activity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -131,56 +129,124 @@ pub fn detect_moas_conflicts(
     updates: &[BgpUpdate],
     baseline: &RibSnapshot,
 ) -> Vec<MoasConflict> {
-    detect_moas_conflicts_indexed(updates, &baseline.origins())
+    let window = UpdateWindow::new(Observation::of_stream(updates.to_vec()));
+    detect_moas_conflicts_indexed(&window, &baseline.origins())
 }
 
-/// [`detect_moas_conflicts`] over a baseline already folded to its
-/// per-prefix origin sets (what [`crate::BgpSimulator::observe`] returns),
-/// so a call costs the stream plus the baseline's conflicted prefixes,
-/// not a pass over every RIB entry.
+/// [`detect_moas_conflicts`] over a window and a baseline already folded
+/// to its per-prefix origin sets (what [`crate::BgpSimulator::observe`]
+/// returns), in one pass over the window.
+///
+/// Per-prefix state lives in a `Vec` indexed by the window's prefix
+/// slots, and a prefix's origins past its first share one side list, so
+/// the pass allocates nothing per prefix. A prefix's baseline origins
+/// are seeded the first time an announcement touches it; the baseline's
+/// conflicted prefixes the window never touches are merged in at the
+/// end. Slot order is prefix order, so the output needs no sort.
 pub fn detect_moas_conflicts_indexed(
-    updates: &[BgpUpdate],
+    window: &UpdateWindow,
     baseline: &OriginIndex,
 ) -> Vec<MoasConflict> {
+    /// One touched prefix's running origin set.
+    #[derive(Clone, Copy)]
     struct Acc {
-        origins: BTreeSet<Asn>,
+        prefix: Ipv4Net,
+        /// The set's first origin (meaningful once `origins > 0`).
+        first: Asn,
+        /// Head of the chain of the set's further origins in `more`.
+        next: u32,
+        origins: u32,
+        announcements: u32,
         first_conflict: Option<SimTime>,
-        announcements: usize,
         conflicted_in_baseline: bool,
     }
-    let start = |prefix: &Ipv4Net| {
-        let origins: BTreeSet<Asn> = baseline
-            .binary_search_by_key(prefix, |(p, _)| *p)
-            .map(|i| baseline[i].1.iter().copied().collect())
-            .unwrap_or_default();
-        let conflicted_in_baseline = origins.len() > 1;
-        Acc { origins, first_conflict: None, announcements: 0, conflicted_in_baseline }
-    };
-    let mut by_prefix: BTreeMap<Ipv4Net, Acc> = baseline
-        .iter()
-        .filter(|(_, origins)| origins.len() > 1)
-        .map(|(prefix, _)| (*prefix, start(prefix)))
-        .collect();
-    for u in updates {
+    const END: u32 = u32::MAX;
+    /// Adds `origin` to the set; whether it was new.
+    fn insert(acc: &mut Acc, more: &mut Vec<(Asn, u32)>, origin: Asn) -> bool {
+        if acc.origins == 0 {
+            acc.first = origin;
+        } else {
+            if acc.first == origin {
+                return false;
+            }
+            let mut link = acc.next;
+            while link != END {
+                let (seen, next) = more[link as usize];
+                if seen == origin {
+                    return false;
+                }
+                link = next;
+            }
+            more.push((origin, acc.next));
+            acc.next = (more.len() - 1) as u32;
+        }
+        acc.origins += 1;
+        true
+    }
+
+    let mut accs: Vec<Option<Acc>> = vec![None; window.slot_count()];
+    let mut more: Vec<(Asn, u32)> = Vec::new();
+    for (u, &slot) in window.iter().zip(window.slots()) {
         let UpdateKind::Announce { as_path } = &u.kind else { continue };
         let Some(&origin) = as_path.last() else { continue };
-        let acc = by_prefix.entry(u.prefix).or_insert_with(|| start(&u.prefix));
+        let acc = accs[slot as usize].get_or_insert_with(|| {
+            let mut acc = Acc {
+                prefix: u.prefix,
+                first: origin,
+                next: END,
+                origins: 0,
+                announcements: 0,
+                first_conflict: None,
+                conflicted_in_baseline: false,
+            };
+            if let Ok(i) = baseline.binary_search_by_key(&u.prefix, |(p, _)| *p) {
+                for &seeded in &baseline[i].1 {
+                    insert(&mut acc, &mut more, seeded);
+                }
+                acc.conflicted_in_baseline = acc.origins > 1;
+            }
+            acc
+        });
         acc.announcements += 1;
-        let grew = acc.origins.insert(origin);
-        if grew && acc.origins.len() > 1 && acc.first_conflict.is_none() {
+        if insert(acc, &mut more, origin) && acc.origins > 1 && acc.first_conflict.is_none() {
             acc.first_conflict = Some(u.time);
         }
     }
-    by_prefix
-        .into_iter()
-        .filter(|(_, acc)| acc.origins.len() > 1)
-        .map(|(prefix, acc)| MoasConflict {
-            prefix,
-            origins: acc.origins.into_iter().collect(),
+
+    let from_baseline = |(prefix, origins): &(Ipv4Net, Vec<Asn>)| {
+        let mut origins = origins.clone();
+        origins.sort_unstable();
+        origins.dedup();
+        MoasConflict { prefix: *prefix, origins, first_conflict: None, announcements: 0 }
+    };
+    let mut conflicted = baseline.iter().filter(|(_, origins)| origins.len() > 1).peekable();
+    let mut out = Vec::new();
+    for acc in accs.iter().flatten() {
+        while let Some(entry) = conflicted.next_if(|(p, _)| *p < acc.prefix) {
+            out.push(from_baseline(entry));
+        }
+        conflicted.next_if(|(p, _)| *p == acc.prefix);
+        if acc.origins < 2 {
+            continue;
+        }
+        let mut origins = Vec::with_capacity(acc.origins as usize);
+        origins.push(acc.first);
+        let mut link = acc.next;
+        while link != END {
+            let (origin, next) = more[link as usize];
+            origins.push(origin);
+            link = next;
+        }
+        origins.sort_unstable();
+        out.push(MoasConflict {
+            prefix: acc.prefix,
+            origins,
             first_conflict: if acc.conflicted_in_baseline { None } else { acc.first_conflict },
-            announcements: acc.announcements,
-        })
-        .collect()
+            announcements: acc.announcements as usize,
+        });
+    }
+    out.extend(conflicted.map(from_baseline));
+    out
 }
 
 /// An announced AS path that violates the valley-free export rule — the
@@ -286,6 +352,64 @@ fn bucket_index(window: &TimeWindow, n: usize, t: SimTime) -> Option<usize> {
     }
     let idx = ((t.0 - window.start.0) / step) as usize;
     Some(idx.min(n - 1))
+}
+
+/// The `BTreeMap` MOAS detector the slot-indexed pass replaced, kept
+/// verbatim as its oracle.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use net_model::{Asn, Ipv4Net, SimTime};
+
+    use super::MoasConflict;
+    use crate::rib::OriginIndex;
+    use crate::updates::{BgpUpdate, UpdateKind};
+
+    pub fn detect_moas_conflicts_indexed(
+        updates: &[BgpUpdate],
+        baseline: &OriginIndex,
+    ) -> Vec<MoasConflict> {
+        struct Acc {
+            origins: BTreeSet<Asn>,
+            first_conflict: Option<SimTime>,
+            announcements: usize,
+            conflicted_in_baseline: bool,
+        }
+        let start = |prefix: &Ipv4Net| {
+            let origins: BTreeSet<Asn> = baseline
+                .binary_search_by_key(prefix, |(p, _)| *p)
+                .map(|i| baseline[i].1.iter().copied().collect())
+                .unwrap_or_default();
+            let conflicted_in_baseline = origins.len() > 1;
+            Acc { origins, first_conflict: None, announcements: 0, conflicted_in_baseline }
+        };
+        let mut by_prefix: BTreeMap<Ipv4Net, Acc> = baseline
+            .iter()
+            .filter(|(_, origins)| origins.len() > 1)
+            .map(|(prefix, _)| (*prefix, start(prefix)))
+            .collect();
+        for u in updates {
+            let UpdateKind::Announce { as_path } = &u.kind else { continue };
+            let Some(&origin) = as_path.last() else { continue };
+            let acc = by_prefix.entry(u.prefix).or_insert_with(|| start(&u.prefix));
+            acc.announcements += 1;
+            let grew = acc.origins.insert(origin);
+            if grew && acc.origins.len() > 1 && acc.first_conflict.is_none() {
+                acc.first_conflict = Some(u.time);
+            }
+        }
+        by_prefix
+            .into_iter()
+            .filter(|(_, acc)| acc.origins.len() > 1)
+            .map(|(prefix, acc)| MoasConflict {
+                prefix,
+                origins: acc.origins.into_iter().collect(),
+                first_conflict: if acc.conflicted_in_baseline { None } else { acc.first_conflict },
+                announcements: acc.announcements,
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -400,6 +524,148 @@ mod tests {
             ann(30, 1, pfx, &[1, 5, 30]),
         ];
         assert!(detect_moas_conflicts(&stream, &empty).is_empty());
+    }
+
+    // -- the slot-indexed MOAS pass against the `BTreeMap` oracle ----------
+
+    use proptest::prelude::*;
+
+    /// Both detectors' output, compared `Debug`-equal.
+    fn assert_moas_matches_reference(window: &UpdateWindow, baseline: &OriginIndex, what: &str) {
+        let dense = format!("{:?}", detect_moas_conflicts_indexed(window, baseline));
+        let oracle = format!("{:?}", reference::detect_moas_conflicts_indexed(window, baseline));
+        assert_eq!(dense, oracle, "{what}");
+    }
+
+    /// The pool an arbitrary stream draws from: six prefixes, of which
+    /// the arbitrary baseline covers the first five.
+    fn pool_prefix(i: usize) -> Ipv4Net {
+        Ipv4Net::parse(&format!("10.{i}.0.0/16")).expect("valid prefix")
+    }
+
+    /// `(time, peer, prefix, shape, origin)`: shape 0 withdraws, 1
+    /// announces an empty path, 2 a one-hop path, 3 a prepended path.
+    fn arbitrary_update() -> impl Strategy<Value = BgpUpdate> {
+        (0i64..30, 1u32..4, 0usize..6, 0u8..4, 1u32..6).prop_map(
+            |(time, peer, prefix, shape, origin)| {
+                let kind = match shape {
+                    0 => UpdateKind::Withdraw,
+                    1 => UpdateKind::Announce { as_path: vec![] },
+                    2 => UpdateKind::Announce { as_path: vec![Asn(origin)] },
+                    _ => UpdateKind::Announce {
+                        as_path: vec![Asn(peer), Asn(peer), Asn(9), Asn(origin)],
+                    },
+                };
+                BgpUpdate { time: SimTime(time), peer: Asn(peer), prefix: pool_prefix(prefix), kind }
+            },
+        )
+    }
+
+    /// One origin bitmask per pool prefix: 0 leaves the prefix out of
+    /// the baseline, two or more bits make it conflicted there.
+    fn arbitrary_baseline() -> impl Strategy<Value = OriginIndex> {
+        proptest::collection::vec(0u8..32, 5..6).prop_map(|masks| {
+            masks
+                .iter()
+                .enumerate()
+                .filter(|&(_, &mask)| mask != 0)
+                .map(|(i, &mask)| {
+                    let origins = (0..5).filter(|b| mask & (1 << b) != 0).map(|b| Asn(b + 1));
+                    (pool_prefix(i), origins.collect())
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Time windows of a time-sorted stream: the window holds exactly
+        /// the updates `TimeWindow::contains` admits, and the dense pass
+        /// reports what the oracle reports on them — also after a JSON
+        /// round trip, which ranks slots among the window's own prefixes.
+        #[test]
+        fn dense_moas_matches_reference_on_arbitrary_windows(
+            stream in proptest::collection::vec(arbitrary_update(), 0..40),
+            baseline in arbitrary_baseline(),
+            ends in (-5i64..36, -5i64..36),
+        ) {
+            let mut stream = stream;
+            stream.sort_by_key(|u| (u.time, u.peer, u.prefix));
+            let whole = UpdateWindow::new(Observation::of_stream(stream.clone()));
+            let bounds = TimeWindow::new(SimTime(ends.0), SimTime(ends.1));
+            let window = whole.within(bounds);
+            let inside: Vec<BgpUpdate> =
+                stream.iter().filter(|u| bounds.contains(u.time)).cloned().collect();
+            prop_assert_eq!(&*window, inside.as_slice());
+            assert_moas_matches_reference(&window, &baseline, "window");
+            assert_moas_matches_reference(&whole, &baseline, "whole stream");
+
+            let json = window.serialize_json();
+            prop_assert_eq!(json.to_json_string(), inside.serialize_json().to_json_string());
+            let parsed = UpdateWindow::deserialize_json(&json).expect("a window parses");
+            prop_assert_eq!(&*parsed, inside.as_slice());
+            assert_moas_matches_reference(&parsed, &baseline, "parsed window");
+        }
+
+        /// A window deserialized from JSON keeps the order it was given,
+        /// sorted or not, and the dense pass follows it.
+        #[test]
+        fn dense_moas_matches_reference_on_unsorted_streams(
+            stream in proptest::collection::vec(arbitrary_update(), 0..40),
+            baseline in arbitrary_baseline(),
+        ) {
+            let parsed = UpdateWindow::deserialize_json(&stream.serialize_json())
+                .expect("a window parses");
+            prop_assert_eq!(&*parsed, stream.as_slice());
+            assert_moas_matches_reference(&parsed, &baseline, "unsorted stream");
+        }
+    }
+
+    #[test]
+    fn dense_moas_matches_reference_on_hijack_and_leak_worlds() {
+        use scenario_forge::{compose, Family, FamilyParams, WorldCache};
+        let cache = WorldCache::new();
+        let mut checked = 0;
+        let mut conflicts = 0;
+        for seed in 0..12 {
+            let params = FamilyParams { seed, ..FamilyParams::default() };
+            let mut blueprints = Family::TargetedPrefixHijack.expand(&params);
+            blueprints.extend(Family::AccidentalTransitLeak.expand(&params));
+            // The member pairs of campaign's `ComposedFamily::ALL`.
+            for members in [
+                [Family::CableCutCascade, Family::TargetedPrefixHijack],
+                [Family::NationalCensorship, Family::AccidentalTransitLeak],
+            ] {
+                let fleets: Vec<_> = members.iter().map(|f| f.expand(&params)).collect();
+                for i in 0..params.variants {
+                    let parts: Vec<_> = fleets.iter().map(|fleet| &fleet[i]).collect();
+                    blueprints.push(compose(format!("v{i}-composed"), &parts).expect("one world"));
+                }
+            }
+            for bp in &blueprints {
+                let scenario = bp.forge(&cache);
+                let observation = crate::BgpSimulator::new(&scenario).observe();
+                let baseline = observation.baseline_origins().clone();
+                let whole = UpdateWindow::new(observation);
+                let (start, end) = (scenario.horizon.start, scenario.horizon.end);
+                let middle = SimTime((start.0 + end.0) / 2);
+                let name = format!("seed {seed} {}", bp.name);
+                assert_moas_matches_reference(&whole, &baseline, &name);
+                for bounds in [
+                    TimeWindow::new(start, end),
+                    TimeWindow::new(start, middle),
+                    TimeWindow::new(middle, end),
+                ] {
+                    let window = whole.within(bounds);
+                    assert_moas_matches_reference(&window, &baseline, &name);
+                }
+                conflicts += detect_moas_conflicts_indexed(&whole, &baseline).len();
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 12 * 12);
+        assert!(conflicts > 0, "some hijack world shows a MOAS conflict");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   each scenario event in origin space (each `(peer, origin)` path is
 //!   compared once, and one routing table serves every state with the
 //!   same topology and policy overrides), with deterministic convergence
-//!   jitter and path exploration transients;
+//!   jitter and path exploration transients, served to detectors as
+//!   [`UpdateWindow`]s that borrow the stream instead of copying it;
 //! * [`anomaly`] — update-burst, reachability-loss, MOAS and
 //!   valley-violation detectors.
 //!
@@ -37,7 +38,7 @@ pub use anomaly::{
 pub use graph::AsGraph;
 pub use rib::{OriginIndex, RibEntry, RibSnapshot};
 pub use routing::{PolicyOverrides, Route, RouteKind, RoutingTable};
-pub use updates::{BgpUpdate, Observation, UpdateKind};
+pub use updates::{BgpUpdate, Observation, UpdateKind, UpdateWindow};
 
 use world::Scenario;
 
@@ -102,7 +103,8 @@ mod tests {
         // The cut must change at least one best path somewhere.
         assert_ne!(before.entries, after.entries);
 
-        let updates = sim.observe().updates;
+        let observation = sim.observe();
+        let updates = observation.updates();
         assert!(!updates.is_empty(), "a cable cut must generate updates");
         assert!(updates.iter().all(|u| u.time >= cut_at));
     }

@@ -38,11 +38,25 @@
 //! RIB at the horizon start — the MOAS detector's baseline — read from
 //! the derivation's own start state, so one scenario needs one
 //! derivation.
+//!
+//! ## Windows by reference
+//!
+//! An [`Observation`] also keeps one `u32` per update: the slot of the
+//! update's prefix in the world's ascending prefix list, recorded at
+//! emission (the diff walks prefixes in that order) and carried through
+//! the final sort. Slot order is prefix order, so the MOAS detector
+//! keeps its per-prefix state in a slot-indexed `Vec` and emits in slot
+//! order. An [`UpdateWindow`] is a time window of an observation served
+//! without copying it: the observation behind an `Arc` plus the index
+//! range two binary searches find on the time-sorted stream. It derefs
+//! to its `&[BgpUpdate]`, and its JSON projection is that slice's array.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, Range};
 use std::rc::Rc;
+use std::sync::Arc;
 
-use net_model::{Asn, Ipv4Net, SimTime};
+use net_model::{Asn, Ipv4Net, SimTime, TimeWindow};
 use serde::{Deserialize, Serialize};
 use world::events::stable_hash;
 use world::{ControlPlaneState, Scenario, World};
@@ -77,14 +91,131 @@ impl BgpUpdate {
 }
 
 /// What a collector observes of one scenario: the update stream across
-/// the horizon and the per-prefix origin sets of its RIB at the horizon
-/// start.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// the horizon, the prefix slot of each update, and the per-prefix origin
+/// sets of its RIB at the horizon start.
+#[derive(Debug, Default)]
 pub struct Observation {
-    /// Ordered by (time, peer, prefix), as [`derive_updates`] returns it.
-    pub updates: Vec<BgpUpdate>,
+    /// Ordered by (time, peer, prefix), as [`derive_updates`] returns it,
+    /// and held at its exact length.
+    updates: Vec<BgpUpdate>,
+    /// `slots[i]` is the rank of `updates[i].prefix` in an ascending list
+    /// of distinct prefixes (the world's, for a derived stream), so equal
+    /// slots mean equal prefixes and slot order is prefix order.
+    slots: Vec<u32>,
+    /// The length of that prefix list: every slot is below it.
+    slot_count: u32,
     /// Equal to [`crate::RibSnapshot::origins`] of the start capture.
-    pub baseline_origins: OriginIndex,
+    baseline_origins: OriginIndex,
+}
+
+impl Observation {
+    /// An observation of `updates` alone, with no baseline: each update's
+    /// slot is its prefix's rank among the stream's distinct prefixes.
+    /// The stream keeps the order it came in.
+    pub(crate) fn of_stream(updates: Vec<BgpUpdate>) -> Observation {
+        let mut prefixes: Vec<Ipv4Net> = updates.iter().map(|u| u.prefix).collect();
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        // Every prefix is in the list, so each search finds its rank; a
+        // rank is below the stream length, which `UpdateWindow`'s
+        // deserializer bounds to `u32`.
+        let rank = |p: &Ipv4Net| prefixes.binary_search(p).unwrap_or_else(|i| i) as u32;
+        let slots = updates.iter().map(|u| rank(&u.prefix)).collect();
+        Observation {
+            updates,
+            slots,
+            slot_count: prefixes.len() as u32,
+            baseline_origins: OriginIndex::new(),
+        }
+    }
+
+    /// The update stream.
+    pub fn updates(&self) -> &[BgpUpdate] {
+        &self.updates
+    }
+
+    /// The per-prefix origin sets of the collector RIB at the horizon
+    /// start: the MOAS detector's baseline.
+    pub fn baseline_origins(&self) -> &OriginIndex {
+        &self.baseline_origins
+    }
+}
+
+/// A time window of an [`Observation`]'s update stream, held by
+/// reference: the observation is shared behind an `Arc`, and the window is
+/// an index range into its stream. It derefs to the window's updates.
+///
+/// Its JSON projection is the array a `Vec<BgpUpdate>` of the same
+/// updates projects to, and it deserializes from such an array: the
+/// result is a window over the whole array, with slots ranked among the
+/// array's own prefixes and no baseline.
+#[derive(Debug, Clone)]
+pub struct UpdateWindow {
+    observation: Arc<Observation>,
+    range: Range<usize>,
+}
+
+impl UpdateWindow {
+    /// The whole stream of `observation`.
+    pub fn new(observation: Observation) -> UpdateWindow {
+        let range = 0..observation.updates.len();
+        UpdateWindow { observation: Arc::new(observation), range }
+    }
+
+    /// The updates of this window at instants inside `window` — the
+    /// half-open `[start, end)` of [`TimeWindow::contains`] — sharing the
+    /// same observation. Two binary searches; the stream must be in time
+    /// order, as every derived stream is.
+    pub fn within(&self, window: TimeWindow) -> UpdateWindow {
+        let updates = &**self;
+        let start = updates.partition_point(|u| u.time < window.start);
+        let end = updates.partition_point(|u| u.time < window.end).max(start);
+        let offset = self.range.start;
+        UpdateWindow {
+            observation: Arc::clone(&self.observation),
+            range: offset + start..offset + end,
+        }
+    }
+
+    /// The prefix slot of each update of the window, in stream order.
+    pub(crate) fn slots(&self) -> &[u32] {
+        &self.observation.slots[self.range.clone()]
+    }
+
+    /// How many prefix slots the window's observation has: every slot is
+    /// below it.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.observation.slot_count as usize
+    }
+
+    /// The observation the window is a range of.
+    pub fn observation(&self) -> &Observation {
+        &self.observation
+    }
+}
+
+impl Deref for UpdateWindow {
+    type Target = [BgpUpdate];
+
+    fn deref(&self) -> &[BgpUpdate] {
+        &self.observation.updates[self.range.clone()]
+    }
+}
+
+impl Serialize for UpdateWindow {
+    fn serialize_json(&self) -> serde::Value {
+        (**self).serialize_json()
+    }
+}
+
+impl Deserialize for UpdateWindow {
+    fn deserialize_json(v: &serde::Value) -> Result<Self, serde::Error> {
+        let updates = Vec::<BgpUpdate>::deserialize_json(v)?;
+        if u32::try_from(updates.len()).is_err() {
+            return Err(serde::Error::msg("update stream longer than u32::MAX"));
+        }
+        Ok(UpdateWindow::new(Observation::of_stream(updates)))
+    }
 }
 
 /// Derives the full update stream for a scenario from the given collector
@@ -140,6 +271,7 @@ fn derive(scenario: &Scenario, peers: &[Asn], baseline: bool) -> Observation {
     let baseline_origins =
         if baseline { origins_at(&prev, &peers, &prefixes) } else { Vec::new() };
 
+    // Each update with its prefix's slot.
     let mut updates = Vec::new();
     let mut changed = Vec::new();
     for at in boundaries {
@@ -163,12 +295,15 @@ fn derive(scenario: &Scenario, peers: &[Asn], baseline: bool) -> Observation {
         prev = next;
     }
 
-    updates.sort_by_key(|a| (a.time, a.peer, a.prefix));
-    Observation { updates, baseline_origins }
+    updates.sort_by_key(|(a, _): &(BgpUpdate, u32)| (a.time, a.peer, a.prefix));
+    let (mut updates, slots): (Vec<BgpUpdate>, Vec<u32>) = updates.into_iter().unzip();
+    updates.shrink_to_fit();
+    Observation { updates, slots, slot_count: prefixes.slot_count(), baseline_origins }
 }
 
 /// The world's prefixes in ascending prefix order, each with the slot of
-/// its origin in the distinct-origin list.
+/// its origin in the distinct-origin list. A prefix's index in the list
+/// is its slot in the [`Observation`]; the world's prefixes are distinct.
 struct PrefixOrigins {
     /// `(prefix, origin, origin slot)`.
     prefixes: Vec<(Ipv4Net, Asn, usize)>,
@@ -192,6 +327,12 @@ impl PrefixOrigins {
             .collect();
         prefixes.sort_by_key(|&(net, _, _)| net);
         PrefixOrigins { prefixes, origins }
+    }
+
+    /// How many prefix slots there are (the world generator allocates
+    /// fewer than 4096 prefixes).
+    fn slot_count(&self) -> u32 {
+        self.prefixes.len() as u32
     }
 }
 
@@ -291,7 +432,7 @@ impl Diff<'_> {
     /// pushed per peer in ascending peer order, so the emission order is
     /// the `(peer, prefix)` order of a snapshot diff, and the final stable
     /// sort yields the same stream.
-    fn peer_into(&self, peer: Asn, changed: &mut Vec<bool>, out: &mut Vec<BgpUpdate>) {
+    fn peer_into(&self, peer: Asn, changed: &mut Vec<bool>, out: &mut Vec<(BgpUpdate, u32)>) {
         let (before, after) = (self.before, self.after);
         let same_routing = Rc::ptr_eq(&before.table, &after.table);
         changed.clear();
@@ -300,22 +441,22 @@ impl Diff<'_> {
                 !same_path(before.routing().path(peer, o), after.routing().path(peer, o))
             }));
         }
-        for &(net, origin, slot) in &self.prefixes.prefixes {
+        for (prefix_slot, &(net, origin, slot)) in self.prefixes.prefixes.iter().enumerate() {
             let hijacked = before.hijacked.contains_key(&net) || after.hijacked.contains_key(&net);
             if !hijacked && (same_routing || !changed[slot]) {
                 continue;
             }
+            let mut emit = |u: BgpUpdate| out.push((u, prefix_slot as u32));
+            let (seed, at) = (self.seed, self.event_time);
             match (before.path(peer, &net, origin), after.path(peer, &net, origin)) {
                 (Some(_), None) => {
-                    let time = jittered(self.seed, self.event_time, peer, &net, 0);
-                    out.push(BgpUpdate { time, peer, prefix: net, kind: UpdateKind::Withdraw });
+                    let time = jittered(seed, at, peer, &net, 0);
+                    emit(BgpUpdate { time, peer, prefix: net, kind: UpdateKind::Withdraw });
                 }
-                (None, Some(path)) => {
-                    announce_into(self.seed, self.event_time, peer, net, path.collect(), out);
-                }
+                (None, Some(path)) => announce_into(seed, at, peer, net, path.collect(), &mut emit),
                 (Some(b), Some(a)) => {
                     if !b.eq(a.clone()) {
-                        announce_into(self.seed, self.event_time, peer, net, a.collect(), out);
+                        announce_into(seed, at, peer, net, a.collect(), &mut emit);
                     }
                 }
                 (None, None) => {}
@@ -340,7 +481,7 @@ fn announce_into(
     peer: Asn,
     prefix: Ipv4Net,
     as_path: Vec<Asn>,
-    out: &mut Vec<BgpUpdate>,
+    emit: &mut impl FnMut(BgpUpdate),
 ) {
     let n_transients =
         (stable_hash(&[seed, peer.0 as u64, prefix.network().0 as u64, 0xA11]) % 3) as usize;
@@ -353,15 +494,10 @@ fn announce_into(
             path.insert(0, first);
         }
         let t = jittered(seed, event_time, peer, &prefix, 1 + k as u64);
-        out.push(BgpUpdate {
-            time: t,
-            peer,
-            prefix,
-            kind: UpdateKind::Announce { as_path: path },
-        });
+        emit(BgpUpdate { time: t, peer, prefix, kind: UpdateKind::Announce { as_path: path } });
     }
     let t = jittered(seed, event_time, peer, &prefix, 10);
-    out.push(BgpUpdate { time: t, peer, prefix, kind: UpdateKind::Announce { as_path } });
+    emit(BgpUpdate { time: t, peer, prefix, kind: UpdateKind::Announce { as_path } });
 }
 
 /// Event time plus 0–89 s of deterministic convergence jitter. The jitter
@@ -424,7 +560,8 @@ mod reference {
             let bk = b.get(i).map(|e| (e.peer, e.prefix));
             let ak = a.get(j).map(|e| (e.peer, e.prefix));
             let announce = |e: &crate::RibEntry, out: &mut Vec<BgpUpdate>| {
-                announce_into(seed, event_time, e.peer, e.prefix, e.as_path.clone(), out)
+                let mut emit = |u| out.push(u);
+                announce_into(seed, event_time, e.peer, e.prefix, e.as_path.clone(), &mut emit)
             };
             match (bk, ak) {
                 (Some(bk), ak) if ak.is_none() || bk < ak.unwrap() => {
@@ -664,7 +801,14 @@ mod tests {
     fn assert_matches_reference(s: &Scenario, peers: &[Asn], what: &str) {
         let expected = reference::derive_updates(s, peers);
         assert_eq!(derive_updates(s, peers), expected, "{what}");
-        assert_eq!(observe(s, peers).updates, expected, "{what} (observe)");
+        let observed = observe(s, peers);
+        assert_eq!(observed.updates(), expected, "{what} (observe)");
+        assert_eq!(observed.updates.capacity(), expected.len(), "{what}: held at exact size");
+        let prefix_slots = PrefixOrigins::new(&s.world).prefixes;
+        for (u, &slot) in observed.updates.iter().zip(&observed.slots) {
+            assert_eq!(u.prefix, prefix_slots[slot as usize].0, "{what}: slot of {}", u.prefix);
+        }
+        assert_eq!(observed.slots.len(), expected.len(), "{what}: one slot per update");
     }
 
     #[test]
@@ -758,7 +902,7 @@ mod tests {
             assert!(!observed.baseline_origins.is_empty(), "{what}");
         }
         let moas = observe(&hijacked_at_start, &collectors(&hijacked_at_start));
-        assert!(moas.updates.is_empty(), "the hijack predates the horizon");
+        assert!(moas.updates().is_empty(), "the hijack predates the horizon");
         assert!(
             moas.baseline_origins.iter().any(|(p, o)| *p == victim.net && o.len() > 1),
             "a live partial hijack is a MOAS prefix in the baseline"

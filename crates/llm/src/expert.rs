@@ -121,7 +121,7 @@ fn parse<T: serde::de::DeserializeOwned>(
 }
 
 fn to_text<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("protocol types serialize")
+    value.serialize_json().to_json_string_pretty()
 }
 
 // ---------------------------------------------------------------------------
@@ -520,9 +520,10 @@ pub fn implement(req: &ImplementRequest, registry: &Registry) -> ImplementationP
                                 .map(|p| sf.compatible_with(p.format))
                                 == Some(true)
                     }) {
+                        // The search above admits only one-input converters.
+                        let Some(conv_input) = conv.required_inputs().next() else { continue };
                         let conv_id = format!("s{}_convert_{}", idx + 1, param_name);
-                        let conv_param =
-                            conv.required_inputs().next().expect("checked above").name.clone();
+                        let conv_param = conv_input.name.clone();
                         extra.push((
                             idx,
                             PlannedStep {
@@ -574,7 +575,9 @@ pub fn implement(req: &ImplementRequest, registry: &Registry) -> ImplementationP
     {
         let targets: Vec<String> = req.architecture.outputs.clone();
         for (i, out) in targets.iter().enumerate() {
-            let param = qa_fn.required_inputs().next().expect("one input").name.clone();
+            // The search above admits only one-input QA functions.
+            let Some(input) = qa_fn.required_inputs().next() else { break };
+            let param = input.name.clone();
             steps.push(PlannedStep {
                 id: format!("qa{}_{}", i + 1, out),
                 function: qa_fn.id.0.clone(),

@@ -52,7 +52,7 @@ pub struct RegistryDocument {
 impl RegistryDocument {
     /// Serializes `registry` into its document.
     pub fn new(registry: &Registry) -> RegistryDocument {
-        RegistryDocument::from_json(serde_json::to_string(registry).expect("registries serialize"))
+        RegistryDocument::from_json(registry.serialize_json().to_json_string())
     }
 
     /// A document over already-serialized registry JSON. The hash is

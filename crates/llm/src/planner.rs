@@ -121,9 +121,14 @@ pub fn plan_architecture(
 
         // Instantiate the chain.
         for function in &chain.functions {
-            let entry = registry.get(&registry::FunctionId::from(function.as_str())).expect(
-                "enumerate_chains only returns registered functions",
-            );
+            // `enumerate_chains` only returns registered functions.
+            let Some(entry) = registry.get(&registry::FunctionId::from(function.as_str())) else {
+                return Err(PlanError {
+                    sub_problem: sp.id.clone(),
+                    target: sp.target,
+                    message: format!("chain names unregistered function {function}"),
+                });
+            };
 
             // Resolve bindings: sub-problem's preferred args first, then the
             // most recently produced compatible value. Params sharing a

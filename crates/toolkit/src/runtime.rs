@@ -12,9 +12,13 @@
 //! shareable across runtimes, sessions and whole engine epochs, exactly
 //! as a real deployment caches collector downloads and mapping runs once
 //! per dataset, not once per query. A scenario's store holds its probe
-//! campaigns and one `bgp.observation`: the update stream and the
-//! baseline origin sets from a single derivation, which `bgp.updates`
-//! windows and `bgp.detect_moas` reads. Artifacts that depend only on the
+//! campaigns and one `bgp.observation`: the update stream, its prefix
+//! slot column and the baseline origin sets from a single derivation,
+//! held as a [`bgp_sim::UpdateWindow`] over the whole horizon.
+//! `bgp.updates` answers with a narrower window over the same `Arc`d
+//! stream (two binary searches, no copy), the detectors read a window as
+//! a `&[BgpUpdate]`, and `bgp.detect_moas` takes its baseline from the
+//! cached observation. Artifacts that depend only on the
 //! world (the Nautilus mapping run, the default dependency table) live in
 //! a store shared per world ([`world_artifacts`]). Both are
 //! [`OnceMap`]s, the workspace's one build-once cache shape, and every
@@ -32,7 +36,7 @@ use world::{Scenario, World, WorldConfig};
 
 use bgp_sim::{
     detect_moas_conflicts_indexed, detect_update_bursts, detect_valley_violations, BgpSimulator,
-    BgpUpdate, MoasConflict, Observation, ValleyViolation,
+    MoasConflict, UpdateWindow, ValleyViolation,
 };
 use nautilus_sim::{DependencyTable, MappingConfig, MappingTable, NautilusMapper};
 use traceroute_sim::TracerouteSimulator;
@@ -185,12 +189,13 @@ impl StandardRuntime {
         // One derivation per scenario: the full update stream (windowed
         // per call by `bgp.updates`) and the origin sets of the collector
         // RIB at the horizon start (the MOAS detector's baseline — the
-        // timeline may start with an incident already active). The format
-        // tag is nominal; this artifact never leaves the runtime.
+        // timeline may start with an incident already active), held as a
+        // window over the whole horizon. This artifact never leaves the
+        // runtime.
         self.cached(&self.artifacts, "bgp.observation", || {
-            let observation = BgpSimulator::new(&self.scenario).observe();
-            let empty = observation.updates.is_empty();
-            Ok(Value::native(F::BgpUpdates, observation, empty))
+            let stream = UpdateWindow::new(BgpSimulator::new(&self.scenario).observe());
+            let empty = stream.is_empty();
+            Ok(Value::native(F::BgpUpdates, stream, empty))
         })
     }
 }
@@ -361,11 +366,11 @@ impl ToolRuntime for StandardRuntime {
                 let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
                 let window = w.to_window();
                 let observed = self.observation_value()?;
-                let observed: ValueView<'_, Observation> =
+                let observed: ValueView<'_, UpdateWindow> =
                     view_of(&observed, "bgp observation")?;
-                let updates: Vec<BgpUpdate> =
-                    observed.updates.iter().filter(|u| window.contains(u.time)).cloned().collect();
-                out_seq(F::BgpUpdates, updates)
+                let updates = observed.within(window);
+                let empty = updates.is_empty();
+                Ok(Value::native(F::BgpUpdates, updates, empty))
             }
             "bgp.rib_snapshot" => {
                 let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
@@ -380,7 +385,7 @@ impl ToolRuntime for StandardRuntime {
                 out(F::RibSnapshot, rib)
             }
             "bgp.detect_bursts" => {
-                let updates: ValueView<'_, Vec<BgpUpdate>> =
+                let updates: ValueView<'_, UpdateWindow> =
                     view(function, "updates", need(args, function, "updates")?)?;
                 let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
                 let window = w.to_window();
@@ -389,16 +394,17 @@ impl ToolRuntime for StandardRuntime {
                 out_seq(F::BgpBursts, bursts)
             }
             "bgp.detect_moas" => {
-                let updates: ValueView<'_, Vec<BgpUpdate>> =
+                let updates: ValueView<'_, UpdateWindow> =
                     view(function, "updates", need(args, function, "updates")?)?;
                 let observed = self.observation_value()?;
-                let observed: ValueView<'_, Observation> =
+                let observed: ValueView<'_, UpdateWindow> =
                     view_of(&observed, "bgp observation")?;
-                let conflicts = detect_moas_conflicts_indexed(&updates, &observed.baseline_origins);
+                let baseline = observed.observation().baseline_origins();
+                let conflicts = detect_moas_conflicts_indexed(&updates, baseline);
                 out_seq(F::MoasConflicts, conflicts)
             }
             "bgp.valley_violations" => {
-                let updates: ValueView<'_, Vec<BgpUpdate>> =
+                let updates: ValueView<'_, UpdateWindow> =
                     view(function, "updates", need(args, function, "updates")?)?;
                 // Reference topology: the scenario's quiet start, whose
                 // adjacency set is a superset of every later instant's.
@@ -407,7 +413,7 @@ impl ToolRuntime for StandardRuntime {
                 out_seq(F::ValleyViolations, detect_valley_violations(&updates, &graph))
             }
             "bgp.reachability_losses" => {
-                let updates: ValueView<'_, Vec<BgpUpdate>> =
+                let updates: ValueView<'_, UpdateWindow> =
                     view(function, "updates", need(args, function, "updates")?)?;
                 let rows: Vec<serde_json::Value> = bgp_sim::reachability_losses(&updates)
                     .into_iter()
@@ -1070,10 +1076,43 @@ mod tests {
         let sim = BgpSimulator::new(scenario);
         let baseline =
             bgp_sim::RibSnapshot::capture(scenario, sim.collectors(), scenario.horizon.start);
-        let stream: Vec<BgpUpdate> = updates.parse().unwrap();
+        let stream: Vec<bgp_sim::BgpUpdate> = updates.parse().unwrap();
         let conflicts: Vec<MoasConflict> = moas.parse().unwrap();
         assert!(!conflicts.is_empty());
         assert_eq!(conflicts, bgp_sim::detect_moas_conflicts(&stream, &baseline));
+    }
+
+    #[test]
+    fn update_window_projects_to_the_cloned_stream_json() {
+        let rt = StandardRuntime::new(scenarios::cs5_hijack_scenario());
+        let stream = BgpSimulator::new(rt.scenario()).observe();
+        let horizon = rt.scenario().horizon;
+        let day = 86_400;
+        let windows = [
+            (horizon.start.0, horizon.end.0),
+            (horizon.start.0 + 5 * day, horizon.start.0 + 6 * day),
+            (horizon.end.0, horizon.end.0 + day),
+            (horizon.start.0 + 3 * day, horizon.start.0 + 3 * day),
+        ];
+        for (start, end) in windows {
+            let window = tv(F::TimeWindow, serde_json::json!({"start": start, "end": end}));
+            let updates = invoke(&rt, "bgp.updates", vec![("window", window)]).unwrap();
+            assert!(updates.is_native(), "update stream crosses natively");
+            // What `bgp.updates` returned before it served windows: a
+            // filtered clone of the stream.
+            let bounds = TimeWindow::new(SimTime(start), SimTime(end));
+            let cloned: Vec<bgp_sim::BgpUpdate> =
+                stream.updates().iter().filter(|u| bounds.contains(u.time)).cloned().collect();
+            let projected = updates.json().to_json_string();
+            assert_eq!(projected, serde_json::to_string(&cloned).unwrap(), "[{start}, {end})");
+            assert_eq!(updates.is_empty_payload(), cloned.is_empty());
+            let parsed: Vec<bgp_sim::BgpUpdate> = updates.parse().unwrap();
+            assert_eq!(parsed, cloned);
+            // A JSON copy of the window still feeds the detectors.
+            let copy = Value::new(F::BgpUpdates, updates.json().clone());
+            let moas = |v: Value| invoke(&rt, "bgp.detect_moas", vec![("updates", v)]).unwrap();
+            assert_eq!(moas(copy).json(), moas(updates).json(), "[{start}, {end})");
+        }
     }
 
     #[test]
