@@ -1,5 +1,5 @@
 //! Bench trajectory: the component rows behind the paper's timing claims,
-//! written as `BENCH_pr22.json` at the repo root.
+//! written as `BENCH_pr23.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p benchkit --bin bench_report            # repo root
@@ -68,6 +68,12 @@ impl<'a> Row<'a> {
 
     fn with(mut self, key: &str, value: usize) -> Self {
         self.fields.insert(key.to_string(), json!(value));
+        self
+    }
+
+    /// What a reader of the row's trajectory should know about its arm.
+    fn note(mut self, text: &str) -> Self {
+        self.fields.insert("note".to_string(), json!(text));
         self
     }
 
@@ -182,6 +188,10 @@ impl Fixtures {
     }
 }
 
+/// The note of the rows whose ids predate routing on the caller's thread.
+const CALLERS_THREAD: &str = "since BENCH_pr23 the measured arm computes its routing table on \
+    the caller's thread; earlier files shard it across every core";
+
 /// The table. Nothing is timed until a row runs.
 fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     let scenario = &fx.scenario;
@@ -294,6 +304,21 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             updates.expect("updates serve").native_ref::<bgp_sim::UpdateWindow>().map_or(0, |w| w.len())
         })
         .sum();
+    // `campaign_cold`'s fleet at root 7: every base and composed family,
+    // one variant, two draws — 26 scenarios over 8 worlds, forged here.
+    let fleet_cache = arachnet::WorldCache::new();
+    let campaign_fleet: Vec<Scenario> = {
+        let params = campaign::FamilyParams { seed: 7, variants: 1, ..Default::default() };
+        let base = arachnet::Family::ALL.map(campaign::CampaignFamily::from);
+        let composed = campaign::ComposedFamily::ALL.map(campaign::CampaignFamily::from);
+        base.into_iter()
+            .chain(composed)
+            .flat_map(|f| campaign::EnsembleSpec::new(f, params.clone()).with_draws(2).expand())
+            .flat_map(|draw| draw.blueprints)
+            .map(|bp| bp.forge(&fleet_cache))
+            .collect()
+    };
+    let (fleet_scenarios, fleet_worlds) = (campaign_fleet.len(), fleet_cache.len());
     let scan_root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let scan_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -305,7 +330,8 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         .vs("seed BTreeMap engine (bgp_sim::routing::reference)", move || {
             let g = bgp_sim::AsGraph::at_time(scenario, net_model::SimTime::EPOCH);
             bgp_sim::routing::reference::compute(&g, world).len()
-        }),
+        })
+        .note(CALLERS_THREAD),
         row("substrates/xaminer/impact_report", 25, move || {
             let impact = xaminer_sim::process_event(world, &deps, &failure);
             xaminer_sim::impact::aggregate(world, &impact).total_links
@@ -339,7 +365,8 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             bgp_sim::RibSnapshot::capture(scenario, &fx.peers, net_model::SimTime::EPOCH)
                 .entries
                 .len()
-        }),
+        })
+        .note(CALLERS_THREAD),
         row("workflow/exec_dag", 15, move || fx.exec_dag(&fx.busy, &at(workers)))
             .vs("same DAG at 1 worker", move || fx.exec_dag(&fx.busy, &at(1)))
             .with("workers", workers),
@@ -411,6 +438,16 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         row("bgp/derive_updates_hijack", 7, move || {
             bgp_sim::updates::derive_updates(&hijack, &fx.peers).len()
         }),
+        // The cold bgp work of one `campaign_cold` campaign: one
+        // observation per scenario, each on the caller's thread.
+        row("bgp/observe_campaign_fleet", 5, move || {
+            campaign_fleet
+                .iter()
+                .map(|s| bgp_sim::BgpSimulator::new(s).observe().updates().len())
+                .sum::<usize>()
+        })
+        .with("scenarios", fleet_scenarios)
+        .with("worlds", fleet_worlds),
         // The quiet start and the first instant after a SeaMeWe-5 cut.
         row("bgp/as_graph_at_time", 51, move || {
             [net_model::SimTime::EPOCH, cut_at + net_model::SimDuration::hours(1)]
@@ -528,7 +565,7 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| {
         // The binary lives in crates/bench; the trajectory file lives at
         // the repo root.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr22.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr23.json").to_string()
     });
 
     let fx = Fixtures::new();
@@ -539,7 +576,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
-        "pr": 22,
+        "pr": 23,
         "machine": { "cpus": cpus, "profile": profile },
         "world": {
             "ases": world.ases.len(),

@@ -65,12 +65,8 @@ impl RibSnapshot {
         let world = &scenario.world;
         let control = scenario.control_plane_at(t);
         let graph = AsGraph::at_time(scenario, t);
-        let routing = RoutingTable::compute_with(
-            &graph,
-            world,
-            crate::routing::default_threads(),
-            &(&control).into(),
-        );
+        // On the caller's thread: whoever serves captures owns the cores.
+        let routing = RoutingTable::compute_with(&graph, world, 1, &(&control).into());
         let mut peers = peers.to_vec();
         peers.sort();
         peers.dedup();

@@ -28,12 +28,19 @@
 //! the path snapshots the seed's clones froze; see [`reference`](mod@reference) and the
 //! `dense_equivalence` suite).
 //!
-//! Destinations are independent, so [`RoutingTable::compute`] shards the
-//! per-destination sweep across cores with `std::thread::scope`; each
-//! destination is computed single-threaded, so the output is bit-identical
-//! regardless of worker count. [`SelectionSweep`] runs the same sweep for
-//! one destination on the caller's thread and hands back the selection
-//! keys without building a table.
+//! [`RoutingTable::compute`] runs the per-destination sweep on the
+//! caller's thread. Parallelism belongs to the layer that owns the cores
+//! (campaign workers, concurrent sessions), not to the substrate: a
+//! routing table that sized its own pool from the core count would stack
+//! a second layer of threads under every one of those callers. Callers
+//! that do own their cores pass an explicit count to
+//! [`RoutingTable::compute_with_threads`] or
+//! [`RoutingTable::compute_for_graph_with`], which shard destinations
+//! across `std::thread::scope` workers. Destinations are independent and
+//! each one is computed single-threaded, so the output is bit-identical
+//! for every worker count. [`SelectionSweep`] runs the same sweep for one
+//! destination at a time and hands back the selection keys without
+//! building a table.
 //!
 //! ## Control-plane policy overrides
 //!
@@ -158,7 +165,7 @@ impl Slot {
 type PathRec = (u32, u32);
 
 /// Best routes towards one destination, in dense holder-index space.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct DestRoutes {
     /// One slot per holder index.
     slots: Vec<Slot>,
@@ -178,10 +185,10 @@ pub struct RoutingTable {
 }
 
 impl RoutingTable {
-    /// Computes best routes for every destination AS in the world,
-    /// sharding destinations across all available cores.
+    /// Computes best routes for every destination AS in the world on the
+    /// caller's thread.
     pub fn compute(graph: &AsGraph, world: &World) -> RoutingTable {
-        Self::compute_with_threads(graph, world, default_threads())
+        Self::compute_with_threads(graph, world, 1)
     }
 
     /// [`RoutingTable::compute`] with an explicit worker count. The output
@@ -286,10 +293,7 @@ impl RoutingTable {
     /// last) without allocating. [`RoutingTable::route`] collects it;
     /// comparing two tables' paths for one pair needs no allocation at all.
     pub fn path(&self, src: Asn, dst: Asn) -> Option<Path<'_>> {
-        let (s, d) = (self.idx(src)?, self.idx(dst)?);
-        let dest = &self.dests[d];
-        let slot = dest.slots[s];
-        (slot.rec != NONE).then(|| self.walk(dest, slot))
+        self.path_at(self.idx(src)?, self.idx(dst)?)
     }
 
     /// The selection class of the `src → dst` route without materializing
@@ -342,7 +346,33 @@ impl RoutingTable {
         })
     }
 
-    fn idx(&self, asn: Asn) -> Option<usize> {
+    /// Dense index → ASN: the index space of the graph the table was
+    /// computed on.
+    pub(crate) fn asns(&self) -> &[Asn] {
+        &self.asns
+    }
+
+    /// [`RoutingTable::path`] by dense index: holder `s` towards
+    /// destination `d`, with no map lookup.
+    pub(crate) fn path_at(&self, s: usize, d: usize) -> Option<Path<'_>> {
+        let dest = &self.dests[d];
+        let slot = dest.slots[s];
+        (slot.rec != NONE).then(|| self.walk(dest, slot))
+    }
+
+    /// Whether `other` stores exactly this table's routes towards the
+    /// destination with dense index `d`: equal slot and record arrays.
+    /// Over one index space, equal arrays mean every holder's path is
+    /// equal. Unequal arrays can still hold equal paths (two holders may
+    /// share an arena record in one table and not in the other), so a
+    /// `false` says nothing.
+    pub(crate) fn same_routes(&self, other: &RoutingTable, d: usize) -> bool {
+        debug_assert_eq!(self.asns, other.asns, "one index space");
+        self.dests[d] == other.dests[d]
+    }
+
+    /// The dense index of `asn`, if the table's graph has it.
+    pub(crate) fn idx(&self, asn: Asn) -> Option<usize> {
         self.index.get(&asn).map(|&i| i as usize)
     }
 
@@ -394,7 +424,14 @@ pub struct SelectionSweep {
     scratch: Scratch,
     /// The overrides' leakers as dense indices, ascending.
     leakers: Vec<u32>,
+    /// The slots as phase 3 left them, before the leak stage.
+    pre_leak: Vec<Slot>,
 }
+
+/// A holder's `(kind, hops, next-hop ASN)` selection key towards one
+/// destination, `None` when unrouted: what [`RoutingTable::selection`]
+/// returns.
+pub type SelectionKey = Option<(RouteKind, usize, Asn)>;
 
 impl SelectionSweep {
     /// Each holder's `(kind, hops, next-hop ASN)` key towards `dst` under
@@ -408,18 +445,50 @@ impl SelectionSweep {
         graph: &AsGraph,
         dst: Asn,
         overrides: &PolicyOverrides,
-    ) -> impl ExactSizeIterator<Item = Option<(RouteKind, usize, Asn)>> + '_ {
+    ) -> impl ExactSizeIterator<Item = SelectionKey> + '_ {
+        match self.prepare(graph, dst, overrides) {
+            Some(d) => sweep(graph, d, &mut self.scratch, &self.leakers),
+            None => self.scratch.slots.fill(EMPTY),
+        }
+        self.scratch.slots.iter().map(|s| s.key())
+    }
+
+    /// Each holder's `(pre-leak key, final key)` pair towards `dst` under
+    /// `overrides`, from one sweep, in the order of
+    /// [`SelectionSweep::selections`]. The leak stage starts from the
+    /// state phase 3 leaves, and that state is the sweep without
+    /// overrides, so the first key of each pair is what `selections` with
+    /// [`PolicyOverrides::none`] returns and the second what it returns
+    /// with `overrides`.
+    pub fn leak_selections(
+        &mut self,
+        graph: &AsGraph,
+        dst: Asn,
+        overrides: &PolicyOverrides,
+    ) -> impl ExactSizeIterator<Item = (SelectionKey, SelectionKey)> + '_ {
+        let dst = self.prepare(graph, dst, overrides);
         let scratch = &mut self.scratch;
-        scratch.slots.resize(graph.node_count(), EMPTY);
+        match dst {
+            Some(d) => clean_phases(graph, d, scratch),
+            None => scratch.slots.fill(EMPTY),
+        }
+        self.pre_leak.clear();
+        self.pre_leak.extend_from_slice(&scratch.slots);
+        if dst.is_some() && !self.leakers.is_empty() {
+            leak_stage(graph, scratch, &self.leakers);
+        }
+        self.pre_leak.iter().zip(&scratch.slots).map(|(b, a)| (b.key(), a.key()))
+    }
+
+    /// Sizes the slots for `graph` and maps the leakers into its index
+    /// space; the dense index of `dst`, if the graph has it.
+    fn prepare(&mut self, graph: &AsGraph, dst: Asn, overrides: &PolicyOverrides) -> Option<u32> {
+        self.scratch.slots.resize(graph.node_count(), EMPTY);
         self.leakers.clear();
         self.leakers.extend(
             overrides.leakers().iter().filter_map(|&a| graph.index_of(a).map(|i| i as u32)),
         );
-        match graph.index_of(dst) {
-            Some(d) => sweep(graph, d as u32, scratch, &self.leakers),
-            None => scratch.slots.fill(EMPTY),
-        }
-        scratch.slots.iter().map(|s| s.key())
+        graph.index_of(dst).map(|d| d as u32)
     }
 }
 
@@ -481,7 +550,105 @@ fn compute_destination(
 /// holder's final slot in `scratch.slots`, pointing into the uncompacted
 /// arena in `scratch.records`.
 fn sweep(graph: &AsGraph, d: u32, scratch: &mut Scratch, leakers: &[u32]) {
-    let n = graph.node_count();
+    clean_phases(graph, d, scratch);
+    if !leakers.is_empty() {
+        leak_stage(graph, scratch, leakers);
+    }
+}
+
+/// Accepts `u ← v` with route class `kind` if `(kind, hops, next-hop ASN)`
+/// strictly improves on `u`'s slot and the frozen path of `v` does not
+/// already contain `u`. Returns whether it accepted.
+#[inline(always)]
+fn relax(
+    graph: &AsGraph,
+    slots: &mut [Slot],
+    records: &mut Vec<PathRec>,
+    (u, v, vs): (u32, u32, Slot),
+    kind: RouteKind,
+) -> bool {
+    let cand_hops = vs.hops + 1;
+    let next_asn = graph.asn_of(v as usize).0;
+    let inc = slots[u as usize];
+    let accept =
+        inc.rec == NONE || (kind, cand_hops, next_asn) < (inc.kind, inc.hops, inc.next_asn);
+    if accept && !chain_contains(records, vs.rec, u) {
+        records.push((u, vs.rec));
+        slots[u as usize] =
+            Slot { rec: (records.len() - 1) as u32, next_asn, hops: cand_hops, kind };
+        true
+    } else {
+        false
+    }
+}
+
+/// Phase 1 from the queued nodes: each routed node offers its route to
+/// its providers as a customer route, and every node that improves is
+/// queued in turn.
+fn up_phase(
+    graph: &AsGraph,
+    slots: &mut [Slot],
+    records: &mut Vec<PathRec>,
+    queue: &mut VecDeque<u32>,
+) {
+    while let Some(v) = queue.pop_front() {
+        let vs = slots[v as usize];
+        let (nbrs, kinds) = graph.neighbor_slices(v as usize);
+        for (&u, &kind) in nbrs.iter().zip(kinds) {
+            // We want u = provider of v, i.e. v sees u as Provider.
+            if kind == NeighborKind::Provider
+                && relax(graph, slots, records, (u, v, vs), RouteKind::Customer)
+            {
+                queue.push_back(u);
+            }
+        }
+    }
+}
+
+/// Phase 2: one peer hop off any customer-routed node. Peer routes never
+/// beat customer routes, so nodes routed in this phase can never become
+/// sources of it; iterating live state in index order is equivalent to
+/// the seed's snapshot.
+fn peer_phase(graph: &AsGraph, slots: &mut [Slot], records: &mut Vec<PathRec>) {
+    for v in 0..slots.len() as u32 {
+        let vs = slots[v as usize];
+        if vs.rec == NONE || !matches!(vs.kind, RouteKind::Customer | RouteKind::Origin) {
+            continue;
+        }
+        let (nbrs, kinds) = graph.neighbor_slices(v as usize);
+        for (&u, &kind) in nbrs.iter().zip(kinds) {
+            if kind == NeighborKind::Peer {
+                relax(graph, slots, records, (u, v, vs), RouteKind::Peer);
+            }
+        }
+    }
+}
+
+/// Phase 3: BFS "down" through customers from every routed node, in
+/// index order. Any routed node exports to its customers.
+fn down_phase(
+    graph: &AsGraph,
+    slots: &mut [Slot],
+    records: &mut Vec<PathRec>,
+    queue: &mut VecDeque<u32>,
+) {
+    queue.extend((0..slots.len() as u32).filter(|&v| slots[v as usize].rec != NONE));
+    while let Some(v) = queue.pop_front() {
+        let vs = slots[v as usize];
+        let (nbrs, kinds) = graph.neighbor_slices(v as usize);
+        for (&u, &kind) in nbrs.iter().zip(kinds) {
+            if kind == NeighborKind::Customer
+                && relax(graph, slots, records, (u, v, vs), RouteKind::Provider)
+            {
+                queue.push_back(u);
+            }
+        }
+    }
+}
+
+/// Phases 1–3 of [`sweep`] towards destination `d`: the selection with
+/// no policy overrides.
+fn clean_phases(graph: &AsGraph, d: u32, scratch: &mut Scratch) {
     let Scratch { slots, records, queue, .. } = scratch;
     slots.fill(EMPTY);
     records.clear();
@@ -490,160 +657,57 @@ fn sweep(graph: &AsGraph, d: u32, scratch: &mut Scratch, leakers: &[u32]) {
     records.push((d, NONE));
     slots[d as usize] = Slot { rec: 0, next_asn: 0, hops: 0, kind: RouteKind::Origin };
 
-    // Accepts `u ← v` if `(kind, hops, next-hop ASN)` strictly improves and
-    // the frozen path of `v` does not already contain `u`.
-    macro_rules! relax {
-        ($u:expr, $v:expr, $vs:expr, $kind:expr) => {{
-            let u = $u as usize;
-            let cand_hops = $vs.hops + 1;
-            let next_asn = graph.asn_of($v as usize).0;
-            let inc = slots[u];
-            let accept = inc.rec == NONE
-                || ($kind, cand_hops, next_asn) < (inc.kind, inc.hops, inc.next_asn);
-            if accept && !chain_contains(records, $vs.rec, $u) {
-                records.push(($u, $vs.rec));
-                slots[u] = Slot {
-                    rec: (records.len() - 1) as u32,
-                    next_asn,
-                    hops: cand_hops,
-                    kind: $kind,
-                };
-                true
-            } else {
-                false
-            }
-        }};
-    }
-
     // Phase 1: customer routes — BFS "up" through providers of routed
-    // nodes. If v holds a route and u is a provider of v, u learns a
-    // customer route via v. Label-correcting relaxation with deterministic
-    // next-hop tie-break via the ASN-ordered adjacency slices.
+    // nodes, from the destination. Label-correcting relaxation with
+    // deterministic next-hop tie-break via the ASN-ordered adjacency
+    // slices.
     queue.push_back(d);
-    while let Some(v) = queue.pop_front() {
-        let vs = slots[v as usize];
-        let (nbrs, kinds) = graph.neighbor_slices(v as usize);
+    up_phase(graph, slots, records, queue);
+    // Phase 2: peer routes.
+    peer_phase(graph, slots, records);
+    // Phase 3: provider routes.
+    down_phase(graph, slots, records, queue);
+}
+
+/// The leak stage of [`sweep`], over the state [`clean_phases`] left.
+///
+/// Each leaker re-announces its *pre-leak* best route to the neighbours
+/// the valley-free export rule forbids (providers and peers — customers
+/// already received it in phase 3). A provider of the leaker imports the
+/// leak as a *customer* route — more preferred than what it holds, which
+/// is exactly why leaks spread — and the improvements propagate through
+/// one more up/peer/down sweep. Semantics: one leak round over the
+/// pre-leak snapshot, leakers in ascending index order (see the module
+/// docs; [`reference`] runs the identical sequence).
+fn leak_stage(graph: &AsGraph, scratch: &mut Scratch, leakers: &[u32]) {
+    let Scratch { slots, records, queue, .. } = scratch;
+    let leaked: Vec<(u32, Slot)> = leakers
+        .iter()
+        .map(|&l| (l, slots[l as usize]))
+        .filter(|(_, s)| s.rec != NONE && matches!(s.kind, RouteKind::Peer | RouteKind::Provider))
+        .collect();
+    queue.clear();
+    for (l, ls) in leaked {
+        let (nbrs, kinds) = graph.neighbor_slices(l as usize);
         for (&u, &kind) in nbrs.iter().zip(kinds) {
-            if kind != NeighborKind::Provider {
-                continue; // we want u = provider of v, i.e. v sees u as Provider
-            }
-            if relax!(u, v, vs, RouteKind::Customer) {
+            // `kind` is the leaker's view of `u`; `u` classifies the
+            // leaked route by its own view of the leaker.
+            let accept = match kind {
+                NeighborKind::Provider => RouteKind::Customer,
+                NeighborKind::Peer => RouteKind::Peer,
+                NeighborKind::Customer => continue, // legitimate export
+            };
+            if relax(graph, slots, records, (u, l, ls), accept) && accept == RouteKind::Customer {
                 queue.push_back(u);
             }
         }
     }
-
-    // Phase 2: peer routes — one peer hop off any customer-routed node.
-    // Peer routes never beat customer routes, so nodes routed in this
-    // phase can never become sources of it; iterating live state in index
-    // order is equivalent to the seed's snapshot.
-    for v in 0..n as u32 {
-        let vs = slots[v as usize];
-        if vs.rec == NONE || !matches!(vs.kind, RouteKind::Customer | RouteKind::Origin) {
-            continue;
-        }
-        let (nbrs, kinds) = graph.neighbor_slices(v as usize);
-        for (&u, &kind) in nbrs.iter().zip(kinds) {
-            if kind != NeighborKind::Peer {
-                continue;
-            }
-            relax!(u, v, vs, RouteKind::Peer);
-        }
-    }
-
-    // Phase 3: provider routes — BFS "down" through customers. Any routed
-    // node exports to its customers.
-    queue.extend((0..n as u32).filter(|&v| slots[v as usize].rec != NONE));
-    while let Some(v) = queue.pop_front() {
-        let vs = slots[v as usize];
-        let (nbrs, kinds) = graph.neighbor_slices(v as usize);
-        for (&u, &kind) in nbrs.iter().zip(kinds) {
-            if kind != NeighborKind::Customer {
-                continue;
-            }
-            if relax!(u, v, vs, RouteKind::Provider) {
-                queue.push_back(u);
-            }
-        }
-    }
-
-    // Leak stage: each leaker re-announces its *pre-leak* best route to
-    // the neighbours the valley-free export rule forbids (providers and
-    // peers — customers already received it in phase 3). A provider of
-    // the leaker imports the leak as a *customer* route — more preferred
-    // than what it holds, which is exactly why leaks spread — and the
-    // improvements propagate through one more up/peer/down sweep.
-    // Semantics: one leak round over the pre-leak snapshot, leakers in
-    // ascending index order (see the module docs; [`reference`] runs the
-    // identical sequence).
-    if !leakers.is_empty() {
-        let leaked: Vec<(u32, Slot)> = leakers
-            .iter()
-            .map(|&l| (l, slots[l as usize]))
-            .filter(|(_, s)| {
-                s.rec != NONE && matches!(s.kind, RouteKind::Peer | RouteKind::Provider)
-            })
-            .collect();
-        queue.clear();
-        for (l, ls) in leaked {
-            let (nbrs, kinds) = graph.neighbor_slices(l as usize);
-            for (&u, &kind) in nbrs.iter().zip(kinds) {
-                // `kind` is the leaker's view of `u`; `u` classifies the
-                // leaked route by its own view of the leaker.
-                let accept = match kind {
-                    NeighborKind::Provider => RouteKind::Customer,
-                    NeighborKind::Peer => RouteKind::Peer,
-                    NeighborKind::Customer => continue, // legitimate export
-                };
-                if relax!(u, l, ls, accept) && accept == RouteKind::Customer {
-                    queue.push_back(u);
-                }
-            }
-        }
-        // Re-run phase 1: leak-gained customer routes propagate up.
-        while let Some(v) = queue.pop_front() {
-            let vs = slots[v as usize];
-            let (nbrs, kinds) = graph.neighbor_slices(v as usize);
-            for (&u, &kind) in nbrs.iter().zip(kinds) {
-                if kind != NeighborKind::Provider {
-                    continue;
-                }
-                if relax!(u, v, vs, RouteKind::Customer) {
-                    queue.push_back(u);
-                }
-            }
-        }
-        // Re-run phase 2: peer spread off the (now final) customer set.
-        for v in 0..n as u32 {
-            let vs = slots[v as usize];
-            if vs.rec == NONE
-                || !matches!(vs.kind, RouteKind::Customer | RouteKind::Origin)
-            {
-                continue;
-            }
-            let (nbrs, kinds) = graph.neighbor_slices(v as usize);
-            for (&u, &kind) in nbrs.iter().zip(kinds) {
-                if kind != NeighborKind::Peer {
-                    continue;
-                }
-                relax!(u, v, vs, RouteKind::Peer);
-            }
-        }
-        // Re-run phase 3: everything exports down to customers again.
-        queue.extend((0..n as u32).filter(|&v| slots[v as usize].rec != NONE));
-        while let Some(v) = queue.pop_front() {
-            let vs = slots[v as usize];
-            let (nbrs, kinds) = graph.neighbor_slices(v as usize);
-            for (&u, &kind) in nbrs.iter().zip(kinds) {
-                if kind != NeighborKind::Customer {
-                    continue;
-                }
-                if relax!(u, v, vs, RouteKind::Provider) {
-                    queue.push_back(u);
-                }
-            }
-        }
-    }
+    // Re-run phase 1: leak-gained customer routes propagate up.
+    up_phase(graph, slots, records, queue);
+    // Re-run phase 2: peer spread off the (now final) customer set.
+    peer_phase(graph, slots, records);
+    // Re-run phase 3: everything exports down to customers again.
+    down_phase(graph, slots, records, queue);
 }
 
 /// Compacts a finished [`sweep`]'s arena down to the records reachable
@@ -673,12 +737,6 @@ fn freeze(scratch: &mut Scratch) -> DestRoutes {
         out.slots.push(s);
     }
     out
-}
-
-/// The default routing worker count ([`RoutingTable::compute`]'s choice):
-/// one worker per available core.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Route preference: lower `RouteKind` wins, then fewer hops, then lowest

@@ -91,8 +91,8 @@ impl BgpUpdate {
 }
 
 /// What a collector observes of one scenario: the update stream across
-/// the horizon, the prefix slot of each update, and the per-prefix origin
-/// sets of its RIB at the horizon start.
+/// the horizon, the prefix slot of each update, the per-prefix origin
+/// sets of its RIB at the horizon start, and the AS graph of that start.
 #[derive(Debug, Default)]
 pub struct Observation {
     /// Ordered by (time, peer, prefix), as [`derive_updates`] returns it,
@@ -106,6 +106,9 @@ pub struct Observation {
     slot_count: u32,
     /// Equal to [`crate::RibSnapshot::origins`] of the start capture.
     baseline_origins: OriginIndex,
+    /// `AsGraph::at_time(scenario, horizon.start)`, the derivation's start
+    /// state; `None` for an observation of a bare stream.
+    start_graph: Option<AsGraph>,
 }
 
 impl Observation {
@@ -126,6 +129,7 @@ impl Observation {
             slots,
             slot_count: prefixes.len() as u32,
             baseline_origins: OriginIndex::new(),
+            start_graph: None,
         }
     }
 
@@ -138,6 +142,15 @@ impl Observation {
     /// start: the MOAS detector's baseline.
     pub fn baseline_origins(&self) -> &OriginIndex {
         &self.baseline_origins
+    }
+
+    /// The scenario's AS graph at the horizon start, which the derivation
+    /// built as its start state: the reference topology of
+    /// [`crate::detect_valley_violations`], since the quiet start's
+    /// adjacency set is a superset of every later instant's. `None` for
+    /// an observation of a bare stream (a deserialized window).
+    pub fn start_graph(&self) -> Option<&AsGraph> {
+        self.start_graph.as_ref()
     }
 }
 
@@ -270,6 +283,12 @@ fn derive(scenario: &Scenario, peers: &[Asn], baseline: bool) -> Observation {
     );
     let baseline_origins =
         if baseline { origins_at(&prev, &peers, &prefixes) } else { Vec::new() };
+    // Every table of one world shares its index space, so the peers and
+    // origins are mapped into it once.
+    let index = |asns: &[Asn]| -> Vec<Option<u32>> {
+        asns.iter().map(|&a| prev.routing().idx(a).map(|i| i as u32)).collect()
+    };
+    let dense = DenseIndex { peers: index(&peers), origins: index(&prefixes.origins) };
 
     // Each update with its prefix's slot.
     let mut updates = Vec::new();
@@ -282,15 +301,10 @@ fn derive(scenario: &Scenario, peers: &[Asn], baseline: bool) -> Observation {
             continue;
         }
         let next = State::new(&mut tables, world, graph, control);
-        let diff = Diff {
-            seed: world.seed,
-            event_time: at,
-            before: &prev,
-            after: &next,
-            prefixes: &prefixes,
-        };
-        for &peer in &peers {
-            diff.peer_into(peer, &mut changed, &mut updates);
+        debug_assert_eq!(next.routing().asns(), prev.routing().asns(), "one index space");
+        let diff = Diff::new(world.seed, at, &prev, &next, &prefixes, &dense);
+        for (&peer, &peer_index) in peers.iter().zip(&dense.peers) {
+            diff.peer_into((peer, peer_index), &mut changed, &mut updates);
         }
         prev = next;
     }
@@ -298,7 +312,20 @@ fn derive(scenario: &Scenario, peers: &[Asn], baseline: bool) -> Observation {
     updates.sort_by_key(|(a, _): &(BgpUpdate, u32)| (a.time, a.peer, a.prefix));
     let (mut updates, slots): (Vec<BgpUpdate>, Vec<u32>) = updates.into_iter().unzip();
     updates.shrink_to_fit();
-    Observation { updates, slots, slot_count: prefixes.slot_count(), baseline_origins }
+    // The start state's table is the first one computed; with the states
+    // gone, the table list holds the only reference to it.
+    drop(prev);
+    let start_graph = baseline.then(|| {
+        let first = tables.swap_remove(0);
+        Rc::try_unwrap(first).map_or_else(|table| table.graph.clone(), |table| table.graph)
+    });
+    Observation {
+        updates,
+        slots,
+        slot_count: prefixes.slot_count(),
+        baseline_origins,
+        start_graph,
+    }
 }
 
 /// The world's prefixes in ascending prefix order, each with the slot of
@@ -336,6 +363,15 @@ impl PrefixOrigins {
     }
 }
 
+/// The derivation's peers and distinct origins (in
+/// [`PrefixOrigins::origins`] order) as dense indices of the world's AS
+/// index space, `None` for an AS outside it (nobody routes to or from
+/// it).
+struct DenseIndex {
+    peers: Vec<Option<u32>>,
+    origins: Vec<Option<u32>>,
+}
+
 /// The routing table of one distinct `(topology, policy overrides)` pair.
 struct Table {
     graph: AsGraph,
@@ -366,8 +402,9 @@ impl State {
         let table = match found {
             Some(table) => Rc::clone(table),
             None => {
-                let threads = crate::routing::default_threads();
-                let routing = RoutingTable::compute_with(&graph, world, threads, &overrides);
+                // On the caller's thread: whoever serves the derivation
+                // owns the cores.
+                let routing = RoutingTable::compute_with(&graph, world, 1, &overrides);
                 let table = Rc::new(Table { graph, overrides, routing });
                 known.push(Rc::clone(&table));
                 table
@@ -383,13 +420,21 @@ impl State {
 
     /// The path a vantage point's route to a prefix takes in this state:
     /// towards the prefix's own origin, or towards the MOAS arbitration's
-    /// pick when the prefix is hijacked.
-    fn path(&self, peer: Asn, prefix: &Ipv4Net, origin: Asn) -> Option<Path<'_>> {
-        let origin = match self.hijacked.get(prefix) {
-            None => origin,
-            Some(bogus) => arbitrate(self.routing(), peer, origin, bogus)?,
-        };
-        self.routing().path(peer, origin)
+    /// pick when the prefix is hijacked. Each AS comes with its dense
+    /// index, which the unhijacked case reads the path by.
+    fn path(
+        &self,
+        (peer, peer_index): (Asn, Option<u32>),
+        prefix: &Ipv4Net,
+        (origin, origin_index): (Asn, Option<u32>),
+    ) -> Option<Path<'_>> {
+        match self.hijacked.get(prefix) {
+            None => self.routing().path_at(peer_index? as usize, origin_index? as usize),
+            Some(bogus) => {
+                let origin = arbitrate(self.routing(), peer, origin, bogus)?;
+                self.routing().path(peer, origin)
+            }
+        }
     }
 }
 
@@ -425,44 +470,94 @@ struct Diff<'a> {
     before: &'a State,
     after: &'a State,
     prefixes: &'a PrefixOrigins,
+    dense: &'a DenseIndex,
+    /// Per distinct origin: whether both tables store identical routes
+    /// towards it, so no peer's path to it can differ.
+    same_routes: Vec<bool>,
+    /// Per prefix: whether it is hijacked before or after the boundary.
+    hijacked: Vec<bool>,
 }
 
-impl Diff<'_> {
+impl<'a> Diff<'a> {
+    fn new(
+        seed: u64,
+        event_time: SimTime,
+        before: &'a State,
+        after: &'a State,
+        prefixes: &'a PrefixOrigins,
+        dense: &'a DenseIndex,
+    ) -> Diff<'a> {
+        let same_routes = same_destinations(before, after, &dense.origins);
+        let hijacked = prefixes
+            .prefixes
+            .iter()
+            .map(|(net, _, _)| {
+                before.hijacked.contains_key(net) || after.hijacked.contains_key(net)
+            })
+            .collect();
+        Diff { seed, event_time, before, after, prefixes, dense, same_routes, hijacked }
+    }
+
     /// Emits one peer's updates, in ascending prefix order. Updates are
     /// pushed per peer in ascending peer order, so the emission order is
     /// the `(peer, prefix)` order of a snapshot diff, and the final stable
     /// sort yields the same stream.
-    fn peer_into(&self, peer: Asn, changed: &mut Vec<bool>, out: &mut Vec<(BgpUpdate, u32)>) {
-        let (before, after) = (self.before, self.after);
-        let same_routing = Rc::ptr_eq(&before.table, &after.table);
+    fn peer_into(
+        &self,
+        peer: (Asn, Option<u32>),
+        changed: &mut Vec<bool>,
+        out: &mut Vec<(BgpUpdate, u32)>,
+    ) {
+        let (before, after) = (self.before.routing(), self.after.routing());
         changed.clear();
-        if !same_routing {
-            changed.extend(self.prefixes.origins.iter().map(|&o| {
-                !same_path(before.routing().path(peer, o), after.routing().path(peer, o))
-            }));
-        }
+        changed.extend(self.same_routes.iter().zip(&self.dense.origins).map(
+            |(&same, &origin)| match (same, peer.1, origin) {
+                (false, Some(p), Some(o)) => {
+                    let (p, o) = (p as usize, o as usize);
+                    !same_path(before.path_at(p, o), after.path_at(p, o))
+                }
+                _ => false,
+            },
+        ));
+        let peer_asn = peer.0;
         for (prefix_slot, &(net, origin, slot)) in self.prefixes.prefixes.iter().enumerate() {
-            let hijacked = before.hijacked.contains_key(&net) || after.hijacked.contains_key(&net);
-            if !hijacked && (same_routing || !changed[slot]) {
+            if !self.hijacked[prefix_slot] && !changed[slot] {
                 continue;
             }
             let mut emit = |u: BgpUpdate| out.push((u, prefix_slot as u32));
             let (seed, at) = (self.seed, self.event_time);
-            match (before.path(peer, &net, origin), after.path(peer, &net, origin)) {
+            let origin = (origin, self.dense.origins[slot]);
+            match (self.before.path(peer, &net, origin), self.after.path(peer, &net, origin)) {
                 (Some(_), None) => {
-                    let time = jittered(seed, at, peer, &net, 0);
-                    emit(BgpUpdate { time, peer, prefix: net, kind: UpdateKind::Withdraw });
+                    let time = jittered(seed, at, peer_asn, &net, 0);
+                    let kind = UpdateKind::Withdraw;
+                    emit(BgpUpdate { time, peer: peer_asn, prefix: net, kind });
                 }
-                (None, Some(path)) => announce_into(seed, at, peer, net, path.collect(), &mut emit),
+                (None, Some(path)) => {
+                    announce_into(seed, at, peer_asn, net, path.collect(), &mut emit)
+                }
                 (Some(b), Some(a)) => {
                     if !b.eq(a.clone()) {
-                        announce_into(seed, at, peer, net, a.collect(), &mut emit);
+                        announce_into(seed, at, peer_asn, net, a.collect(), &mut emit);
                     }
                 }
                 (None, None) => {}
             }
         }
     }
+}
+
+/// Per origin (by dense index): whether the two states' tables store
+/// identical routes towards it. One table serving both states stores the
+/// same routes towards everything; an origin outside the index space is
+/// routed in neither. The check is sound in one direction only: `true`
+/// means no holder's path differs, `false` leaves it to the per-peer walk.
+fn same_destinations(before: &State, after: &State, origins: &[Option<u32>]) -> Vec<bool> {
+    if Rc::ptr_eq(&before.table, &after.table) {
+        return vec![true; origins.len()];
+    }
+    let (before, after) = (before.routing(), after.routing());
+    origins.iter().map(|o| o.is_none_or(|d| before.same_routes(after, d as usize))).collect()
 }
 
 fn same_path(a: Option<Path<'_>>, b: Option<Path<'_>>) -> bool {
@@ -907,6 +1002,74 @@ mod tests {
             moas.baseline_origins.iter().any(|(p, o)| *p == victim.net && o.len() > 1),
             "a live partial hijack is a MOAS prefix in the baseline"
         );
+    }
+
+    #[test]
+    fn observation_keeps_the_start_graph() {
+        let world = generate(&WorldConfig::default());
+        let cable = world.cable_by_name("SeaMeWe-5").unwrap().id;
+        let quiet = Scenario::quiet(world, 10);
+        let mut cut = quiet.clone();
+        cut.push_event(
+            EventKind::CableCut { cable },
+            SimTime::EPOCH - SimDuration::days(1),
+            Some(SimTime::EPOCH + SimDuration::days(3)),
+        );
+        let quiet_start = AsGraph::at_time(&quiet, quiet.horizon.start);
+        for (s, what) in [(&quiet, "quiet"), (&cut, "cut live at the start")] {
+            let observed = observe(s, &collectors(s));
+            let graph = observed.start_graph().expect("a derived observation has one");
+            assert!(graph.same_topology(&AsGraph::at_time(s, s.horizon.start)), "{what}");
+            let is_quiet = graph.same_topology(&quiet_start);
+            assert_eq!(is_quiet, what == "quiet", "{what}: the start graph is the start's");
+        }
+        let bare = Observation::of_stream(derive_updates(&cut, &collectors(&cut)));
+        assert!(bare.start_graph().is_none());
+    }
+
+    #[test]
+    fn a_cut_boundary_skips_unchanged_destinations_and_walks_the_rest() {
+        // IMEWE's cut moves the routes towards most origins of the
+        // default world and leaves those towards a few dozen alone.
+        let world = generate(&WorldConfig::default());
+        let cable = world.cable_by_name("IMEWE").unwrap().id;
+        let cut = SimTime::EPOCH + SimDuration::days(5);
+        let s = Scenario::quiet(world, 10).with_event(EventKind::CableCut { cable }, cut);
+        let world = &s.world;
+        let prefixes = PrefixOrigins::new(world);
+        let state = |t: SimTime, tables: &mut Vec<Rc<Table>>| {
+            State::new(tables, world, AsGraph::at_time(&s, t), s.control_plane_at(t))
+        };
+        let mut tables = Vec::new();
+        let before = state(s.horizon.start, &mut tables);
+        let after = state(SimTime(cut.0 + 1), &mut tables);
+        let origins: Vec<Option<u32>> = prefixes
+            .origins
+            .iter()
+            .map(|&o| before.routing().idx(o).map(|i| i as u32))
+            .collect();
+        let same = same_destinations(&before, &after, &origins);
+        let (skipped, walked): (Vec<_>, Vec<_>) =
+            prefixes.origins.iter().zip(&same).partition(|(_, &same)| same);
+        assert!(!skipped.is_empty(), "the cut leaves some destinations' routes alone");
+        assert!(!walked.is_empty(), "the cut moves some destinations' routes");
+        // A skipped origin's paths are equal for every holder.
+        for (&origin, _) in &skipped {
+            for holder in world.ases.iter().map(|a| a.asn) {
+                let (b, a) = (before.routing(), after.routing());
+                let same = same_path(b.path(holder, origin), a.path(holder, origin));
+                assert!(same, "{holder} → {origin}");
+            }
+        }
+        // One table serving both states skips everything.
+        let again = state(SimTime(cut.0 + 2), &mut tables);
+        assert!(same_destinations(&after, &again, &origins).iter().all(|&s| s));
+        assert_eq!(tables.len(), 2);
+
+        let peers = collectors(&s);
+        let expected = reference::derive_updates(&s, &peers);
+        assert!(!expected.is_empty());
+        assert_eq!(derive_updates(&s, &peers), expected);
     }
 
     /// One random incident on the default world: `(kind, target, onset

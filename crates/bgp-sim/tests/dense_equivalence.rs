@@ -70,14 +70,22 @@ fn sharded_sweep_is_bit_identical_across_worker_counts() {
 }
 
 /// One reused [`SelectionSweep`] yields, for every destination, the keys
-/// [`RoutingTable::selection`] reads from the full table.
+/// [`RoutingTable::selection`] reads from the full table, and its leak
+/// pairs are the keys of the clean table and of the leaked one.
 fn assert_sweep_matches_table(graph: &AsGraph, overrides: &PolicyOverrides) {
     let table = RoutingTable::compute_for_graph_with(graph, 2, overrides);
+    let clean = RoutingTable::compute_for_graph(graph, 1);
     let mut sweep = SelectionSweep::default();
     for dst in graph.nodes() {
         let keys: Vec<_> = sweep.selections(graph, dst, overrides).collect();
         let expected: Vec<_> = graph.nodes().map(|src| table.selection(src, dst)).collect();
         assert_eq!(keys, expected, "selections towards {dst} diverge from the table");
+        let pairs: Vec<_> = sweep.leak_selections(graph, dst, overrides).collect();
+        let expected: Vec<_> = graph
+            .nodes()
+            .map(|src| (clean.selection(src, dst), table.selection(src, dst)))
+            .collect();
+        assert_eq!(pairs, expected, "leak pairs towards {dst} diverge from the tables");
     }
 }
 
@@ -95,6 +103,10 @@ fn selection_sweep_matches_the_table_on_default_world() {
     let absent = sweep.selections(&graph, Asn(1), &PolicyOverrides::none());
     assert_eq!(absent.len(), graph.node_count());
     assert!(absent.into_iter().all(|k| k.is_none()), "nobody routes to an absent AS");
+    let leaking = default_world_leaker(&scenario, &graph);
+    let absent = sweep.leak_selections(&graph, Asn(1), &leaking);
+    assert_eq!(absent.len(), graph.node_count());
+    assert!(absent.into_iter().all(|k| k == (None, None)), "nor with a leak");
 }
 
 /// A leaker fixture on the default world: a multi-homed access AS (two

@@ -3,14 +3,22 @@
 //!
 //! Determinism is the design constraint everything here bends around.
 //! The task list is built in spec order (ensembles → draws → fleet
-//! order → queries), each worker owns a *contiguous pre-assigned slice*
-//! of result slots (`chunks_mut`, not lock-and-push — completion order
-//! never leaks into the output), and the scorecard folds the outcomes
-//! in task order afterwards. The same spec therefore produces
-//! byte-identical outcomes, scorecards and provenance records at 1, 2
-//! or 8 workers, with or without a fault plan installed.
+//! order → queries). Workers *pull* tasks: each claims the next task
+//! index from a shared counter, so a worker that drew cheap scenarios
+//! takes more of them instead of idling while another finishes a fixed
+//! half. Each outcome goes into the write-once slot at its task index
+//! (not lock-and-push — completion order never leaks into the output),
+//! and the scorecard folds the outcomes in task order afterwards. The
+//! same spec therefore produces byte-identical outcomes, scorecards and
+//! provenance records at 1, 2 or 8 workers, with or without a fault plan
+//! installed.
+//!
+//! Campaign workers are the serving stack's one layer of parallelism:
+//! the substrate kernels a query reaches (routing tables, RIB captures,
+//! update derivation) compute on the worker's own thread.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use arachnet::{Engine, PipelineError, RegistrationStats};
 use telemetry::Recorder;
@@ -100,8 +108,8 @@ impl<'a> CampaignRunner<'a> {
         CampaignRunner { engine, workers: workflow::exec::default_workers(), tracing: false }
     }
 
-    /// Overrides the campaign-level worker count (each worker serves its
-    /// own slice of the task list through its own sessions).
+    /// Overrides the campaign-level worker count (each worker pulls the
+    /// next unclaimed task and serves it through its own session).
     pub fn with_workers(mut self, workers: usize) -> CampaignRunner<'a> {
         self.workers = workers.max(1);
         self
@@ -157,24 +165,26 @@ impl<'a> CampaignRunner<'a> {
     }
 
     /// Serves the task list across the worker pool: slot `i` holds task
-    /// `i`'s outcome regardless of which worker ran it or when.
+    /// `i`'s outcome regardless of which worker ran it or when. Workers
+    /// claim task indices in ascending order from one counter until none
+    /// is left; there are never more workers than tasks.
     fn serve(&self, tasks: &[Task]) -> Vec<QueryOutcome> {
-        let mut slots: Vec<Option<QueryOutcome>> = Vec::new();
-        slots.resize_with(tasks.len(), || None);
-        if tasks.is_empty() {
-            return Vec::new();
-        }
-        let chunk = tasks.len().div_ceil(self.workers);
+        let slots: Vec<OnceLock<QueryOutcome>> = tasks.iter().map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            let (Some(task), Some(slot)) = (tasks.get(i), slots.get(i)) else {
+                break;
+            };
+            // Each index is claimed once, so each slot is set once.
+            let _ = slot.set(self.execute(task));
+        };
         std::thread::scope(|scope| {
-            for (task_chunk, slot_chunk) in tasks.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (task, slot) in task_chunk.iter().zip(slot_chunk.iter_mut()) {
-                        *slot = Some(self.execute(task));
-                    }
-                });
+            for _ in 0..self.workers.min(tasks.len()) {
+                scope.spawn(worker);
             }
         });
-        slots.into_iter().flatten().collect()
+        slots.into_iter().filter_map(OnceLock::into_inner).collect()
     }
 
     /// Serves one task through its own engine session. With tracing
@@ -327,6 +337,46 @@ mod tests {
         // Without tracing the stamp stays empty.
         let untraced = CampaignRunner::new(&engine).run(&small_spec());
         assert!(untraced.outcomes.iter().all(|o| o.trace_hash.is_none()));
+    }
+
+    #[test]
+    fn pulled_tasks_land_in_task_order_at_any_worker_count() {
+        let run = |spec: &CampaignSpec, workers: usize| {
+            CampaignRunner::new(&engine()).with_workers(workers).run(spec)
+        };
+        // More workers than tasks: only two start.
+        let small = small_spec();
+        let one = run(&small, 1);
+        let eight = run(&small, 8);
+        assert_eq!(eight.outcomes.len(), 2);
+        assert_eq!(eight.outcomes, one.outcomes);
+        assert_eq!(eight.scorecard, one.scorecard);
+
+        // Skewed costs: quiet de-peering scenarios (no event, no update
+        // derivation) ahead of cut cascades and hijacks, so one worker
+        // races through the cheap tasks while the other is still busy.
+        let params = FamilyParams { variants: 2, ..FamilyParams::default() };
+        let skewed = CampaignSpec::new(
+            vec![
+                EnsembleSpec::new(Family::TransitDePeering, params.clone()),
+                EnsembleSpec::new(Family::CableCutCascade, params.clone()),
+                EnsembleSpec::new(
+                    CampaignFamily::Composed(ComposedFamily::HijackDuringCascade),
+                    params,
+                ),
+            ],
+            vec![FORENSICS_QUERY.to_string()],
+        );
+        let one = run(&skewed, 1);
+        let two = run(&skewed, 2);
+        assert_eq!(one.scorecard.failed, 0, "outcomes: {:?}", one.outcomes);
+        assert_eq!(two.outcomes, one.outcomes);
+        assert_eq!(two.scorecard, one.scorecard);
+        assert_eq!(two.provenance_hashes(), one.provenance_hashes());
+        let families: Vec<&str> =
+            two.outcomes.iter().map(|o| o.provenance.family.as_str()).collect();
+        let expected = ["transit-depeering", "cable-cut-cascade", "hijack-during-cascade"];
+        assert_eq!(families, expected.map(|f| [f, f]).concat(), "task order");
     }
 
     #[test]

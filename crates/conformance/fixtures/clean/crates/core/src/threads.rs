@@ -12,3 +12,9 @@ pub fn sweep(shards: &[Vec<u64>]) -> Vec<u64> {
     // Shard index order, independent of completion order.
     results.into_iter().flatten().collect()
 }
+
+/// Outside the substrate crates, the layer that owns the cores may size
+/// its pool from them.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

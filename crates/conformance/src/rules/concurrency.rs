@@ -1,8 +1,15 @@
-//! Concurrency-discipline rule: scoped threads only, and no
-//! lock-and-push accumulation inside scoped sweeps.
+//! Concurrency-discipline rule: scoped threads only, no lock-and-push
+//! accumulation inside scoped sweeps, and no ambient core counts in the
+//! substrate crates.
 
 use super::{finding_at, FileRule, Finding, SigView};
 use crate::source::SourceFile;
+
+/// The substrate crates: kernels that campaign workers, sessions and
+/// benches call. They run on the caller's thread or on an explicit
+/// thread count, never on a pool sized from the machine.
+pub const SUBSTRATE_CRATES: [&str; 6] =
+    ["bgp-sim", "traceroute-sim", "xaminer-sim", "nautilus-sim", "world", "scenario-forge"];
 
 /// `scoped-threads-only`:
 ///
@@ -15,6 +22,13 @@ use crate::source::SourceFile;
 ///    `shared.lock().push(...)` (or via `.unwrap()`/`.expect(...)`)
 ///    records them in *completion order* — a nondeterministic order.
 ///    Collect per-shard vectors and merge them in shard index order.
+/// 3. In [`SUBSTRATE_CRATES`], `available_parallelism` is banned. The
+///    serving stack has one layer of parallelism, the callers that own
+///    the cores (campaign workers, session clients); a kernel that sizes
+///    its own pool from the core count stacks a second layer under every
+///    one of them (two campaign workers on two cores then run four
+///    compute threads). Compute on the caller's thread, or take the
+///    thread count as an argument.
 pub struct ScopedThreadsOnly;
 
 impl FileRule for ScopedThreadsOnly {
@@ -23,17 +37,29 @@ impl FileRule for ScopedThreadsOnly {
     }
 
     fn description(&self) -> &'static str {
-        "thread::spawn is banned (use std::thread::scope), and Mutex lock-and-push \
-         accumulation inside scoped sweeps must be per-shard ordered merges"
+        "thread::spawn is banned (use std::thread::scope), Mutex lock-and-push \
+         accumulation inside scoped sweeps must be per-shard ordered merges, and \
+         substrate crates never read available_parallelism"
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         let sig = SigView::new(file);
         let uses_scope =
             (0..sig.len()).any(|i| sig.matches(i, &["thread", "::", "scope"]));
+        let substrate = SUBSTRATE_CRATES.contains(&file.crate_name());
         for i in 0..sig.len() {
             if file.is_test_code(sig.offset(i)) {
                 continue;
+            }
+            if substrate && sig.matches(i, &["available_parallelism"]) {
+                out.push(finding_at(
+                    self.id(),
+                    file,
+                    sig.line(i),
+                    "a substrate kernel must not size its own thread pool from the core \
+                     count: compute on the caller's thread or take an explicit thread count"
+                        .to_string(),
+                ));
             }
             // `thread::spawn` — but not `scope.spawn(...)`.
             if sig.matches(i, &["thread", "::", "spawn"]) {

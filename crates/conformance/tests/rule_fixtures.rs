@@ -32,11 +32,18 @@ fn violating_fixture_trips_every_rule() {
     // no-unseeded-rng: thread_rng + rand::random.
     assert_eq!(rule_count(f, "no-unseeded-rng"), 2);
 
-    // scoped-threads-only: the detached spawn + the lock-and-push.
-    assert_eq!(rule_count(f, "scoped-threads-only"), 2);
+    // scoped-threads-only: the detached spawn + the lock-and-push + the
+    // substrate kernel's core count (but not its test module's).
+    assert_eq!(rule_count(f, "scoped-threads-only"), 3);
     assert!(f
         .iter()
         .any(|x| x.rule == "scoped-threads-only" && x.snippet.contains("push")));
+    let ambient: Vec<&Finding> = f
+        .iter()
+        .filter(|x| x.rule == "scoped-threads-only" && x.snippet.contains("available_parallelism"))
+        .collect();
+    assert_eq!(ambient.len(), 1, "got {ambient:#?}");
+    assert_eq!(ambient[0].file, "crates/bgp-sim/src/shards.rs");
 
     // panic-budget: one crate-level aggregate for `core`.
     assert_eq!(rule_count(f, "panic-budget"), 1);

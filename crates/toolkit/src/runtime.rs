@@ -17,8 +17,9 @@
 //! held as a [`bgp_sim::UpdateWindow`] over the whole horizon.
 //! `bgp.updates` answers with a narrower window over the same `Arc`d
 //! stream (two binary searches, no copy), the detectors read a window as
-//! a `&[BgpUpdate]`, and `bgp.detect_moas` takes its baseline from the
-//! cached observation. Artifacts that depend only on the
+//! a `&[BgpUpdate]`, `bgp.detect_moas` takes its baseline from the
+//! cached observation, and `bgp.valley_violations` its reference graph
+//! (the derivation's start state). Artifacts that depend only on the
 //! world (the Nautilus mapping run, the default dependency table) live in
 //! a store shared per world ([`world_artifacts`]). Both are
 //! [`OnceMap`]s, the workspace's one build-once cache shape, and every
@@ -189,8 +190,9 @@ impl StandardRuntime {
         // One derivation per scenario: the full update stream (windowed
         // per call by `bgp.updates`) and the origin sets of the collector
         // RIB at the horizon start (the MOAS detector's baseline — the
-        // timeline may start with an incident already active), held as a
-        // window over the whole horizon. This artifact never leaves the
+        // timeline may start with an incident already active) and the AS
+        // graph of that start (the valley detector's reference), held as
+        // a window over the whole horizon. This artifact never leaves the
         // runtime.
         self.cached(&self.artifacts, "bgp.observation", || {
             let stream = UpdateWindow::new(BgpSimulator::new(&self.scenario).observe());
@@ -408,9 +410,20 @@ impl ToolRuntime for StandardRuntime {
                     view(function, "updates", need(args, function, "updates")?)?;
                 // Reference topology: the scenario's quiet start, whose
                 // adjacency set is a superset of every later instant's.
-                let graph =
-                    bgp_sim::AsGraph::at_time(&self.scenario, self.scenario.horizon.start);
-                out_seq(F::ValleyViolations, detect_valley_violations(&updates, &graph))
+                // The cached observation's derivation built it as its
+                // start state.
+                let observed = self.observation_value()?;
+                let observed: ValueView<'_, UpdateWindow> =
+                    view_of(&observed, "bgp observation")?;
+                let violations = match observed.observation().start_graph() {
+                    Some(graph) => detect_valley_violations(&updates, graph),
+                    None => {
+                        let start = self.scenario.horizon.start;
+                        let graph = bgp_sim::AsGraph::at_time(&self.scenario, start);
+                        detect_valley_violations(&updates, &graph)
+                    }
+                };
+                out_seq(F::ValleyViolations, violations)
             }
             "bgp.reachability_losses" => {
                 let updates: ValueView<'_, UpdateWindow> =
@@ -1065,9 +1078,11 @@ mod tests {
         let window = tv(F::TimeWindow, serde_json::json!({"start": 0, "end": 10 * 86_400}));
         let updates = invoke(&rt, "bgp.updates", vec![("window", window)]).unwrap();
         let moas = invoke(&rt, "bgp.detect_moas", vec![("updates", updates.clone())]).unwrap();
+        let valleys =
+            invoke(&rt, "bgp.valley_violations", vec![("updates", updates.clone())]).unwrap();
         let metrics = recorder.metrics_snapshot();
         assert_eq!(metrics.counter("artifact_cache.miss"), 1, "one derivation");
-        assert_eq!(metrics.counter("artifact_cache.hit"), 1);
+        assert_eq!(metrics.counter("artifact_cache.hit"), 2);
         assert!(rt.artifacts().contains("bgp.observation"));
 
         // The detector over the observation's origin index reports what it
@@ -1080,6 +1095,12 @@ mod tests {
         let conflicts: Vec<MoasConflict> = moas.parse().unwrap();
         assert!(!conflicts.is_empty());
         assert_eq!(conflicts, bgp_sim::detect_moas_conflicts(&stream, &baseline));
+
+        // The valley detector's reference graph, read from the
+        // observation, is the graph of the horizon start.
+        let start = bgp_sim::AsGraph::at_time(scenario, scenario.horizon.start);
+        let violations: Vec<ValleyViolation> = valleys.parse().unwrap();
+        assert_eq!(violations, detect_valley_violations(&stream, &start));
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub struct TracerouteSimulator<'a> {
 }
 
 impl<'a> TracerouteSimulator<'a> {
-    /// Builds the simulator, precomputing per-epoch routing.
+    /// Builds the simulator, precomputing per-epoch routing on the
+    /// caller's thread.
     pub fn new(scenario: &'a Scenario) -> Self {
         let boundaries: Vec<SimTime> =
             scenario.timeline().into_iter().map(|(t, _)| t).collect();

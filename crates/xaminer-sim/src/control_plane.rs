@@ -9,7 +9,8 @@
 //! quiet topology, compared with the clean baseline. Only the
 //! destinations an incident reads are swept, one at a time on the
 //! caller's thread ([`bgp_sim::routing::SelectionSweep`]): a hijack's two
-//! origins, or every destination twice for a leak.
+//! origins, or every destination once for a leak (one leaked sweep yields
+//! the clean selection it starts from as well).
 
 use std::collections::BTreeMap;
 
@@ -17,8 +18,8 @@ use net_model::{Asn, Country, Ipv4Net};
 use serde::{Deserialize, Serialize};
 use world::World;
 
-use bgp_sim::routing::SelectionSweep;
-use bgp_sim::{AsGraph, PolicyOverrides, RouteKind};
+use bgp_sim::routing::{SelectionKey, SelectionSweep};
+use bgp_sim::{AsGraph, PolicyOverrides};
 
 /// A control-plane incident to assess (hypothetical or observed).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,10 +139,6 @@ fn impact(
     }
 }
 
-/// A holder's `(kind, hops, next-hop ASN)` selection key, `None` when
-/// unrouted — what [`bgp_sim::RoutingTable::selection`] returns.
-type Key = Option<(RouteKind, usize, Asn)>;
-
 /// The quiet graph, the ASes assessed (holders, also the leak's
 /// destinations) and the baseline selections swept so far.
 struct Assessor {
@@ -151,7 +148,7 @@ struct Assessor {
     sweep: SelectionSweep,
     /// Destination → its baseline keys in `keys`, by dense holder index.
     swept: BTreeMap<Asn, usize>,
-    keys: Vec<Vec<Key>>,
+    keys: Vec<Vec<SelectionKey>>,
 }
 
 impl Assessor {
@@ -197,18 +194,15 @@ impl Assessor {
     }
 
     /// The holders whose best route to at least one destination changes
-    /// when `leaker` leaks: per destination, the baseline sweep and the
-    /// leaked one, compared holder by holder.
+    /// when `leaker` leaks: per destination, one leaked sweep's pre-leak
+    /// and final selections, compared holder by holder.
     fn leak_shift(&mut self, leaker: Asn) -> Vec<Asn> {
-        let (clean, leaking) = (PolicyOverrides::none(), PolicyOverrides::leaking([leaker]));
+        let leaking = PolicyOverrides::leaking([leaker]);
         let mut moved = vec![false; self.graph.node_count()];
-        let mut base: Vec<Key> = Vec::new();
         for &dst in &self.holders {
-            base.clear();
-            base.extend(self.sweep.selections(&self.graph, dst, &clean));
-            let leaked = self.sweep.selections(&self.graph, dst, &leaking);
-            for ((m, b), l) in moved.iter_mut().zip(&base).zip(leaked) {
-                *m |= *b != l;
+            let pairs = self.sweep.leak_selections(&self.graph, dst, &leaking);
+            for (m, (clean, leaked)) in moved.iter_mut().zip(pairs) {
+                *m |= clean != leaked;
             }
         }
         self.pick(&moved)
@@ -225,8 +219,8 @@ impl Assessor {
 }
 
 /// The full-table assessment the sweeps replaced — an all-destination
-/// baseline table, plus a leaked one per leak, each on every core — kept
-/// as the oracle the tests compare against.
+/// baseline table, plus a leaked one per leak, the leaked one sharded
+/// over two workers — kept as the oracle the tests compare against.
 #[cfg(test)]
 mod reference {
     use bgp_sim::RoutingTable;
@@ -282,11 +276,8 @@ mod reference {
         holders: &[Asn],
         leaker: Asn,
     ) -> Vec<Asn> {
-        let leaked = RoutingTable::compute_for_graph_with(
-            graph,
-            bgp_sim::routing::default_threads(),
-            &PolicyOverrides::leaking([leaker]),
-        );
+        let leaked =
+            RoutingTable::compute_for_graph_with(graph, 2, &PolicyOverrides::leaking([leaker]));
         holders
             .iter()
             .copied()
