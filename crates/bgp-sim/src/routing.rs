@@ -165,7 +165,7 @@ impl Slot {
 type PathRec = (u32, u32);
 
 /// Best routes towards one destination, in dense holder-index space.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 struct DestRoutes {
     /// One slot per holder index.
     slots: Vec<Slot>,
@@ -358,17 +358,6 @@ impl RoutingTable {
         let dest = &self.dests[d];
         let slot = dest.slots[s];
         (slot.rec != NONE).then(|| self.walk(dest, slot))
-    }
-
-    /// Whether `other` stores exactly this table's routes towards the
-    /// destination with dense index `d`: equal slot and record arrays.
-    /// Over one index space, equal arrays mean every holder's path is
-    /// equal. Unequal arrays can still hold equal paths (two holders may
-    /// share an arena record in one table and not in the other), so a
-    /// `false` says nothing.
-    pub(crate) fn same_routes(&self, other: &RoutingTable, d: usize) -> bool {
-        debug_assert_eq!(self.asns, other.asns, "one index space");
-        self.dests[d] == other.dests[d]
     }
 
     /// The dense index of `asn`, if the table's graph has it.

@@ -471,9 +471,8 @@ struct Diff<'a> {
     after: &'a State,
     prefixes: &'a PrefixOrigins,
     dense: &'a DenseIndex,
-    /// Per distinct origin: whether both tables store identical routes
-    /// towards it, so no peer's path to it can differ.
-    same_routes: Vec<bool>,
+    /// Whether one table serves both states, so no path differs.
+    same_routing: bool,
     /// Per prefix: whether it is hijacked before or after the boundary.
     hijacked: Vec<bool>,
 }
@@ -487,7 +486,7 @@ impl<'a> Diff<'a> {
         prefixes: &'a PrefixOrigins,
         dense: &'a DenseIndex,
     ) -> Diff<'a> {
-        let same_routes = same_destinations(before, after, &dense.origins);
+        let same_routing = Rc::ptr_eq(&before.table, &after.table);
         let hijacked = prefixes
             .prefixes
             .iter()
@@ -495,7 +494,7 @@ impl<'a> Diff<'a> {
                 before.hijacked.contains_key(net) || after.hijacked.contains_key(net)
             })
             .collect();
-        Diff { seed, event_time, before, after, prefixes, dense, same_routes, hijacked }
+        Diff { seed, event_time, before, after, prefixes, dense, same_routing, hijacked }
     }
 
     /// Emits one peer's updates, in ascending prefix order. Updates are
@@ -510,15 +509,13 @@ impl<'a> Diff<'a> {
     ) {
         let (before, after) = (self.before.routing(), self.after.routing());
         changed.clear();
-        changed.extend(self.same_routes.iter().zip(&self.dense.origins).map(
-            |(&same, &origin)| match (same, peer.1, origin) {
-                (false, Some(p), Some(o)) => {
-                    let (p, o) = (p as usize, o as usize);
-                    !same_path(before.path_at(p, o), after.path_at(p, o))
-                }
-                _ => false,
-            },
-        ));
+        changed.extend(self.dense.origins.iter().map(|&origin| match (peer.1, origin) {
+            (Some(p), Some(o)) if !self.same_routing => {
+                let (p, o) = (p as usize, o as usize);
+                !same_path(before.path_at(p, o), after.path_at(p, o))
+            }
+            _ => false,
+        }));
         let peer_asn = peer.0;
         for (prefix_slot, &(net, origin, slot)) in self.prefixes.prefixes.iter().enumerate() {
             if !self.hijacked[prefix_slot] && !changed[slot] {
@@ -545,19 +542,6 @@ impl<'a> Diff<'a> {
             }
         }
     }
-}
-
-/// Per origin (by dense index): whether the two states' tables store
-/// identical routes towards it. One table serving both states stores the
-/// same routes towards everything; an origin outside the index space is
-/// routed in neither. The check is sound in one direction only: `true`
-/// means no holder's path differs, `false` leaves it to the per-peer walk.
-fn same_destinations(before: &State, after: &State, origins: &[Option<u32>]) -> Vec<bool> {
-    if Rc::ptr_eq(&before.table, &after.table) {
-        return vec![true; origins.len()];
-    }
-    let (before, after) = (before.routing(), after.routing());
-    origins.iter().map(|o| o.is_none_or(|d| before.same_routes(after, d as usize))).collect()
 }
 
 fn same_path(a: Option<Path<'_>>, b: Option<Path<'_>>) -> bool {
@@ -1025,51 +1009,6 @@ mod tests {
         }
         let bare = Observation::of_stream(derive_updates(&cut, &collectors(&cut)));
         assert!(bare.start_graph().is_none());
-    }
-
-    #[test]
-    fn a_cut_boundary_skips_unchanged_destinations_and_walks_the_rest() {
-        // IMEWE's cut moves the routes towards most origins of the
-        // default world and leaves those towards a few dozen alone.
-        let world = generate(&WorldConfig::default());
-        let cable = world.cable_by_name("IMEWE").unwrap().id;
-        let cut = SimTime::EPOCH + SimDuration::days(5);
-        let s = Scenario::quiet(world, 10).with_event(EventKind::CableCut { cable }, cut);
-        let world = &s.world;
-        let prefixes = PrefixOrigins::new(world);
-        let state = |t: SimTime, tables: &mut Vec<Rc<Table>>| {
-            State::new(tables, world, AsGraph::at_time(&s, t), s.control_plane_at(t))
-        };
-        let mut tables = Vec::new();
-        let before = state(s.horizon.start, &mut tables);
-        let after = state(SimTime(cut.0 + 1), &mut tables);
-        let origins: Vec<Option<u32>> = prefixes
-            .origins
-            .iter()
-            .map(|&o| before.routing().idx(o).map(|i| i as u32))
-            .collect();
-        let same = same_destinations(&before, &after, &origins);
-        let (skipped, walked): (Vec<_>, Vec<_>) =
-            prefixes.origins.iter().zip(&same).partition(|(_, &same)| same);
-        assert!(!skipped.is_empty(), "the cut leaves some destinations' routes alone");
-        assert!(!walked.is_empty(), "the cut moves some destinations' routes");
-        // A skipped origin's paths are equal for every holder.
-        for (&origin, _) in &skipped {
-            for holder in world.ases.iter().map(|a| a.asn) {
-                let (b, a) = (before.routing(), after.routing());
-                let same = same_path(b.path(holder, origin), a.path(holder, origin));
-                assert!(same, "{holder} → {origin}");
-            }
-        }
-        // One table serving both states skips everything.
-        let again = state(SimTime(cut.0 + 2), &mut tables);
-        assert!(same_destinations(&after, &again, &origins).iter().all(|&s| s));
-        assert_eq!(tables.len(), 2);
-
-        let peers = collectors(&s);
-        let expected = reference::derive_updates(&s, &peers);
-        assert!(!expected.is_empty());
-        assert_eq!(derive_updates(&s, &peers), expected);
     }
 
     /// One random incident on the default world: `(kind, target, onset

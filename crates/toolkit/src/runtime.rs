@@ -415,15 +415,14 @@ impl ToolRuntime for StandardRuntime {
                 let observed = self.observation_value()?;
                 let observed: ValueView<'_, UpdateWindow> =
                     view_of(&observed, "bgp observation")?;
-                let violations = match observed.observation().start_graph() {
-                    Some(graph) => detect_valley_violations(&updates, graph),
-                    None => {
-                        let start = self.scenario.horizon.start;
-                        let graph = bgp_sim::AsGraph::at_time(&self.scenario, start);
-                        detect_valley_violations(&updates, &graph)
-                    }
+                let Some(graph) = observed.observation().start_graph() else {
+                    return Err(ToolError::Failed {
+                        function: function.clone(),
+                        message: "bgp observation has no start graph".to_string(),
+                        transient: false,
+                    });
                 };
-                out_seq(F::ValleyViolations, violations)
+                out_seq(F::ValleyViolations, detect_valley_violations(&updates, graph))
             }
             "bgp.reachability_losses" => {
                 let updates: ValueView<'_, UpdateWindow> =
