@@ -65,8 +65,7 @@ impl RibSnapshot {
         let world = &scenario.world;
         let control = scenario.control_plane_at(t);
         let graph = AsGraph::at_time(scenario, t);
-        // On the caller's thread: whoever serves captures owns the cores.
-        let routing = RoutingTable::compute_with(&graph, world, 1, &(&control).into());
+        let routing = RoutingTable::compute_with(&graph, world, &(&control).into());
         let mut peers = peers.to_vec();
         peers.sort();
         peers.dedup();

@@ -28,19 +28,15 @@
 //! the path snapshots the seed's clones froze; see [`reference`](mod@reference) and the
 //! `dense_equivalence` suite).
 //!
-//! [`RoutingTable::compute`] runs the per-destination sweep on the
-//! caller's thread. Parallelism belongs to the layer that owns the cores
-//! (campaign workers, concurrent sessions), not to the substrate: a
-//! routing table that sized its own pool from the core count would stack
-//! a second layer of threads under every one of those callers. Callers
-//! that do own their cores pass an explicit count to
-//! [`RoutingTable::compute_with_threads`] or
-//! [`RoutingTable::compute_for_graph_with`], which shard destinations
-//! across `std::thread::scope` workers. Destinations are independent and
-//! each one is computed single-threaded, so the output is bit-identical
-//! for every worker count. [`SelectionSweep`] runs the same sweep for one
-//! destination at a time and hands back the selection keys without
-//! building a table.
+//! Every entry point ([`RoutingTable::compute`], its policy-override form
+//! [`RoutingTable::compute_with`], and the world-free
+//! [`RoutingTable::compute_for_graph`]) runs the per-destination sweep on
+//! the caller's thread. Parallelism belongs to the layer that owns the
+//! cores (campaign workers, concurrent sessions), not to the substrate: a
+//! routing table that sharded its own sweep would stack a second layer of
+//! threads under every one of those callers. [`SelectionSweep`] runs the
+//! same sweep for one destination at a time and hands back the selection
+//! keys without building a table.
 //!
 //! ## Control-plane policy overrides
 //!
@@ -188,50 +184,26 @@ impl RoutingTable {
     /// Computes best routes for every destination AS in the world on the
     /// caller's thread.
     pub fn compute(graph: &AsGraph, world: &World) -> RoutingTable {
-        Self::compute_with_threads(graph, world, 1)
+        Self::compute_with(graph, world, &PolicyOverrides::none())
     }
 
-    /// [`RoutingTable::compute`] with an explicit worker count. The output
-    /// is bit-identical for every `threads` value: workers partition the
-    /// (independent) destinations and each destination is computed
-    /// single-threaded by the same deterministic sweep.
-    pub fn compute_with_threads(
-        graph: &AsGraph,
-        world: &World,
-        threads: usize,
-    ) -> RoutingTable {
-        Self::compute_with(graph, world, threads, &PolicyOverrides::none())
-    }
-
-    /// [`RoutingTable::compute_with_threads`] plus control-plane policy
-    /// overrides — the scenario-aware entry the RIB capture uses. The
-    /// leak pass is part of the same per-destination sweep, so the
-    /// output stays bit-identical for every worker count.
+    /// [`RoutingTable::compute`] plus control-plane policy overrides — the
+    /// scenario-aware entry the RIB capture uses.
     pub fn compute_with(
         graph: &AsGraph,
         world: &World,
-        threads: usize,
         overrides: &PolicyOverrides,
     ) -> RoutingTable {
         debug_assert_eq!(graph.node_count(), world.ases.len());
-        Self::compute_for_graph_with(graph, threads, overrides)
+        Self::compute_for_graph(graph, overrides)
     }
 
-    /// Computes routes for every node of an arbitrary graph (the
-    /// world-free entry point the equivalence and property tests use).
-    pub fn compute_for_graph(graph: &AsGraph, threads: usize) -> RoutingTable {
-        Self::compute_for_graph_with(graph, threads, &PolicyOverrides::none())
-    }
-
-    /// [`RoutingTable::compute_for_graph`] with policy overrides.
-    pub fn compute_for_graph_with(
-        graph: &AsGraph,
-        threads: usize,
-        overrides: &PolicyOverrides,
-    ) -> RoutingTable {
+    /// Computes routes under policy overrides for every node of an
+    /// arbitrary graph (the world-free entry point the equivalence and
+    /// property tests use).
+    pub fn compute_for_graph(graph: &AsGraph, overrides: &PolicyOverrides) -> RoutingTable {
         let n = graph.node_count();
         assert!(n < u16::MAX as usize, "hop counter is u16");
-        let threads = threads.clamp(1, n.max(1));
 
         // Leakers as dense indices, ascending (ASes absent from this
         // graph cannot leak anything into it).
@@ -240,37 +212,11 @@ impl RoutingTable {
             .iter()
             .filter_map(|&a| graph.index_of(a).map(|i| i as u32))
             .collect();
-        let leakers = &leakers[..];
 
-        let dests: Vec<DestRoutes> = if threads == 1 || n < 2 {
-            let mut scratch = Scratch::new(n);
-            (0..n)
-                .map(|d| compute_destination(graph, d as u32, &mut scratch, leakers))
-                .collect()
-        } else {
-            let chunk = n.div_ceil(threads);
-            let mut out: Vec<DestRoutes> = Vec::with_capacity(n);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(n);
-                        s.spawn(move || {
-                            let mut scratch = Scratch::new(n);
-                            (lo..hi)
-                                .map(|d| {
-                                    compute_destination(graph, d as u32, &mut scratch, leakers)
-                                })
-                                .collect::<Vec<DestRoutes>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    out.extend(h.join().expect("routing worker panicked"));
-                }
-            });
-            out
-        };
+        let mut scratch = Scratch::new(n);
+        let dests: Vec<DestRoutes> = (0..n)
+            .map(|d| compute_destination(graph, d as u32, &mut scratch, &leakers))
+            .collect();
 
         RoutingTable {
             asns: graph.asn_table().to_vec(),
@@ -427,7 +373,7 @@ impl SelectionSweep {
     /// `overrides`, in `graph`'s dense index order (ascending ASN), `None`
     /// for an unrouted holder. The keys are bit for bit what
     /// [`RoutingTable::selection`] reads from
-    /// [`RoutingTable::compute_for_graph_with`] with the same overrides.
+    /// [`RoutingTable::compute_for_graph`] with the same overrides.
     /// Nobody routes towards a `dst` absent from the graph.
     pub fn selections(
         &mut self,

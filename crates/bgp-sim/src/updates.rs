@@ -402,9 +402,7 @@ impl State {
         let table = match found {
             Some(table) => Rc::clone(table),
             None => {
-                // On the caller's thread: whoever serves the derivation
-                // owns the cores.
-                let routing = RoutingTable::compute_with(&graph, world, 1, &overrides);
+                let routing = RoutingTable::compute_with(&graph, world, &overrides);
                 let table = Rc::new(Table { graph, overrides, routing });
                 known.push(Rc::clone(&table));
                 table

@@ -1,8 +1,7 @@
 //! Equivalence suite: the dense-index routing engine must produce
 //! **byte-identical** selected routes to the seed algorithm (retained as
 //! `routing::reference`), on the default world and on arbitrary small
-//! relationship graphs, and its sharded sweep must be bit-identical for
-//! every worker count.
+//! relationship graphs.
 
 use proptest::prelude::*;
 
@@ -52,29 +51,12 @@ fn dense_engine_matches_seed_after_a_cable_cut() {
     assert_equivalent(&graph, &table);
 }
 
-#[test]
-fn sharded_sweep_is_bit_identical_across_worker_counts() {
-    let world = generate(&WorldConfig::default());
-    let scenario = Scenario::quiet(world, 10);
-    let graph = AsGraph::at_time(&scenario, SimTime::EPOCH);
-
-    let t1 = RoutingTable::compute_with_threads(&graph, &scenario.world, 1);
-    let t2 = RoutingTable::compute_with_threads(&graph, &scenario.world, 2);
-    let t8 = RoutingTable::compute_with_threads(&graph, &scenario.world, 8);
-
-    let all1: Vec<_> = t1.iter().collect();
-    let all2: Vec<_> = t2.iter().collect();
-    let all8: Vec<_> = t8.iter().collect();
-    assert_eq!(all1, all2, "1 vs 2 workers");
-    assert_eq!(all1, all8, "1 vs 8 workers");
-}
-
 /// One reused [`SelectionSweep`] yields, for every destination, the keys
 /// [`RoutingTable::selection`] reads from the full table, and its leak
 /// pairs are the keys of the clean table and of the leaked one.
 fn assert_sweep_matches_table(graph: &AsGraph, overrides: &PolicyOverrides) {
-    let table = RoutingTable::compute_for_graph_with(graph, 2, overrides);
-    let clean = RoutingTable::compute_for_graph(graph, 1);
+    let table = RoutingTable::compute_for_graph(graph, overrides);
+    let clean = RoutingTable::compute_for_graph(graph, &PolicyOverrides::none());
     let mut sweep = SelectionSweep::default();
     for dst in graph.nodes() {
         let keys: Vec<_> = sweep.selections(graph, dst, overrides).collect();
@@ -130,7 +112,7 @@ fn dense_engine_matches_seed_with_route_leaks() {
     let graph = AsGraph::at_time(&scenario, SimTime::EPOCH);
     let overrides = default_world_leaker(&scenario, &graph);
 
-    let table = RoutingTable::compute_for_graph_with(&graph, 1, &overrides);
+    let table = RoutingTable::compute_for_graph(&graph, &overrides);
     let nodes: Vec<Asn> = graph.nodes().collect();
     for &dst in &nodes {
         let expected = reference::compute_for_destination_with(&graph, dst, &overrides);
@@ -152,8 +134,8 @@ fn route_leak_changes_routes_and_breaks_valley_freeness() {
     let graph = AsGraph::at_time(&scenario, SimTime::EPOCH);
     let overrides = default_world_leaker(&scenario, &graph);
 
-    let base = RoutingTable::compute_for_graph(&graph, 2);
-    let leaked = RoutingTable::compute_for_graph_with(&graph, 2, &overrides);
+    let base = RoutingTable::compute_for_graph(&graph, &PolicyOverrides::none());
+    let leaked = RoutingTable::compute_for_graph(&graph, &overrides);
     let base_routes: Vec<_> = base.iter().collect();
     let leaked_routes: Vec<_> = leaked.iter().collect();
     assert_ne!(base_routes, leaked_routes, "the leak must move at least one best path");
@@ -167,23 +149,6 @@ fn route_leak_changes_routes_and_breaks_valley_freeness() {
     assert!(violating > 0, "a leak must produce valley-violating selected paths");
     // The quiet sweep stays entirely valley-free, as always.
     assert!(base_routes.iter().all(|(_, _, r)| is_valley_free(&graph, &r.as_path)));
-}
-
-#[test]
-fn leak_sweep_is_bit_identical_across_worker_counts() {
-    let world = generate(&WorldConfig::default());
-    let scenario = Scenario::quiet(world, 10);
-    let graph = AsGraph::at_time(&scenario, SimTime::EPOCH);
-    let overrides = default_world_leaker(&scenario, &graph);
-
-    let t1 = RoutingTable::compute_for_graph_with(&graph, 1, &overrides);
-    let t2 = RoutingTable::compute_for_graph_with(&graph, 2, &overrides);
-    let t8 = RoutingTable::compute_for_graph_with(&graph, 8, &overrides);
-    let all1: Vec<_> = t1.iter().collect();
-    let all2: Vec<_> = t2.iter().collect();
-    let all8: Vec<_> = t8.iter().collect();
-    assert_eq!(all1, all2, "1 vs 2 workers (leak pass)");
-    assert_eq!(all1, all8, "1 vs 8 workers (leak pass)");
 }
 
 /// The multi-homed ASes of the default world, ascending — candidate
@@ -244,7 +209,7 @@ fn dense_engine_matches_seed_on_composed_timelines() {
     // engine must still match the seed algorithm byte for byte.
     let graph = AsGraph::at_time(&scenario, mid);
     let overrides = PolicyOverrides::from(&control);
-    let table = RoutingTable::compute_for_graph_with(&graph, 2, &overrides);
+    let table = RoutingTable::compute_for_graph(&graph, &overrides);
     let nodes: Vec<Asn> = graph.nodes().collect();
     for &dst in &nodes {
         let expected = reference::compute_for_destination_with(&graph, dst, &overrides);
@@ -304,7 +269,7 @@ fn staggered_overlapping_leaks_open_and_close_independently() {
     // During the overlap both leakers apply at once: dense == reference.
     let overrides = PolicyOverrides::from(&s.control_plane_at(day(5)));
     assert_eq!(overrides.leakers().len(), 2);
-    let table = RoutingTable::compute_for_graph_with(&graph, 2, &overrides);
+    let table = RoutingTable::compute_for_graph(&graph, &overrides);
     let nodes: Vec<Asn> = graph.nodes().collect();
     for &dst in &nodes {
         let expected = reference::compute_for_destination_with(&graph, dst, &overrides);
@@ -361,7 +326,7 @@ proptest! {
     fn dense_engine_matches_seed_on_arbitrary_graphs(spec in arbitrary_graph()) {
         let (asns, edges) = spec;
         let graph = AsGraph::from_relationships(asns, edges);
-        let table = RoutingTable::compute_for_graph(&graph, 1);
+        let table = RoutingTable::compute_for_graph(&graph, &PolicyOverrides::none());
         let nodes: Vec<Asn> = graph.nodes().collect();
         for &dst in &nodes {
             let expected = reference::compute_for_destination(&graph, dst);
@@ -374,7 +339,7 @@ proptest! {
     }
 
     /// With arbitrary leaker sets the dense leak stage still matches the
-    /// reference byte-for-byte, at several worker counts.
+    /// reference byte-for-byte.
     #[test]
     fn leak_overrides_match_seed_on_arbitrary_graphs(
         spec in arbitrary_graph(),
@@ -385,16 +350,13 @@ proptest! {
             picks.iter().map(|&p| asns[p as usize % asns.len()]).collect();
         let overrides = PolicyOverrides::leaking(leakers);
         let graph = AsGraph::from_relationships(asns, edges);
-        let t1 = RoutingTable::compute_for_graph_with(&graph, 1, &overrides);
-        let t3 = RoutingTable::compute_for_graph_with(&graph, 3, &overrides);
+        let table = RoutingTable::compute_for_graph(&graph, &overrides);
         let nodes: Vec<Asn> = graph.nodes().collect();
         for &dst in &nodes {
             let expected =
                 reference::compute_for_destination_with(&graph, dst, &overrides);
             for &src in &nodes {
-                let dense = t1.route(src, dst);
-                prop_assert_eq!(dense.clone(), expected.get(&src).cloned());
-                prop_assert_eq!(dense, t3.route(src, dst));
+                prop_assert_eq!(table.route(src, dst), expected.get(&src).cloned());
             }
         }
     }
@@ -413,25 +375,13 @@ proptest! {
         assert_sweep_matches_table(&graph, &PolicyOverrides::leaking(leakers));
     }
 
-    /// Sharding arbitrary graphs across workers never changes the output.
-    #[test]
-    fn arbitrary_graphs_are_thread_count_invariant(spec in arbitrary_graph()) {
-        let (asns, edges) = spec;
-        let graph = AsGraph::from_relationships(asns, edges);
-        let t1 = RoutingTable::compute_for_graph(&graph, 1);
-        let t3 = RoutingTable::compute_for_graph(&graph, 3);
-        let all1: Vec<_> = t1.iter().collect();
-        let all3: Vec<_> = t3.iter().collect();
-        prop_assert_eq!(all1, all3);
-    }
-
     /// Every dense-selected path is valley-free and simple on arbitrary
     /// graphs, not just on generated worlds.
     #[test]
     fn dense_routes_are_valley_free_and_simple(spec in arbitrary_graph()) {
         let (asns, edges) = spec;
         let graph = AsGraph::from_relationships(asns, edges);
-        let table = RoutingTable::compute_for_graph(&graph, 2);
+        let table = RoutingTable::compute_for_graph(&graph, &PolicyOverrides::none());
         for (_, _, route) in table.iter() {
             prop_assert!(is_valley_free(&graph, &route.as_path));
             let mut p = route.as_path.clone();

@@ -39,25 +39,6 @@ const ALLOWED_EDGES: &[(&str, &str, &str)] = &[
         "vendored lock stand-in guarding build-once slots and buffers; lock \
          acquisition order never reaches any output",
     ),
-    (
-        "campaign",
-        "core",
-        "campaign drives the serving engine; engine outputs are pinned \
-         byte-identical dynamically by the campaign_determinism suite at 1/2/8 \
-         workers",
-    ),
-    (
-        "campaign",
-        "llm",
-        "the scripted-LLM planner is a pure function of (prompt, seed); campaign \
-         provenance records pin its outputs byte-identical across reruns",
-    ),
-    (
-        "campaign",
-        "toolkit",
-        "tool invocations flow through the workflow executor, whose 1/2/8-worker \
-         invariance suites pin the composed outputs campaign consumes",
-    ),
 ];
 
 /// `deterministic-closure`: proves from the parsed crate graph

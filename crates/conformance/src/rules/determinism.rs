@@ -14,7 +14,7 @@ use crate::source::SourceFile;
 /// every path dependency of a member is itself a member (or a reasoned
 /// allow entry), and that each member's manifest carries the matching
 /// `[package.metadata.conformance] deterministic = true` marker.
-pub const DETERMINISTIC_CRATES: [&str; 9] = [
+pub const DETERMINISTIC_CRATES: [&str; 15] = [
     "world",
     "scenario-forge",
     "bgp-sim",
@@ -24,6 +24,12 @@ pub const DETERMINISTIC_CRATES: [&str; 9] = [
     "campaign",
     "telemetry",
     "net-model",
+    "core",
+    "llm",
+    "toolkit",
+    "xaminer-sim",
+    "nautilus-sim",
+    "traceroute-sim",
 ];
 
 /// `no-unordered-iteration`: `HashMap`/`HashSet` in a deterministic
@@ -36,8 +42,8 @@ impl FileRule for NoUnorderedIteration {
     }
 
     fn description(&self) -> &'static str {
-        "HashMap/HashSet are banned in deterministic crates (world, scenario-forge, \
-         bgp-sim, workflow, registry, chaos, campaign, telemetry, net-model); use \
+        "HashMap/HashSet are banned in deterministic crates (the DETERMINISTIC_CRATES \
+         list, each marked `deterministic = true` in its manifest); use \
          BTreeMap/BTreeSet or sorted vectors"
     }
 

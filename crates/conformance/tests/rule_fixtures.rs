@@ -144,7 +144,7 @@ fn deps_violating_fixture_breaks_the_closure() {
     let world: Vec<_> =
         closure.iter().filter(|f| f.file == "crates/world/Cargo.toml").collect();
     assert_eq!(world.len(), 3);
-    assert!(world.iter().any(|f| f.message.contains("`llm`")));
+    assert!(world.iter().any(|f| f.message.contains("`baselines`")));
     assert!(world.iter().any(|f| f.message.contains("`vendor/criterion`")));
     assert!(world
         .iter()

@@ -166,8 +166,8 @@ fn injected_closure_violation_fails_the_gate() {
             .find(|p| p.key == "world")
             .expect("world in graph");
         world.deps.push(conformance::deps::Dep {
-            name: "llm".to_string(),
-            key: Some("llm".to_string()),
+            name: "baselines".to_string(),
+            key: Some("baselines".to_string()),
             spec: conformance::deps::DepSpec::Workspace,
             line: 99,
         });
@@ -181,7 +181,7 @@ fn injected_closure_violation_fails_the_gate() {
         .collect();
     assert_eq!(closure.len(), 1, "exactly the injected edge: {closure:?}");
     assert_eq!(closure[0].file, "crates/world/Cargo.toml");
-    assert!(closure[0].message.contains("`llm`"), "{}", closure[0].message);
+    assert!(closure[0].message.contains("`baselines`"), "{}", closure[0].message);
 }
 
 #[test]

@@ -1,416 +1,89 @@
-//! The standard capability catalog: every measurement function ArachNet
-//! can compose, across the four frameworks plus utility and QA entries.
+//! The standard catalog: every measurement function ArachNet can compose,
+//! across the four frameworks plus utility and QA entries, declared once.
 //!
-//! Capability sentences, constraints, cost classes and reliabilities are
-//! the curated "measurement API" the agents plan against (§3 of the
-//! paper, "Registry: Measurement Capability Encoding").
+//! Each function is one row of a static table: its id, framework,
+//! capability sentence, typed params, output format, cost class,
+//! reliability, tags and constraints — the curated "measurement API" the
+//! agents plan against (§3 of the paper, "Registry: Measurement
+//! Capability Encoding") — and the handler that runs it on the
+//! substrates. [`standard_registry`] maps the rows to registry entries;
+//! the [`StandardRuntime`] finds a row by id and calls its handler, which
+//! reads its arguments through an accessor that only knows the row's
+//! declared params and stamps results with the row's output format.
+
+use std::collections::BTreeMap;
 
 use llm::protocol::QueryContext;
-use registry::{CapabilityEntry, CostClass, DataFormat as F, Param, Registry};
-use world::World;
+use net_model::{CableId, Region, SimDuration, SimTime, TimeWindow};
+use registry::CostClass::{self, Cheap, Expensive, Moderate};
+use registry::{CapabilityEntry, DataFormat as F, Param, Registry};
+use workflow::{ToolError, Value};
+use world::{Scenario, World};
+
+use bgp_sim::{
+    detect_moas_conflicts_indexed, detect_update_bursts, detect_valley_violations, BgpSimulator,
+    MoasConflict, UpdateWindow, ValleyViolation,
+};
+use nautilus_sim::{DependencyTable, MappingTable};
+use traceroute_sim::TracerouteSimulator;
+use xaminer_sim::{CascadeConfig, FailureEvent, FailureImpact};
+
+use crate::analysis;
+use crate::data::*;
+use crate::disasters;
+use crate::runtime::{view_of, Args, StandardRuntime};
+
+/// One catalog row: a function's registry declaration and its handler.
+pub(crate) struct Tool {
+    pub(crate) id: &'static str,
+    framework: &'static str,
+    capability: &'static str,
+    /// Required params, by name and format.
+    pub(crate) params: &'static [(&'static str, F)],
+    pub(crate) output: F,
+    cost: CostClass,
+    reliability: f64,
+    tags: &'static [&'static str],
+    constraints: &'static [&'static str],
+    /// Runs the function in a runtime, reading the call's arguments
+    /// through the row's declared params.
+    pub(crate) handler: fn(&StandardRuntime, &Args<'_>) -> Result<Value, ToolError>,
+}
+
+impl Tool {
+    fn entry(&self) -> CapabilityEntry {
+        let inputs =
+            self.params.iter().map(|&(name, format)| Param::required(name, format)).collect();
+        let entry =
+            CapabilityEntry::new(self.id, self.framework, self.capability, inputs, self.output)
+                .with_cost(self.cost)
+                .with_reliability(self.reliability)
+                .with_tags(self.tags);
+        self.constraints.iter().fold(entry, |entry, c| entry.with_constraint(c))
+    }
+}
+
+/// The row for function `id`. The table is sorted by id.
+pub(crate) fn tool(id: &str) -> Option<&'static Tool> {
+    TOOLS.binary_search_by(|t| t.id.cmp(id)).ok().map(|i| &TOOLS[i])
+}
 
 /// Builds the standard registry.
 pub fn standard_registry() -> Registry {
-    let mut r = Registry::new();
-    let mut add = |e: CapabilityEntry| r.register(e).expect("catalog has no duplicates");
-
-    // --- Nautilus: cross-layer cartography --------------------------------
-    add(CapabilityEntry::new(
-        "nautilus.map_links",
-        "nautilus",
-        "maps IP links to submarine cables with confidence scores",
-        vec![],
-        F::MappingTable,
-    )
-    .with_cost(CostClass::Expensive)
-    .with_reliability(0.85)
-    .with_tags(&["cable", "mapping", "cross-layer", "submarine"])
-    .with_constraint("inference quality depends on geolocation accuracy"));
-
-    add(CapabilityEntry::new(
-        "nautilus.dependency_table",
-        "nautilus",
-        "builds the cable to links/ASes/countries dependency view from a mapping",
-        vec![Param::required("mapping", F::MappingTable)],
-        F::DependencyTable,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["cable", "dependency", "cross-layer"]));
-
-    add(CapabilityEntry::new(
-        "nautilus.resolve_cable",
-        "nautilus",
-        "resolves a cable system by name in the cartography catalog",
-        vec![Param::required("cable_name", F::Text)],
-        F::CableRef,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.99)
-    .with_tags(&["cable", "lookup", "name"]));
-
-    add(CapabilityEntry::new(
-        "nautilus.cable_dependencies",
-        "nautilus",
-        "extracts the links, ASes and countries depending on one cable",
-        vec![
-            Param::required("deps", F::DependencyTable),
-            Param::required("cable", F::CableRef),
-        ],
-        F::CableDependencies,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["cable", "dependency", "extract"]));
-
-    // --- Xaminer: resilience analysis --------------------------------------
-    add(CapabilityEntry::new(
-        "xaminer.process_event",
-        "xaminer",
-        "processes a failure event (cable, segment or disaster) into failed links and affected entities",
-        vec![
-            Param::required("event", F::FailureEventSpec),
-            Param::required("deps", F::DependencyTable),
-        ],
-        F::FailureImpact,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.92)
-    .with_tags(&["failure", "event", "impact", "core"])
-    .with_constraint("handles every event family through one interface"));
-
-    add(CapabilityEntry::new(
-        "xaminer.impact_report",
-        "xaminer",
-        "aggregates a failure impact into normalized per-country and per-AS metrics",
-        vec![Param::required("impact", F::FailureImpact)],
-        F::ImpactReport,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.95)
-    .with_tags(&["impact", "metrics", "aggregate"]));
-
-    add(CapabilityEntry::new(
-        "xaminer.country_aggregate",
-        "xaminer",
-        "extracts the ranked country-level impact table from an impact report",
-        vec![Param::required("report", F::ImpactReport)],
-        F::CountryImpactTable,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.95)
-    .with_tags(&["country", "aggregate", "geographic", "table"]));
-
-    add(CapabilityEntry::new(
-        "xaminer.event_impact",
-        "xaminer",
-        "end-to-end event processing: failure events straight to a country impact table using the current cross-layer mapping",
-        vec![Param::required("event", F::FailureEventSpec)],
-        F::CountryImpactTable,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.9)
-    .with_tags(&["event", "impact", "country", "high-level"])
-    .with_constraint("uses the framework's default dependency mapping"));
-
-    add(CapabilityEntry::new(
-        "xaminer.cascade",
-        "xaminer",
-        "propagates an initial failure through load redistribution into a cascade timeline",
-        vec![Param::required("impact", F::FailureImpact)],
-        F::CascadeTimeline,
-    )
-    .with_cost(CostClass::Expensive)
-    .with_reliability(0.8)
-    .with_tags(&["cascade", "propagation", "load"])
-    .with_constraint("assumes the documented base-load and overload thresholds"));
-
-    add(CapabilityEntry::new(
-        "xaminer.risk_profiles",
-        "xaminer",
-        "profiles each country's dependency concentration over cable systems",
-        vec![Param::required("deps", F::DependencyTable)],
-        F::RiskProfiles,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.9)
-    .with_tags(&["risk", "resilience", "concentration", "country"]));
-
-    // --- BGP ---------------------------------------------------------------
-    add(CapabilityEntry::new(
-        "bgp.updates",
-        "bgp",
-        "fetches the BGP update stream from route collectors for a time window",
-        vec![Param::required("window", F::TimeWindow)],
-        F::BgpUpdates,
-    )
-    .with_cost(CostClass::Expensive)
-    .with_reliability(0.95)
-    .with_tags(&["bgp", "routing", "updates", "collector"]));
-
-    add(CapabilityEntry::new(
-        "bgp.rib_snapshot",
-        "bgp",
-        "captures a RIB snapshot at the end of a time window",
-        vec![Param::required("window", F::TimeWindow)],
-        F::RibSnapshot,
-    )
-    .with_cost(CostClass::Expensive)
-    .with_reliability(0.95)
-    .with_tags(&["bgp", "rib", "snapshot"]));
-
-    add(CapabilityEntry::new(
-        "bgp.detect_bursts",
-        "bgp",
-        "detects statistically significant bursts in a BGP update stream",
-        vec![
-            Param::required("updates", F::BgpUpdates),
-            Param::required("window", F::TimeWindow),
-        ],
-        F::BgpBursts,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.9)
-    .with_tags(&["bgp", "anomaly", "burst", "churn", "non-critical"]));
-
-    add(CapabilityEntry::new(
-        "bgp.detect_moas",
-        "bgp",
-        "detects MOAS conflicts: prefixes announced by more than one origin AS, against the baseline RIB",
-        vec![Param::required("updates", F::BgpUpdates)],
-        F::MoasConflicts,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.9)
-    .with_tags(&["bgp", "moas", "hijack", "origin", "control-plane", "non-critical"])
-    .with_constraint("needs the baseline RIB; the stream alone misses silent vantage points"));
-
-    add(CapabilityEntry::new(
-        "bgp.valley_violations",
-        "bgp",
-        "detects announced AS paths violating the valley-free export rule, with the pivot AS attributed",
-        vec![Param::required("updates", F::BgpUpdates)],
-        F::ValleyViolations,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.9)
-    .with_tags(&["bgp", "valley", "export", "control-plane", "non-critical"])
-    .with_constraint("paths are checked against the scenario's reference topology"));
-
-    add(CapabilityEntry::new(
-        "bgp.reachability_losses",
-        "bgp",
-        "lists (peer, prefix) pairs withdrawn and never re-announced",
-        vec![Param::required("updates", F::BgpUpdates)],
-        F::Table,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["bgp", "reachability", "withdrawal"]));
-
-    // --- Traceroute ----------------------------------------------------------
-    add(CapabilityEntry::new(
-        "traceroute.campaign",
-        "traceroute",
-        "runs a probe campaign from one region's probes to another region's destinations over a time window",
-        vec![
-            Param::required("src_region", F::RegionScope),
-            Param::required("dst_region", F::RegionScope),
-            Param::required("window", F::TimeWindow),
-        ],
-        F::TracerouteCampaign,
-    )
-    .with_cost(CostClass::Expensive)
-    .with_reliability(0.85)
-    .with_tags(&["traceroute", "probe", "campaign", "latency", "paris"])
-    .with_constraint("probe coverage follows the platform's regional density"));
-
-    add(CapabilityEntry::new(
-        "traceroute.rtt_series",
-        "traceroute",
-        "buckets a campaign into a mean RTT time series",
-        vec![Param::required("campaign", F::TracerouteCampaign)],
-        F::RttSeries,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.95)
-    .with_tags(&["rtt", "series", "latency"]));
-
-    add(CapabilityEntry::new(
-        "traceroute.detect_anomaly",
-        "traceroute",
-        "detects latency anomalies against a statistical baseline, attributing affected probe/destination pairs",
-        vec![Param::required("campaign", F::TracerouteCampaign)],
-        F::AnomalyReport,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.85)
-    .with_tags(&["anomaly", "latency", "baseline", "statistics", "non-critical"])
-    .with_constraint("needs several baseline buckets before the anomaly"));
-
-    // --- Utility (integration / translation layer) ---------------------------
-    add(CapabilityEntry::new(
-        "util.cable_failure_event",
-        "util",
-        "builds a full-cable failure event from a resolved cable",
-        vec![Param::required("cable", F::CableRef)],
-        F::FailureEventSpec,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.99)
-    .with_tags(&["event", "cable", "translate"]));
-
-    add(CapabilityEntry::new(
-        "util.compile_disasters",
-        "util",
-        "compiles disaster kinds and a failure probability into concrete events over the global hazard catalog",
-        vec![
-            Param::required("disasters", F::DisasterSpecs),
-            Param::required("failure_probability", F::Scalar),
-        ],
-        F::FailureEventSpec,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["disaster", "earthquake", "hurricane", "what-if", "compile"]));
-
-    add(CapabilityEntry::new(
-        "util.combine_impact_tables",
-        "util",
-        "combines two country impact tables (independent-event composition of scores)",
-        vec![
-            Param::required("a", F::CountryImpactTable),
-            Param::required("b", F::CountryImpactTable),
-        ],
-        F::CountryImpactTable,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.95)
-    .with_tags(&["combine", "merge", "impact", "aggregate"]));
-
-    add(CapabilityEntry::new(
-        "util.corridor_failure_event",
-        "util",
-        "builds a compound failure of the main cable systems connecting two regions",
-        vec![
-            Param::required("src_region", F::RegionScope),
-            Param::required("dst_region", F::RegionScope),
-        ],
-        F::FailureEventSpec,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["corridor", "region", "cable", "compound"]));
-
-    add(CapabilityEntry::new(
-        "util.score_suspect_cables",
-        "util",
-        "ranks candidate cables by their presence in anomaly-affected paths, weighted by latency deltas",
-        vec![
-            Param::required("anomaly", F::AnomalyReport),
-            Param::required("deps", F::DependencyTable),
-        ],
-        F::SuspectRanking,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.85)
-    .with_tags(&["forensic", "suspect", "cable", "score", "rank"]));
-
-    add(CapabilityEntry::new(
-        "util.correlate_evidence",
-        "util",
-        "temporally correlates BGP bursts with a latency anomaly onset",
-        vec![
-            Param::required("bursts", F::BgpBursts),
-            Param::required("anomaly", F::AnomalyReport),
-        ],
-        F::CorrelationReport,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["correlate", "temporal", "evidence", "validation"]));
-
-    add(CapabilityEntry::new(
-        "util.synthesize_verdict",
-        "util",
-        "synthesizes suspect ranking and temporal correlation into a causal verdict with confidence",
-        vec![
-            Param::required("suspects", F::SuspectRanking),
-            Param::required("correlation", F::CorrelationReport),
-            Param::required("anomaly", F::AnomalyReport),
-        ],
-        F::ForensicVerdict,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["forensic", "verdict", "synthesis", "causation", "confidence"]));
-
-    add(CapabilityEntry::new(
-        "util.attribute_control_plane",
-        "util",
-        "attributes a control-plane incident (prefix hijack vs route leak) and identifies the offending AS",
-        vec![
-            Param::required("moas", F::MoasConflicts),
-            Param::required("valleys", F::ValleyViolations),
-        ],
-        F::ControlPlaneReport,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["hijack", "attribution", "control-plane", "offender", "confidence"]));
-
-    add(CapabilityEntry::new(
-        "xaminer.control_plane_impact",
-        "xaminer",
-        "quantifies which ASes and countries an attributed control-plane incident misdirects",
-        vec![Param::required("report", F::ControlPlaneReport)],
-        F::CountryImpactTable,
-    )
-    .with_cost(CostClass::Moderate)
-    .with_reliability(0.9)
-    .with_tags(&["hijack", "impact", "control-plane", "country", "misdirection"])
-    .with_constraint("assessed against the world's quiet topology"));
-
-    add(CapabilityEntry::new(
-        "util.build_timeline",
-        "util",
-        "fuses cascade rounds, routing bursts and latency anomalies into one multi-layer timeline",
-        vec![
-            Param::required("cascade", F::CascadeTimeline),
-            Param::required("bursts", F::BgpBursts),
-            Param::required("anomaly", F::AnomalyReport),
-        ],
-        F::UnifiedTimeline,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.9)
-    .with_tags(&["timeline", "synthesis", "cross-layer", "unified"]));
-
-    // --- QA --------------------------------------------------------------------
-    add(CapabilityEntry::new(
-        "qa.verify_output",
-        "qa",
-        "verifies a final result: structural integrity, emptiness, basic plausibility",
-        vec![Param::required("value", F::Any)],
-        F::QaReport,
-    )
-    .with_cost(CostClass::Cheap)
-    .with_reliability(0.99)
-    .with_tags(&["qa", "verify", "sanity"]));
-
-    r
+    registry_of(TOOLS.iter())
 }
 
 /// A registry with some functions withheld — case study 1's controlled
 /// setup ("we provide the agent with only core Nautilus system functions.
 /// We withhold Xaminer's higher-level abstractions").
 pub fn restricted_registry(withhold: &[&str]) -> Registry {
-    let full = standard_registry();
+    registry_of(TOOLS.iter().filter(|t| !withhold.contains(&t.id)))
+}
+
+fn registry_of<'a>(tools: impl Iterator<Item = &'a Tool>) -> Registry {
     let mut r = Registry::new();
-    for entry in full.iter() {
-        if !withhold.contains(&entry.id.0.as_str()) {
-            r.register(entry.clone()).expect("no duplicates");
-        }
+    for t in tools {
+        r.register(t.entry()).expect("catalog ids are unique");
     }
     r
 }
@@ -424,9 +97,817 @@ pub fn query_context(world: &World, now: net_model::SimTime, horizon_days: i64) 
     }
 }
 
+/// Every catalog function, sorted by id.
+pub(crate) static TOOLS: &[Tool] = &[
+    // --- BGP ---------------------------------------------------------------
+    Tool {
+        id: "bgp.detect_bursts",
+        framework: "bgp",
+        capability: "detects statistically significant bursts in a BGP update stream",
+        params: &[("updates", F::BgpUpdates), ("window", F::TimeWindow)],
+        output: F::BgpBursts,
+        cost: Moderate,
+        reliability: 0.9,
+        tags: &["bgp", "anomaly", "burst", "churn", "non-critical"],
+        constraints: &[],
+        handler: |_, args| {
+            let updates = args.view::<UpdateWindow>("updates")?;
+            let window = args.de::<WindowArg>("window")?.to_window();
+            let hours = (window.duration().as_seconds() / 3600).clamp(24, 400) as usize;
+            args.out_seq(detect_update_bursts(&updates, window, hours, 3.0))
+        },
+    },
+    Tool {
+        id: "bgp.detect_moas",
+        framework: "bgp",
+        capability: "detects MOAS conflicts: prefixes announced by more than one origin AS, against the baseline RIB",
+        params: &[("updates", F::BgpUpdates)],
+        output: F::MoasConflicts,
+        cost: Moderate,
+        reliability: 0.9,
+        tags: &["bgp", "moas", "hijack", "origin", "control-plane", "non-critical"],
+        constraints: &["needs the baseline RIB; the stream alone misses silent vantage points"],
+        handler: |rt, args| {
+            let updates = args.view::<UpdateWindow>("updates")?;
+            let observed = rt.observation_value()?;
+            let observed = view_of::<UpdateWindow>(&observed, "bgp observation")?;
+            let baseline = observed.observation().baseline_origins();
+            args.out_seq(detect_moas_conflicts_indexed(&updates, baseline))
+        },
+    },
+    Tool {
+        id: "bgp.reachability_losses",
+        framework: "bgp",
+        capability: "lists (peer, prefix) pairs withdrawn and never re-announced",
+        params: &[("updates", F::BgpUpdates)],
+        output: F::Table,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["bgp", "reachability", "withdrawal"],
+        constraints: &[],
+        handler: |_, args| {
+            let updates = args.view::<UpdateWindow>("updates")?;
+            let rows: Vec<serde_json::Value> = bgp_sim::reachability_losses(&updates)
+                .into_iter()
+                .map(|(peer, prefix, t)| {
+                    serde_json::json!({
+                        "peer": peer.0,
+                        "prefix": prefix.to_string(),
+                        "withdrawn_at": t.0,
+                    })
+                })
+                .collect();
+            args.out_json(serde_json::Value::Array(rows))
+        },
+    },
+    Tool {
+        id: "bgp.rib_snapshot",
+        framework: "bgp",
+        capability: "captures a RIB snapshot at the end of a time window",
+        params: &[("window", F::TimeWindow)],
+        output: F::RibSnapshot,
+        cost: Expensive,
+        reliability: 0.95,
+        tags: &["bgp", "rib", "snapshot"],
+        constraints: &[],
+        handler: |rt, args| {
+            let w = args.de::<WindowArg>("window")?;
+            let scenario = rt.scenario();
+            let sim = BgpSimulator::new(scenario);
+            let peers: Vec<net_model::Asn> = sim.collectors().iter().take(10).copied().collect();
+            args.out(bgp_sim::RibSnapshot::capture(scenario, &peers, w.to_window().end))
+        },
+    },
+    Tool {
+        id: "bgp.updates",
+        framework: "bgp",
+        capability: "fetches the BGP update stream from route collectors for a time window",
+        params: &[("window", F::TimeWindow)],
+        output: F::BgpUpdates,
+        cost: Expensive,
+        reliability: 0.95,
+        tags: &["bgp", "routing", "updates", "collector"],
+        constraints: &[],
+        // A narrower window over the cached observation's `Arc`d stream:
+        // two binary searches, no copy.
+        handler: |rt, args| {
+            let window = args.de::<WindowArg>("window")?.to_window();
+            let observed = rt.observation_value()?;
+            let observed = view_of::<UpdateWindow>(&observed, "bgp observation")?;
+            let updates = observed.within(window);
+            let empty = updates.is_empty();
+            args.out_native(updates, empty)
+        },
+    },
+    Tool {
+        id: "bgp.valley_violations",
+        framework: "bgp",
+        capability: "detects announced AS paths violating the valley-free export rule, with the pivot AS attributed",
+        params: &[("updates", F::BgpUpdates)],
+        output: F::ValleyViolations,
+        cost: Moderate,
+        reliability: 0.9,
+        tags: &["bgp", "valley", "export", "control-plane", "non-critical"],
+        constraints: &["paths are checked against the scenario's reference topology"],
+        handler: |rt, args| {
+            let updates = args.view::<UpdateWindow>("updates")?;
+            // Reference topology: the scenario's quiet start, whose
+            // adjacency set is a superset of every later instant's. The
+            // cached observation's derivation built it as its start state.
+            let observed = rt.observation_value()?;
+            let observed = view_of::<UpdateWindow>(&observed, "bgp observation")?;
+            let Some(graph) = observed.observation().start_graph() else {
+                return Err(args.fail("bgp observation has no start graph".to_string()));
+            };
+            args.out_seq(detect_valley_violations(&updates, graph))
+        },
+    },
+    // --- Nautilus: cross-layer cartography --------------------------------
+    Tool {
+        id: "nautilus.cable_dependencies",
+        framework: "nautilus",
+        capability: "extracts the links, ASes and countries depending on one cable",
+        params: &[("deps", F::DependencyTable), ("cable", F::CableRef)],
+        output: F::CableDependencies,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["cable", "dependency", "extract"],
+        constraints: &[],
+        handler: |_, args| {
+            let deps = args.view::<DependencyTable>("deps")?;
+            let cable = args.de::<CableRefData>("cable")?;
+            args.out(deps.for_cable(CableId(cable.id)))
+        },
+    },
+    Tool {
+        id: "nautilus.dependency_table",
+        framework: "nautilus",
+        capability: "builds the cable to links/ASes/countries dependency view from a mapping",
+        params: &[("mapping", F::MappingTable)],
+        output: F::DependencyTable,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["cable", "dependency", "cross-layer"],
+        constraints: &[],
+        handler: |rt, args| {
+            let mapping = args.view::<MappingTable>("mapping")?;
+            args.out(DependencyTable::from_mapping(rt.world(), &mapping, 0.2))
+        },
+    },
+    Tool {
+        id: "nautilus.map_links",
+        framework: "nautilus",
+        capability: "maps IP links to submarine cables with confidence scores",
+        params: &[],
+        output: F::MappingTable,
+        cost: Expensive,
+        reliability: 0.85,
+        tags: &["cable", "mapping", "cross-layer", "submarine"],
+        constraints: &["inference quality depends on geolocation accuracy"],
+        handler: |rt, _| rt.mapping_value(),
+    },
+    Tool {
+        id: "nautilus.resolve_cable",
+        framework: "nautilus",
+        capability: "resolves a cable system by name in the cartography catalog",
+        params: &[("cable_name", F::Text)],
+        output: F::CableRef,
+        cost: Cheap,
+        reliability: 0.99,
+        tags: &["cable", "lookup", "name"],
+        constraints: &[],
+        handler: |rt, args| {
+            let name = args.de::<String>("cable_name")?;
+            let cable = rt.world().cable_by_name(&name).ok_or_else(|| {
+                args.fail(format!("cable {name:?} not found in the cartography catalog"))
+            })?;
+            args.out(CableRefData { id: cable.id.0, name: cable.name.clone() })
+        },
+    },
+    // --- QA --------------------------------------------------------------------
+    Tool {
+        id: "qa.verify_output",
+        framework: "qa",
+        capability: "verifies a final result: structural integrity, emptiness, basic plausibility",
+        params: &[("value", F::Any)],
+        output: F::QaReport,
+        cost: Cheap,
+        reliability: 0.99,
+        tags: &["qa", "verify", "sanity"],
+        constraints: &[],
+        handler: |_, args| {
+            let value = args.value("value")?;
+            let mut checks = vec!["non-null".to_string()];
+            let mut notes = Vec::new();
+            // Native artifacts are never null; only JSON payloads need the
+            // projection inspected.
+            let mut passed = value.is_native() || !value.json().is_null();
+            if value.is_empty_payload() {
+                passed = false;
+                notes.push("result payload is empty".to_string());
+            } else {
+                checks.push("non-empty".to_string());
+            }
+            checks.push(format!("declared format {}", value.format));
+            args.out(QaData { passed, checks, notes })
+        },
+    },
+    // --- Traceroute ----------------------------------------------------------
+    Tool {
+        id: "traceroute.campaign",
+        framework: "traceroute",
+        capability: "runs a probe campaign from one region's probes to another region's destinations over a time window",
+        params: &[
+            ("src_region", F::RegionScope),
+            ("dst_region", F::RegionScope),
+            ("window", F::TimeWindow),
+        ],
+        output: F::TracerouteCampaign,
+        cost: Expensive,
+        reliability: 0.85,
+        tags: &["traceroute", "probe", "campaign", "latency", "paris"],
+        constraints: &["probe coverage follows the platform's regional density"],
+        handler: |rt, args| {
+            let src = args.region("src_region")?;
+            let dst = args.region("dst_region")?;
+            let w = args.de::<WindowArg>("window")?;
+            let key = format!("campaign:{src:?}:{dst:?}:{}:{}", w.start, w.end);
+            rt.cached(rt.artifacts(), &key, || {
+                args.out(run_campaign(rt.scenario(), src, dst, w.to_window()))
+            })
+        },
+    },
+    Tool {
+        id: "traceroute.detect_anomaly",
+        framework: "traceroute",
+        capability: "detects latency anomalies against a statistical baseline, attributing affected probe/destination pairs",
+        params: &[("campaign", F::TracerouteCampaign)],
+        output: F::AnomalyReport,
+        cost: Moderate,
+        reliability: 0.85,
+        tags: &["anomaly", "latency", "baseline", "statistics", "non-critical"],
+        constraints: &["needs several baseline buckets before the anomaly"],
+        handler: |_, args| {
+            let campaign = args.view::<CampaignData>("campaign")?;
+            args.out(analysis::detect_anomaly(&campaign))
+        },
+    },
+    Tool {
+        id: "traceroute.rtt_series",
+        framework: "traceroute",
+        capability: "buckets a campaign into a mean RTT time series",
+        params: &[("campaign", F::TracerouteCampaign)],
+        output: F::RttSeries,
+        cost: Cheap,
+        reliability: 0.95,
+        tags: &["rtt", "series", "latency"],
+        constraints: &[],
+        handler: |_, args| {
+            let campaign = args.view::<CampaignData>("campaign")?;
+            args.out(analysis::rtt_series(&campaign, 6 * 3600))
+        },
+    },
+    // --- Utility (integration / translation layer) ---------------------------
+    Tool {
+        id: "util.attribute_control_plane",
+        framework: "util",
+        capability: "attributes a control-plane incident (prefix hijack vs route leak) and identifies the offending AS",
+        params: &[("moas", F::MoasConflicts), ("valleys", F::ValleyViolations)],
+        output: F::ControlPlaneReport,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["hijack", "attribution", "control-plane", "offender", "confidence"],
+        constraints: &[],
+        handler: |rt, args| {
+            let moas = args.view::<Vec<MoasConflict>>("moas")?;
+            let valleys = args.view::<Vec<ValleyViolation>>("valleys")?;
+            let legit: BTreeMap<String, u32> =
+                rt.world().prefixes.iter().map(|p| (p.net.to_string(), p.origin.0)).collect();
+            args.out(analysis::attribute_control_plane(&moas, &valleys, &legit))
+        },
+    },
+    Tool {
+        id: "util.build_timeline",
+        framework: "util",
+        capability: "fuses cascade rounds, routing bursts and latency anomalies into one multi-layer timeline",
+        params: &[
+            ("cascade", F::CascadeTimeline),
+            ("bursts", F::BgpBursts),
+            ("anomaly", F::AnomalyReport),
+        ],
+        output: F::UnifiedTimeline,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["timeline", "synthesis", "cross-layer", "unified"],
+        constraints: &[],
+        handler: |rt, args| {
+            let cascade = args.view::<xaminer_sim::CascadeTimeline>("cascade")?;
+            let bursts = args.view::<Vec<bgp_sim::UpdateBurst>>("bursts")?;
+            let anomaly = args.view::<AnomalyData>("anomaly")?;
+            // Anchor cascade offsets at the first observed event (or the
+            // horizon start for pure what-if analyses).
+            let scenario = rt.scenario();
+            let anchor =
+                scenario.timeline().first().map(|(t, _)| *t).unwrap_or(scenario.horizon.start);
+            let mut cascade_events: Vec<(i64, String, String)> = Vec::new();
+            for round in &cascade.rounds {
+                let t = (anchor + round.at_offset).0;
+                if !round.newly_failed_links.is_empty() {
+                    cascade_events.push((
+                        t,
+                        if round.round == 0 { "cable".into() } else { "ip".into() },
+                        format!(
+                            "round {}: {} link(s) failed",
+                            round.round,
+                            round.newly_failed_links.len()
+                        ),
+                    ));
+                }
+                if !round.newly_degraded_ases.is_empty() {
+                    cascade_events.push((
+                        t,
+                        "as".into(),
+                        format!(
+                            "round {}: {} AS(es) degraded",
+                            round.round,
+                            round.newly_degraded_ases.len()
+                        ),
+                    ));
+                }
+            }
+            let burst_times: Vec<i64> = bursts.iter().map(|b| b.window.start.0).collect();
+            args.out(analysis::build_timeline(&cascade_events, &burst_times, &anomaly))
+        },
+    },
+    Tool {
+        id: "util.cable_failure_event",
+        framework: "util",
+        capability: "builds a full-cable failure event from a resolved cable",
+        params: &[("cable", F::CableRef)],
+        output: F::FailureEventSpec,
+        cost: Cheap,
+        reliability: 0.99,
+        tags: &["event", "cable", "translate"],
+        constraints: &[],
+        handler: |_, args| {
+            let cable = args.de::<CableRefData>("cable")?;
+            args.out(FailureEvent::CableFailure { cable: CableId(cable.id) })
+        },
+    },
+    Tool {
+        id: "util.combine_impact_tables",
+        framework: "util",
+        capability: "combines two country impact tables (independent-event composition of scores)",
+        params: &[("a", F::CountryImpactTable), ("b", F::CountryImpactTable)],
+        output: F::CountryImpactTable,
+        cost: Cheap,
+        reliability: 0.95,
+        tags: &["combine", "merge", "impact", "aggregate"],
+        constraints: &[],
+        handler: |_, args| {
+            let a = args.view::<CountryTableData>("a")?;
+            let b = args.view::<CountryTableData>("b")?;
+            args.out(combine_tables(&a, &b))
+        },
+    },
+    Tool {
+        id: "util.compile_disasters",
+        framework: "util",
+        capability: "compiles disaster kinds and a failure probability into concrete events over the global hazard catalog",
+        params: &[("disasters", F::DisasterSpecs), ("failure_probability", F::Scalar)],
+        output: F::FailureEventSpec,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["disaster", "earthquake", "hurricane", "what-if", "compile"],
+        constraints: &[],
+        handler: |_, args| {
+            #[derive(serde::Deserialize)]
+            struct Kind {
+                kind: String,
+            }
+            let kinds = args.de::<Vec<Kind>>("disasters")?;
+            let p = args.de::<f64>("failure_probability")?;
+            let kinds: Vec<String> = kinds.into_iter().map(|k| k.kind).collect();
+            let specs = disasters::compile(&kinds, p);
+            if specs.is_empty() {
+                return Err(args.fail(format!("no hazard zones match kinds {kinds:?}")));
+            }
+            args.out(FailureEvent::Compound(specs.into_iter().map(FailureEvent::Disaster).collect()))
+        },
+    },
+    Tool {
+        id: "util.correlate_evidence",
+        framework: "util",
+        capability: "temporally correlates BGP bursts with a latency anomaly onset",
+        params: &[("bursts", F::BgpBursts), ("anomaly", F::AnomalyReport)],
+        output: F::CorrelationReport,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["correlate", "temporal", "evidence", "validation"],
+        constraints: &[],
+        handler: |_, args| {
+            let bursts = args.view::<Vec<bgp_sim::UpdateBurst>>("bursts")?;
+            let anomaly = args.view::<AnomalyData>("anomaly")?;
+            let times: Vec<i64> = bursts.iter().map(|b| b.window.start.0).collect();
+            args.out(analysis::correlate(&times, bursts.len(), &anomaly))
+        },
+    },
+    Tool {
+        id: "util.corridor_failure_event",
+        framework: "util",
+        capability: "builds a compound failure of the main cable systems connecting two regions",
+        params: &[("src_region", F::RegionScope), ("dst_region", F::RegionScope)],
+        output: F::FailureEventSpec,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["corridor", "region", "cable", "compound"],
+        constraints: &[],
+        handler: |rt, args| {
+            let src = args.region("src_region")?;
+            let dst = args.region("dst_region")?;
+            let cables = corridor_cables(rt.world(), src, dst, 3);
+            if cables.is_empty() {
+                return Err(args.fail(format!("no cable systems connect {src} and {dst}")));
+            }
+            let failures = cables.into_iter().map(|cable| FailureEvent::CableFailure { cable });
+            args.out(FailureEvent::Compound(failures.collect()))
+        },
+    },
+    Tool {
+        id: "util.score_suspect_cables",
+        framework: "util",
+        capability: "ranks candidate cables by their presence in anomaly-affected paths, weighted by latency deltas",
+        params: &[("anomaly", F::AnomalyReport), ("deps", F::DependencyTable)],
+        output: F::SuspectRanking,
+        cost: Moderate,
+        reliability: 0.85,
+        tags: &["forensic", "suspect", "cable", "score", "rank"],
+        constraints: &[],
+        handler: |rt, args| {
+            let anomaly = args.view::<AnomalyData>("anomaly")?;
+            let deps = args.view::<DependencyTable>("deps")?;
+            let mut cable_links: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+            let mut names: BTreeMap<u32, String> = BTreeMap::new();
+            for cable in deps.cables() {
+                let entry = deps.for_cable(cable);
+                cable_links.insert(cable.0, entry.links.iter().map(|l| l.0).collect());
+                names.insert(cable.0, rt.world().cable(cable).name.clone());
+            }
+            args.out(analysis::score_suspects(&anomaly, &cable_links, &names))
+        },
+    },
+    Tool {
+        id: "util.synthesize_verdict",
+        framework: "util",
+        capability: "synthesizes suspect ranking and temporal correlation into a causal verdict with confidence",
+        params: &[
+            ("suspects", F::SuspectRanking),
+            ("correlation", F::CorrelationReport),
+            ("anomaly", F::AnomalyReport),
+        ],
+        output: F::ForensicVerdict,
+        cost: Cheap,
+        reliability: 0.9,
+        tags: &["forensic", "verdict", "synthesis", "causation", "confidence"],
+        constraints: &[],
+        handler: |_, args| {
+            let suspects = args.view::<SuspectData>("suspects")?;
+            let correlation = args.view::<CorrelationData>("correlation")?;
+            let anomaly = args.view::<AnomalyData>("anomaly")?;
+            args.out(analysis::synthesize_verdict(&suspects, &correlation, &anomaly))
+        },
+    },
+    // --- Xaminer: resilience analysis --------------------------------------
+    Tool {
+        id: "xaminer.cascade",
+        framework: "xaminer",
+        capability: "propagates an initial failure through load redistribution into a cascade timeline",
+        params: &[("impact", F::FailureImpact)],
+        output: F::CascadeTimeline,
+        cost: Expensive,
+        reliability: 0.8,
+        tags: &["cascade", "propagation", "load"],
+        constraints: &["assumes the documented base-load and overload thresholds"],
+        handler: |rt, args| {
+            let impact = args.view::<FailureImpact>("impact")?;
+            let config = CascadeConfig { base_load: 0.75, ..CascadeConfig::default() };
+            args.out(xaminer_sim::cascade::propagate(rt.world(), &impact, &config))
+        },
+    },
+    Tool {
+        id: "xaminer.control_plane_impact",
+        framework: "xaminer",
+        capability: "quantifies which ASes and countries an attributed control-plane incident misdirects",
+        params: &[("report", F::ControlPlaneReport)],
+        output: F::CountryImpactTable,
+        cost: Moderate,
+        reliability: 0.9,
+        tags: &["hijack", "impact", "control-plane", "country", "misdirection"],
+        constraints: &["assessed against the world's quiet topology"],
+        handler: |rt, args| {
+            let report = args.view::<ControlPlaneReportData>("report")?;
+            args.out(control_plane_impact_table(rt.world(), &report))
+        },
+    },
+    Tool {
+        id: "xaminer.country_aggregate",
+        framework: "xaminer",
+        capability: "extracts the ranked country-level impact table from an impact report",
+        params: &[("report", F::ImpactReport)],
+        output: F::CountryImpactTable,
+        cost: Cheap,
+        reliability: 0.95,
+        tags: &["country", "aggregate", "geographic", "table"],
+        constraints: &[],
+        handler: |_, args| {
+            let report = args.view::<xaminer_sim::ImpactReport>("report")?;
+            args.out(country_table(&report))
+        },
+    },
+    Tool {
+        id: "xaminer.event_impact",
+        framework: "xaminer",
+        capability: "end-to-end event processing: failure events straight to a country impact table using the current cross-layer mapping",
+        params: &[("event", F::FailureEventSpec)],
+        output: F::CountryImpactTable,
+        cost: Moderate,
+        reliability: 0.9,
+        tags: &["event", "impact", "country", "high-level"],
+        constraints: &["uses the framework's default dependency mapping"],
+        handler: |rt, args| {
+            let event = args.view::<FailureEvent>("event")?;
+            let deps = rt.default_deps_value()?;
+            let deps = view_of::<DependencyTable>(&deps, "default deps")?;
+            let failure = xaminer_sim::process_event(rt.world(), &deps, &event);
+            args.out(country_table(&xaminer_sim::impact::aggregate(rt.world(), &failure)))
+        },
+    },
+    Tool {
+        id: "xaminer.impact_report",
+        framework: "xaminer",
+        capability: "aggregates a failure impact into normalized per-country and per-AS metrics",
+        params: &[("impact", F::FailureImpact)],
+        output: F::ImpactReport,
+        cost: Cheap,
+        reliability: 0.95,
+        tags: &["impact", "metrics", "aggregate"],
+        constraints: &[],
+        handler: |rt, args| {
+            let impact = args.view::<FailureImpact>("impact")?;
+            args.out(xaminer_sim::impact::aggregate(rt.world(), &impact))
+        },
+    },
+    Tool {
+        id: "xaminer.process_event",
+        framework: "xaminer",
+        capability: "processes a failure event (cable, segment or disaster) into failed links and affected entities",
+        params: &[("event", F::FailureEventSpec), ("deps", F::DependencyTable)],
+        output: F::FailureImpact,
+        cost: Moderate,
+        reliability: 0.92,
+        tags: &["failure", "event", "impact", "core"],
+        constraints: &["handles every event family through one interface"],
+        handler: |rt, args| {
+            let event = args.view::<FailureEvent>("event")?;
+            let deps = args.view::<DependencyTable>("deps")?;
+            args.out(xaminer_sim::process_event(rt.world(), &deps, &event))
+        },
+    },
+    Tool {
+        id: "xaminer.risk_profiles",
+        framework: "xaminer",
+        capability: "profiles each country's dependency concentration over cable systems",
+        params: &[("deps", F::DependencyTable)],
+        output: F::RiskProfiles,
+        cost: Moderate,
+        reliability: 0.9,
+        tags: &["risk", "resilience", "concentration", "country"],
+        constraints: &[],
+        handler: |rt, args| {
+            let deps = args.view::<DependencyTable>("deps")?;
+            args.out_seq(xaminer_sim::risk::all_risk_profiles(rt.world(), &deps))
+        },
+    },
+];
+
+/// A `TimeWindow` argument as the query side writes it.
+#[derive(serde::Deserialize)]
+struct WindowArg {
+    start: i64,
+    end: i64,
+}
+
+impl WindowArg {
+    fn to_window(&self) -> TimeWindow {
+        TimeWindow::new(SimTime(self.start), SimTime(self.end))
+    }
+}
+
+/// Combines two country tables: counts add, scores compose as independent
+/// events (`1 − (1−a)(1−b)`), rows re-sort by score.
+fn combine_tables(a: &CountryTableData, b: &CountryTableData) -> CountryTableData {
+    let mut by_country: BTreeMap<String, CountryRow> = BTreeMap::new();
+    for row in a.rows.iter().chain(&b.rows) {
+        match by_country.get_mut(&row.country) {
+            None => {
+                by_country.insert(row.country.clone(), row.clone());
+            }
+            Some(acc) => {
+                acc.ips_affected += row.ips_affected;
+                acc.links_affected += row.links_affected;
+                acc.ases_affected = acc.ases_affected.max(row.ases_affected);
+                acc.as_links_affected += row.as_links_affected;
+                acc.impact_score = 1.0 - (1.0 - acc.impact_score) * (1.0 - row.impact_score);
+            }
+        }
+    }
+    let mut rows: Vec<CountryRow> = by_country.into_values().collect();
+    rows.sort_by(|x, y| {
+        y.impact_score.total_cmp(&x.impact_score).then(x.country.cmp(&y.country))
+    });
+    CountryTableData { rows }
+}
+
+/// Builds the country-level impact table for an attributed control-plane
+/// incident: per country, how many of its registered ASes are
+/// misdirected (hijack capture cone) or path-shifted (leak), scored by
+/// that fraction. Physical columns (IPs/links) are zero — nothing fails.
+fn control_plane_impact_table(
+    world: &world::World,
+    report: &ControlPlaneReportData,
+) -> CountryTableData {
+    use xaminer_sim::ControlPlaneIncident;
+    let Some(offender) = report.offender else {
+        return CountryTableData { rows: Vec::new() };
+    };
+    let offender = net_model::Asn(offender);
+    let incidents: Vec<ControlPlaneIncident> = match report.kind.as_str() {
+        "prefix-hijack" => report
+            .victim_prefixes
+            .iter()
+            .filter_map(|p| net_model::Ipv4Net::parse(p).ok())
+            .map(|net| ControlPlaneIncident::PrefixHijack {
+                origin: offender,
+                victim_prefix: net,
+            })
+            .collect(),
+        "route-leak" => vec![ControlPlaneIncident::RouteLeak { leaker: offender }],
+        _ => Vec::new(),
+    };
+
+    let mut affected: BTreeMap<net_model::Country, std::collections::BTreeSet<net_model::Asn>> =
+        BTreeMap::new();
+    for impact in xaminer_sim::control_plane::assess_many(world, &incidents) {
+        for asn in impact.affected_ases {
+            if let Some(info) = world.as_info(asn) {
+                affected.entry(info.country).or_default().insert(asn);
+            }
+        }
+    }
+
+    let mut rows: Vec<CountryRow> = affected
+        .into_iter()
+        .map(|(country, ases)| {
+            let total = world.as_count_in_country(country).max(1);
+            CountryRow {
+                country: country.code().to_string(),
+                ips_affected: 0,
+                links_affected: 0,
+                ases_affected: ases.len(),
+                as_links_affected: 0,
+                impact_score: (ases.len() as f64 / total as f64).min(1.0),
+            }
+        })
+        .collect();
+    rows.sort_by(|x, y| {
+        y.impact_score.total_cmp(&x.impact_score).then(x.country.cmp(&y.country))
+    });
+    CountryTableData { rows }
+}
+
+/// Converts an impact report into the country table schema.
+fn country_table(report: &xaminer_sim::ImpactReport) -> CountryTableData {
+    CountryTableData {
+        rows: report
+            .per_country
+            .iter()
+            .map(|c| CountryRow {
+                country: c.country.code().to_string(),
+                ips_affected: c.ips_affected,
+                links_affected: c.links_affected,
+                ases_affected: c.ases_affected,
+                as_links_affected: c.as_links_affected,
+                impact_score: c.impact_score,
+            })
+            .collect(),
+    }
+}
+
+/// The main cable systems connecting two regions, by dependent-link count.
+fn corridor_cables(
+    world: &world::World,
+    src: Region,
+    dst: Region,
+    limit: usize,
+) -> Vec<CableId> {
+    let mut scored: Vec<(usize, CableId)> = world
+        .cables
+        .iter()
+        .filter(|c| {
+            let regions: Vec<Region> =
+                c.landings.iter().map(|&l| world.city(l).region).collect();
+            regions.contains(&src) && regions.contains(&dst)
+        })
+        .map(|c| (world.links_on_cable(c.id).len(), c.id))
+        .filter(|(n, _)| *n > 0)
+        .collect();
+    scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    scored.into_iter().take(limit).map(|(_, c)| c).collect()
+}
+
+/// Runs a probe campaign: up to 16 probes from `src`, up to 12 access-AS
+/// destinations in `dst`, two Paris flows per pair, sampled every 8 hours.
+/// The flow sweep broadens link coverage (MDA-style), which the forensic
+/// suspect scoring depends on.
+fn run_campaign(
+    scenario: &Scenario,
+    src: Region,
+    dst: Region,
+    window: TimeWindow,
+) -> CampaignData {
+    let world = &scenario.world;
+    let sim = TracerouteSimulator::new(scenario);
+
+    let all_probes: Vec<&world::Probe> =
+        world.probes.iter().filter(|p| p.region == src).collect();
+    let step = (all_probes.len() / 16).max(1);
+    let probes: Vec<&world::Probe> = all_probes.iter().step_by(step).take(16).copied().collect();
+
+    let all_dests: Vec<net_model::Ipv4Addr> = world
+        .prefixes
+        .iter()
+        .filter(|p| {
+            world
+                .as_info(p.origin)
+                .map(|a| a.region == dst && a.tier == world::AsTier::Access)
+                == Some(true)
+        })
+        .map(|p| p.net.host(1))
+        .collect();
+    let dstep = (all_dests.len() / 12).max(1);
+    let dests: Vec<net_model::Ipv4Addr> =
+        all_dests.iter().step_by(dstep).take(12).copied().collect();
+
+    let interval = SimDuration::hours(8);
+    let mut measurements = Vec::new();
+    let mut t = window.start;
+    while t < window.end {
+        for probe in &probes {
+            for &dest in &dests {
+                for flow in [0u16, 1] {
+                    let fwd =
+                        traceroute_sim::path::forwarding_path(&sim, probe.id, dest, t, flow);
+                    let trace =
+                        traceroute_sim::rtt::execute(&sim, probe.id, dest, t, flow, &fwd);
+                    measurements.push(MeasurementData {
+                        probe: probe.id.0,
+                        dst: dest.to_string(),
+                        time: t.0,
+                        rtt_ms: trace.end_to_end_rtt(),
+                        links: fwd.links().iter().map(|l| l.0).collect(),
+                    });
+                }
+            }
+        }
+        t = t + interval;
+    }
+
+    CampaignData {
+        src_region: src.name().to_string(),
+        dst_region: dst.name().to_string(),
+        window_start: window.start.0,
+        window_end: window.end.0,
+        interval_s: interval.as_seconds(),
+        measurements,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_is_sorted_by_unique_id() {
+        for pair in TOOLS.windows(2) {
+            assert!(pair[0].id < pair[1].id, "{} must sort before {}", pair[0].id, pair[1].id);
+        }
+        for t in TOOLS {
+            assert!(std::ptr::eq(tool(t.id).expect("every row is found"), t), "{}", t.id);
+            assert!(t.id.starts_with(t.framework), "{} is filed under {}", t.id, t.framework);
+        }
+        assert!(tool("frobnicate.all").is_none());
+        assert_eq!(standard_registry().len(), TOOLS.len());
+    }
 
     #[test]
     fn catalog_has_all_frameworks() {

@@ -3,12 +3,15 @@
 //! The registry describes *what* tools can do; this crate supplies the
 //! *how*:
 //!
-//! * [`catalog`] — `standard_registry()`, the curated capability catalog
-//!   over all four measurement frameworks (Nautilus, Xaminer, BGP,
-//!   traceroute) plus utility/QA functions;
+//! * [`catalog`] — the curated capability catalog over all four
+//!   measurement frameworks (Nautilus, Xaminer, BGP, traceroute) plus
+//!   utility/QA functions: one table row per function, declaring its
+//!   registry entry and carrying its handler. `standard_registry()` is
+//!   derived from the rows, so the registry and the runtime cannot
+//!   disagree about a function's params or output format;
 //! * [`runtime`] — [`StandardRuntime`], the [`workflow::ToolRuntime`]
-//!   implementation dispatching every function id onto the substrate
-//!   crates, with artifact caching;
+//!   implementation that finds a function's row by id and runs its
+//!   handler on the substrate crates, with artifact caching;
 //! * [`data`] — the JSON payload schemas flowing between steps;
 //! * [`analysis`] — the analytical utilities the generated workflows rely
 //!   on (latency anomaly detection, suspect-cable scoring, evidence
@@ -31,31 +34,3 @@ pub use catalog::{query_context, standard_registry};
 pub use metrics::QueryMetrics;
 pub use resilience::{BreakerConfig, BreakerPhase, ResilienceConfig, ResilientRuntime};
 pub use runtime::{ArtifactStore, StandardRuntime};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use registry::FunctionId;
-    use workflow::ToolRuntime;
-
-    #[test]
-    fn registry_and_runtime_cover_the_same_functions() {
-        let registry = standard_registry();
-        let scenario = scenarios::cs1_scenario();
-        let runtime = StandardRuntime::new(scenario);
-        for entry in registry.iter() {
-            if entry.framework == "composite" {
-                continue;
-            }
-            // Invoking with empty args must fail with BadArgument (missing
-            // input) or succeed — never Unbound.
-            let result = runtime.invoke(&entry.id, &Default::default());
-            if let Err(workflow::ToolError::Unbound(id)) = &result {
-                panic!("registry entry {id} has no runtime binding");
-            }
-        }
-        // And an unknown id is Unbound.
-        let err = runtime.invoke(&FunctionId::from("nope.nothing"), &Default::default());
-        assert!(matches!(err, Err(workflow::ToolError::Unbound(_))));
-    }
-}

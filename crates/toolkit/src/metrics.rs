@@ -11,8 +11,10 @@
 //! keep extracting identically.
 
 use bgp_sim::{MoasConflict, ValleyViolation};
+use registry::DataFormat;
 use workflow::{ExecutionReport, Workflow};
 
+use crate::catalog;
 use crate::data::{ControlPlaneReportData, CountryTableData};
 
 /// The per-query reduction a campaign aggregates over.
@@ -36,25 +38,26 @@ impl QueryMetrics {
         self.moas_conflicts > 0 || self.valley_violations > 0 || self.incident_attributed
     }
 
-    /// Extracts the metrics from an executed workflow. Steps are matched
-    /// by function id; outputs are parsed structurally (a value either
-    /// is a country-impact table / control-plane report or it is not).
-    /// Failed or poisoned steps simply contribute nothing — a degraded
-    /// run yields the metrics its surviving steps still support.
+    /// Extracts the metrics from an executed workflow. Detector steps are
+    /// matched by function id: a step counts by the declared output of
+    /// its catalog row, so curator composites (which have no row) never
+    /// count. Outputs are matched by their declared format. Failed or
+    /// poisoned steps simply contribute nothing — a degraded run yields
+    /// the metrics its surviving steps still support.
     pub fn extract(workflow: &Workflow, report: &ExecutionReport) -> QueryMetrics {
         let mut metrics = QueryMetrics::default();
         for step in &workflow.steps {
             let Some(value) = report.results.get(&step.id).and_then(|r| r.value()) else {
                 continue;
             };
-            match step.function.0.as_str() {
-                "bgp.detect_moas" => {
-                    if let Ok(conflicts) = value.parse::<Vec<MoasConflict>>() {
+            match catalog::tool(&step.function.0).map(|t| t.output) {
+                Some(DataFormat::MoasConflicts) => {
+                    if let Ok(conflicts) = value.view::<Vec<MoasConflict>>() {
                         metrics.moas_conflicts += conflicts.len();
                     }
                 }
-                "bgp.valley_violations" => {
-                    if let Ok(violations) = value.parse::<Vec<ValleyViolation>>() {
+                Some(DataFormat::ValleyViolations) => {
+                    if let Ok(violations) = value.view::<Vec<ValleyViolation>>() {
                         metrics.valley_violations += violations.len();
                     }
                 }
@@ -62,14 +65,21 @@ impl QueryMetrics {
             }
         }
         for value in report.outputs.values() {
-            if let Ok(table) = value.parse::<CountryTableData>() {
-                metrics.impact_score +=
-                    table.rows.iter().map(|r| r.impact_score).sum::<f64>();
-            }
-            if let Ok(cp) = value.parse::<ControlPlaneReportData>() {
-                if cp.kind != "none" {
-                    metrics.incident_attributed = true;
+            match value.format {
+                DataFormat::CountryImpactTable => {
+                    if let Ok(table) = value.view::<CountryTableData>() {
+                        metrics.impact_score +=
+                            table.rows.iter().map(|r| r.impact_score).sum::<f64>();
+                    }
                 }
+                DataFormat::ControlPlaneReport => {
+                    if let Ok(cp) = value.view::<ControlPlaneReportData>() {
+                        if cp.kind != "none" {
+                            metrics.incident_attributed = true;
+                        }
+                    }
+                }
+                _ => {}
             }
         }
         metrics

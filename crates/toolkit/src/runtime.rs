@@ -1,5 +1,11 @@
-//! The standard tool runtime: dispatches every catalog function onto the
+//! The standard tool runtime: runs every catalog function on the
 //! substrate crates.
+//!
+//! [`StandardRuntime::invoke`] finds the function's row in the
+//! [`catalog`] table by id and calls the row's handler with an argument
+//! accessor that reads only the row's declared params and stamps each
+//! result with the row's declared output format. An id with no row is
+//! [`ToolError::Unbound`].
 //!
 //! Values leave the runtime as **native artifacts** (mapping tables,
 //! dependency tables, BGP update streams, impact tables, campaigns) held
@@ -14,38 +20,31 @@
 //! per dataset, not once per query. A scenario's store holds its probe
 //! campaigns and one `bgp.observation`: the update stream, its prefix
 //! slot column and the baseline origin sets from a single derivation,
-//! held as a [`bgp_sim::UpdateWindow`] over the whole horizon.
-//! `bgp.updates` answers with a narrower window over the same `Arc`d
-//! stream (two binary searches, no copy), the detectors read a window as
-//! a `&[BgpUpdate]`, `bgp.detect_moas` takes its baseline from the
-//! cached observation, and `bgp.valley_violations` its reference graph
-//! (the derivation's start state). Artifacts that depend only on the
-//! world (the Nautilus mapping run, the default dependency table) live in
-//! a store shared per world ([`world_artifacts`]). Both are
-//! [`OnceMap`]s, the workspace's one build-once cache shape, and every
-//! probe of either goes through one counted path, so
+//! held as a [`bgp_sim::UpdateWindow`] over the whole horizon. The update
+//! fetch answers with a narrower window over the same `Arc`d stream (two
+//! binary searches, no copy), the detectors read a window as a
+//! `&[BgpUpdate]`, the MOAS detector takes its baseline from the cached
+//! observation, and the valley detector its reference graph (the
+//! derivation's start state). Artifacts that depend only on the world
+//! (the Nautilus mapping run, the default dependency table) live in a
+//! store shared per world ([`world_artifacts`]). Both are [`OnceMap`]s,
+//! the workspace's one build-once cache shape, and every probe of either
+//! goes through one counted path, so
 //! `artifact_cache.hit`/`artifact_cache.miss` see them all.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use net_model::{CableId, Region, SimDuration, SimTime, TimeWindow};
+use net_model::Region;
 use registry::{DataFormat as F, FunctionId};
 use scenario_forge::OnceMap;
 use workflow::{ToolError, ToolRuntime, Value, ValueView};
 use world::{Scenario, World, WorldConfig};
 
-use bgp_sim::{
-    detect_moas_conflicts_indexed, detect_update_bursts, detect_valley_violations, BgpSimulator,
-    MoasConflict, UpdateWindow, ValleyViolation,
-};
+use bgp_sim::{BgpSimulator, UpdateWindow};
 use nautilus_sim::{DependencyTable, MappingConfig, MappingTable, NautilusMapper};
-use traceroute_sim::TracerouteSimulator;
-use xaminer_sim::{CascadeConfig, FailureEvent, FailureImpact};
 
-use crate::analysis;
-use crate::data::*;
-use crate::disasters;
+use crate::catalog::{self, Tool};
 
 /// A concurrent, shareable cache of expensive measurement artifacts,
 /// keyed by artifact id: each is built once, and a hit is a pointer bump
@@ -133,7 +132,7 @@ impl StandardRuntime {
     /// The value cached in `store` under `key`, built (once) on a miss,
     /// with hit/miss accounting: the build closure runs only on a cold
     /// slot, so whether it ran *is* the miss signal.
-    fn cached(
+    pub(crate) fn cached(
         &self,
         store: &ArtifactStore,
         key: &str,
@@ -152,6 +151,11 @@ impl StandardRuntime {
         &self.scenario
     }
 
+    /// The world under measurement.
+    pub(crate) fn world(&self) -> &World {
+        &self.scenario.world
+    }
+
     /// The scenario-level artifact store backing this runtime.
     pub fn artifacts(&self) -> &Arc<ArtifactStore> {
         &self.artifacts
@@ -165,7 +169,7 @@ impl StandardRuntime {
 
     // -- cached artifacts ---------------------------------------------------
 
-    fn mapping_value(&self) -> Result<Value, ToolError> {
+    pub(crate) fn mapping_value(&self) -> Result<Value, ToolError> {
         self.cached(&self.world_artifacts, "nautilus.mapping", || {
             let table = NautilusMapper::new(MappingConfig::default())
                 .map_world(&self.scenario.world);
@@ -173,7 +177,7 @@ impl StandardRuntime {
         })
     }
 
-    fn default_deps_value(&self) -> Result<Value, ToolError> {
+    pub(crate) fn default_deps_value(&self) -> Result<Value, ToolError> {
         // Derive from the cached mapping artifact — the mapping run is the
         // expensive half and must not be recomputed per dependency table.
         // Both are pure functions of the world, so they live in the
@@ -186,7 +190,7 @@ impl StandardRuntime {
         })
     }
 
-    fn observation_value(&self) -> Result<Value, ToolError> {
+    pub(crate) fn observation_value(&self) -> Result<Value, ToolError> {
         // One derivation per scenario: the full update stream (windowed
         // per call by `bgp.updates`) and the origin sets of the collector
         // RIB at the horizon start (the MOAS detector's baseline — the
@@ -202,47 +206,8 @@ impl StandardRuntime {
     }
 }
 
-// -- argument helpers --------------------------------------------------------
-
-fn need<'a>(
-    args: &'a BTreeMap<String, Value>,
-    function: &FunctionId,
-    name: &str,
-) -> Result<&'a Value, ToolError> {
-    args.get(name).ok_or_else(|| ToolError::BadArgument {
-        function: function.clone(),
-        message: format!("missing argument {name}"),
-    })
-}
-
-/// Views an argument as `T`: zero-copy for native artifacts of that type,
-/// JSON deserialization otherwise.
-fn view<'a, T: serde::de::DeserializeOwned + 'static>(
-    function: &FunctionId,
-    name: &str,
-    tv: &'a Value,
-) -> Result<ValueView<'a, T>, ToolError> {
-    tv.view().map_err(|e| ToolError::BadArgument {
-        function: function.clone(),
-        message: format!("argument {name}: {e}"),
-    })
-}
-
-/// Parses an argument into an owned `T` via the JSON projection (for
-/// small query-side values: windows, names, scalars).
-fn de<T: serde::de::DeserializeOwned>(
-    function: &FunctionId,
-    name: &str,
-    tv: &Value,
-) -> Result<T, ToolError> {
-    T::deserialize_json(tv.json()).map_err(|e| ToolError::BadArgument {
-        function: function.clone(),
-        message: format!("argument {name}: {e}"),
-    })
-}
-
 /// Views an internally cached artifact as `T`.
-fn view_of<'a, T: serde::de::DeserializeOwned + 'static>(
+pub(crate) fn view_of<'a, T: serde::de::DeserializeOwned + 'static>(
     tv: &'a Value,
     what: &str,
 ) -> Result<ValueView<'a, T>, ToolError> {
@@ -253,41 +218,86 @@ fn view_of<'a, T: serde::de::DeserializeOwned + 'static>(
     })
 }
 
-/// Wraps a substrate result as a native (non-empty) artifact value.
-fn out<T: serde::Serialize + Send + Sync + 'static>(
-    format: F,
-    value: T,
-) -> Result<Value, ToolError> {
-    Ok(Value::native(format, value, false))
+/// A handler's access to one call: reads only the params its catalog row
+/// declares, and stamps results with the row's output format.
+pub(crate) struct Args<'a> {
+    tool: &'static Tool,
+    function: &'a FunctionId,
+    values: &'a BTreeMap<String, Value>,
 }
 
-/// Wraps a sequence-shaped result, preserving JSON emptiness semantics.
-fn out_seq<T: serde::Serialize + Send + Sync + 'static>(
-    format: F,
-    value: Vec<T>,
-) -> Result<Value, ToolError> {
-    let empty = value.is_empty();
-    Ok(Value::native(format, value, empty))
-}
-
-#[derive(serde::Deserialize)]
-struct WindowArg {
-    start: i64,
-    end: i64,
-}
-
-impl WindowArg {
-    fn to_window(&self) -> TimeWindow {
-        TimeWindow::new(SimTime(self.start), SimTime(self.end))
+impl<'a> Args<'a> {
+    /// The argument bound to the declared param `name`. Presence is
+    /// checked here, at the read, so a malformed call reports the first
+    /// argument its handler reads.
+    pub(crate) fn value(&self, name: &str) -> Result<&'a Value, ToolError> {
+        if !self.tool.params.iter().any(|&(param, _)| param == name) {
+            return Err(self.fail(format!("reads undeclared argument {name}")));
+        }
+        self.values.get(name).ok_or_else(|| self.bad(format!("missing argument {name}")))
     }
-}
 
-fn parse_region(function: &FunctionId, name: &str, tv: &Value) -> Result<Region, ToolError> {
-    let s: String = de(function, name, tv)?;
-    Region::parse(&s).ok_or_else(|| ToolError::BadArgument {
-        function: function.clone(),
-        message: format!("unknown region {s:?}"),
-    })
+    /// Views an argument as `T`: zero-copy for native artifacts of that
+    /// type, JSON deserialization otherwise.
+    pub(crate) fn view<T: serde::de::DeserializeOwned + 'static>(
+        &self,
+        name: &str,
+    ) -> Result<ValueView<'a, T>, ToolError> {
+        self.value(name)?.view().map_err(|e| self.bad(format!("argument {name}: {e}")))
+    }
+
+    /// Parses an argument into an owned `T` via the JSON projection (for
+    /// small query-side values: windows, names, scalars).
+    pub(crate) fn de<T: serde::de::DeserializeOwned>(&self, name: &str) -> Result<T, ToolError> {
+        T::deserialize_json(self.value(name)?.json())
+            .map_err(|e| self.bad(format!("argument {name}: {e}")))
+    }
+
+    /// A region argument, by name.
+    pub(crate) fn region(&self, name: &str) -> Result<Region, ToolError> {
+        let s: String = self.de(name)?;
+        Region::parse(&s).ok_or_else(|| self.bad(format!("unknown region {s:?}")))
+    }
+
+    /// A native (non-empty) result.
+    pub(crate) fn out<T: serde::Serialize + Send + Sync + 'static>(
+        &self,
+        value: T,
+    ) -> Result<Value, ToolError> {
+        self.out_native(value, false)
+    }
+
+    /// A sequence-shaped native result, keeping JSON emptiness semantics.
+    pub(crate) fn out_seq<T: serde::Serialize + Send + Sync + 'static>(
+        &self,
+        value: Vec<T>,
+    ) -> Result<Value, ToolError> {
+        let empty = value.is_empty();
+        self.out_native(value, empty)
+    }
+
+    /// A native result whose JSON projection is empty iff `empty`.
+    pub(crate) fn out_native<T: serde::Serialize + Send + Sync + 'static>(
+        &self,
+        value: T,
+        empty: bool,
+    ) -> Result<Value, ToolError> {
+        Ok(Value::native(self.tool.output, value, empty))
+    }
+
+    /// A JSON result.
+    pub(crate) fn out_json(&self, value: serde_json::Value) -> Result<Value, ToolError> {
+        Ok(Value::new(self.tool.output, value))
+    }
+
+    /// A persistent failure of this call.
+    pub(crate) fn fail(&self, message: String) -> ToolError {
+        ToolError::Failed { function: self.function.clone(), message, transient: false }
+    }
+
+    fn bad(&self, message: String) -> ToolError {
+        ToolError::BadArgument { function: self.function.clone(), message }
+    }
 }
 
 impl ToolRuntime for StandardRuntime {
@@ -296,557 +306,19 @@ impl ToolRuntime for StandardRuntime {
         function: &FunctionId,
         args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
-        let world = &self.scenario.world;
-        match function.0.as_str() {
-            // ------------------------------------------------ nautilus ----
-            "nautilus.map_links" => self.mapping_value(),
-            "nautilus.dependency_table" => {
-                let mapping: ValueView<'_, MappingTable> =
-                    view(function, "mapping", need(args, function, "mapping")?)?;
-                let deps = DependencyTable::from_mapping(world, &mapping, 0.2);
-                out(F::DependencyTable, deps)
-            }
-            "nautilus.resolve_cable" => {
-                let name: String = de(function, "cable_name", need(args, function, "cable_name")?)?;
-                let cable = world.cable_by_name(&name).ok_or_else(|| ToolError::Failed {
-                    function: function.clone(),
-                    message: format!("cable {name:?} not found in the cartography catalog"),
-                    transient: false,
-                })?;
-                out(F::CableRef, CableRefData { id: cable.id.0, name: cable.name.clone() })
-            }
-            "nautilus.cable_dependencies" => {
-                let deps: ValueView<'_, DependencyTable> =
-                    view(function, "deps", need(args, function, "deps")?)?;
-                let cable: CableRefData = de(function, "cable", need(args, function, "cable")?)?;
-                out(F::CableDependencies, deps.for_cable(CableId(cable.id)))
-            }
-
-            // ------------------------------------------------- xaminer ----
-            "xaminer.process_event" => {
-                let event: ValueView<'_, FailureEvent> =
-                    view(function, "event", need(args, function, "event")?)?;
-                let deps: ValueView<'_, DependencyTable> =
-                    view(function, "deps", need(args, function, "deps")?)?;
-                out(F::FailureImpact, xaminer_sim::process_event(world, &deps, &event))
-            }
-            "xaminer.impact_report" => {
-                let impact: ValueView<'_, FailureImpact> =
-                    view(function, "impact", need(args, function, "impact")?)?;
-                out(F::ImpactReport, xaminer_sim::impact::aggregate(world, &impact))
-            }
-            "xaminer.country_aggregate" => {
-                let report: ValueView<'_, xaminer_sim::ImpactReport> =
-                    view(function, "report", need(args, function, "report")?)?;
-                out(F::CountryImpactTable, country_table(&report))
-            }
-            "xaminer.event_impact" => {
-                let event: ValueView<'_, FailureEvent> =
-                    view(function, "event", need(args, function, "event")?)?;
-                let deps_value = self.default_deps_value()?;
-                let deps: ValueView<'_, DependencyTable> =
-                    view_of(&deps_value, "default deps")?;
-                let failure = xaminer_sim::process_event(world, &deps, &event);
-                let report = xaminer_sim::impact::aggregate(world, &failure);
-                out(F::CountryImpactTable, country_table(&report))
-            }
-            "xaminer.cascade" => {
-                let impact: ValueView<'_, FailureImpact> =
-                    view(function, "impact", need(args, function, "impact")?)?;
-                let config = CascadeConfig { base_load: 0.75, ..CascadeConfig::default() };
-                let timeline = xaminer_sim::cascade::propagate(world, &impact, &config);
-                out(F::CascadeTimeline, timeline)
-            }
-            "xaminer.risk_profiles" => {
-                let deps: ValueView<'_, DependencyTable> =
-                    view(function, "deps", need(args, function, "deps")?)?;
-                out_seq(F::RiskProfiles, xaminer_sim::risk::all_risk_profiles(world, &deps))
-            }
-
-            // ----------------------------------------------------- bgp ----
-            "bgp.updates" => {
-                let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
-                let window = w.to_window();
-                let observed = self.observation_value()?;
-                let observed: ValueView<'_, UpdateWindow> =
-                    view_of(&observed, "bgp observation")?;
-                let updates = observed.within(window);
-                let empty = updates.is_empty();
-                Ok(Value::native(F::BgpUpdates, updates, empty))
-            }
-            "bgp.rib_snapshot" => {
-                let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
-                let sim = BgpSimulator::new(&self.scenario);
-                let peers: Vec<net_model::Asn> =
-                    sim.collectors().iter().take(10).copied().collect();
-                let rib = bgp_sim::RibSnapshot::capture(
-                    &self.scenario,
-                    &peers,
-                    w.to_window().end,
-                );
-                out(F::RibSnapshot, rib)
-            }
-            "bgp.detect_bursts" => {
-                let updates: ValueView<'_, UpdateWindow> =
-                    view(function, "updates", need(args, function, "updates")?)?;
-                let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
-                let window = w.to_window();
-                let hours = (window.duration().as_seconds() / 3600).clamp(24, 400) as usize;
-                let bursts = detect_update_bursts(&updates, window, hours, 3.0);
-                out_seq(F::BgpBursts, bursts)
-            }
-            "bgp.detect_moas" => {
-                let updates: ValueView<'_, UpdateWindow> =
-                    view(function, "updates", need(args, function, "updates")?)?;
-                let observed = self.observation_value()?;
-                let observed: ValueView<'_, UpdateWindow> =
-                    view_of(&observed, "bgp observation")?;
-                let baseline = observed.observation().baseline_origins();
-                let conflicts = detect_moas_conflicts_indexed(&updates, baseline);
-                out_seq(F::MoasConflicts, conflicts)
-            }
-            "bgp.valley_violations" => {
-                let updates: ValueView<'_, UpdateWindow> =
-                    view(function, "updates", need(args, function, "updates")?)?;
-                // Reference topology: the scenario's quiet start, whose
-                // adjacency set is a superset of every later instant's.
-                // The cached observation's derivation built it as its
-                // start state.
-                let observed = self.observation_value()?;
-                let observed: ValueView<'_, UpdateWindow> =
-                    view_of(&observed, "bgp observation")?;
-                let Some(graph) = observed.observation().start_graph() else {
-                    return Err(ToolError::Failed {
-                        function: function.clone(),
-                        message: "bgp observation has no start graph".to_string(),
-                        transient: false,
-                    });
-                };
-                out_seq(F::ValleyViolations, detect_valley_violations(&updates, graph))
-            }
-            "bgp.reachability_losses" => {
-                let updates: ValueView<'_, UpdateWindow> =
-                    view(function, "updates", need(args, function, "updates")?)?;
-                let rows: Vec<serde_json::Value> = bgp_sim::reachability_losses(&updates)
-                    .into_iter()
-                    .map(|(peer, prefix, t)| {
-                        serde_json::json!({
-                            "peer": peer.0,
-                            "prefix": prefix.to_string(),
-                            "withdrawn_at": t.0,
-                        })
-                    })
-                    .collect();
-                Ok(Value::new(F::Table, serde_json::Value::Array(rows)))
-            }
-
-            // ----------------------------------------------- traceroute ----
-            "traceroute.campaign" => {
-                let src = parse_region(function, "src_region", need(args, function, "src_region")?)?;
-                let dst = parse_region(function, "dst_region", need(args, function, "dst_region")?)?;
-                let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
-                let key = format!("campaign:{src:?}:{dst:?}:{}:{}", w.start, w.end);
-                self.cached(&self.artifacts, &key, || {
-                    let campaign = run_campaign(&self.scenario, src, dst, w.to_window());
-                    Ok(Value::native(F::TracerouteCampaign, campaign, false))
-                })
-            }
-            "traceroute.rtt_series" => {
-                let campaign: ValueView<'_, CampaignData> =
-                    view(function, "campaign", need(args, function, "campaign")?)?;
-                out(F::RttSeries, analysis::rtt_series(&campaign, 6 * 3600))
-            }
-            "traceroute.detect_anomaly" => {
-                let campaign: ValueView<'_, CampaignData> =
-                    view(function, "campaign", need(args, function, "campaign")?)?;
-                out(F::AnomalyReport, analysis::detect_anomaly(&campaign))
-            }
-
-            // ---------------------------------------------------- util ----
-            "util.cable_failure_event" => {
-                let cable: CableRefData = de(function, "cable", need(args, function, "cable")?)?;
-                out(
-                    F::FailureEventSpec,
-                    FailureEvent::CableFailure { cable: CableId(cable.id) },
-                )
-            }
-            "util.compile_disasters" => {
-                #[derive(serde::Deserialize)]
-                struct Kind {
-                    kind: String,
-                }
-                let kinds: Vec<Kind> =
-                    de(function, "disasters", need(args, function, "disasters")?)?;
-                let p: f64 = de(
-                    function,
-                    "failure_probability",
-                    need(args, function, "failure_probability")?,
-                )?;
-                let kinds: Vec<String> = kinds.into_iter().map(|k| k.kind).collect();
-                let specs = disasters::compile(&kinds, p);
-                if specs.is_empty() {
-                    return Err(ToolError::Failed {
-                        function: function.clone(),
-                        message: format!("no hazard zones match kinds {kinds:?}"),
-                        transient: false,
-                    });
-                }
-                let event = FailureEvent::Compound(
-                    specs.into_iter().map(FailureEvent::Disaster).collect(),
-                );
-                out(F::FailureEventSpec, event)
-            }
-            "util.combine_impact_tables" => {
-                let a: ValueView<'_, CountryTableData> =
-                    view(function, "a", need(args, function, "a")?)?;
-                let b: ValueView<'_, CountryTableData> =
-                    view(function, "b", need(args, function, "b")?)?;
-                out(F::CountryImpactTable, combine_tables(&a, &b))
-            }
-            "util.corridor_failure_event" => {
-                let src = parse_region(function, "src_region", need(args, function, "src_region")?)?;
-                let dst = parse_region(function, "dst_region", need(args, function, "dst_region")?)?;
-                let cables = corridor_cables(world, src, dst, 3);
-                if cables.is_empty() {
-                    return Err(ToolError::Failed {
-                        function: function.clone(),
-                        message: format!("no cable systems connect {src} and {dst}"),
-                        transient: false,
-                    });
-                }
-                let event = FailureEvent::Compound(
-                    cables
-                        .into_iter()
-                        .map(|cable| FailureEvent::CableFailure { cable })
-                        .collect(),
-                );
-                out(F::FailureEventSpec, event)
-            }
-            "util.score_suspect_cables" => {
-                let anomaly: ValueView<'_, AnomalyData> =
-                    view(function, "anomaly", need(args, function, "anomaly")?)?;
-                let deps: ValueView<'_, DependencyTable> =
-                    view(function, "deps", need(args, function, "deps")?)?;
-                let mut cable_links: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-                let mut names: BTreeMap<u32, String> = BTreeMap::new();
-                for cable in deps.cables() {
-                    let entry = deps.for_cable(cable);
-                    cable_links
-                        .insert(cable.0, entry.links.iter().map(|l| l.0).collect());
-                    names.insert(cable.0, world.cable(cable).name.clone());
-                }
-                out(
-                    F::SuspectRanking,
-                    analysis::score_suspects(&anomaly, &cable_links, &names),
-                )
-            }
-            "util.correlate_evidence" => {
-                let bursts: ValueView<'_, Vec<bgp_sim::UpdateBurst>> =
-                    view(function, "bursts", need(args, function, "bursts")?)?;
-                let anomaly: ValueView<'_, AnomalyData> =
-                    view(function, "anomaly", need(args, function, "anomaly")?)?;
-                let times: Vec<i64> = bursts.iter().map(|b| b.window.start.0).collect();
-                out(
-                    F::CorrelationReport,
-                    analysis::correlate(&times, bursts.len(), &anomaly),
-                )
-            }
-            "util.synthesize_verdict" => {
-                let suspects: ValueView<'_, SuspectData> =
-                    view(function, "suspects", need(args, function, "suspects")?)?;
-                let correlation: ValueView<'_, CorrelationData> =
-                    view(function, "correlation", need(args, function, "correlation")?)?;
-                let anomaly: ValueView<'_, AnomalyData> =
-                    view(function, "anomaly", need(args, function, "anomaly")?)?;
-                out(
-                    F::ForensicVerdict,
-                    analysis::synthesize_verdict(&suspects, &correlation, &anomaly),
-                )
-            }
-            "util.attribute_control_plane" => {
-                let moas: ValueView<'_, Vec<MoasConflict>> =
-                    view(function, "moas", need(args, function, "moas")?)?;
-                let valleys: ValueView<'_, Vec<ValleyViolation>> =
-                    view(function, "valleys", need(args, function, "valleys")?)?;
-                let legit: BTreeMap<String, u32> = world
-                    .prefixes
-                    .iter()
-                    .map(|p| (p.net.to_string(), p.origin.0))
-                    .collect();
-                out(
-                    F::ControlPlaneReport,
-                    analysis::attribute_control_plane(&moas, &valleys, &legit),
-                )
-            }
-            "xaminer.control_plane_impact" => {
-                let report: ValueView<'_, ControlPlaneReportData> =
-                    view(function, "report", need(args, function, "report")?)?;
-                out(F::CountryImpactTable, control_plane_impact_table(world, &report))
-            }
-            "util.build_timeline" => {
-                let cascade: ValueView<'_, xaminer_sim::CascadeTimeline> =
-                    view(function, "cascade", need(args, function, "cascade")?)?;
-                let bursts: ValueView<'_, Vec<bgp_sim::UpdateBurst>> =
-                    view(function, "bursts", need(args, function, "bursts")?)?;
-                let anomaly: ValueView<'_, AnomalyData> =
-                    view(function, "anomaly", need(args, function, "anomaly")?)?;
-                // Anchor cascade offsets at the first observed event (or the
-                // horizon start for pure what-if analyses).
-                let anchor = self
-                    .scenario
-                    .timeline()
-                    .first()
-                    .map(|(t, _)| *t)
-                    .unwrap_or(self.scenario.horizon.start);
-                let mut cascade_events: Vec<(i64, String, String)> = Vec::new();
-                for round in &cascade.rounds {
-                    let t = (anchor + round.at_offset).0;
-                    if !round.newly_failed_links.is_empty() {
-                        cascade_events.push((
-                            t,
-                            if round.round == 0 { "cable".into() } else { "ip".into() },
-                            format!(
-                                "round {}: {} link(s) failed",
-                                round.round,
-                                round.newly_failed_links.len()
-                            ),
-                        ));
-                    }
-                    if !round.newly_degraded_ases.is_empty() {
-                        cascade_events.push((
-                            t,
-                            "as".into(),
-                            format!(
-                                "round {}: {} AS(es) degraded",
-                                round.round,
-                                round.newly_degraded_ases.len()
-                            ),
-                        ));
-                    }
-                }
-                let burst_times: Vec<i64> = bursts.iter().map(|b| b.window.start.0).collect();
-                out(
-                    F::UnifiedTimeline,
-                    analysis::build_timeline(&cascade_events, &burst_times, &anomaly),
-                )
-            }
-
-            // ------------------------------------------------------ qa ----
-            "qa.verify_output" => {
-                let value = need(args, function, "value")?;
-                let mut checks = vec!["non-null".to_string()];
-                let mut notes = Vec::new();
-                // Native artifacts are never null; only JSON payloads need
-                // the projection inspected.
-                let mut passed = value.is_native() || !value.json().is_null();
-                if value.is_empty_payload() {
-                    passed = false;
-                    notes.push("result payload is empty".to_string());
-                } else {
-                    checks.push("non-empty".to_string());
-                }
-                checks.push(format!("declared format {}", value.format));
-                out(F::QaReport, QaData { passed, checks, notes })
-            }
-
-            _ => Err(ToolError::Unbound(function.clone())),
-        }
-    }
-}
-
-/// Combines two country tables: counts add, scores compose as independent
-/// events (`1 − (1−a)(1−b)`), rows re-sort by score.
-fn combine_tables(a: &CountryTableData, b: &CountryTableData) -> CountryTableData {
-    let mut by_country: BTreeMap<String, CountryRow> = BTreeMap::new();
-    for row in a.rows.iter().chain(&b.rows) {
-        match by_country.get_mut(&row.country) {
-            None => {
-                by_country.insert(row.country.clone(), row.clone());
-            }
-            Some(acc) => {
-                acc.ips_affected += row.ips_affected;
-                acc.links_affected += row.links_affected;
-                acc.ases_affected = acc.ases_affected.max(row.ases_affected);
-                acc.as_links_affected += row.as_links_affected;
-                acc.impact_score = 1.0 - (1.0 - acc.impact_score) * (1.0 - row.impact_score);
-            }
-        }
-    }
-    let mut rows: Vec<CountryRow> = by_country.into_values().collect();
-    rows.sort_by(|x, y| {
-        y.impact_score.total_cmp(&x.impact_score).then(x.country.cmp(&y.country))
-    });
-    CountryTableData { rows }
-}
-
-/// Builds the country-level impact table for an attributed control-plane
-/// incident: per country, how many of its registered ASes are
-/// misdirected (hijack capture cone) or path-shifted (leak), scored by
-/// that fraction. Physical columns (IPs/links) are zero — nothing fails.
-fn control_plane_impact_table(
-    world: &world::World,
-    report: &ControlPlaneReportData,
-) -> CountryTableData {
-    use xaminer_sim::ControlPlaneIncident;
-    let Some(offender) = report.offender else {
-        return CountryTableData { rows: Vec::new() };
-    };
-    let offender = net_model::Asn(offender);
-    let incidents: Vec<ControlPlaneIncident> = match report.kind.as_str() {
-        "prefix-hijack" => report
-            .victim_prefixes
-            .iter()
-            .filter_map(|p| net_model::Ipv4Net::parse(p).ok())
-            .map(|net| ControlPlaneIncident::PrefixHijack {
-                origin: offender,
-                victim_prefix: net,
-            })
-            .collect(),
-        "route-leak" => vec![ControlPlaneIncident::RouteLeak { leaker: offender }],
-        _ => Vec::new(),
-    };
-
-    let mut affected: BTreeMap<net_model::Country, std::collections::BTreeSet<net_model::Asn>> =
-        BTreeMap::new();
-    for impact in xaminer_sim::control_plane::assess_many(world, &incidents) {
-        for asn in impact.affected_ases {
-            if let Some(info) = world.as_info(asn) {
-                affected.entry(info.country).or_default().insert(asn);
-            }
-        }
-    }
-
-    let mut rows: Vec<CountryRow> = affected
-        .into_iter()
-        .map(|(country, ases)| {
-            let total = world.as_count_in_country(country).max(1);
-            CountryRow {
-                country: country.code().to_string(),
-                ips_affected: 0,
-                links_affected: 0,
-                ases_affected: ases.len(),
-                as_links_affected: 0,
-                impact_score: (ases.len() as f64 / total as f64).min(1.0),
-            }
-        })
-        .collect();
-    rows.sort_by(|x, y| {
-        y.impact_score.total_cmp(&x.impact_score).then(x.country.cmp(&y.country))
-    });
-    CountryTableData { rows }
-}
-
-/// Converts an impact report into the country table schema.
-fn country_table(report: &xaminer_sim::ImpactReport) -> CountryTableData {
-    CountryTableData {
-        rows: report
-            .per_country
-            .iter()
-            .map(|c| CountryRow {
-                country: c.country.code().to_string(),
-                ips_affected: c.ips_affected,
-                links_affected: c.links_affected,
-                ases_affected: c.ases_affected,
-                as_links_affected: c.as_links_affected,
-                impact_score: c.impact_score,
-            })
-            .collect(),
-    }
-}
-
-/// The main cable systems connecting two regions, by dependent-link count.
-fn corridor_cables(
-    world: &world::World,
-    src: Region,
-    dst: Region,
-    limit: usize,
-) -> Vec<CableId> {
-    let mut scored: Vec<(usize, CableId)> = world
-        .cables
-        .iter()
-        .filter(|c| {
-            let regions: Vec<Region> =
-                c.landings.iter().map(|&l| world.city(l).region).collect();
-            regions.contains(&src) && regions.contains(&dst)
-        })
-        .map(|c| (world.links_on_cable(c.id).len(), c.id))
-        .filter(|(n, _)| *n > 0)
-        .collect();
-    scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    scored.into_iter().take(limit).map(|(_, c)| c).collect()
-}
-
-/// Runs a probe campaign: up to 16 probes from `src`, up to 12 access-AS
-/// destinations in `dst`, two Paris flows per pair, sampled every 8 hours.
-/// The flow sweep broadens link coverage (MDA-style), which the forensic
-/// suspect scoring depends on.
-fn run_campaign(
-    scenario: &Scenario,
-    src: Region,
-    dst: Region,
-    window: TimeWindow,
-) -> CampaignData {
-    let world = &scenario.world;
-    let sim = TracerouteSimulator::new(scenario);
-
-    let all_probes: Vec<&world::Probe> =
-        world.probes.iter().filter(|p| p.region == src).collect();
-    let step = (all_probes.len() / 16).max(1);
-    let probes: Vec<&world::Probe> = all_probes.iter().step_by(step).take(16).copied().collect();
-
-    let all_dests: Vec<net_model::Ipv4Addr> = world
-        .prefixes
-        .iter()
-        .filter(|p| {
-            world
-                .as_info(p.origin)
-                .map(|a| a.region == dst && a.tier == world::AsTier::Access)
-                == Some(true)
-        })
-        .map(|p| p.net.host(1))
-        .collect();
-    let dstep = (all_dests.len() / 12).max(1);
-    let dests: Vec<net_model::Ipv4Addr> =
-        all_dests.iter().step_by(dstep).take(12).copied().collect();
-
-    let interval = SimDuration::hours(8);
-    let mut measurements = Vec::new();
-    let mut t = window.start;
-    while t < window.end {
-        for probe in &probes {
-            for &dest in &dests {
-                for flow in [0u16, 1] {
-                    let fwd =
-                        traceroute_sim::path::forwarding_path(&sim, probe.id, dest, t, flow);
-                    let trace =
-                        traceroute_sim::rtt::execute(&sim, probe.id, dest, t, flow, &fwd);
-                    measurements.push(MeasurementData {
-                        probe: probe.id.0,
-                        dst: dest.to_string(),
-                        time: t.0,
-                        rtt_ms: trace.end_to_end_rtt(),
-                        links: fwd.links().iter().map(|l| l.0).collect(),
-                    });
-                }
-            }
-        }
-        t = t + interval;
-    }
-
-    CampaignData {
-        src_region: src.name().to_string(),
-        dst_region: dst.name().to_string(),
-        window_start: window.start.0,
-        window_end: window.end.0,
-        interval_s: interval.as_seconds(),
-        measurements,
+        let tool = catalog::tool(&function.0).ok_or_else(|| ToolError::Unbound(function.clone()))?;
+        (tool.handler)(self, &Args { tool, function, values: args })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::*;
     use crate::scenarios;
+    use bgp_sim::{detect_valley_violations, MoasConflict, ValleyViolation};
+    use net_model::{SimTime, TimeWindow};
+    use xaminer_sim::FailureEvent;
 
     fn tv(format: F, v: serde_json::Value) -> Value {
         Value::new(format, v)
@@ -1171,6 +643,42 @@ mod tests {
         let t: CountryTableData = table.parse().unwrap();
         assert!(!t.rows.is_empty(), "the capture cone touches some countries");
         assert!(t.rows.iter().all(|row| row.links_affected == 0), "nothing physically fails");
+    }
+
+    #[test]
+    fn args_read_only_declared_params() {
+        let tool = catalog::tool("util.combine_impact_tables").unwrap();
+        let function = FunctionId::from(tool.id);
+        let table = CountryTableData { rows: Vec::new() };
+        let values: BTreeMap<String, Value> = [
+            ("a".to_string(), Value::native(F::CountryImpactTable, table, false)),
+            ("cable".to_string(), Value::text("SeaMeWe-5")),
+        ]
+        .into();
+        let args = Args { tool, function: &function, values: &values };
+
+        assert!(args.view::<CountryTableData>("a").is_ok());
+        let missing = ToolError::BadArgument {
+            function: function.clone(),
+            message: "missing argument b".to_string(),
+        };
+        assert_eq!(args.value("b").err(), Some(missing));
+        let malformed = args.de::<String>("a").unwrap_err();
+        assert!(
+            matches!(&malformed, ToolError::BadArgument { message, .. } if message.starts_with("argument a: ")),
+            "{malformed:?}"
+        );
+        // A name the row does not declare is an error even when bound.
+        let undeclared = ToolError::Failed {
+            function: function.clone(),
+            message: "reads undeclared argument cable".to_string(),
+            transient: false,
+        };
+        assert_eq!(args.value("cable").err(), Some(undeclared.clone()));
+        assert_eq!(args.de::<CableRefData>("cable").err(), Some(undeclared));
+
+        let out = args.out(CountryTableData { rows: Vec::new() }).unwrap();
+        assert_eq!(out.format, F::CountryImpactTable, "results carry the row's output format");
     }
 
     #[test]

@@ -276,8 +276,7 @@ mod reference {
         holders: &[Asn],
         leaker: Asn,
     ) -> Vec<Asn> {
-        let leaked =
-            RoutingTable::compute_for_graph_with(graph, 2, &PolicyOverrides::leaking([leaker]));
+        let leaked = RoutingTable::compute_for_graph(graph, &PolicyOverrides::leaking([leaker]));
         holders
             .iter()
             .copied()
@@ -457,7 +456,7 @@ mod tests {
             let (asns, edges) = spec;
             let pick = |p: u16| asns[p as usize % asns.len()];
             let graph = AsGraph::from_relationships(asns.clone(), edges);
-            let base = RoutingTable::compute_for_graph(&graph, 1);
+            let base = RoutingTable::compute_for_graph(&graph, &PolicyOverrides::none());
             let mut holders = asns.clone();
             holders.push(Asn(1));
             let mut assessor = Assessor::for_graph(graph.clone(), holders.clone());
