@@ -247,22 +247,8 @@ pub fn observe(scenario: &Scenario, peers: &[Asn]) -> Observation {
     derive(scenario, peers, true)
 }
 
-/// Every event start and end inside the horizon, ascending and distinct.
-fn boundaries(scenario: &Scenario) -> Vec<SimTime> {
-    let mut boundaries: Vec<SimTime> = scenario
-        .events
-        .iter()
-        .flat_map(|e| [Some(e.at), e.until])
-        .flatten()
-        .filter(|t| scenario.horizon.contains(*t))
-        .collect();
-    boundaries.sort();
-    boundaries.dedup();
-    boundaries
-}
-
 fn derive(scenario: &Scenario, peers: &[Asn], baseline: bool) -> Observation {
-    let boundaries = boundaries(scenario);
+    let boundaries = scenario.boundaries();
     if boundaries.is_empty() && !baseline {
         return Observation::default();
     }
@@ -598,7 +584,7 @@ mod reference {
 
     pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
         let mut updates = Vec::new();
-        let boundaries = boundaries(scenario);
+        let boundaries = scenario.boundaries();
         if boundaries.is_empty() {
             return updates;
         }

@@ -26,11 +26,11 @@ pub const BUDGETS: [(&str, usize); 11] = [
     // genuine invariants only — injected faults must surface as
     // ToolError, never as panics.
     ("chaos", 2),
-    // engine/session/orchestrator/ensemble serving core: the request
-    // serializer, the ensemble scope-join slot, the curate-validated
-    // registry lookup (PR 6 burned the partial_cmp unwraps down to
-    // total_cmp).
-    ("core", 3),
+    // engine/session/orchestrator/ensemble serving core: only the
+    // ensemble's scope-join slot is left (requests serialize through the
+    // infallible JSON projection, and curated composites with an unknown
+    // member are rejected, not looked up).
+    ("core", 1),
     // DAG executor: mutex-poisoning expects + the worker panic relay.
     ("workflow", 7),
     // tool catalog + scenario curation (curated-world expects, and the one

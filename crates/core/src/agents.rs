@@ -1,28 +1,20 @@
-//! The four agents.
+//! The four agents' one exchange loop.
 //!
-//! Each agent owns its system prompt and task tag, serializes a typed
-//! request into the prompt payload, and parses the model's *text*
-//! completion back into the protocol type — retrying with feedback when
-//! the output does not parse (real LLMs emit malformed JSON sometimes;
-//! `llm::FaultyModel` simulates that in tests). Requests name the
-//! registry by its document's hash; every prompt carries that
+//! QueryMind, WorkflowScout, SolutionWeaver and RegistryCurator are each
+//! a [`Task`] in `llm::protocol`: a request type bound to its response,
+//! task tag, agent name and system prompt. [`ask`] runs any of them: it
+//! serializes the request into the prompt payload and parses the model's
+//! *text* completion back into the response type — retrying with
+//! feedback when the output does not parse (real LLMs emit malformed
+//! JSON sometimes; `llm::FaultyModel` simulates that in tests). Requests
+//! name the registry by its document's hash; every prompt carries that
 //! [`RegistryDocument`] by reference.
 
-use llm::protocol::*;
+use llm::protocol::Task;
 use llm::{LanguageModel, LlmError, Prompt, RegistryDocument};
 
-/// Shared agent settings.
-#[derive(Debug, Clone)]
-pub struct AgentConfig {
-    /// How many times to re-prompt after a malformed completion.
-    pub max_retries: usize,
-}
-
-impl Default for AgentConfig {
-    fn default() -> Self {
-        AgentConfig { max_retries: 2 }
-    }
-}
+/// How many times an agent re-prompts after a malformed completion.
+const MAX_RETRIES: usize = 2;
 
 /// Errors an agent can surface.
 #[derive(Debug)]
@@ -60,23 +52,22 @@ impl From<LlmError> for AgentError {
     }
 }
 
-/// Shared prompt/parse/retry loop. Every prompt carries `registry`, the
-/// document the request names by hash.
-fn run_task<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
+/// Sends `request` as its agent and parses the completion into the
+/// task's response. The prompt carries `document`, the registry the
+/// request names by hash; a completion that does not parse is answered
+/// with a re-prompt carrying `repair_feedback`, up to `MAX_RETRIES` (2)
+/// times.
+pub fn ask<T: Task>(
     model: &dyn LanguageModel,
-    config: &AgentConfig,
-    agent: &'static str,
-    system: &str,
-    task: &str,
-    request: &Req,
-    registry: &RegistryDocument,
-) -> Result<Resp, AgentError> {
-    let payload = serde_json::to_value(request).expect("requests serialize");
-    let mut prompt = Prompt::new(system, task, payload).with_document(registry.clone());
+    request: &T,
+    document: &RegistryDocument,
+) -> Result<T::Response, AgentError> {
+    let mut prompt =
+        Prompt::new(T::SYSTEM, T::TAG, request.serialize_json()).with_document(document.clone());
     let mut last_error = String::new();
-    for attempt in 0..=config.max_retries {
+    for attempt in 0..=MAX_RETRIES {
         let completion = model.complete(&prompt)?;
-        match serde_json::from_str::<Resp>(&completion.text) {
+        match serde_json::from_str::<T::Response>(&completion.text) {
             Ok(parsed) => return Ok(parsed),
             Err(e) => {
                 last_error = e.to_string();
@@ -93,181 +84,13 @@ fn run_task<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
             }
         }
     }
-    Err(AgentError::Unparseable {
-        agent,
-        attempts: config.max_retries + 1,
-        last_error,
-    })
-}
-
-/// Problem analysis & decomposition.
-pub struct QueryMind<'m> {
-    model: &'m dyn LanguageModel,
-    config: AgentConfig,
-}
-
-impl<'m> QueryMind<'m> {
-    pub fn new(model: &'m dyn LanguageModel, config: AgentConfig) -> Self {
-        QueryMind { model, config }
-    }
-
-    /// System prompt (kept verbatim in transcripts).
-    pub const SYSTEM: &'static str =
-        "You are QueryMind, an Internet measurement expert. Break the user's query into \
-         structured sub-problems with dependencies, analyze data/technical/methodological \
-         constraints early, and define explicit success criteria so downstream agents \
-         neither under- nor over-analyze.";
-
-    pub fn run(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        registry: &RegistryDocument,
-    ) -> Result<Decomposition, AgentError> {
-        let request = DecomposeRequest {
-            query: query.to_string(),
-            context: context.clone(),
-            registry: registry.hash(),
-        };
-        run_task(
-            self.model,
-            &self.config,
-            "QueryMind",
-            Self::SYSTEM,
-            "querymind.decompose",
-            &request,
-            registry,
-        )
-    }
-}
-
-/// Solution space exploration & design.
-pub struct WorkflowScout<'m> {
-    model: &'m dyn LanguageModel,
-    config: AgentConfig,
-}
-
-impl<'m> WorkflowScout<'m> {
-    pub fn new(model: &'m dyn LanguageModel, config: AgentConfig) -> Self {
-        WorkflowScout { model, config }
-    }
-
-    pub const SYSTEM: &'static str =
-        "You are WorkflowScout, a measurement solution architect. Explore the registry for \
-         function combinations that solve each sub-problem; scale exploration to problem \
-         complexity; compare trade-offs in data requirements, cost and reliability; and \
-         avoid over-engineering — prefer the smallest architecture that meets the success \
-         criteria.";
-
-    pub fn run(
-        &self,
-        decomposition: &Decomposition,
-        registry: &RegistryDocument,
-        variant: u64,
-    ) -> Result<ArchitecturePlan, AgentError> {
-        let request = ExploreRequest {
-            decomposition: decomposition.clone(),
-            registry: registry.hash(),
-            variant,
-        };
-        run_task(
-            self.model,
-            &self.config,
-            "WorkflowScout",
-            Self::SYSTEM,
-            "workflowscout.explore",
-            &request,
-            registry,
-        )
-    }
-}
-
-/// Solution implementation.
-pub struct SolutionWeaver<'m> {
-    model: &'m dyn LanguageModel,
-    config: AgentConfig,
-}
-
-impl<'m> SolutionWeaver<'m> {
-    pub fn new(model: &'m dyn LanguageModel, config: AgentConfig) -> Self {
-        SolutionWeaver { model, config }
-    }
-
-    pub const SYSTEM: &'static str =
-        "You are SolutionWeaver, a measurement integration engineer. Convert the chosen \
-         architecture into an executable workflow: translate data formats between \
-         heterogeneous tools, and weave quality assurance (consistency verification, \
-         sanity checks, uncertainty quantification) into the implementation rather than \
-         bolting it on afterwards.";
-
-    pub fn run(
-        &self,
-        decomposition: &Decomposition,
-        architecture: &ArchitecturePlan,
-        registry: &RegistryDocument,
-        feedback: Vec<String>,
-    ) -> Result<ImplementationPlan, AgentError> {
-        let request = ImplementRequest {
-            decomposition: decomposition.clone(),
-            architecture: architecture.clone(),
-            registry: registry.hash(),
-            feedback,
-        };
-        run_task(
-            self.model,
-            &self.config,
-            "SolutionWeaver",
-            Self::SYSTEM,
-            "solutionweaver.implement",
-            &request,
-            registry,
-        )
-    }
-}
-
-/// Systematic registry evolution.
-pub struct RegistryCurator<'m> {
-    model: &'m dyn LanguageModel,
-    config: AgentConfig,
-}
-
-impl<'m> RegistryCurator<'m> {
-    pub fn new(model: &'m dyn LanguageModel, config: AgentConfig) -> Self {
-        RegistryCurator { model, config }
-    }
-
-    pub const SYSTEM: &'static str =
-        "You are RegistryCurator. Mine successful workflows for reusable patterns, but be \
-         validation-first: only capabilities that demonstrated accuracy and utility across \
-         multiple uses merit registry inclusion; reject the rest with reasons to prevent \
-         registry bloat.";
-
-    pub fn run(
-        &self,
-        corpus: &[WorkflowSummary],
-        registry: &RegistryDocument,
-        min_uses: usize,
-    ) -> Result<CurationProposal, AgentError> {
-        let request = CurateRequest {
-            corpus: corpus.to_vec(),
-            registry: registry.hash(),
-            min_uses,
-        };
-        run_task(
-            self.model,
-            &self.config,
-            "RegistryCurator",
-            Self::SYSTEM,
-            "registrycurator.curate",
-            &request,
-            registry,
-        )
-    }
+    Err(AgentError::Unparseable { agent: T::AGENT, attempts: MAX_RETRIES + 1, last_error })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llm::protocol::*;
     use llm::{DeterministicExpertModel, FaultyModel, ScriptedModel};
     use registry::{CapabilityEntry, DataFormat, Param, Registry};
 
@@ -308,18 +131,26 @@ mod tests {
         }
     }
 
+    fn decompose_request(query: &str) -> DecomposeRequest {
+        DecomposeRequest {
+            query: query.to_string(),
+            context: context(),
+            registry: mini_registry().hash(),
+        }
+    }
+
     #[test]
     fn querymind_parses_model_output() {
         let model = DeterministicExpertModel::new();
-        let qm = QueryMind::new(&model, AgentConfig::default());
-        let d = qm
-            .run(
+        let d = ask(
+            &model,
+            &decompose_request(
                 "Identify the impact of severe earthquakes globally assuming a 10% infra \
                  failure probability",
-                &context(),
-                &mini_registry(),
-            )
-            .unwrap();
+            ),
+            &mini_registry(),
+        )
+        .unwrap();
         assert_eq!(d.intent, Intent::DisasterImpact);
     }
 
@@ -327,8 +158,7 @@ mod tests {
     fn agents_recover_from_malformed_output() {
         // One corrupted completion, then a good one: the retry loop heals it.
         let model = FaultyModel::new(DeterministicExpertModel::new(), 1);
-        let qm = QueryMind::new(&model, AgentConfig { max_retries: 2 });
-        let d = qm.run("impact of earthquakes at 10%", &context(), &mini_registry());
+        let d = ask(&model, &decompose_request("impact of earthquakes at 10%"), &mini_registry());
         assert!(d.is_ok(), "{:?}", d.err().map(|e| e.to_string()));
     }
 
@@ -343,26 +173,26 @@ mod tests {
             .spawn(move || {
                 assert!(serde_json::from_str::<serde_json::Value>(&nested).is_err());
                 let model = ScriptedModel::new(vec![("querymind.decompose", nested.as_str())]);
-                let qm = QueryMind::new(&model, AgentConfig { max_retries: 1 });
-                qm.run("impact of earthquakes", &context(), &mini_registry()).map(|_| ())
+                ask(&model, &decompose_request("impact of earthquakes"), &mini_registry())
+                    .map(|_| ())
             })
             .expect("thread spawns")
             .join()
             .expect("parsing returns instead of overflowing the stack")
             .unwrap_err();
-        assert!(matches!(err, AgentError::Unparseable { attempts: 2, .. }), "{err}");
+        assert!(matches!(err, AgentError::Unparseable { attempts: 3, .. }), "{err}");
     }
 
     #[test]
     fn agents_give_up_after_retries() {
         // Corrupt more completions than the retry budget allows.
         let model = FaultyModel::new(DeterministicExpertModel::new(), 10);
-        let qm = QueryMind::new(&model, AgentConfig { max_retries: 1 });
-        let err = qm.run("impact of earthquakes", &context(), &mini_registry()).unwrap_err();
+        let err =
+            ask(&model, &decompose_request("impact of earthquakes"), &mini_registry()).unwrap_err();
         match err {
             AgentError::Unparseable { agent, attempts, .. } => {
                 assert_eq!(agent, "QueryMind");
-                assert_eq!(attempts, 2);
+                assert_eq!(attempts, MAX_RETRIES + 1);
             }
             other => panic!("expected Unparseable, got {other}"),
         }
@@ -380,23 +210,17 @@ mod tests {
         };
         let canned = serde_json::to_string(&plan).unwrap();
         let model = ScriptedModel::new(vec![("workflowscout.explore", canned.as_str())]);
-        let scout = WorkflowScout::new(&model, AgentConfig::default());
-        let d = llm::expert::decompose(
-            &DecomposeRequest {
-                query: "impact of earthquakes at 10%".into(),
-                context: context(),
-                registry: mini_registry().hash(),
-            },
-            &entries(),
-        );
-        let got = scout.run(&d, &mini_registry(), 0).unwrap();
+        let decomposition =
+            llm::expert::decompose(&decompose_request("impact of earthquakes at 10%"), &entries());
+        let request =
+            ExploreRequest { decomposition, registry: mini_registry().hash(), variant: 0 };
+        let got = ask(&model, &request, &mini_registry()).unwrap();
         assert_eq!(got.rationale, "canned");
     }
 
     #[test]
     fn curator_runs_over_prompts() {
         let model = DeterministicExpertModel::new();
-        let curator = RegistryCurator::new(&model, AgentConfig::default());
         let corpus = vec![
             WorkflowSummary {
                 id: "w1".into(),
@@ -409,7 +233,8 @@ mod tests {
                 success: true,
             },
         ];
-        let proposal = curator.run(&corpus, &mini_registry(), 2).unwrap();
+        let request = CurateRequest { corpus, registry: mini_registry().hash(), min_uses: 2 };
+        let proposal = ask(&model, &request, &mini_registry()).unwrap();
         assert_eq!(proposal.composites.len(), 1);
     }
 }

@@ -24,7 +24,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use chaos::{ChaosRuntime, FaultPlan};
-use llm::protocol::{Decomposition, QueryContext, WorkflowSummary};
+use llm::protocol::{
+    CurateRequest, DecomposeRequest, Decomposition, ExploreRequest, ImplementRequest,
+    QueryContext, WorkflowSummary,
+};
 use llm::{LanguageModel, RegistryDocument};
 use parking_lot::{Mutex, RwLock};
 use registry::Registry;
@@ -37,7 +40,7 @@ use workflow::{
 };
 use world::Scenario;
 
-use crate::agents::{AgentConfig, QueryMind, RegistryCurator, SolutionWeaver, WorkflowScout};
+use crate::agents::ask;
 use crate::orchestrator::{
     register_composites, to_workflow, CurationOutcome, ExpertHooks, GeneratedSolution,
     PipelineError,
@@ -399,8 +402,12 @@ impl Engine {
         let _pass = self.curation.lock();
         let current = self.epoch();
         let mut next = (*current.registry).clone();
-        let curator = RegistryCurator::new(&*self.model, AgentConfig::default());
-        let proposal = curator.run(corpus, &current.document, min_uses)?;
+        let request = CurateRequest {
+            corpus: corpus.to_vec(),
+            registry: current.document.hash(),
+            min_uses,
+        };
+        let proposal = ask(&*self.model, &request, &current.document)?;
         let outcome = register_composites(&mut next, proposal);
         if !outcome.added.is_empty() {
             let sequence = current.sequence + 1;
@@ -488,41 +495,20 @@ impl Session {
         query: &str,
         context: &QueryContext,
     ) -> Result<GeneratedSolution, PipelineError> {
-        self.pipeline(query, context, 0, &ExpertHooks::default())
+        self.generate_expert(query, context, &ExpertHooks::default())
     }
 
-    /// Variant-seeded generation (ensemble machinery).
-    pub fn generate_variant(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        self.pipeline(query, context, variant, &ExpertHooks::default())
-    }
-
-    /// Expert mode: hooks run between pipeline stages.
+    /// Expert mode: hooks run between pipeline stages. The three-agent
+    /// pipeline reads the pinned registry only, so any number of
+    /// generations run concurrently against one epoch.
     pub fn generate_expert(
         &self,
         query: &str,
         context: &QueryContext,
         hooks: &ExpertHooks,
     ) -> Result<GeneratedSolution, PipelineError> {
-        self.pipeline(query, context, 0, hooks)
-    }
-
-    /// The three-agent generation pipeline over the pinned registry. The
-    /// registry is read-only for the whole run, so any number of
-    /// pipelines execute concurrently against one epoch.
-    fn pipeline(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-        hooks: &ExpertHooks,
-    ) -> Result<GeneratedSolution, PipelineError> {
         let decomposition = self.decompose(query, context, hooks)?;
-        self.design(query, decomposition, variant, hooks)
+        self.design(query, decomposition, 0, hooks)
     }
 
     /// Stage 1: QueryMind. Nothing here depends on the variant, so an
@@ -533,8 +519,13 @@ impl Session {
         context: &QueryContext,
         hooks: &ExpertHooks,
     ) -> Result<Decomposition, PipelineError> {
-        let querymind = QueryMind::new(&*self.model, AgentConfig::default());
-        let decomposition = querymind.run(query, context, &self.epoch.document)?;
+        let document = &self.epoch.document;
+        let request = DecomposeRequest {
+            query: query.to_string(),
+            context: context.clone(),
+            registry: document.hash(),
+        };
+        let decomposition = ask(&*self.model, &request, document)?;
         Ok(match &hooks.adjust_decomposition {
             Some(hook) => hook(decomposition),
             None => decomposition,
@@ -555,19 +546,27 @@ impl Session {
         let document = &self.epoch.document;
 
         // Stage 2: WorkflowScout.
-        let scout = WorkflowScout::new(model, AgentConfig::default());
-        let mut architecture = scout.run(&decomposition, document, variant)?;
+        let request = ExploreRequest {
+            decomposition: decomposition.clone(),
+            registry: document.hash(),
+            variant,
+        };
+        let mut architecture = ask(model, &request, document)?;
         if let Some(hook) = &hooks.adjust_architecture {
             architecture = hook(architecture);
         }
 
         // Stage 3: SolutionWeaver, with a validation-repair loop.
-        let weaver = SolutionWeaver::new(model, AgentConfig::default());
         let mut feedback: Vec<String> = Vec::new();
         let mut repair_attempts = 0usize;
         let (workflow, implementation) = loop {
-            let implementation =
-                weaver.run(&decomposition, &architecture, document, feedback.clone())?;
+            let request = ImplementRequest {
+                decomposition: decomposition.clone(),
+                architecture: architecture.clone(),
+                registry: document.hash(),
+                feedback: feedback.clone(),
+            };
+            let implementation = ask(model, &request, document)?;
             let wf = to_workflow(query, &decomposition, &implementation, registry);
             let errors = check(&wf, registry);
             if errors.is_empty() {
@@ -668,8 +667,9 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm::DeterministicExpertModel;
-    use registry::{CapabilityEntry, DataFormat, Param};
+    use llm::protocol::{CompositeProposal, CurationProposal, Task};
+    use llm::{DeterministicExpertModel, ScriptedModel};
+    use registry::{CapabilityEntry, DataFormat, FunctionId, Param};
     use toolkit::{catalog, scenarios, BreakerConfig};
 
     fn mini_registry() -> Registry {
@@ -1081,6 +1081,33 @@ mod tests {
         assert!(input_names.contains(&"disasters"));
         assert!(input_names.contains(&"failure_probability"));
         assert!(!input_names.contains(&"event"), "internally satisfied input must not leak");
+    }
+
+    #[test]
+    fn curator_proposals_with_an_unknown_member_are_rejected() {
+        // The model is untrusted: a composite whose first member is not
+        // registered (only its last is) is rejected, not registered and
+        // not a panic.
+        let proposal = CurationProposal {
+            composites: vec![CompositeProposal {
+                id: "composite.hostile".into(),
+                sequence: vec!["no.such_fn".into(), "xaminer.event_impact".into()],
+                capability: "a sequence with an unregistered member".into(),
+                observed_uses: 2,
+            }],
+            rejected: Vec::new(),
+        };
+        let completion = serde_json::to_string(&proposal).unwrap();
+        let model = ScriptedModel::new(vec![(CurateRequest::TAG, completion.as_str())]);
+        let engine = Engine::new(Arc::new(model), mini_registry());
+        let outcome = engine.curate(&[], 2).unwrap();
+        assert!(outcome.added.is_empty());
+        assert_eq!(
+            outcome.rejected,
+            vec![("composite.hostile".to_string(), "sequence references unknown functions".into())]
+        );
+        assert_eq!(engine.epoch().sequence, 0);
+        assert!(engine.registry().get(&FunctionId::from("composite.hostile")).is_none());
     }
 
     #[test]

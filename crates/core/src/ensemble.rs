@@ -224,8 +224,10 @@ mod tests {
         let query = "Identify the impact of severe earthquakes and hurricanes globally \
                      assuming a 10% infra failure probability";
         let report = generate_ensemble(&session, query, &context(), 5).unwrap();
+        let hooks = ExpertHooks::default();
         for (i, member) in report.solutions.iter().enumerate() {
-            let alone = session.generate_variant(query, &context(), i as u64).unwrap();
+            let decomposition = session.decompose(query, &context(), &hooks).unwrap();
+            let alone = session.design(query, decomposition, i as u64, &hooks).unwrap();
             assert_eq!(member.decomposition, alone.decomposition, "member {i}");
             assert_eq!(member.source_code, alone.source_code, "member {i}");
         }

@@ -3,11 +3,16 @@
 //! The paper's core contribution (Figure 1): four specialized agents that
 //! mirror expert workflow, coordinated over a capability registry.
 //!
-//! * [`agents::QueryMind`] — problem analysis & decomposition;
-//! * [`agents::WorkflowScout`] — solution space exploration & design;
-//! * [`agents::SolutionWeaver`] — implementation (typed workflow IR plus
-//!   rendered source code);
-//! * [`agents::RegistryCurator`] — systematic registry evolution.
+//! * QueryMind — problem analysis & decomposition;
+//! * WorkflowScout — solution space exploration & design;
+//! * SolutionWeaver — implementation (typed workflow IR plus rendered
+//!   source code);
+//! * RegistryCurator — systematic registry evolution.
+//!
+//! Each agent is one [`protocol::Task`]: its request type declares the
+//! response, task tag, agent name and system prompt, and [`agents::ask`]
+//! runs every exchange with the model (one prompt, parse, re-prompt with
+//! repair feedback on malformed output).
 //!
 //! The [`engine`] module is the one entry point. An [`Engine`] owns the
 //! model, publishes the registry as immutable epochs and curates it; the
@@ -26,7 +31,7 @@ pub mod engine;
 pub mod ensemble;
 pub mod orchestrator;
 
-pub use agents::{AgentConfig, AgentError};
+pub use agents::{ask, AgentError};
 pub use engine::{
     Engine, FamilyScenario, RegistrationStats, RegistryEpoch, ScenarioRegistration, Session,
     SessionRun,

@@ -121,9 +121,9 @@ pub struct CurationOutcome {
 }
 
 /// Registers the composites RegistryCurator proposed into `registry`,
-/// deriving each one's signature from its parts; proposals that reference
-/// unknown functions or collide with existing entries are rejected with
-/// the reason.
+/// deriving each one's signature from its parts; proposals with an empty
+/// sequence, any unknown member, or an id that collides with an existing
+/// entry are rejected with the reason.
 pub(crate) fn register_composites(
     registry: &mut Registry,
     proposal: CurationProposal,
@@ -135,10 +135,13 @@ pub(crate) fn register_composites(
     for composite in proposal.composites {
         let sequence: Vec<FunctionId> =
             composite.sequence.iter().map(|s| FunctionId::from(s.as_str())).collect();
-        // Derive the composite's signature from its parts: the inputs
-        // of the whole chain that are not satisfied internally, and the
-        // final function's output.
-        let Some(last) = sequence.last().and_then(|id| registry.get(id)) else {
+        // Every part must be registered (the model is untrusted). Derive
+        // the composite's signature from its parts: the inputs of the
+        // whole chain that are not satisfied internally, and the final
+        // function's output.
+        let parts: Vec<&CapabilityEntry> =
+            sequence.iter().filter_map(|id| registry.get(id)).collect();
+        let Some(last) = parts.last().filter(|_| parts.len() == sequence.len()) else {
             outcome
                 .rejected
                 .push((composite.id.clone(), "sequence references unknown functions".into()));
@@ -147,8 +150,7 @@ pub(crate) fn register_composites(
         let output = last.output;
         let mut inputs: Vec<registry::Param> = Vec::new();
         let mut produced: Vec<DataFormat> = Vec::new();
-        for fid in &sequence {
-            let entry = registry.get(fid).expect("validated in curate()");
+        for entry in parts {
             for p in entry.required_inputs() {
                 let satisfied_internally =
                     produced.iter().any(|f| f.compatible_with(p.format));

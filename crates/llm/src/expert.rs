@@ -4,15 +4,23 @@
 //! Each handler encodes the "generalized reasoning a human expert would
 //! naturally apply" that the paper describes embedding into its prompts:
 //!
-//! * `querymind.decompose` — read the query, classify the intent, extract
-//!   entities, resolve typed arguments, and lay out sub-problems with
-//!   dependencies, constraints, success criteria and risks;
-//! * `workflowscout.explore` — run the adaptive solution-space search in
-//!   [`crate::planner`];
-//! * `solutionweaver.implement` — finalize the plan into a workflow
-//!   program: format-translation hardening plus woven-in QA steps;
-//! * `registrycurator.curate` — mine successful workflows for recurring,
-//!   type-chainable function pairs and propose validated composites.
+//! * [`DecomposeRequest`] (QueryMind) — read the query, classify the
+//!   intent, extract entities, resolve typed arguments, and lay out
+//!   sub-problems with dependencies, constraints, success criteria and
+//!   risks;
+//! * [`ExploreRequest`] (WorkflowScout) — run the adaptive solution-space
+//!   search in [`crate::planner`];
+//! * [`ImplementRequest`] (SolutionWeaver) — finalize the plan into a
+//!   workflow program: format-translation hardening plus woven-in QA
+//!   steps;
+//! * [`CurateRequest`] (RegistryCurator) — mine successful workflows for
+//!   recurring, type-chainable function pairs and propose validated
+//!   composites.
+//!
+//! [`DeterministicExpertModel::complete`](LanguageModel::complete)
+//! dispatches on the prompt's [`Task::TAG`]; every task then takes the
+//! same path: decode the request, resolve the registry it names, run the
+//! handler, encode the response.
 //!
 //! Handlers communicate only via JSON text, like a real model. The
 //! registry arrives as the prompt's attached [`RegistryDocument`], named
@@ -50,78 +58,66 @@ impl DeterministicExpertModel {
 
     /// The registry `hash` names, parsed from the prompt's attached
     /// document. Fails closed: a missing document, one with another hash,
-    /// or one that does not parse is a [`LlmError::BadPayload`].
-    fn registry(&self, prompt: &Prompt, hash: u64) -> Result<Arc<Registry>, LlmError> {
-        let bad = |message: String| LlmError::BadPayload { task: prompt.task.clone(), message };
+    /// or one that does not parse is an error.
+    fn registry(&self, prompt: &Prompt, hash: u64) -> Result<Arc<Registry>, String> {
         let document: &RegistryDocument = prompt
             .document
             .as_ref()
-            .ok_or_else(|| bad(format!("no registry document attached for {hash:016x}")))?;
+            .ok_or_else(|| format!("no registry document attached for {hash:016x}"))?;
         if document.hash() != hash {
-            return Err(bad(format!(
+            return Err(format!(
                 "payload names registry {hash:016x} but the attached document is {:016x}",
                 document.hash()
-            )));
+            ));
         }
         let (parsed, _) = self.registries.try_get_or_init(&hash, || {
             serde_json::from_str::<Registry>(document.json())
                 .map(Arc::new)
                 .map_err(|e| format!("registry document {hash:016x} does not parse: {e}"))
         });
-        parsed.map_err(bad)
+        parsed
+    }
+
+    /// Decodes the prompt's `T` request, resolves the registry it names,
+    /// runs `handler` and encodes the response as the completion text.
+    /// Each step's error is the task's [`LlmError::BadPayload`].
+    fn answer<T: Task>(
+        &self,
+        prompt: &Prompt,
+        handler: impl FnOnce(&T, &Registry) -> Result<T::Response, String>,
+    ) -> Result<String, LlmError> {
+        let bad = |message: String| LlmError::BadPayload { task: prompt.task.clone(), message };
+        let request = T::deserialize_json(&prompt.payload).map_err(|e| bad(e.to_string()))?;
+        let registry = self.registry(prompt, request.registry()).map_err(bad)?;
+        let response = handler(&request, &registry).map_err(bad)?;
+        Ok(serde::Serialize::serialize_json(&response).to_json_string_pretty())
     }
 }
 
 impl LanguageModel for DeterministicExpertModel {
     fn complete(&self, prompt: &Prompt) -> Result<Completion, LlmError> {
         let text = match prompt.task.as_str() {
-            "querymind.decompose" => {
-                let req: DecomposeRequest = parse(&prompt.task, &prompt.payload)?;
-                to_text(&decompose(&req, &*self.registry(prompt, req.registry)?))
+            DecomposeRequest::TAG => {
+                self.answer::<DecomposeRequest>(prompt, |req, reg| Ok(decompose(req, reg)))
             }
-            "workflowscout.explore" => {
-                let req: ExploreRequest = parse(&prompt.task, &prompt.payload)?;
-                let registry = self.registry(prompt, req.registry)?;
-                match planner::plan_architecture(&req.decomposition, &registry, req.variant) {
-                    Ok(plan) => to_text(&plan),
-                    Err(e) => {
-                        return Err(LlmError::BadPayload {
-                            task: prompt.task.clone(),
-                            message: e.to_string(),
-                        })
-                    }
-                }
+            ExploreRequest::TAG => self.answer::<ExploreRequest>(prompt, |req, reg| {
+                planner::plan_architecture(&req.decomposition, reg, req.variant)
+                    .map_err(|e| e.to_string())
+            }),
+            ImplementRequest::TAG => {
+                self.answer::<ImplementRequest>(prompt, |req, reg| Ok(implement(req, reg)))
             }
-            "solutionweaver.implement" => {
-                let req: ImplementRequest = parse(&prompt.task, &prompt.payload)?;
-                to_text(&implement(&req, &*self.registry(prompt, req.registry)?))
+            CurateRequest::TAG => {
+                self.answer::<CurateRequest>(prompt, |req, reg| Ok(curate(req, reg)))
             }
-            "registrycurator.curate" => {
-                let req: CurateRequest = parse(&prompt.task, &prompt.payload)?;
-                to_text(&curate(&req, &*self.registry(prompt, req.registry)?))
-            }
-            other => return Err(LlmError::UnknownTask(other.to_string())),
-        };
+            other => Err(LlmError::UnknownTask(other.to_string())),
+        }?;
         Ok(Completion { text })
     }
 
     fn name(&self) -> &str {
         "deterministic-expert-v1"
     }
-}
-
-fn parse<T: serde::de::DeserializeOwned>(
-    task: &str,
-    payload: &serde_json::Value,
-) -> Result<T, LlmError> {
-    T::deserialize_json(payload).map_err(|e| LlmError::BadPayload {
-        task: task.to_string(),
-        message: e.to_string(),
-    })
-}
-
-fn to_text<T: serde::Serialize>(value: &T) -> String {
-    value.serialize_json().to_json_string_pretty()
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@
 //!
 //! The mechanics of the real system are preserved end to end:
 //!
-//! * agents build a [`Prompt`] (system text + task tag + JSON payload),
+//! * each agent task is declared once, as a [`protocol::Task`] on its
+//!   request type (response type, task tag, agent name, system prompt);
+//!   agents build a [`Prompt`] from it (system text + task tag + JSON
+//!   payload) and the deterministic model dispatches on the same tag,
 //! * the payload names the capability registry by content hash; the
 //!   prompt carries the pinned epoch's [`RegistryDocument`] (the
 //!   registry's canonical JSON, serialized once per epoch) by reference,
@@ -79,7 +82,7 @@ pub struct Prompt {
     /// The agent's system prompt (role + instructions). Carried for
     /// fidelity and transcripts; the deterministic model keys off `task`.
     pub system: String,
-    /// Task tag, e.g. `"querymind.decompose"`.
+    /// Task tag: the [`TAG`](protocol::Task::TAG) of the request in `payload`.
     pub task: String,
     /// Structured payload (query, context, registry hash, prior artifacts).
     pub payload: serde_json::Value,

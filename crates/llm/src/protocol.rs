@@ -6,6 +6,11 @@
 //! put requests into `Prompt::payload` and parse `Completion::text`, so
 //! the malformed-output/retry path stays honest.
 //!
+//! Each of the four agent tasks is declared once, as a [`Task`] impl on
+//! its request type: the response it expects, its task tag, the agent
+//! that sends it and that agent's system prompt. The agents' one
+//! exchange loop and the model's dispatch both read these declarations.
+//!
 //! Requests name the capability registry by content hash
 //! ([`RegistryDocument::hash`](crate::RegistryDocument::hash)) rather
 //! than carrying a copy: the prompt carries the pinned epoch's document,
@@ -15,7 +20,29 @@
 use std::collections::BTreeMap;
 
 use registry::DataFormat;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+
+// ---------------------------------------------------------------------------
+// Tasks
+// ---------------------------------------------------------------------------
+
+/// One agent task: a request type bound to the response the model must
+/// complete it with, the task tag prompts carry, and the agent (with its
+/// system prompt) that sends it.
+pub trait Task: Serialize + DeserializeOwned {
+    /// What a completion of this task parses into.
+    type Response: Serialize + DeserializeOwned;
+    /// The prompt's task tag.
+    const TAG: &'static str;
+    /// The agent that sends this task.
+    const AGENT: &'static str;
+    /// That agent's system prompt (kept verbatim in transcripts).
+    const SYSTEM: &'static str;
+
+    /// Content hash of the registry document the request names.
+    fn registry(&self) -> u64;
+}
 
 // ---------------------------------------------------------------------------
 // Shared context
@@ -37,13 +64,28 @@ pub struct QueryContext {
 // QueryMind
 // ---------------------------------------------------------------------------
 
-/// Request payload for `querymind.decompose`.
+/// QueryMind's request payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DecomposeRequest {
     pub query: String,
     pub context: QueryContext,
     /// Content hash of the registry document attached to the prompt.
     pub registry: u64,
+}
+
+impl Task for DecomposeRequest {
+    type Response = Decomposition;
+    const TAG: &'static str = "querymind.decompose";
+    const AGENT: &'static str = "QueryMind";
+    const SYSTEM: &'static str =
+        "You are QueryMind, an Internet measurement expert. Break the user's query into \
+         structured sub-problems with dependencies, analyze data/technical/methodological \
+         constraints early, and define explicit success criteria so downstream agents \
+         neither under- nor over-analyze.";
+
+    fn registry(&self) -> u64 {
+        self.registry
+    }
 }
 
 /// Classified analysis intent.
@@ -172,7 +214,7 @@ pub struct Decomposition {
 // WorkflowScout
 // ---------------------------------------------------------------------------
 
-/// Request payload for `workflowscout.explore`.
+/// WorkflowScout's request payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExploreRequest {
     pub decomposition: Decomposition,
@@ -180,6 +222,22 @@ pub struct ExploreRequest {
     pub registry: u64,
     /// Deterministic diversity seed (ensemble generation varies it).
     pub variant: u64,
+}
+
+impl Task for ExploreRequest {
+    type Response = ArchitecturePlan;
+    const TAG: &'static str = "workflowscout.explore";
+    const AGENT: &'static str = "WorkflowScout";
+    const SYSTEM: &'static str =
+        "You are WorkflowScout, a measurement solution architect. Explore the registry for \
+         function combinations that solve each sub-problem; scale exploration to problem \
+         complexity; compare trade-offs in data requirements, cost and reliability; and \
+         avoid over-engineering — prefer the smallest architecture that meets the success \
+         criteria.";
+
+    fn registry(&self) -> u64 {
+        self.registry
+    }
 }
 
 /// Where a planned step input comes from.
@@ -218,7 +276,7 @@ pub struct ArchitecturePlan {
 // SolutionWeaver
 // ---------------------------------------------------------------------------
 
-/// Request payload for `solutionweaver.implement`.
+/// SolutionWeaver's request payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ImplementRequest {
     pub decomposition: Decomposition,
@@ -227,6 +285,22 @@ pub struct ImplementRequest {
     pub registry: u64,
     /// Validation errors from a previous attempt (repair loop), if any.
     pub feedback: Vec<String>,
+}
+
+impl Task for ImplementRequest {
+    type Response = ImplementationPlan;
+    const TAG: &'static str = "solutionweaver.implement";
+    const AGENT: &'static str = "SolutionWeaver";
+    const SYSTEM: &'static str =
+        "You are SolutionWeaver, a measurement integration engineer. Convert the chosen \
+         architecture into an executable workflow: translate data formats between \
+         heterogeneous tools, and weave quality assurance (consistency verification, \
+         sanity checks, uncertainty quantification) into the implementation rather than \
+         bolting it on afterwards.";
+
+    fn registry(&self) -> u64 {
+        self.registry
+    }
 }
 
 /// SolutionWeaver's product: the finished workflow program (same step
@@ -253,7 +327,7 @@ pub struct WorkflowSummary {
     pub success: bool,
 }
 
-/// Request payload for `registrycurator.curate`.
+/// RegistryCurator's request payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CurateRequest {
     pub corpus: Vec<WorkflowSummary>,
@@ -261,6 +335,21 @@ pub struct CurateRequest {
     pub registry: u64,
     /// Minimum observations before a pattern is proposed.
     pub min_uses: usize,
+}
+
+impl Task for CurateRequest {
+    type Response = CurationProposal;
+    const TAG: &'static str = "registrycurator.curate";
+    const AGENT: &'static str = "RegistryCurator";
+    const SYSTEM: &'static str =
+        "You are RegistryCurator. Mine successful workflows for reusable patterns, but be \
+         validation-first: only capabilities that demonstrated accuracy and utility across \
+         multiple uses merit registry inclusion; reject the rest with reasons to prevent \
+         registry bloat.";
+
+    fn registry(&self) -> u64 {
+        self.registry
+    }
 }
 
 /// One proposed composite capability.

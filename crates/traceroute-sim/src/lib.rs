@@ -46,10 +46,11 @@ pub const CONGESTION_SENSITIVITY_MS: f64 = 80.0;
 /// The measurement engine for one scenario.
 ///
 /// Routing state is precomputed per *topology epoch* (the intervals between
-/// scenario events), so measuring is cheap even for large campaigns.
+/// event starts and ends), so measuring is cheap even for large campaigns
+/// and a bounded event's effects end when it does.
 pub struct TracerouteSimulator<'a> {
     scenario: &'a Scenario,
-    /// Epoch boundaries: event times, ascending.
+    /// Epoch boundaries: [`Scenario::boundaries`].
     boundaries: Vec<SimTime>,
     /// Routing table per epoch (`boundaries.len() + 1` entries).
     tables: Vec<RoutingTable>,
@@ -67,8 +68,7 @@ impl<'a> TracerouteSimulator<'a> {
     /// Builds the simulator, precomputing per-epoch routing on the
     /// caller's thread.
     pub fn new(scenario: &'a Scenario) -> Self {
-        let boundaries: Vec<SimTime> =
-            scenario.timeline().into_iter().map(|(t, _)| t).collect();
+        let boundaries = scenario.boundaries();
         let mut tables = Vec::with_capacity(boundaries.len() + 1);
         let mut sample_points = Vec::with_capacity(boundaries.len() + 1);
         sample_points.push(scenario.horizon.start);
@@ -237,5 +237,38 @@ mod tests {
         let m1 = sim.measure(probe, dst, t, 7);
         let m2 = sim.measure(probe, dst, t, 7);
         assert_eq!(m1, m2);
+    }
+
+    #[test]
+    fn traceroutes_after_a_repair_match_the_quiet_world() {
+        // A two-day SeaMeWe-5 cut: traces during it reroute, and once the
+        // cable is repaired routing and congestion are the quiet world's.
+        let world = std::sync::Arc::new(generate(&WorldConfig::default()));
+        let cable = world.cable_by_name("SeaMeWe-5").unwrap().id;
+        let cut = SimTime::EPOCH + SimDuration::days(5);
+        let repair = cut + SimDuration::days(2);
+        let quiet = Scenario::quiet(world.clone(), 10);
+        let mut repaired = Scenario::quiet(world, 10);
+        repaired.push_event(EventKind::CableCut { cable }, cut, Some(repair));
+        let (quiet_sim, repaired_sim) =
+            (TracerouteSimulator::new(&quiet), TracerouteSimulator::new(&repaired));
+        let differing = |t: SimTime| {
+            let mut n = 0;
+            for probe in &quiet.world.probes {
+                for prefix in quiet.world.prefixes.iter().step_by(8) {
+                    let dst = prefix.net.host(1);
+                    if quiet_sim.measure(probe.id, dst, t, 0)
+                        != repaired_sim.measure(probe.id, dst, t, 0)
+                    {
+                        n += 1;
+                    }
+                }
+            }
+            n
+        };
+        assert!(differing(cut + SimDuration::days(1)) > 0, "the cut reroutes some traces");
+        for t in [repair, repair + SimDuration::hours(1), repair + SimDuration::days(2)] {
+            assert_eq!(differing(t), 0, "traces at {t:?} still see the repaired cut");
+        }
     }
 }

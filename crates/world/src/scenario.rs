@@ -282,6 +282,22 @@ impl Scenario {
         v.sort();
         v
     }
+
+    /// Every instant inside the horizon where an event starts or (for a
+    /// bounded event) ends, ascending and distinct: the times the world's
+    /// state can change.
+    pub fn boundaries(&self) -> Vec<SimTime> {
+        let mut boundaries: Vec<SimTime> = self
+            .events
+            .iter()
+            .flat_map(|e| [Some(e.at), e.until])
+            .flatten()
+            .filter(|t| self.horizon.contains(*t))
+            .collect();
+        boundaries.sort();
+        boundaries.dedup();
+        boundaries
+    }
 }
 
 /// The BGP control-plane overlay at one instant: active prefix hijacks

@@ -171,3 +171,57 @@ fn generated_loc_ordering_tracks_the_paper() {
         assert!(loc > 60, "CS{} rendered only {loc} lines", i + 1);
     }
 }
+
+#[test]
+fn planning_transcript_is_pinned() {
+    // Every model exchange of CS1–CS5 generation plus one curation pass,
+    // folded into one hash over each exchange's system prompt, task tag,
+    // payload JSON and completion text: a change to any prompt, payload
+    // or completion byte moves it.
+    use std::sync::Arc;
+
+    use arachnet::Engine;
+    use llm::{DeterministicExpertModel, RecordingModel};
+    use net_model::hash::stable_str_hash;
+    use toolkit::{catalog, scenarios};
+
+    let model = Arc::new(RecordingModel::new(DeterministicExpertModel::new()));
+    let cases = CaseStudy::ALL
+        .iter()
+        .map(|c| (c.registry(), c.scenario(), c.query()))
+        .chain([(
+            catalog::standard_registry(),
+            scenarios::cs5_hijack_scenario(),
+            scenarios::CS5_QUERY,
+        )]);
+    let mut corpus = Vec::new();
+    let mut engines = Vec::new();
+    for (registry, scenario, query) in cases {
+        let engine = Engine::new(model.clone(), registry);
+        engine.register_scenario("case", scenario);
+        let session = engine.session("case").unwrap();
+        let s = session.scenario();
+        let days = s.horizon.duration().as_seconds() / 86_400;
+        let context = catalog::query_context(&s.world, s.now, days);
+        corpus.push(session.generate(query, &context).unwrap().summary(true));
+        engines.push(engine);
+    }
+    let curated = engines.last().unwrap().curate(&corpus, 1).unwrap();
+    assert!(!curated.added.is_empty() || !curated.rejected.is_empty());
+
+    let transcript = model.transcript();
+    assert_eq!(transcript.len(), 5 * 3 + 1);
+    let mut text = String::new();
+    for (prompt, completion) in &transcript {
+        let completion = match completion {
+            Ok(c) => c.text.clone(),
+            Err(e) => format!("error: {e}"),
+        };
+        for part in [&prompt.system, &prompt.task, &prompt.payload.to_string(), &completion] {
+            text.push_str(part);
+            text.push('\u{1f}');
+        }
+    }
+    let hash = stable_str_hash(&text);
+    assert_eq!(hash, 0xf1ba_9e06_50da_f5ff, "transcript hash {hash:016x}");
+}
