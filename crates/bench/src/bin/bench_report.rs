@@ -1,5 +1,5 @@
 //! Bench trajectory: the component rows behind the paper's timing claims,
-//! written as `BENCH_pr23.json` at the repo root.
+//! written as `BENCH_pr26.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p benchkit --bin bench_report            # repo root
@@ -131,7 +131,7 @@ struct Fixtures {
 /// At least 4 workers even on small boxes, so the concurrent paths are
 /// what gets measured; a single-CPU box honestly reads ~1.0 there.
 fn max_workers() -> usize {
-    workflow::exec::default_workers().max(4)
+    std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(4, 8)
 }
 
 impl Fixtures {
@@ -161,11 +161,7 @@ impl Fixtures {
             })
             .collect();
         let model: Arc<dyn LanguageModel> = Arc::new(llm::DeterministicExpertModel::new());
-        // Per-query DAGs run at 1 executor worker so the campaign's worker
-        // pool is the only parallelism contrasted; otherwise the two pools
-        // oversubscribe each other on small boxes.
-        let campaign_engine =
-            Engine::new(Arc::clone(&model), catalog::standard_registry()).with_exec_workers(1);
+        let campaign_engine = Engine::new(Arc::clone(&model), catalog::standard_registry());
 
         Fixtures {
             peers: scenario.world.ases.iter().take(40).map(|a| a.asn).collect(),
@@ -182,11 +178,17 @@ impl Fixtures {
         }
     }
 
-    fn exec_dag(&self, runtime: &dyn ToolRuntime, options: &ExecOptions) -> usize {
+    fn exec_dag(&self, runtime: &dyn ToolRuntime, recorder: Option<Arc<Recorder>>) -> usize {
+        let options = ExecOptions { recorder, ..Default::default() };
         let (registry, workflow) = &self.dag;
-        workflow::execute_with(workflow, registry, runtime, &BTreeMap::new(), options).executed
+        workflow::execute_with(workflow, registry, runtime, &BTreeMap::new(), &options).executed
     }
 }
+
+/// The note of the overhead rows, whose ids predate the sequential
+/// executor.
+const SEQUENTIAL_EXECUTOR: &str = "since BENCH_pr26 both arms run the DAG's steps one after \
+    another on the caller's thread; earlier files ran them on a worker pool";
 
 /// The note of the rows whose ids predate routing on the caller's thread.
 const CALLERS_THREAD: &str = "since BENCH_pr23 the measured arm computes its routing table on \
@@ -197,7 +199,6 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     let scenario = &fx.scenario;
     let world = &*scenario.world;
     let workers = max_workers();
-    let at = |workers| ExecOptions { workers, ..Default::default() };
     let victim = world.prefixes[0];
     let origin =
         world.ases.iter().map(|a| a.asn).find(|&a| a != victim.origin).expect("another AS");
@@ -213,8 +214,7 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         net_model::SimTime(5 * 86_400),
     );
     let traced = Arc::new(Recorder::new());
-    let recorder = Some(Arc::clone(&traced));
-    fx.exec_dag(&fx.busy, &ExecOptions { workers, recorder, ..Default::default() });
+    fx.exec_dag(&fx.busy, Some(Arc::clone(&traced)));
     let spans = traced.trace().spans.len();
     let mapping =
         nautilus_sim::NautilusMapper::new(nautilus_sim::MappingConfig::default()).map_world(world);
@@ -367,22 +367,16 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
                 .len()
         })
         .note(CALLERS_THREAD),
-        row("workflow/exec_dag", 15, move || fx.exec_dag(&fx.busy, &at(workers)))
-            .vs("same DAG at 1 worker", move || fx.exec_dag(&fx.busy, &at(1)))
-            .with("workers", workers),
         // The overhead rows are pinned at a couple of percent, so they
         // take enough rounds that scheduler jitter stays under that.
-        row("engine/chaos_overhead", 21, move || fx.exec_dag(&fx.chaotic, &at(workers)))
-            .overhead("the same DAG on the bare runtime", move || {
-                fx.exec_dag(&fx.busy, &at(workers))
-            })
-            .with("workers", workers),
+        row("engine/chaos_overhead", 21, move || fx.exec_dag(&fx.chaotic, None))
+            .overhead("the same DAG on the bare runtime", move || fx.exec_dag(&fx.busy, None))
+            .note(SEQUENTIAL_EXECUTOR),
         row("engine/telemetry_overhead", 21, move || {
-            let recorder = Some(Arc::new(Recorder::new()));
-            fx.exec_dag(&fx.busy, &ExecOptions { workers, recorder, ..Default::default() })
+            fx.exec_dag(&fx.busy, Some(Arc::new(Recorder::new())))
         })
-        .overhead("the same DAG untraced", move || fx.exec_dag(&fx.busy, &at(workers)))
-        .with("workers", workers),
+        .overhead("the same DAG untraced", move || fx.exec_dag(&fx.busy, None))
+        .note(SEQUENTIAL_EXECUTOR),
         row("workflow/trace_export", 51, move || {
             traced.trace_json().len() + traced.chrome_trace().len()
         })
@@ -565,7 +559,7 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| {
         // The binary lives in crates/bench; the trajectory file lives at
         // the repo root.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr23.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr26.json").to_string()
     });
 
     let fx = Fixtures::new();
@@ -576,7 +570,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
-        "pr": 23,
+        "pr": 26,
         "machine": { "cpus": cpus, "profile": profile },
         "world": {
             "ases": world.ases.len(),
@@ -598,6 +592,11 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// Committed row ids whose code went away on purpose.
+    /// `workflow/exec_dag` timed the executor's worker pool against one
+    /// worker; steps now always run on the caller's thread.
+    const RETIRED: [&str; 1] = ["workflow/exec_dag"];
+
     #[test]
     fn table_ids_are_unique_and_keep_every_committed_id() {
         let fx = Fixtures::new();
@@ -611,6 +610,10 @@ mod tests {
         assert_eq!(committed.len(), 18);
         for entry in committed {
             let id = entry.get("id").and_then(Value::as_str).expect("row id");
+            if RETIRED.contains(&id) {
+                assert!(!ids.iter().any(|i| i == id), "retired row {id} is back");
+                continue;
+            }
             assert!(ids.iter().any(|i| i == id), "row {id} dropped from the table");
         }
     }

@@ -237,7 +237,7 @@ pub fn curation_experiment() -> CurationExperiment {
 
 /// A CPU-bound toy runtime for executor benchmarks: every `work.unit`
 /// call burns a deterministic number of hash rounds; `work.mix` folds its
-/// inputs. Deterministic, allocation-light, embarrassingly parallel.
+/// inputs. Deterministic and allocation-light.
 pub struct BusyRuntime {
     /// Hash rounds per `work.unit` invocation.
     pub rounds: u64,
@@ -274,8 +274,8 @@ impl workflow::ToolRuntime for BusyRuntime {
 }
 
 /// A fan-out/fan-in DAG workload: `width` independent `work.unit` steps
-/// feeding one `work.mix` reduction — the shape the parallel executor is
-/// built for. Returns the registry and the workflow.
+/// feeding one `work.mix` reduction. Returns the registry and the
+/// workflow.
 pub fn exec_dag_workload(width: usize) -> (registry::Registry, workflow::Workflow) {
     use registry::{CapabilityEntry, DataFormat, Param};
     let mut r = registry::Registry::new();
@@ -363,23 +363,6 @@ mod tests {
     fn padded_registry_grows() {
         let base = catalog::standard_registry().len();
         assert_eq!(padded_registry(10).len(), base + 10);
-    }
-
-    #[test]
-    fn exec_dag_workload_runs_identically_at_any_width() {
-        let (registry, wf) = exec_dag_workload(6);
-        let runtime = BusyRuntime { rounds: 10 };
-        let args = std::collections::BTreeMap::new();
-        let one = workflow::execute_with(
-            &wf, &registry, &runtime, &args,
-            &workflow::ExecOptions { workers: 1, ..Default::default() },
-        );
-        let many = workflow::execute_with(
-            &wf, &registry, &runtime, &args,
-            &workflow::ExecOptions { workers: 8, ..Default::default() },
-        );
-        assert!(one.all_ok());
-        assert_eq!(one, many);
     }
 
     #[test]

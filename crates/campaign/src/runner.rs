@@ -14,8 +14,9 @@
 //! installed.
 //!
 //! Campaign workers are the serving stack's one layer of parallelism:
-//! the substrate kernels a query reaches (routing tables, RIB captures,
-//! update derivation) compute on the worker's own thread.
+//! the workflow executor and the substrate kernels a query reaches
+//! (routing tables, RIB captures, update derivation) compute on the
+//! worker's own thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -104,8 +105,11 @@ pub struct CampaignRunner<'a> {
 }
 
 impl<'a> CampaignRunner<'a> {
+    /// A runner with one worker per core, capped at 8: the campaign's
+    /// workers are the only threads a campaign runs.
     pub fn new(engine: &'a Engine) -> CampaignRunner<'a> {
-        CampaignRunner { engine, workers: workflow::exec::default_workers(), tracing: false }
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
+        CampaignRunner { engine, workers, tracing: false }
     }
 
     /// Overrides the campaign-level worker count (each worker pulls the

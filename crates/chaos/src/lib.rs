@@ -9,7 +9,7 @@
 //!
 //! Everything is a pure function of `(seed, function_id, invocation
 //! key)` — no `Instant`, no thread rng, no wall clock — so a chaos run
-//! is bit-identical across reruns and across executor worker counts:
+//! is bit-identical across reruns and independent of call order:
 //!
 //! * scheduled faults key on the *function id* and the *attempt index*
 //!   the executor hands down via [`InvokeContext`], never on arrival
@@ -95,8 +95,8 @@ impl FaultPlan {
     }
 
     /// Whether a background fault fires for this invocation key. Pure
-    /// function of the plan seed and the key — identical across worker
-    /// counts and reruns.
+    /// function of the plan seed and the key — identical in any call order
+    /// and across reruns.
     fn background_fires(&self, function: &FunctionId, salt: &str, attempt: u32) -> bool {
         if self.background_failure_ppm == 0 {
             return false;
@@ -126,8 +126,8 @@ fn fold(h: u64, bytes: &[u8]) -> u64 {
 /// schedules.
 ///
 /// Under the executor (which always calls [`ToolRuntime::invoke_with`]),
-/// injection keys on `(step, attempt)` and is therefore bit-identical at
-/// any worker count. The plain [`ToolRuntime::invoke`] path keeps a
+/// injection keys on `(step, attempt)` and is therefore bit-identical in
+/// any call order. The plain [`ToolRuntime::invoke`] path keeps a
 /// per-function invocation counter instead — deterministic for
 /// sequential callers, which is what direct invocation is.
 pub struct ChaosRuntime<R> {

@@ -3,10 +3,18 @@
 //!
 //! * never panics — every injected fault surfaces as a structured
 //!   [`StepResult`] / [`RunHealth`] outcome;
-//! * is byte-identical across 1, 2 and 8 executor workers, including
-//!   the metrics the chaos layer records;
 //! * is byte-identical across reruns with the same seed (fresh runtime,
-//!   fresh recorder).
+//!   fresh recorder), including the metrics the chaos layer records;
+//! * stays byte-identical when 1, 2 or 8 worker threads each run the
+//!   same workflow at once, every one through its own runtime stack, as
+//!   concurrent sessions do.
+//!
+//! Circuit breakers ride along: [`ResilientRuntime`] over
+//! [`ChaosRuntime`], with arbitrary breaker tuning, on DAGs where one
+//! function backs several steps, so the steps share a breaker. The
+//! executor calls steps in list order, so the breaker sees one call
+//! sequence per query and its report, trace and metrics are pinned the
+//! same way.
 //!
 //! A fixed seed matrix rides along for CI: the same properties checked
 //! on pinned seeds, so a regression is reproducible from the failure
@@ -20,6 +28,7 @@ use proptest::prelude::*;
 use chaos::{ChaosRuntime, FaultKind, FaultPlan};
 use registry::{CapabilityEntry, DataFormat, FunctionId, Param, Registry};
 use telemetry::{MetricsSnapshot, Recorder};
+use toolkit::{BreakerConfig, ResilienceConfig, ResilientRuntime};
 use workflow::{
     execute_with, ExecOptions, ExecutionReport, RetryPolicy, RunHealth, Step, ToolError,
     ToolRuntime, Value, Workflow,
@@ -131,19 +140,21 @@ fn run(
     wf: &Workflow,
     registry: &Registry,
     plan: &FaultPlan,
-    workers: usize,
     retry: RetryPolicy,
 ) -> (ExecutionReport, MetricsSnapshot) {
     let recorder = Arc::new(Recorder::new());
     let runtime = ChaosRuntime::new(BaseRuntime, plan.clone()).with_recorder(Arc::clone(&recorder));
-    let report = execute_with(
-        wf,
-        registry,
-        &runtime,
-        &BTreeMap::new(),
-        &ExecOptions { workers, retry, recorder: Some(Arc::clone(&recorder)) },
-    );
+    let options = ExecOptions { retry, recorder: Some(Arc::clone(&recorder)), ..Default::default() };
+    let report = execute_with(wf, registry, &runtime, &BTreeMap::new(), &options);
     (report, recorder.metrics_snapshot())
+}
+
+/// Runs `run` on `workers` threads at once and returns every result.
+fn concurrently<T: Send>(workers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&run)).collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
+    })
 }
 
 /// The invariants every chaos execution must satisfy, regardless of the
@@ -175,18 +186,81 @@ fn check_plan(specs: &[StepSpec], plan: &FaultPlan) {
     let wf = build_workflow(specs);
     let registry = chaos_registry();
     let retry = RetryPolicy::with_retries(2);
-    let (baseline, base_metrics) = run(&wf, &registry, plan, 1, retry);
+    let (baseline, base_metrics) = run(&wf, &registry, plan, retry);
     assert_structured(&baseline);
-    // Byte-identical across worker counts, including chaos counters.
-    for workers in [2usize, 8] {
-        let (report, metrics) = run(&wf, &registry, plan, workers, retry);
-        assert_eq!(report, baseline, "workers={workers}");
-        assert_eq!(metrics, base_metrics, "workers={workers}: metrics diverged");
+    // Every worker's run is a rerun with a fresh runtime: byte-identical,
+    // chaos counters included.
+    for workers in [1usize, 2, 8] {
+        for (report, metrics) in concurrently(workers, || run(&wf, &registry, plan, retry)) {
+            assert_eq!(report, baseline, "workers={workers}");
+            assert_eq!(metrics, base_metrics, "workers={workers}: metrics diverged");
+        }
     }
-    // Byte-identical on rerun with the same seed (fresh runtime).
-    let (again, again_metrics) = run(&wf, &registry, plan, 1, retry);
-    assert_eq!(again, baseline, "rerun with the same seed diverged");
-    assert_eq!(again_metrics, base_metrics);
+}
+
+/// One traced execution through the stack `Session::execute` builds:
+/// circuit breakers over fault injection over the base runtime, with
+/// both layers and the executor recording into one fresh recorder.
+/// Returns the report, the canonical trace and the metrics.
+fn resilient_run(
+    wf: &Workflow,
+    registry: &Registry,
+    plan: &FaultPlan,
+    config: &ResilienceConfig,
+) -> (ExecutionReport, String, MetricsSnapshot) {
+    let recorder = Arc::new(Recorder::new());
+    let chaos = ChaosRuntime::new(BaseRuntime, plan.clone()).with_recorder(Arc::clone(&recorder));
+    let runtime =
+        ResilientRuntime::new(chaos, config.clone()).with_recorder(Arc::clone(&recorder));
+    let options = ExecOptions {
+        retry: RetryPolicy::with_retries(2),
+        recorder: Some(Arc::clone(&recorder)),
+        ..Default::default()
+    };
+    let report = execute_with(wf, registry, &runtime, &BTreeMap::new(), &options);
+    (report, recorder.trace_json(), recorder.metrics_snapshot())
+}
+
+/// Steps over `c.alpha` and `c.beta` only: a DAG of three or more steps
+/// has some function backing several steps, which then share a breaker.
+/// Dependencies are sparse, so fewer steps are poisoned before they
+/// reach a breaker.
+fn shared_step_spec() -> impl Strategy<Value = StepSpec> {
+    (0usize..2, any::<u8>(), any::<u8>(), any::<bool>()).prop_map(
+        |(function, a, b, critical)| StepSpec { function, deps: a & b, critical },
+    )
+}
+
+fn failing_kind() -> impl Strategy<Value = FaultKind> {
+    prop_oneof![
+        (1u32..4).prop_map(|failures| FaultKind::Transient { failures }),
+        Just(FaultKind::Persistent),
+    ]
+}
+
+/// A plan that always schedules a failing fault on both step functions,
+/// so their breakers see failures.
+fn shared_fault_plan() -> impl Strategy<Value = FaultPlan> {
+    (any::<u64>(), failing_kind(), failing_kind(), 0u32..300_000).prop_map(
+        |(seed, alpha, beta, ppm)| {
+            FaultPlan::new(seed)
+                .with_background_failures(ppm)
+                .with_fault("c.alpha", alpha)
+                .with_fault("c.beta", beta)
+        },
+    )
+}
+
+fn breaker_config() -> impl Strategy<Value = ResilienceConfig> {
+    (1u32..5, 0u32..5, any::<bool>()).prop_map(|(trip_after, cooldown_invocations, fallback)| {
+        let config =
+            ResilienceConfig::new(BreakerConfig { trip_after, cooldown_invocations });
+        if fallback {
+            config.with_fallback("c.alpha", "c.gamma")
+        } else {
+            config
+        }
+    })
 }
 
 proptest! {
@@ -198,6 +272,25 @@ proptest! {
         plan in fault_plan(),
     ) {
         check_plan(&specs, &plan);
+    }
+
+    /// Breakers shared across steps: report, canonical trace and metrics
+    /// are identical across reruns and 1, 2 and 8 concurrent workers.
+    #[test]
+    fn breakers_over_fault_plans_execute_deterministically(
+        specs in proptest::collection::vec(shared_step_spec(), 3..10),
+        plan in shared_fault_plan(),
+        config in breaker_config(),
+    ) {
+        let wf = build_workflow(&specs);
+        let registry = chaos_registry();
+        let baseline = resilient_run(&wf, &registry, &plan, &config);
+        assert_structured(&baseline.0);
+        for workers in [1usize, 2, 8] {
+            for run in concurrently(workers, || resilient_run(&wf, &registry, &plan, &config)) {
+                assert_eq!(run, baseline, "workers={workers}");
+            }
+        }
     }
 }
 
@@ -236,12 +329,12 @@ fn retry_budget_absorbs_scheduled_transient_faults() {
     let wf = build_workflow(&specs);
     let registry = chaos_registry();
     let plan = FaultPlan::new(3).with_fault("c.beta", FaultKind::Transient { failures: 2 });
-    let (report, metrics) = run(&wf, &registry, &plan, 4, RetryPolicy::with_retries(2));
+    let (report, metrics) = run(&wf, &registry, &plan, RetryPolicy::with_retries(2));
     assert_eq!(report.health, RunHealth::Ok, "qa: {:?}", report.qa);
     assert_eq!(report.retries, 2);
     assert_eq!(metrics.counter("events.fault_injected"), 2);
     // Under-budget retries leave the fault visible instead.
-    let (starved, _) = run(&wf, &registry, &plan, 4, RetryPolicy::with_retries(1));
+    let (starved, _) = run(&wf, &registry, &plan, RetryPolicy::with_retries(1));
     assert!(matches!(starved.health, RunHealth::Failed { .. }));
 }
 
@@ -253,7 +346,7 @@ fn corruption_surfaces_as_qa_findings() {
     let wf = build_workflow(&specs);
     let registry = chaos_registry();
     let plan = FaultPlan::new(9).with_fault("c.gamma", FaultKind::Corrupt);
-    let (report, metrics) = run(&wf, &registry, &plan, 1, RetryPolicy::default());
+    let (report, metrics) = run(&wf, &registry, &plan, RetryPolicy::default());
     assert_eq!(metrics.counter("events.output_corrupted"), 1);
     assert_eq!(report.failed, 0, "corruption is not a failure");
     assert!(

@@ -1,7 +1,8 @@
-//! Clean fixture: errors propagate; the lone invariant expect is within
-//! budget.
+//! Clean fixture: errors propagate; no panic sites.
 
 pub fn robust(input: &str) -> Result<u64, String> {
-    let first = input.split(',').next().expect("split yields at least one item");
+    let Some(first) = input.split(',').next() else {
+        return Err("empty input".to_string());
+    };
     first.parse().map_err(|e| format!("{first}: {e:?}"))
 }

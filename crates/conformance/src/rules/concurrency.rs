@@ -1,6 +1,6 @@
-//! Concurrency-discipline rule: scoped threads only, no lock-and-push
-//! accumulation inside scoped sweeps, and no ambient core counts in the
-//! substrate crates.
+//! Concurrency-discipline rule: scoped threads only, and only in the
+//! crates that own the cores; no lock-and-push accumulation inside
+//! scoped sweeps, and no ambient core counts in the substrate crates.
 
 use super::{finding_at, FileRule, Finding, SigView};
 use crate::source::SourceFile;
@@ -10,6 +10,11 @@ use crate::source::SourceFile;
 /// thread count, never on a pool sized from the machine.
 pub const SUBSTRATE_CRATES: [&str; 6] =
     ["bgp-sim", "traceroute-sim", "xaminer-sim", "nautilus-sim", "world", "scenario-forge"];
+
+/// The crates whose non-test code may start scoped threads: the campaign
+/// runner's workers, the conformance scan's shards, and the benches that
+/// measure concurrent callers.
+pub const THREAD_CRATES: [&str; 3] = ["campaign", "conformance", "bench"];
 
 /// `scoped-threads-only`:
 ///
@@ -29,6 +34,10 @@ pub const SUBSTRATE_CRATES: [&str; 6] =
 ///    one of them (two campaign workers on two cores then run four
 ///    compute threads). Compute on the caller's thread, or take the
 ///    thread count as an argument.
+/// 4. Outside [`THREAD_CRATES`], `thread::scope` is banned in non-test
+///    code. The same one-layer argument: the workflow executor, the
+///    engine and its sessions run on the caller's thread, and the
+///    callers that own the cores start the threads.
 pub struct ScopedThreadsOnly;
 
 impl FileRule for ScopedThreadsOnly {
@@ -37,9 +46,10 @@ impl FileRule for ScopedThreadsOnly {
     }
 
     fn description(&self) -> &'static str {
-        "thread::spawn is banned (use std::thread::scope), Mutex lock-and-push \
-         accumulation inside scoped sweeps must be per-shard ordered merges, and \
-         substrate crates never read available_parallelism"
+        "thread::spawn is banned (use std::thread::scope), thread::scope is only for \
+         campaign, conformance and bench, Mutex lock-and-push accumulation inside \
+         scoped sweeps must be per-shard ordered merges, and substrate crates never \
+         read available_parallelism"
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
@@ -47,6 +57,7 @@ impl FileRule for ScopedThreadsOnly {
         let uses_scope =
             (0..sig.len()).any(|i| sig.matches(i, &["thread", "::", "scope"]));
         let substrate = SUBSTRATE_CRATES.contains(&file.crate_name());
+        let owns_threads = THREAD_CRATES.contains(&file.crate_name());
         for i in 0..sig.len() {
             if file.is_test_code(sig.offset(i)) {
                 continue;
@@ -58,6 +69,16 @@ impl FileRule for ScopedThreadsOnly {
                     sig.line(i),
                     "a substrate kernel must not size its own thread pool from the core \
                      count: compute on the caller's thread or take an explicit thread count"
+                        .to_string(),
+                ));
+            }
+            if !owns_threads && sig.matches(i, &["thread", "::", "scope"]) {
+                out.push(finding_at(
+                    self.id(),
+                    file,
+                    sig.line(i),
+                    "only campaign, conformance and bench start threads: run on the \
+                     caller's thread and let the caller parallelize across queries"
                         .to_string(),
                 ));
             }

@@ -10,10 +10,9 @@ use crate::Workspace;
 ///
 /// A query that panics kills its session worker; the serving path is
 /// supposed to surface `PipelineError`/`ToolError` instead. The budgets
-/// grandfather the sites that are genuine invariants (mutex-poisoning
-/// propagation in the executor, "validated at registration" lookups) —
-/// shrink them as sites are burned down; never raise them without a
-/// written justification in the PR.
+/// grandfather the sites that are genuine invariants ("validated at
+/// registration" lookups) — shrink them as sites are burned down; never
+/// raise them without a written justification in the PR.
 pub const BUDGETS: [(&str, usize); 11] = [
     // campaign runner: born clean — composition, ensembles and the
     // scorecard reduction all propagate errors; zero slack on purpose.
@@ -26,13 +25,14 @@ pub const BUDGETS: [(&str, usize); 11] = [
     // genuine invariants only — injected faults must surface as
     // ToolError, never as panics.
     ("chaos", 2),
-    // engine/session/orchestrator/ensemble serving core: only the
-    // ensemble's scope-join slot is left (requests serialize through the
-    // infallible JSON projection, and curated composites with an unknown
-    // member are rejected, not looked up).
-    ("core", 1),
-    // DAG executor: mutex-poisoning expects + the worker panic relay.
-    ("workflow", 7),
+    // engine/session/orchestrator/ensemble serving core: ensemble members
+    // run on the caller's thread (no scope-join slot), requests serialize
+    // through the infallible JSON projection, and curated composites with
+    // an unknown member are rejected, not looked up; zero slack.
+    ("core", 0),
+    // DAG executor: one list-order loop on the caller's thread, so no
+    // locks to poison and no worker panics to relay; zero slack.
+    ("workflow", 0),
     // tool catalog + scenario curation (curated-world expects, and the one
     // registry build from the catalog table, whose ids a test pins unique).
     ("toolkit", 7),

@@ -33,8 +33,9 @@ fn violating_fixture_trips_every_rule() {
     assert_eq!(rule_count(f, "no-unseeded-rng"), 2);
 
     // scoped-threads-only: the detached spawn + the lock-and-push + the
-    // substrate kernel's core count (but not its test module's).
-    assert_eq!(rule_count(f, "scoped-threads-only"), 3);
+    // substrate kernel's core count + the executor's own threads (but not
+    // the test modules' core count or threads).
+    assert_eq!(rule_count(f, "scoped-threads-only"), 4);
     assert!(f
         .iter()
         .any(|x| x.rule == "scoped-threads-only" && x.snippet.contains("push")));
@@ -44,6 +45,12 @@ fn violating_fixture_trips_every_rule() {
         .collect();
     assert_eq!(ambient.len(), 1, "got {ambient:#?}");
     assert_eq!(ambient[0].file, "crates/bgp-sim/src/shards.rs");
+    let pooled: Vec<&Finding> = f
+        .iter()
+        .filter(|x| x.rule == "scoped-threads-only" && x.snippet.contains("thread::scope"))
+        .collect();
+    assert_eq!(pooled.len(), 1, "got {pooled:#?}");
+    assert_eq!(pooled[0].file, "crates/workflow/src/pool.rs");
 
     // panic-budget: one crate-level aggregate for `core`.
     assert_eq!(rule_count(f, "panic-budget"), 1);

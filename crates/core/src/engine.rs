@@ -80,7 +80,6 @@ struct ScenarioSlot {
 /// to open) and safe to curate while queries are in flight.
 pub struct Engine {
     model: Arc<dyn LanguageModel>,
-    workers: usize,
     retry: RetryPolicy,
     /// Fault-injection plan applied to every session's runtime (testing
     /// and chaos drills; `None` in production serving).
@@ -182,7 +181,6 @@ impl Engine {
     pub fn new(model: Arc<dyn LanguageModel>, registry: Registry) -> Engine {
         Engine {
             model,
-            workers: workflow::exec::default_workers(),
             retry: RetryPolicy::default(),
             fault_plan: None,
             resilience: None,
@@ -204,9 +202,9 @@ impl Engine {
         self
     }
 
-    /// Overrides the per-session executor worker count.
-    pub fn with_exec_workers(mut self, workers: usize) -> Engine {
-        self.workers = workers.max(1);
+    /// Ignored: sessions run each workflow on the calling thread.
+    #[deprecated(note = "sessions run each workflow on the calling thread; this is a no-op")]
+    pub fn with_exec_workers(self, _workers: usize) -> Engine {
         self
     }
 
@@ -381,7 +379,6 @@ impl Engine {
             epoch,
             scenario: slot.scenario,
             artifacts: slot.artifacts,
-            workers: self.workers,
             retry: self.retry,
             fault_plan: self.fault_plan.clone(),
             resilience: self.resilience.clone(),
@@ -440,7 +437,6 @@ pub struct Session {
     epoch: Arc<RegistryEpoch>,
     scenario: Arc<Scenario>,
     artifacts: Arc<ArtifactStore>,
-    workers: usize,
     retry: RetryPolicy,
     fault_plan: Option<FaultPlan>,
     resilience: Option<ResilienceConfig>,
@@ -625,11 +621,8 @@ impl Session {
             let resilient = ResilientRuntime::new(runtime, config.clone());
             runtime = Box::new(self.traced(resilient, ResilientRuntime::with_recorder));
         }
-        let options = ExecOptions {
-            workers: self.workers,
-            retry: self.retry,
-            recorder: self.recorder.clone(),
-        };
+        let options =
+            ExecOptions { retry: self.retry, recorder: self.recorder.clone(), ..Default::default() };
         execute_with(workflow, &self.epoch.registry, &runtime, query_args, &options)
     }
 
@@ -1117,18 +1110,13 @@ mod tests {
             let session = engine.session("cs5").unwrap();
             session.run(scenarios::CS5_QUERY, &context(session.scenario())).unwrap()
         };
-        let build = |workers: usize| {
-            Engine::new(Arc::new(DeterministicExpertModel::new()), catalog::standard_registry())
-                .with_exec_workers(workers)
-        };
-        for workers in [1usize, 2, 8] {
-            let plain = serve(build(workers));
-            let resilient = serve(
-                build(workers).with_resilience(ResilienceConfig::new(BreakerConfig::default())),
-            );
-            assert_eq!(resilient.health, RunHealth::Ok, "{workers} workers");
-            assert_eq!(resilient.report, plain.report, "{workers} workers");
-        }
+        let build =
+            || Engine::new(Arc::new(DeterministicExpertModel::new()), catalog::standard_registry());
+        let plain = serve(build());
+        let resilient =
+            serve(build().with_resilience(ResilienceConfig::new(BreakerConfig::default())));
+        assert_eq!(resilient.health, RunHealth::Ok);
+        assert_eq!(resilient.report, plain.report);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! Variants differ through the planner's deterministic score jitter, so
 //! the ensemble explores genuinely different (but always valid)
-//! architectures. Generation runs in parallel with std scoped
-//! threads.
+//! architectures. Members are designed one after another on the caller's
+//! thread.
 
 use std::collections::BTreeMap;
 
@@ -66,24 +66,11 @@ pub fn generate_ensemble(
         ));
     }
 
-    // Parallel design: each variant is independent and deterministic.
     let hooks = ExpertHooks::default();
     let decomposition = session.decompose(query, context, &hooks)?;
-    let mut results: Vec<Option<Result<GeneratedSolution, PipelineError>>> =
-        (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (i, slot) in results.iter_mut().enumerate() {
-            let (decomposition, hooks) = (&decomposition, &hooks);
-            scope.spawn(move || {
-                *slot = Some(session.design(query, decomposition.clone(), i as u64, hooks));
-            });
-        }
-    });
-
-    let mut solutions = Vec::with_capacity(n);
-    for r in results {
-        solutions.push(r.expect("slot filled")?);
-    }
+    let solutions = (0..n as u64)
+        .map(|variant| session.design(query, decomposition.clone(), variant, &hooks))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Function sets per member.
     let sets: Vec<Vec<String>> = solutions

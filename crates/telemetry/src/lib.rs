@@ -5,10 +5,11 @@
 //! tripped, where the (logical) time went. This crate is that layer —
 //! and, unusually, it is **deterministic**: spans and events are
 //! timestamped on the executor's logical clock (attempt/backoff ticks),
-//! ids are content-derived via `stable_hash`, and concurrent
-//! observations are buffered per invocation and folded in workflow list
-//! order, so the trace for a fixed (scenario, query, fault seed) is
-//! byte-identical across 1/2/8 workers and reruns. That makes traces
+//! ids are content-derived via `stable_hash`, and the events runtime
+//! wrappers observe are buffered per invocation and folded in workflow
+//! list order, so the trace for a fixed (scenario, query, fault seed) is
+//! byte-identical across reruns, however many other queries run at once
+//! on their own recorders. That makes traces
 //! *artifacts*: they can be content-hashed, linked from provenance
 //! records, and diffed across runs like any other deterministic output.
 //!

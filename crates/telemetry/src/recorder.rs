@@ -1,18 +1,16 @@
 //! The [`Recorder`]: thread-safe collection point for spans, events and
 //! metrics.
 //!
-//! Determinism contract: the executor's workers call
-//! [`Recorder::emit_invocation`] concurrently, but every such event is
-//! *buffered* keyed by `(step id, attempt)` — nothing enters the trace
-//! yet. When the executor's single-threaded fold runs (workflow list
-//! order, the same fold that builds `ExecutionReport`), it calls
-//! [`Recorder::record_workflow`] with per-step observations in list
-//! order; that one call assembles step and attempt spans on the logical
-//! clock and drains each invocation's buffered events into the trace in
-//! emission order. Because fault injection and breaker decisions inside
-//! a single invocation run on one thread, each buffer's internal order
-//! is deterministic, and the fold ordering makes the whole trace
-//! byte-identical across 1/2/8 workers.
+//! Determinism contract: runtime wrappers (chaos, resilience) call
+//! [`Recorder::emit_invocation`] while a step's tool runs, and every such
+//! event is *buffered* keyed by `(step id, attempt)` — nothing enters the
+//! trace yet. The executor runs a workflow's steps one at a time in list
+//! order on the caller's thread; when it finishes (the same fold that
+//! builds `ExecutionReport`), it calls [`Recorder::record_workflow`] with
+//! per-step observations in list order. That one call assembles step and
+//! attempt spans on the logical clock and drains each invocation's
+//! buffered events into the trace in emission order, so the whole trace
+//! is byte-identical across reruns.
 //!
 //! The serial lane ([`Recorder::begin_span`] / [`Recorder::end_span`] /
 //! [`Recorder::emit`]) is for code that is already single-threaded per
@@ -131,11 +129,11 @@ impl Recorder {
         Recorder::default()
     }
 
-    // -- concurrent lane (workers) ------------------------------------
+    // -- invocation lane (runtime wrappers) ---------------------------
 
     /// Buffer an event observed during the invocation `(step, attempt)`.
-    /// Called by runtime wrappers (chaos, resilience) from any worker
-    /// thread; the event enters the trace when the executor's fold
+    /// Called by runtime wrappers (chaos, resilience) while the step's
+    /// tool runs; the event enters the trace when the executor's fold
     /// reaches that step. Also bumps the `events.<label>` counter.
     pub fn emit_invocation(&self, step: &str, attempt: u32, kind: EventKind) {
         let mut state = self.state.lock();

@@ -6,7 +6,7 @@
 //! timestamped in **logical ticks** — the executor's own attempt/backoff
 //! counters — never wall clock. Two runs of the same (scenario, query,
 //! fault seed) therefore produce byte-identical traces regardless of
-//! worker count or machine speed; the conformance `no-wall-clock` rule
+//! concurrent load or machine speed; the conformance `no-wall-clock` rule
 //! enforces the discipline statically.
 //!
 //! Span ids are content-derived via the same SplitMix64 fold the world
@@ -224,8 +224,9 @@ impl Trace {
     }
 }
 
-/// Fold a string into hash words: length prefix plus packed bytes
-/// (same scheme the campaign provenance layer uses).
+/// Fold a string into hash words: a length prefix, then the bytes packed
+/// eight to a word, little-endian. (The campaign provenance layer's
+/// `str_words` feeds one word per byte instead, so the two differ.)
 pub(crate) fn str_words(s: &str) -> Vec<u64> {
     let bytes = s.as_bytes();
     let mut words = Vec::with_capacity(1 + bytes.len() / 8 + 1);

@@ -1,10 +1,11 @@
 //! The trace determinism suite: for arbitrary generated DAGs *and*
 //! arbitrary generated fault plans, the recorder's canonical trace is
 //!
-//! * byte-identical across 1, 2 and 8 executor workers — concurrent
+//! * byte-identical across reruns (fresh recorder, fresh runtime) —
 //!   invocation events are buffered per `(step, attempt)` and drained by
-//!   the executor's single-threaded fold in workflow list order;
-//! * byte-identical across reruns (fresh recorder, fresh runtime);
+//!   the executor's fold in workflow list order;
+//! * byte-identical when 1, 2 or 8 worker threads each trace the same
+//!   workflow at once into their own recorders;
 //! * structurally well-formed — every span parent and every event span
 //!   reference resolves;
 //! * in agreement with the typed `ExecutionReport` on every count both
@@ -137,19 +138,13 @@ fn traced_run(
     wf: &Workflow,
     registry: &Registry,
     plan: &FaultPlan,
-    workers: usize,
     retry: RetryPolicy,
 ) -> (String, u64, String, MetricsSnapshot, Trace, ExecutionReport) {
     let recorder = Arc::new(Recorder::new());
     let runtime =
         ChaosRuntime::new(BaseRuntime, plan.clone()).with_recorder(Arc::clone(&recorder));
-    let report = execute_with(
-        wf,
-        registry,
-        &runtime,
-        &BTreeMap::new(),
-        &ExecOptions { workers, retry, recorder: Some(Arc::clone(&recorder)) },
-    );
+    let options = ExecOptions { retry, recorder: Some(Arc::clone(&recorder)), ..Default::default() };
+    let report = execute_with(wf, registry, &runtime, &BTreeMap::new(), &options);
     (
         recorder.trace_json(),
         recorder.trace_hash(),
@@ -207,26 +202,31 @@ fn assert_trace_matches_report(trace: &Trace, report: &ExecutionReport) {
     assert_eq!(failed_steps, report.failed, "failed step spans");
 }
 
+/// Runs `run` on `workers` threads at once and returns every result.
+fn concurrently<T: Send>(workers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&run)).collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
+    })
+}
+
 fn check_plan(specs: &[StepSpec], plan: &FaultPlan) {
     let wf = build_workflow(specs);
     let registry = toy_registry();
     let retry = RetryPolicy::with_retries(2);
-    let baseline = traced_run(&wf, &registry, plan, 1, retry);
+    let baseline = traced_run(&wf, &registry, plan, retry);
     assert_well_formed(&baseline.4);
     assert_trace_matches_report(&baseline.4, &baseline.5);
-    // Byte-identical across worker counts: same JSON, hash, Chrome
-    // export and metrics snapshot.
-    for workers in [2usize, 8] {
-        let run = traced_run(&wf, &registry, plan, workers, retry);
-        assert_eq!(run.0, baseline.0, "workers={workers}: canonical trace diverged");
-        assert_eq!(run.1, baseline.1, "workers={workers}: trace hash diverged");
-        assert_eq!(run.2, baseline.2, "workers={workers}: chrome export diverged");
-        assert_eq!(run.3, baseline.3, "workers={workers}: metrics diverged");
+    // Every worker's run is a rerun with a fresh recorder and runtime:
+    // same JSON, hash, Chrome export and metrics snapshot.
+    for workers in [1usize, 2, 8] {
+        for run in concurrently(workers, || traced_run(&wf, &registry, plan, retry)) {
+            assert_eq!(run.0, baseline.0, "workers={workers}: canonical trace diverged");
+            assert_eq!(run.1, baseline.1, "workers={workers}: trace hash diverged");
+            assert_eq!(run.2, baseline.2, "workers={workers}: chrome export diverged");
+            assert_eq!(run.3, baseline.3, "workers={workers}: metrics diverged");
+        }
     }
-    // Byte-identical on rerun (fresh recorder, fresh chaos counters).
-    let again = traced_run(&wf, &registry, plan, 1, retry);
-    assert_eq!(again.0, baseline.0, "rerun diverged");
-    assert_eq!(again.1, baseline.1);
 }
 
 proptest! {

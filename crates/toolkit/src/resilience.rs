@@ -21,16 +21,19 @@
 //! Trips, sheds and fallbacks are read back from an attached
 //! [`Recorder`] as events and `events.*` counters.
 //!
-//! Breaker state is per-runtime, and runtimes are built per
-//! epoch-pinned session (see `arachnet::Session`): a curated registry
-//! swap never leaks breaker counters across epochs, because the new
-//! epoch's sessions start with fresh wrappers.
+//! Breaker state is per-runtime, and sessions build a fresh runtime
+//! stack for every query they execute (see `arachnet::Session`): a
+//! curated registry swap never leaks breaker counters across epochs,
+//! and concurrent queries never share them.
 //!
-//! Determinism note: counters are shared across worker threads, so the
-//! *sequence* of breaker transitions is deterministic for sequential
-//! execution (workers = 1) or per-function serialized call patterns.
-//! Chaos-suite determinism pins the retry/degradation layers; breaker
-//! trip sequences are pinned by their own sequential tests.
+//! Determinism note: the workflow executor invokes one step at a time,
+//! in workflow list order, on the caller's thread. A breaker shared by
+//! several steps of one workflow therefore sees the same call sequence
+//! on every run, and its transitions, sheds and fallbacks are a pure
+//! function of the workflow, the fault plan and the breaker tuning. The
+//! chaos suite pins this with arbitrary breaker tuning over arbitrary
+//! fault plans, on DAGs whose steps share functions. Only a caller that
+//! shares one wrapper across its own threads interleaves its counters.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -141,10 +144,8 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
     /// Attach a telemetry recorder. Events observed during an executor
     /// invocation are buffered per `(step, attempt)` and drained into the
     /// trace by the executor's deterministic fold; events on the
-    /// context-free `invoke` path are counted in metrics only. Breaker
-    /// transition *sequences* within one step's retry loop are serialized
-    /// (one thread) and therefore deterministic — see the module docs for
-    /// the cross-step caveat.
+    /// context-free `invoke` path are counted in metrics only. See the
+    /// module docs for why transition sequences are deterministic.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> ResilientRuntime<R> {
         self.recorder = Some(recorder);
         self

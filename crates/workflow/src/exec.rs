@@ -1,27 +1,28 @@
 //! The workflow executor.
 //!
-//! Steps run over a dependency DAG against a [`ToolRuntime`] (the binding
-//! from function ids to actual measurement-tool calls lives in the
-//! `toolkit` crate). Values cross step boundaries as Arc-shared
-//! [`Value`]s — a declared [`DataFormat`](registry::DataFormat) plus a payload that is either
+//! Steps run against a [`ToolRuntime`] (the binding from function ids to
+//! actual measurement-tool calls lives in the `toolkit` crate). Values
+//! cross step boundaries as Arc-shared [`Value`]s — a declared
+//! [`DataFormat`](registry::DataFormat) plus a payload that is either
 //! JSON or a native substrate artifact (see [`crate::value`]) — so
 //! fan-out never deep-clones.
 //!
-//! Independent steps execute **in parallel**: the executor derives the
-//! dependency DAG from the step bindings and runs ready steps across a
-//! scoped worker pool ([`ExecOptions::workers`]). The report is
-//! **bit-identical for any worker count**: each step's result is a pure
-//! function of its inputs, per-step QA findings are buffered and stitched
-//! back together in workflow list order, and the result/output maps are
-//! keyed canonically.
+//! Steps run **on the caller's thread, in workflow list order**. A step
+//! binding names the latest *prior* step with its target id, so list
+//! order is a topological order of the dependency DAG. Parallelism lives
+//! one layer up: campaign workers and session clients each run whole
+//! queries, and one query never starts threads of its own. Every runtime
+//! wrapper (fault plans, circuit breakers, recorders) therefore sees one
+//! call sequence per query, and the report is a pure function of the
+//! workflow, the runtime and the arguments.
 //!
 //! Quality assurance is woven into execution, as SolutionWeaver embeds it
 //! in generated code: every step's output is verified against its declared
 //! format, empty results raise sanity findings, and failed steps poison
 //! (skip) their dependents instead of aborting the whole run.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use registry::{FunctionId, Registry};
 use serde::{Deserialize, Serialize};
@@ -64,7 +65,7 @@ impl std::error::Error for ToolError {}
 /// Per-invocation context the executor hands to the runtime: which step is
 /// calling and which retry attempt this is. Fault injectors key on it so
 /// injected faults are a pure function of the workflow shape — never of
-/// worker interleaving.
+/// call order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvokeContext<'a> {
     /// The workflow step being executed.
@@ -75,8 +76,8 @@ pub struct InvokeContext<'a> {
 
 /// The binding from registry functions to actual tool implementations.
 ///
-/// Runtimes are `Sync`: the executor invokes independent steps from
-/// multiple worker threads against one shared runtime, exactly as the
+/// Runtimes are `Sync`: concurrent callers (campaign workers, session
+/// clients) may run queries against one shared runtime, exactly as the
 /// serving engine shares one artifact store across sessions.
 pub trait ToolRuntime: Sync {
     /// Invokes `function` with named arguments.
@@ -90,9 +91,8 @@ pub trait ToolRuntime: Sync {
     ///
     /// The executor always calls this entry point; the default forwards to
     /// [`ToolRuntime::invoke`], so ordinary runtimes implement only that.
-    /// Wrappers that must behave deterministically under parallel
-    /// execution (chaos injectors, circuit breakers) override this and key
-    /// their decisions on `(step, attempt)` instead of arrival order.
+    /// Wrappers that key their decisions or their telemetry on the
+    /// calling step (chaos injectors, circuit breakers) override this.
     fn invoke_with(
         &self,
         ctx: &InvokeContext<'_>,
@@ -203,7 +203,7 @@ impl RunHealth {
 }
 
 /// The full execution report. Deterministic for a given workflow, runtime
-/// and argument set — independent of the executor's worker count.
+/// and argument set.
 #[derive(Debug, PartialEq)]
 pub struct ExecutionReport {
     /// Per-step results, in canonical step-id order.
@@ -245,7 +245,7 @@ impl ExecutionReport {
 ///
 /// Only [`ToolError::Failed`] with `transient: true` is retried. Backoff
 /// is counted in *logical ticks* — `base << attempt` — never wall-clock
-/// sleeps, so retried runs stay bit-identical at any worker count.
+/// sleeps, so retried runs stay bit-identical across reruns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first (0 disables retries).
@@ -273,34 +273,19 @@ impl RetryPolicy {
 }
 
 /// Executor tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// Worker threads for independent steps. The report is identical for
-    /// any value; `1` forces sequential execution.
+    /// Ignored. Steps run on the caller's thread in workflow list order;
+    /// callers that want parallelism run several queries at once.
+    #[deprecated(note = "steps run on the caller's thread; this field is ignored")]
     pub workers: usize,
     /// Retry budget for transient tool failures.
     pub retry: RetryPolicy,
     /// Optional deterministic trace/metrics collector. When present, the
-    /// executor's fold assembles workflow/step/attempt spans (in workflow
-    /// list order, so traces are byte-identical at any worker count) and
-    /// runtime wrappers attach their buffered invocation events.
+    /// executor's fold assembles workflow/step/attempt spans in workflow
+    /// list order and runtime wrappers attach their buffered invocation
+    /// events.
     pub recorder: Option<Arc<Recorder>>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            workers: default_workers(),
-            retry: RetryPolicy::default(),
-            recorder: None,
-        }
-    }
-}
-
-/// The default worker count: the machine's parallelism, capped — workflow
-/// DAGs are shallow and the substrate calls parallelize internally too.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
 /// Executes a workflow with default options.
@@ -317,9 +302,7 @@ pub fn execute(
     execute_with(workflow, registry, runtime, query_args, &ExecOptions::default())
 }
 
-/// What one scheduled step produced: its result plus the QA findings it
-/// emitted, buffered so the report can stitch findings back into workflow
-/// list order regardless of completion order.
+/// What one step produced: its result plus the QA findings it emitted.
 struct StepOutcome {
     result: StepResult,
     qa: Vec<QaFinding>,
@@ -332,17 +315,14 @@ struct StepOutcome {
     backoff_ticks: u64,
 }
 
-/// Scheduler state shared by the worker pool.
-struct Scheduler {
-    /// Indices ready to run, in ascending order of discovery.
-    ready: VecDeque<usize>,
-    /// Unresolved dependency count per step index.
-    pending: Vec<usize>,
-    /// Steps not yet completed.
-    remaining: usize,
-}
-
 /// Executes a workflow with explicit options.
+///
+/// Steps run one at a time on the caller's thread, in workflow list
+/// order. A [`Binding::Step`] resolves to the latest *prior* occurrence
+/// of its target id, so list order is a topological order: every step
+/// reads only outcomes that already exist, and a forward or dangling
+/// reference poisons the step. A panicking tool unwinds straight out of
+/// this call.
 pub fn execute_with(
     workflow: &Workflow,
     registry: &Registry,
@@ -351,140 +331,16 @@ pub fn execute_with(
     options: &ExecOptions,
 ) -> ExecutionReport {
     let steps = &workflow.steps;
-    let n = steps.len();
-
-    // Resolve every Step binding ONCE, to the *latest prior* occurrence
-    // of the target id — the same step a list-order executor would have
-    // seen in its results map (later duplicates overwrite earlier ones
-    // there). `resolved[i][param]` is what scheduling waits on AND what
-    // `run_step` reads, so the two can never disagree. Unresolvable
-    // targets (forward or dangling references) resolve to `None`; the
-    // step poisons at run time, exactly as when the target was absent
-    // from the results map.
-    let mut resolved: Vec<BTreeMap<&String, Option<usize>>> = Vec::with_capacity(n);
+    let run = StepRunner { registry, runtime, query_args, retry: &options.retry };
+    // `latest[id]` indexes the newest earlier step with that id in `done`.
     let mut latest: BTreeMap<&StepId, usize> = BTreeMap::new();
-    for (i, step) in steps.iter().enumerate() {
-        let mut targets = BTreeMap::new();
-        for (name, binding) in &step.inputs {
-            if let Binding::Step(target) = binding {
-                targets.insert(name, latest.get(target).copied());
-            }
-        }
-        resolved.push(targets);
-        latest.insert(&step.id, i);
-    }
-    let dep_indices: Vec<Vec<usize>> = resolved
-        .iter()
-        .map(|targets| {
-            let mut deps: Vec<usize> = targets.values().flatten().copied().collect();
-            deps.sort_unstable();
-            deps.dedup();
-            deps
-        })
-        .collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, deps) in dep_indices.iter().enumerate() {
-        for &j in deps {
-            dependents[j].push(i);
-        }
-    }
-
-    let outcomes: Vec<OnceLock<StepOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
-    let scheduler = Mutex::new(Scheduler {
-        ready: (0..n).filter(|&i| dep_indices[i].is_empty()).collect(),
-        pending: dep_indices.iter().map(Vec::len).collect(),
-        remaining: n,
-    });
-    let wake = Condvar::new();
-    // A panicking tool must not deadlock the pool: the first panic is
-    // parked here and re-raised once every in-flight worker has drained,
-    // preserving the list-order executor's propagation semantics.
-    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    let run = StepRunner {
-        registry,
-        runtime,
-        query_args,
-        steps,
-        outcomes: &outcomes,
-        retry: &options.retry,
-    };
-    let run_worker = || loop {
-        let i = {
-            let mut sched = scheduler.lock().expect("scheduler lock");
-            loop {
-                if sched.remaining == 0 {
-                    return;
-                }
-                if let Some(i) = sched.ready.pop_front() {
-                    break i;
-                }
-                sched = wake.wait(sched).expect("scheduler lock");
-            }
-        };
-
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run.step(i, &resolved[i])
-        }))
-        .unwrap_or_else(|payload| {
-            let mut first = panicked.lock().expect("panic slot");
-            if first.is_none() {
-                *first = Some(payload);
-            }
-            StepOutcome {
-                result: StepResult::Failed(ToolError::Failed {
-                    function: steps[i].function.clone(),
-                    message: "tool panicked".to_string(),
-                    transient: false,
-                }),
-                qa: Vec::new(),
-                invoked: true,
-                retries: 0,
-                backoff_ticks: 0,
-            }
-        });
-        outcomes[i].set(outcome).unwrap_or_else(|_| panic!("step {i} ran twice"));
-
-        let mut sched = scheduler.lock().expect("scheduler lock");
-        sched.remaining -= 1;
-        for &d in &dependents[i] {
-            sched.pending[d] -= 1;
-            if sched.pending[d] == 0 {
-                sched.ready.push_back(d);
-            }
-        }
-        // Wake idle workers for newly ready steps, and everyone at the end.
-        if sched.remaining == 0 || !sched.ready.is_empty() {
-            wake.notify_all();
-        }
-    };
-
-    let workers = options.workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        run_worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(run_worker);
-            }
-        });
-    }
-
-    if let Some(payload) = panicked.lock().expect("panic slot").take() {
-        std::panic::resume_unwind(payload);
-    }
-
-    // Assemble the deterministic report: results keyed canonically (later
-    // duplicate ids overwrite earlier, as the list-order executor did), QA
-    // stitched in workflow list order, counters over step instances.
-    let mut results: BTreeMap<StepId, StepResult> = BTreeMap::new();
-    let mut critical: BTreeMap<&StepId, bool> = BTreeMap::new();
+    let mut done: Vec<StepResult> = Vec::with_capacity(steps.len());
     let mut qa: Vec<QaFinding> = Vec::new();
     let (mut executed, mut failed, mut poisoned) = (0usize, 0usize, 0usize);
     let (mut retries, mut backoff_ticks) = (0usize, 0u64);
-    let mut observations: Vec<StepObservation> = Vec::with_capacity(n);
-    for (i, step) in steps.iter().enumerate() {
-        let outcome = outcomes[i].get().expect("all steps completed");
+    let mut observations: Vec<StepObservation> = Vec::with_capacity(steps.len());
+    for step in steps {
+        let outcome = run.step(step, |target| latest.get(target).map(|&j| &done[j]));
         if outcome.invoked {
             executed += 1;
         }
@@ -512,13 +368,22 @@ pub fn execute_with(
                 poison_roots,
             });
         }
-        qa.extend(outcome.qa.iter().cloned());
-        results.insert(step.id.clone(), outcome.result.clone());
-        critical.insert(&step.id, step.critical);
+        qa.extend(outcome.qa);
+        latest.insert(&step.id, done.len());
+        done.push(outcome.result);
     }
 
     if let Some(recorder) = &options.recorder {
         recorder.record_workflow(&workflow.id, options.retry.backoff_base_ticks, &observations);
+    }
+
+    // Results are keyed canonically; a later duplicate id overwrites an
+    // earlier one.
+    let mut results: BTreeMap<StepId, StepResult> = BTreeMap::new();
+    let mut critical: BTreeMap<&StepId, bool> = BTreeMap::new();
+    for (step, result) in steps.iter().zip(done) {
+        results.insert(step.id.clone(), result);
+        critical.insert(&step.id, step.critical);
     }
 
     let outputs: BTreeMap<StepId, Value> = workflow
@@ -578,35 +443,31 @@ fn compute_health(
     }
 }
 
-/// What every step of one execution reads: the workflow, its arguments,
-/// the runtime, and the outcomes of steps that already completed.
-#[derive(Clone, Copy)]
+/// What every step of one execution reads: the registry, the runtime,
+/// the query arguments and the retry budget.
 struct StepRunner<'a> {
     registry: &'a Registry,
     runtime: &'a dyn ToolRuntime,
     query_args: &'a BTreeMap<String, Value>,
-    steps: &'a [crate::Step],
-    outcomes: &'a [OnceLock<StepOutcome>],
     retry: &'a RetryPolicy,
 }
 
 impl StepRunner<'_> {
-    /// Runs one step: binding resolution (first unsatisfiable binding in
-    /// parameter-name order wins, matching the list-order executor), tool
-    /// invocation with budgeted retries, woven-in QA.
-    fn step(
+    /// Runs one step: binding resolution (the first unsatisfiable
+    /// binding in parameter-name order decides the step's category),
+    /// tool invocation with budgeted retries, woven-in QA. `prior`
+    /// returns the result of the latest earlier step with a given id.
+    fn step<'r>(
         &self,
-        index: usize,
-        resolved_targets: &BTreeMap<&String, Option<usize>>,
+        step: &crate::Step,
+        prior: impl Fn(&StepId) -> Option<&'r StepResult>,
     ) -> StepOutcome {
-        let StepRunner { registry, runtime, query_args, steps, outcomes, retry } = *self;
-        let step = &steps[index];
+        let StepRunner { registry, runtime, query_args, retry } = *self;
         let mut qa: Vec<QaFinding> = Vec::new();
 
         // Resolve bindings. Once a poisoned binding is seen, the remaining
         // bindings are scanned only to widen the root-cause list — they can
-        // no longer change the step's category (matching the list-order
-        // executor, where the first unsatisfiable binding decided it).
+        // no longer change the step's category.
         let mut args: BTreeMap<String, Value> = BTreeMap::new();
         let mut poison_roots: Vec<StepId> = Vec::new();
         for (name, binding) in &step.inputs {
@@ -637,43 +498,19 @@ impl StepRunner<'_> {
                     }
                     None => {}
                 },
-                Binding::Step(target) => {
-                    // The scheduler waited on exactly this index (same map).
-                    let resolved_index = resolved_targets.get(name).copied().flatten();
-                    let resolved = resolved_index
-                        .and_then(|j| outcomes[j].get())
-                        .and_then(|o| o.result.value());
-                    match resolved {
-                        Some(v) => {
-                            args.insert(name.clone(), v.clone());
-                        }
-                        None => {
-                            // Attribute the root cause: a failed dependency
-                            // contributes its own id, a poisoned one its
-                            // (already transitive) roots, and an unresolvable
-                            // target — forward or dangling reference — the
-                            // referenced id itself.
-                            let mut attributed = false;
-                            if let Some(outcome) = resolved_index.and_then(|j| outcomes[j].get()) {
-                                match &outcome.result {
-                                    StepResult::Failed(_) => {
-                                        let j = resolved_index.unwrap_or(index);
-                                        poison_roots.push(steps[j].id.clone());
-                                        attributed = true;
-                                    }
-                                    StepResult::Poisoned { failed_dependencies } => {
-                                        poison_roots.extend(failed_dependencies.iter().cloned());
-                                        attributed = true;
-                                    }
-                                    StepResult::Ok(_) => {}
-                                }
-                            }
-                            if !attributed {
-                                poison_roots.push(target.clone());
-                            }
-                        }
+                // Attribute the root cause: a poisoned dependency
+                // contributes its (already transitive) roots; a failed
+                // one, or an unresolvable target (forward or dangling
+                // reference), the referenced id itself.
+                Binding::Step(target) => match prior(target) {
+                    Some(StepResult::Ok(v)) => {
+                        args.insert(name.clone(), v.clone());
                     }
-                }
+                    Some(StepResult::Poisoned { failed_dependencies }) => {
+                        poison_roots.extend(failed_dependencies.iter().cloned());
+                    }
+                    Some(StepResult::Failed(_)) | None => poison_roots.push(target.clone()),
+                },
             }
         }
         if !poison_roots.is_empty() {
@@ -788,6 +625,8 @@ fn invoke_entry(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
     use crate::Step;
     use registry::{CapabilityEntry, DataFormat, Implementation, Param, Registry};
@@ -937,8 +776,17 @@ mod tests {
         assert_eq!(report.sole_output().unwrap().json(), &serde_json::json!(3));
     }
 
-    /// A diamond DAG: fan-out runs in parallel, and every worker count
-    /// produces the identical report.
+    /// Runs `run` on `callers` threads at once and returns every result.
+    fn concurrently<T: Send>(callers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..callers).map(|_| scope.spawn(&run)).collect();
+            handles.into_iter().map(|h| h.join().expect("caller thread")).collect()
+        })
+    }
+
+    /// A DAG with fan-out and a failing branch: 1, 2 and 8 concurrent
+    /// callers (worker threads) sharing one runtime each get the report a
+    /// lone caller gets.
     #[test]
     fn dag_report_is_worker_count_invariant() {
         let wf = Workflow::new("w", "q")
@@ -950,32 +798,20 @@ mod tests {
             .with_output("left")
             .with_output("right");
         let reg = registry();
-        let baseline = execute_with(
-            &wf,
-            &reg,
-            &ToyRuntime,
-            &BTreeMap::new(),
-            &ExecOptions { workers: 1, ..Default::default() },
-        );
-        for workers in [2, 4, 8] {
-            let parallel = execute_with(
-                &wf,
-                &reg,
-                &ToyRuntime,
-                &BTreeMap::new(),
-                &ExecOptions { workers, ..Default::default() },
-            );
-            assert_eq!(parallel, baseline, "workers={workers}");
+        let baseline = execute(&wf, &reg, &ToyRuntime, &BTreeMap::new());
+        for callers in [1, 2, 8] {
+            for report in concurrently(callers, || execute(&wf, &reg, &ToyRuntime, &BTreeMap::new())) {
+                assert_eq!(report, baseline, "callers={callers}");
+            }
         }
         assert_eq!(baseline.failed, 1);
         assert_eq!(baseline.poisoned, 1);
         assert_eq!(baseline.outputs.len(), 2);
     }
 
-    /// A panicking tool propagates the panic (as the list-order executor
-    /// did) instead of deadlocking the worker pool.
+    /// A panicking tool unwinds out of the executor.
     #[test]
-    fn tool_panic_propagates_at_any_worker_count() {
+    fn tool_panic_propagates() {
         struct PanickyRuntime;
         impl ToolRuntime for PanickyRuntime {
             fn invoke(
@@ -993,18 +829,10 @@ mod tests {
             .with_step(Step::new("a", "toy.make"))
             .with_step(Step::new("boom", "toy.fail"))
             .with_step(Step::new("b", "toy.count").bind_step("table", "a"));
-        for workers in [1usize, 4] {
-            let result = std::panic::catch_unwind(|| {
-                execute_with(
-                    &wf,
-                    &registry(),
-                    &PanickyRuntime,
-                    &BTreeMap::new(),
-                    &ExecOptions { workers, ..Default::default() },
-                )
-            });
-            assert!(result.is_err(), "workers={workers}: panic must propagate");
-        }
+        let result = std::panic::catch_unwind(|| {
+            execute(&wf, &registry(), &PanickyRuntime, &BTreeMap::new())
+        });
+        assert!(result.is_err(), "panic must propagate");
     }
 
     /// Forward references poison (the target never resolves), exactly as
@@ -1050,7 +878,7 @@ mod tests {
 
     /// The diamond-DAG propagation contract: one shared upstream failure
     /// poisons both branches and their join — and nothing in an unrelated
-    /// subtree — identically at 1, 2 and 8 workers.
+    /// subtree.
     #[test]
     fn diamond_failure_poisons_both_branches_only() {
         let wf = Workflow::new("w", "q")
@@ -1066,24 +894,7 @@ mod tests {
             .with_step(Step::new("other_leaf", "toy.count").bind_step("table", "other_root"))
             .with_output("join")
             .with_output("other_leaf");
-        let reg = registry();
-        let baseline = execute_with(
-            &wf,
-            &reg,
-            &ToyRuntime,
-            &BTreeMap::new(),
-            &ExecOptions { workers: 1, ..Default::default() },
-        );
-        for workers in [2, 8] {
-            let parallel = execute_with(
-                &wf,
-                &reg,
-                &ToyRuntime,
-                &BTreeMap::new(),
-                &ExecOptions { workers, ..Default::default() },
-            );
-            assert_eq!(parallel, baseline, "workers={workers}");
-        }
+        let baseline = execute(&wf, &registry(), &ToyRuntime, &BTreeMap::new());
         let apex_roots = vec![StepId::from("apex")];
         for poisoned in ["left", "right", "join"] {
             assert!(
@@ -1142,7 +953,7 @@ mod tests {
             &registry(),
             &TransientRuntime { fail_attempts: 2 },
             &BTreeMap::new(),
-            &ExecOptions { workers: 1, retry: RetryPolicy::with_retries(3), ..Default::default() },
+            &ExecOptions { retry: RetryPolicy::with_retries(3), ..Default::default() },
         );
         assert!(report.all_ok(), "qa: {:?}", report.qa);
         assert_eq!(report.health, RunHealth::Ok);
@@ -1200,7 +1011,7 @@ mod tests {
             &registry(),
             &runtime,
             &BTreeMap::new(),
-            &ExecOptions { workers: 1, retry: RetryPolicy::with_retries(1), ..Default::default() },
+            &ExecOptions { retry: RetryPolicy::with_retries(1), ..Default::default() },
         );
         assert!(report.all_ok(), "qa: {:?}", report.qa);
         assert_eq!(report.retries, 1);
@@ -1218,7 +1029,7 @@ mod tests {
             &registry(),
             &TransientRuntime { fail_attempts: 5 },
             &BTreeMap::new(),
-            &ExecOptions { workers: 1, retry: RetryPolicy::with_retries(1), ..Default::default() },
+            &ExecOptions { retry: RetryPolicy::with_retries(1), ..Default::default() },
         );
         assert_eq!(report.failed, 1);
         assert_eq!(report.retries, 1);
@@ -1236,7 +1047,7 @@ mod tests {
             &registry(),
             &ToyRuntime,
             &BTreeMap::new(),
-            &ExecOptions { workers: 1, retry: RetryPolicy::with_retries(5), ..Default::default() },
+            &ExecOptions { retry: RetryPolicy::with_retries(5), ..Default::default() },
         );
         assert_eq!(report.failed, 1);
         assert_eq!(report.retries, 0, "transient: false skips the retry budget");

@@ -13,8 +13,8 @@
 //! * [`value`] — the Arc-shared [`Value`] model: payloads cross step
 //!   boundaries as shared JSON or native substrate artifacts, never as
 //!   deep clones;
-//! * [`exec`] — a parallel dependency-DAG executor over a
-//!   [`exec::ToolRuntime`], bit-identical for any worker count, with
+//! * [`exec`] — a dependency-DAG executor over a [`exec::ToolRuntime`]
+//!   that runs steps in list order on the caller's thread, with
 //!   quality assurance woven in (per-step format verification, emptiness
 //!   sanity checks, uncertainty accounting) rather than bolted on;
 //! * [`render`] — deterministic rendering to Python-like source text, used

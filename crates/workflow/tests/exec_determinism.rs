@@ -1,14 +1,15 @@
 //! Executor determinism: proptest-generated DAGs — with failures,
 //! poisoning chains, empty outputs and missing query arguments — must
-//! produce byte-identical [`ExecutionReport`]s at 1, 2 and 8 workers,
-//! including the QA-finding order.
+//! produce byte-identical [`ExecutionReport`]s, including the QA-finding
+//! order, when 1, 2 or 8 worker threads run the same workflow at once
+//! against one shared runtime.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use registry::{CapabilityEntry, DataFormat, FunctionId, Param, Registry};
-use workflow::{execute_with, ExecOptions, Step, ToolError, ToolRuntime, Value, Workflow};
+use workflow::{execute, Step, ToolError, ToolRuntime, Value, Workflow};
 
 /// What one generated step does.
 #[derive(Debug, Clone, Copy)]
@@ -123,20 +124,30 @@ fn build_workflow(specs: &[StepSpec]) -> Workflow {
     wf
 }
 
+/// Runs `run` on `workers` threads at once and returns every result.
+fn concurrently<T: Send>(workers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&run)).collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The full report — results, outputs, QA findings (and their order),
-    /// counters — is identical at 1, 2 and 8 workers.
+    /// counters — is identical for every one of 1, 2 and 8 concurrent
+    /// worker threads.
     #[test]
     fn reports_identical_across_worker_counts(specs in proptest::collection::vec(step_spec(), 1..14)) {
         let wf = build_workflow(&specs);
         let registry = dag_registry();
         let args = BTreeMap::new();
-        let baseline = execute_with(&wf, &registry, &DagRuntime, &args, &ExecOptions { workers: 1, ..Default::default() });
-        for workers in [2usize, 8] {
-            let report = execute_with(&wf, &registry, &DagRuntime, &args, &ExecOptions { workers, ..Default::default() });
-            prop_assert_eq!(&report, &baseline);
+        let baseline = execute(&wf, &registry, &DagRuntime, &args);
+        for workers in [1usize, 2, 8] {
+            for report in concurrently(workers, || execute(&wf, &registry, &DagRuntime, &args)) {
+                prop_assert_eq!(&report, &baseline);
+            }
         }
         // Sanity: counters cover every step instance.
         prop_assert_eq!(baseline.results.len(), specs.len());
@@ -144,12 +155,12 @@ proptest! {
 
     /// Failure accounting holds for any DAG shape: failed steps are the
     /// Fail/MissingArg ones, and every step downstream of a non-Ok step
-    /// poisons — deterministically at any worker count.
+    /// poisons.
     #[test]
     fn poisoning_is_transitive_and_deterministic(specs in proptest::collection::vec(step_spec(), 1..14)) {
         let wf = build_workflow(&specs);
         let registry = dag_registry();
-        let report = execute_with(&wf, &registry, &DagRuntime, &BTreeMap::new(), &ExecOptions { workers: 8, ..Default::default() });
+        let report = execute(&wf, &registry, &DagRuntime, &BTreeMap::new());
 
         // Recompute expected per-step health sequentially.
         let mut ok = vec![false; specs.len()];

@@ -31,7 +31,9 @@ fn spec() -> CampaignSpec {
     )
 }
 
-fn run_campaign(workers: usize, plan: Option<FaultPlan>) -> CampaignReport {
+/// Serves the spec at `workers` campaign workers, or at the runner's
+/// default worker count when `None`.
+fn run_campaign(workers: Option<usize>, plan: Option<FaultPlan>) -> CampaignReport {
     let mut engine = Engine::new(
         Arc::new(DeterministicExpertModel::new()),
         toolkit::standard_registry(),
@@ -39,12 +41,17 @@ fn run_campaign(workers: usize, plan: Option<FaultPlan>) -> CampaignReport {
     if let Some(plan) = plan {
         engine = engine.with_fault_plan(plan);
     }
-    CampaignRunner::new(&engine).with_workers(workers).run(&spec())
+    let runner = CampaignRunner::new(&engine);
+    match workers {
+        Some(workers) => runner.with_workers(workers),
+        None => runner,
+    }
+    .run(&spec())
 }
 
 #[test]
 fn campaign_serves_composed_ensembles_with_provenance() {
-    let report = run_campaign(workflow::exec::default_workers(), None);
+    let report = run_campaign(None, None);
 
     // 2 hijack draws × 2 variants + 2 composed fleets × 2 variants.
     assert_eq!(report.scorecard.queries, 8);
@@ -80,9 +87,9 @@ fn campaign_serves_composed_ensembles_with_provenance() {
 
 #[test]
 fn campaign_reports_are_worker_count_invariant() {
-    let base = run_campaign(1, None);
+    let base = run_campaign(Some(1), None);
     for workers in [2usize, 8] {
-        let other = run_campaign(workers, None);
+        let other = run_campaign(Some(workers), None);
         assert_eq!(base.outcomes, other.outcomes, "{workers} workers: outcomes diverged");
         assert_eq!(base.scorecard, other.scorecard, "{workers} workers: scorecard diverged");
         assert_eq!(base.provenance_hashes(), other.provenance_hashes());
@@ -92,7 +99,7 @@ fn campaign_reports_are_worker_count_invariant() {
 #[test]
 fn faulted_campaigns_degrade_deterministically() {
     let plan = || FaultPlan::new(7).with_fault("bgp.valley_violations", FaultKind::Persistent);
-    let base = run_campaign(1, Some(plan()));
+    let base = run_campaign(Some(1), Some(plan()));
 
     // The outage degrades forensics runs instead of failing the campaign,
     // and the scorecard surfaces the blast radius.
@@ -105,7 +112,7 @@ fn faulted_campaigns_degrade_deterministically() {
 
     // Degraded serving replays bit-identically across worker counts too.
     for workers in [2usize, 8] {
-        let other = run_campaign(workers, Some(plan()));
+        let other = run_campaign(Some(workers), Some(plan()));
         assert_eq!(base.outcomes, other.outcomes, "{workers} workers (faulted)");
         assert_eq!(base.scorecard, other.scorecard);
     }

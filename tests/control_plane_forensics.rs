@@ -2,9 +2,9 @@
 //!
 //! A hijack scenario registered through `Engine::register_family` must
 //! produce MOAS-conflict detections in a *session-served* forensics
-//! query, with the execution bit-identical across 1/2/8 executor
-//! workers (the routing sweep itself is pinned worker-invariant by
-//! `crates/bgp-sim/tests/dense_equivalence.rs`).
+//! query, with the execution bit-identical across 1/2/8 concurrent
+//! sessions on one engine (the routing sweep itself is pinned
+//! thread-count-invariant by `crates/bgp-sim/tests/dense_equivalence.rs`).
 
 use std::sync::Arc;
 
@@ -18,12 +18,11 @@ const FORENSICS_QUERY: &str =
      ago. Determine whether a prefix hijack or a route leak caused this, and identify \
      the offending AS.";
 
-fn hijack_engine(workers: usize) -> (Engine, Vec<FamilyScenario>) {
+fn hijack_engine() -> (Engine, Vec<FamilyScenario>) {
     let engine = Engine::new(
         Arc::new(DeterministicExpertModel::new()),
         catalog::standard_registry(),
-    )
-    .with_exec_workers(workers);
+    );
     let fleet = engine.register_family(
         arachnet::Family::TargetedPrefixHijack,
         &arachnet::FamilyParams::default(),
@@ -31,21 +30,26 @@ fn hijack_engine(workers: usize) -> (Engine, Vec<FamilyScenario>) {
     (engine, fleet)
 }
 
-fn serve(workers: usize) -> (String, SessionRun) {
-    let (engine, fleet) = hijack_engine(workers);
-    let key = fleet[0].key.clone();
-    let session = engine.session(&key).expect("fleet registered");
+/// Opens a session on `key` and serves the forensics query through it.
+fn serve_on(engine: &Engine, key: &str) -> SessionRun {
+    let session = engine.session(key).expect("fleet registered");
     let scenario = session.scenario();
     let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
     let context: QueryContext =
         catalog::query_context(&scenario.world, scenario.now, horizon_days);
-    let run = session.run(FORENSICS_QUERY, &context).expect("forensics query serves");
+    session.run(FORENSICS_QUERY, &context).expect("forensics query serves")
+}
+
+fn serve() -> (String, SessionRun) {
+    let (engine, fleet) = hijack_engine();
+    let key = fleet[0].key.clone();
+    let run = serve_on(&engine, &key);
     (key, run)
 }
 
 #[test]
 fn family_registered_hijack_serves_a_forensics_query_with_moas_detections() {
-    let (key, run) = serve(workflow::exec::default_workers());
+    let (key, run) = serve();
     assert!(key.starts_with("targeted-prefix-hijack/"), "family key: {key}");
     assert!(run.report.all_ok(), "qa: {:?}", run.report.qa);
 
@@ -92,15 +96,24 @@ fn family_registered_hijack_serves_a_forensics_query_with_moas_detections() {
     assert!(!table.rows.is_empty(), "the capture cone touches some countries");
 }
 
+/// 1, 2 and 8 worker threads each open a session on one fresh engine
+/// and serve the query at once; every run matches a lone serve.
 #[test]
 fn forensics_serving_is_bit_identical_across_worker_counts() {
-    let (_, base) = serve(1);
-    for workers in [2usize, 8] {
-        let (_, run) = serve(workers);
-        assert_eq!(
-            run.solution.source_code, base.solution.source_code,
-            "{workers} workers: generated solution diverged"
-        );
-        assert_eq!(run.report, base.report, "{workers} workers: execution diverged");
+    let (key, base) = serve();
+    for workers in [1usize, 2, 8] {
+        let (engine, _) = hijack_engine();
+        let runs: Vec<SessionRun> = std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                (0..workers).map(|_| scope.spawn(|| serve_on(&engine, &key))).collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
+        });
+        for run in runs {
+            assert_eq!(
+                run.solution.source_code, base.solution.source_code,
+                "{workers} workers: generated solution diverged"
+            );
+            assert_eq!(run.report, base.report, "{workers} workers: execution diverged");
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! `health = Degraded` — the valley detector is non-critical enrichment
 //! — and still return the MOAS detections that identify the hijack.
 //! With a *transient* fault and a retry budget instead, the same query
-//! must ride through to a healthy run. Both behaviors are bit-identical
-//! across 1/2/8 executor workers.
+//! must ride through to a healthy run. The degraded run is bit-identical
+//! across 1/2/8 concurrent sessions on one engine.
 
 use std::sync::Arc;
 
@@ -22,15 +22,19 @@ const FORENSICS_QUERY: &str =
      ago. Determine whether a prefix hijack or a route leak caused this, and identify \
      the offending AS.";
 
-fn serve(workers: usize, plan: FaultPlan, retry: RetryPolicy) -> SessionRun {
+fn engine(plan: FaultPlan, retry: RetryPolicy) -> Engine {
     let engine = Engine::new(
         Arc::new(DeterministicExpertModel::new()),
         catalog::standard_registry(),
     )
-    .with_exec_workers(workers)
     .with_fault_plan(plan)
     .with_retry_policy(retry);
     engine.register_scenario("cs5", scenarios::cs5_hijack_scenario());
+    engine
+}
+
+/// Opens a CS5 session and serves the forensics query through it.
+fn serve_on(engine: &Engine) -> SessionRun {
     let session = engine.session("cs5").expect("cs5 registered");
     let scenario = session.scenario();
     let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
@@ -39,13 +43,17 @@ fn serve(workers: usize, plan: FaultPlan, retry: RetryPolicy) -> SessionRun {
     session.run(FORENSICS_QUERY, &context).expect("query serves despite the fault")
 }
 
+fn serve(plan: FaultPlan, retry: RetryPolicy) -> SessionRun {
+    serve_on(&engine(plan, retry))
+}
+
 fn valley_outage() -> FaultPlan {
     FaultPlan::new(1).with_fault("bgp.valley_violations", FaultKind::Persistent)
 }
 
 #[test]
 fn persistent_valley_failure_degrades_but_keeps_moas_detections() {
-    let run = serve(workflow::exec::default_workers(), valley_outage(), RetryPolicy::default());
+    let run = serve(valley_outage(), RetryPolicy::default());
 
     // The run degrades instead of failing: the only failed step is the
     // (non-critical) valley detector.
@@ -76,13 +84,21 @@ fn persistent_valley_failure_degrades_but_keeps_moas_detections() {
     assert!(run.report.poisoned > 0, "attribution depends on the valley detector");
 }
 
+/// 1, 2 and 8 worker threads each open a session on one fresh engine
+/// and serve the degraded query at once; every run matches a lone serve.
 #[test]
 fn degraded_serving_is_bit_identical_across_worker_counts() {
-    let base = serve(1, valley_outage(), RetryPolicy::default());
-    for workers in [2usize, 8] {
-        let run = serve(workers, valley_outage(), RetryPolicy::default());
-        assert_eq!(run.report, base.report, "{workers} workers: degraded run diverged");
-        assert_eq!(run.health, base.health);
+    let base = serve(valley_outage(), RetryPolicy::default());
+    for workers in [1usize, 2, 8] {
+        let engine = engine(valley_outage(), RetryPolicy::default());
+        let runs: Vec<SessionRun> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|| serve_on(&engine))).collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
+        });
+        for run in runs {
+            assert_eq!(run.report, base.report, "{workers} workers: degraded run diverged");
+            assert_eq!(run.health, base.health);
+        }
     }
 }
 
@@ -92,10 +108,10 @@ fn transient_valley_failure_rides_through_on_retries() {
         failures: 2,
     });
     // Without a retry budget the transient outage still degrades the run...
-    let starved = serve(4, flaky.clone(), RetryPolicy::default());
+    let starved = serve(flaky.clone(), RetryPolicy::default());
     assert!(starved.health.is_degraded(), "health: {:?}", starved.health);
     // ...with one, the session serves a fully healthy report.
-    let run = serve(4, flaky, RetryPolicy::with_retries(2));
+    let run = serve(flaky, RetryPolicy::with_retries(2));
     assert_eq!(run.health, RunHealth::Ok, "qa: {:?}", run.report.qa);
     assert!(run.report.all_ok());
     assert_eq!(run.report.retries, 2);
