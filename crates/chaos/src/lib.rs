@@ -89,11 +89,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.background_failure_ppm == 0
-    }
-
     /// Whether a background fault fires for this invocation key. Pure
     /// function of the plan seed and the key — identical in any call order
     /// and across reruns.
@@ -149,30 +144,22 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
         }
     }
 
-    /// Attach a telemetry recorder: every injection decision is buffered
-    /// as a trace event keyed by `(step, attempt)` — deterministic,
-    /// because injection itself is a pure function of that key.
+    /// Attach a telemetry recorder: under the executor, every injection
+    /// decision becomes an event on the attempt span that is open while
+    /// the call runs (the executor must record into the same recorder);
+    /// on the context-free `invoke` path it is only counted. Deterministic,
+    /// because injection itself is a pure function of `(step, attempt)`.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> ChaosRuntime<R> {
         self.recorder = Some(recorder);
         self
     }
 
-    /// The wrapped runtime.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// The active plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Buffer a trace event for the invocation `(salt, attempt)` when the
-    /// call has executor context, or just count it when it does not.
-    fn note(&self, has_context: bool, salt: &str, attempt: u32, kind: EventKind) {
+    /// Emit a trace event onto the open attempt span when the call has
+    /// executor context, or just count it when it does not.
+    fn note(&self, has_context: bool, kind: EventKind) {
         if let Some(recorder) = &self.recorder {
             if has_context {
-                recorder.emit_invocation(salt, attempt, kind);
+                recorder.emit(kind);
             } else {
                 recorder.count_event(&kind);
             }
@@ -205,8 +192,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
             Some(FaultKind::Transient { failures }) if attempt < *failures => {
                 self.note(
                     has_context,
-                    salt,
-                    attempt,
                     EventKind::FaultInjected { function: function.to_string(), transient: true },
                 );
                 return Err(self.injected_failure(function, true));
@@ -214,8 +199,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
             Some(FaultKind::Persistent) => {
                 self.note(
                     has_context,
-                    salt,
-                    attempt,
                     EventKind::FaultInjected { function: function.to_string(), transient: false },
                 );
                 return Err(self.injected_failure(function, false));
@@ -224,8 +207,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
                 let _ = call(&self.inner)?;
                 self.note(
                     has_context,
-                    salt,
-                    attempt,
                     EventKind::OutputCorrupted { function: function.to_string() },
                 );
                 return Ok(Value::new(
@@ -236,8 +217,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
             Some(FaultKind::Slow { ticks }) => {
                 self.note(
                     has_context,
-                    salt,
-                    attempt,
                     EventKind::SlowTicks { function: function.to_string(), ticks: *ticks },
                 );
             }
@@ -246,8 +225,6 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
         if self.plan.background_fires(function, salt, attempt) {
             self.note(
                 has_context,
-                salt,
-                attempt,
                 EventKind::FaultInjected { function: function.to_string(), transient: true },
             );
             return Err(self.injected_failure(function, true));
@@ -289,7 +266,6 @@ impl<R: ToolRuntime> ToolRuntime for ChaosRuntime<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::{SpanStatus, StepObservation};
     use workflow::StepId;
 
     struct EchoRuntime;
@@ -372,19 +348,7 @@ mod tests {
         let f = FunctionId::from("f.x");
         assert!(rt.invoke_with(&ctx(&step, 0), &f, &BTreeMap::new()).is_ok());
         assert!(rt.invoke_with(&ctx(&step, 0), &f, &BTreeMap::new()).is_ok());
-        // Fold the buffered attempt into the trace, as the executor does.
-        recorder.record_workflow(
-            "w",
-            1,
-            &[StepObservation {
-                step: "s".into(),
-                function: "f.x".into(),
-                invoked: true,
-                retries: 0,
-                status: SpanStatus::Ok,
-                poison_roots: Vec::new(),
-            }],
-        );
+        // Each call emitted its `SlowTicks` straight into the trace.
         let ticks: u64 = recorder
             .trace()
             .events

@@ -17,8 +17,9 @@
 //!   run, the BGP update stream, probe campaigns are computed once per
 //!   dataset, not once per query;
 //! * a [`Session`] generates and executes any number of queries, from any
-//!   thread (`Session: Send + Sync`) — execution itself fans out over the
-//!   workflow DAG via [`workflow::execute_with`].
+//!   thread (`Session: Send + Sync`); each query's workflow runs one step
+//!   at a time, in list order, on the calling thread, via
+//!   [`workflow::execute_with`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -197,6 +198,11 @@ impl Engine {
     /// this engine record session/workflow/step/attempt spans and
     /// resilience events into it, and the (serial) registration and
     /// curation lanes record world-cache probes and epoch publications.
+    ///
+    /// One recorder records one query at a time: spans nest in the order
+    /// they open, so queries served at once through this engine would
+    /// interleave their trees. Concurrent callers give each query its own
+    /// recorder with [`Session::with_recorder`], as campaigns do.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Engine {
         self.recorder = Some(recorder);
         self

@@ -5,13 +5,15 @@
 //! tripped, where the (logical) time went. This crate is that layer —
 //! and, unusually, it is **deterministic**: spans and events are
 //! timestamped on the executor's logical clock (attempt/backoff ticks),
-//! ids are content-derived via `stable_hash`, and the events runtime
-//! wrappers observe are buffered per invocation and folded in workflow
-//! list order, so the trace for a fixed (scenario, query, fault seed) is
-//! byte-identical across reruns, however many other queries run at once
-//! on their own recorders. That makes traces
-//! *artifacts*: they can be content-hashed, linked from provenance
-//! records, and diffed across runs like any other deterministic output.
+//! ids are content-derived via `stable_hash`, and spans and events enter
+//! the trace as they happen — the executor opens step and attempt spans
+//! as it runs steps one at a time in workflow list order, and runtime
+//! wrappers emit onto the attempt span that is open — so the trace for a
+//! fixed (scenario, query, fault seed) is byte-identical across reruns,
+//! however many other queries run at once on their own recorders. That
+//! makes traces *artifacts*: they can be content-hashed, linked from
+//! provenance records, and diffed across runs like any other
+//! deterministic output.
 //!
 //! Model:
 //!
@@ -22,8 +24,8 @@
 //!   report holds: `events.*`, `artifact_cache.*` and `world_cache.*`
 //!   (a run's own counts live on its typed report, `ExecutionReport`
 //!   or `CampaignReport`),
-//! - [`Recorder`] — the shared collection point handed down through
-//!   `ExecOptions` / `Engine` / `CampaignRunner`,
+//! - [`Recorder`] — the collection point handed down through
+//!   `ExecOptions` / `Engine` / `CampaignRunner`, one per query,
 //! - exporters — canonical JSON ([`Trace::to_canonical_json`], hashed by
 //!   [`Trace::content_hash`]) and Chrome `trace_event`
 //!   ([`Trace::to_chrome_json`]) for flamegraph-style profiling.
@@ -33,5 +35,5 @@ pub mod recorder;
 pub mod trace;
 
 pub use metrics::{CounterSnapshot, MetricsSnapshot};
-pub use recorder::{Recorder, StepObservation};
+pub use recorder::Recorder;
 pub use trace::{Event, EventKind, Span, SpanKind, SpanStatus, Trace};

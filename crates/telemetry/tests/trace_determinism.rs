@@ -1,9 +1,10 @@
 //! The trace determinism suite: for arbitrary generated DAGs *and*
 //! arbitrary generated fault plans, the recorder's canonical trace is
 //!
-//! * byte-identical across reruns (fresh recorder, fresh runtime) —
-//!   invocation events are buffered per `(step, attempt)` and drained by
-//!   the executor's fold in workflow list order;
+//! * byte-identical across reruns (fresh recorder, fresh runtime) — the
+//!   executor opens step and attempt spans as it runs steps in workflow
+//!   list order, and the chaos wrapper emits onto the open attempt span;
+//!   the seed matrix's traces and metrics are pinned by digest;
 //! * byte-identical when 1, 2 or 8 worker threads each trace the same
 //!   workflow at once into their own recorders;
 //! * structurally well-formed — every span parent and every event span
@@ -14,7 +15,7 @@
 //! A pinned degraded-CS5 serve rides along: fault injection plus a
 //! circuit breaker over the full engine stack, with the expected event
 //! choreography (inject, inject, trip, shed, shed, half-open probe)
-//! asserted attempt by attempt.
+//! asserted attempt by attempt and its trace hash pinned.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -210,7 +211,8 @@ fn concurrently<T: Send>(workers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
     })
 }
 
-fn check_plan(specs: &[StepSpec], plan: &FaultPlan) {
+/// Checks one plan and returns its baseline canonical trace and metrics.
+fn check_plan(specs: &[StepSpec], plan: &FaultPlan) -> (String, MetricsSnapshot) {
     let wf = build_workflow(specs);
     let registry = toy_registry();
     let retry = RetryPolicy::with_retries(2);
@@ -227,6 +229,12 @@ fn check_plan(specs: &[StepSpec], plan: &FaultPlan) {
             assert_eq!(run.3, baseline.3, "workers={workers}: metrics diverged");
         }
     }
+    (baseline.0, baseline.3)
+}
+
+/// FNV-1a over a byte stream.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 proptest! {
@@ -241,6 +249,10 @@ proptest! {
     }
 }
 
+/// Pinned digest of the seed matrix's canonical traces and metrics:
+/// any change to span assembly, event placement or counting moves it.
+const SEED_MATRIX_DIGEST: u64 = 0x1f14_e8d4_96bb_aae6;
+
 /// The CI seed matrix: pinned plans over a pinned diamond DAG.
 #[test]
 fn fixed_seed_matrix_traces_deterministically() {
@@ -251,6 +263,7 @@ fn fixed_seed_matrix_traces_deterministically() {
         StepSpec { function: 0, deps: 0b110, critical: true },
         StepSpec { function: 1, deps: 0, critical: false },
     ];
+    let mut digest = 0xcbf2_9ce4_8422_2325;
     for seed in [1u64, 7, 42, 1337] {
         let plan = FaultPlan::new(seed)
             .with_fault("c.beta", FaultKind::Transient { failures: (seed % 4) as u32 })
@@ -263,8 +276,12 @@ fn fixed_seed_matrix_traces_deterministically() {
                 },
             )
             .with_background_failures((seed % 5) as u32 * 50_000);
-        check_plan(&specs, &plan);
+        let (json, metrics) = check_plan(&specs, &plan);
+        digest = fnv(digest, json.as_bytes());
+        let metrics = serde_json::to_string(&metrics).expect("metrics serialize");
+        digest = fnv(digest, metrics.as_bytes());
     }
+    assert_eq!(digest, SEED_MATRIX_DIGEST, "seed matrix digest {digest:#018x}");
 }
 
 // ---------------------------------------------------------------------
@@ -371,6 +388,10 @@ fn degraded_cs5_trace_pins_the_breaker_choreography() {
     assert_eq!(session_span.status, telemetry::SpanStatus::Degraded);
     assert!(trace.events.iter().any(|e| matches!(e.kind, EventKind::EpochPinned { sequence: 0 })
         && e.span == Some(session_span.id)));
+
+    // The trace's bytes are pinned; `examples/trace_forensics.rs` serves
+    // the same configuration and prints the same hash.
+    assert_eq!(recorder.trace_hash(), 0x28515ccddaeedd46, "degraded CS5 trace hash");
 
     // The whole degraded serve replays byte-identically.
     let (again, _) = serve_degraded_cs5();

@@ -142,21 +142,22 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
     }
 
     /// Attach a telemetry recorder. Events observed during an executor
-    /// invocation are buffered per `(step, attempt)` and drained into the
-    /// trace by the executor's deterministic fold; events on the
-    /// context-free `invoke` path are counted in metrics only. See the
-    /// module docs for why transition sequences are deterministic.
+    /// invocation go onto the attempt span that is open while the call
+    /// runs (the executor must record into the same recorder); events on
+    /// the context-free `invoke` path are counted in metrics only. See
+    /// the module docs for why transition sequences are deterministic.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> ResilientRuntime<R> {
         self.recorder = Some(recorder);
         self
     }
 
-    /// Buffer (with executor context) or count (without) a trace event.
-    fn note(&self, key: Option<(&str, u32)>, kind: EventKind) {
+    /// Emit (with executor context) or count (without) a trace event.
+    fn note(&self, has_context: bool, kind: EventKind) {
         if let Some(recorder) = &self.recorder {
-            match key {
-                Some((step, attempt)) => recorder.emit_invocation(step, attempt, kind),
-                None => recorder.count_event(&kind),
+            if has_context {
+                recorder.emit(kind);
+            } else {
+                recorder.count_event(&kind);
             }
         }
     }
@@ -232,12 +233,11 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
     }
 
     /// The shared serving path: breaker admission, primary invocation,
-    /// fallback substitution. `key` is the executor invocation context
-    /// (step id, attempt) when available, used to attach telemetry
-    /// events to the right attempt span.
+    /// fallback substitution. `has_context` says whether the executor is
+    /// calling, so telemetry events belong on its open attempt span.
     fn dispatch(
         &self,
-        key: Option<(&str, u32)>,
+        has_context: bool,
         function: &FunctionId,
         call: impl Fn(&R, &FunctionId) -> Result<Value, ToolError>,
     ) -> Result<Value, ToolError> {
@@ -245,7 +245,7 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
         let (admitted, transition) = self.admit(function);
         if let Some((from, to)) = transition {
             self.note(
-                key,
+                has_context,
                 EventKind::BreakerTransition {
                     function: function.to_string(),
                     from: from.to_string(),
@@ -254,10 +254,10 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
             );
         }
         if !admitted {
-            self.note(key, EventKind::CallShed { function: function.to_string() });
+            self.note(has_context, EventKind::CallShed { function: function.to_string() });
             if let Some(substitute) = fallback {
                 self.note(
-                    key,
+                    has_context,
                     EventKind::FallbackInvoked {
                         function: function.to_string(),
                         substitute: substitute.to_string(),
@@ -280,7 +280,7 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
         let failed = matches!(primary, Err(ToolError::Failed { .. }));
         if let Some((from, to)) = self.record(function, failed) {
             self.note(
-                key,
+                has_context,
                 EventKind::BreakerTransition {
                     function: function.to_string(),
                     from: from.to_string(),
@@ -291,7 +291,7 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
         match (primary, fallback) {
             (Err(ToolError::Failed { .. }), Some(substitute)) => {
                 self.note(
-                    key,
+                    has_context,
                     EventKind::FallbackInvoked {
                         function: function.to_string(),
                         substitute: substitute.to_string(),
@@ -310,7 +310,7 @@ impl<R: ToolRuntime> ToolRuntime for ResilientRuntime<R> {
         function: &FunctionId,
         args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
-        self.dispatch(None, function, |inner, f| inner.invoke(f, args))
+        self.dispatch(false, function, |inner, f| inner.invoke(f, args))
     }
 
     fn invoke_with(
@@ -319,9 +319,7 @@ impl<R: ToolRuntime> ToolRuntime for ResilientRuntime<R> {
         function: &FunctionId,
         args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
-        self.dispatch(Some((&ctx.step.0, ctx.attempt)), function, |inner, f| {
-            inner.invoke_with(ctx, f, args)
-        })
+        self.dispatch(true, function, |inner, f| inner.invoke_with(ctx, f, args))
     }
 }
 
@@ -329,7 +327,6 @@ impl<R: ToolRuntime> ToolRuntime for ResilientRuntime<R> {
 mod tests {
     use super::*;
     use registry::DataFormat;
-    use telemetry::{SpanStatus, StepObservation};
     use workflow::StepId;
 
     /// A runtime with one failing primary and one healthy substitute.
@@ -365,30 +362,17 @@ mod tests {
         (ResilientRuntime::new(inner, config).with_recorder(Arc::clone(&recorder)), recorder)
     }
 
-    /// Invokes `f` as attempt `n` of step `s`, so the recorder buffers the
-    /// call's events under that key as it does under the executor.
+    /// Invokes `f` as attempt `n` of step `s`, so the call's events enter
+    /// the trace as they do under the executor.
     fn invoke_at(rt: &impl ToolRuntime, f: &str, n: u32) -> Result<Value, ToolError> {
         let step = StepId::from("s");
         let ctx = InvokeContext { step: &step, attempt: n };
         rt.invoke_with(&ctx, &FunctionId::from(f), &BTreeMap::new())
     }
 
-    /// Folds the buffered attempts `0..calls` of step `s` into the trace,
-    /// as the executor's fold does, and counts the breaker trips recorded
-    /// so far: transitions into `Open`.
-    fn trips(recorder: &Recorder, calls: u32) -> usize {
-        recorder.record_workflow(
-            "w",
-            1,
-            &[StepObservation {
-                step: "s".into(),
-                function: "t".into(),
-                invoked: true,
-                retries: calls - 1,
-                status: SpanStatus::Failed,
-                poison_roots: Vec::new(),
-            }],
-        );
+    /// Counts the breaker trips the trace holds so far: transitions into
+    /// `Open`.
+    fn trips(recorder: &Recorder) -> usize {
         recorder
             .trace()
             .events
@@ -407,7 +391,7 @@ mod tests {
             assert!(invoke_at(&rt, "t.flaky", n).is_err());
         }
         assert_eq!(rt.breaker_phase(&f), BreakerPhase::Open);
-        assert_eq!(trips(&recorder, 3), 1);
+        assert_eq!(trips(&recorder), 1);
         // Two shed invocations drain the cooldown...
         assert!(invoke_at(&rt, "t.flaky", 3).is_err());
         assert!(invoke_at(&rt, "t.flaky", 4).is_err());
@@ -417,7 +401,7 @@ mod tests {
         assert_eq!(rt.breaker_phase(&f), BreakerPhase::HalfOpen);
         assert!(invoke_at(&rt, "t.flaky", 5).is_err());
         assert_eq!(rt.breaker_phase(&f), BreakerPhase::Open);
-        assert_eq!(trips(&recorder, 6), 2);
+        assert_eq!(trips(&recorder), 2);
     }
 
     #[test]
@@ -496,7 +480,7 @@ mod tests {
             assert!(matches!(invoke_at(&rt, "t.x", n), Err(ToolError::BadArgument { .. })));
         }
         assert_eq!(rt.breaker_phase(&FunctionId::from("t.x")), BreakerPhase::Closed);
-        assert_eq!(trips(&recorder, 4), 0);
+        assert_eq!(trips(&recorder), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use registry::{FunctionId, Registry};
 use serde::{Deserialize, Serialize};
-use telemetry::{Recorder, SpanStatus, StepObservation};
+use telemetry::{EventKind, Recorder, SpanKind, SpanStatus};
 
 use crate::{Binding, StepId, Workflow};
 
@@ -282,9 +282,11 @@ pub struct ExecOptions {
     /// Retry budget for transient tool failures.
     pub retry: RetryPolicy,
     /// Optional deterministic trace/metrics collector. When present, the
-    /// executor's fold assembles workflow/step/attempt spans in workflow
-    /// list order and runtime wrappers attach their buffered invocation
-    /// events.
+    /// executor records as steps run: a workflow span, one step span per
+    /// step and one attempt span per invocation, with `Retry` and
+    /// `PoisonAttributed` events on the step spans. Runtime wrappers that
+    /// hold the same recorder emit onto the attempt span that is open
+    /// while their call runs.
     pub recorder: Option<Arc<Recorder>>,
 }
 
@@ -323,6 +325,11 @@ struct StepOutcome {
 /// reads only outcomes that already exist, and a forward or dangling
 /// reference poisons the step. A panicking tool unwinds straight out of
 /// this call.
+///
+/// With a recorder in `options`, spans open and close around each step
+/// and attempt as it runs, on the logical clock: one tick per attempt,
+/// [`RetryPolicy::backoff_ticks`] per retry, one tick per step that never
+/// reaches the runtime.
 pub fn execute_with(
     workflow: &Workflow,
     registry: &Registry,
@@ -331,51 +338,54 @@ pub fn execute_with(
     options: &ExecOptions,
 ) -> ExecutionReport {
     let steps = &workflow.steps;
-    let run = StepRunner { registry, runtime, query_args, retry: &options.retry };
+    let run = StepRunner { registry, runtime, query_args, options };
+    run.record(|r| r.begin_span(SpanKind::Workflow, &workflow.id));
     // `latest[id]` indexes the newest earlier step with that id in `done`.
     let mut latest: BTreeMap<&StepId, usize> = BTreeMap::new();
     let mut done: Vec<StepResult> = Vec::with_capacity(steps.len());
     let mut qa: Vec<QaFinding> = Vec::new();
     let (mut executed, mut failed, mut poisoned) = (0usize, 0usize, 0usize);
     let (mut retries, mut backoff_ticks) = (0usize, 0u64);
-    let mut observations: Vec<StepObservation> = Vec::with_capacity(steps.len());
     for step in steps {
+        run.record(|r| r.begin_span(SpanKind::Step, &step.id.0));
         let outcome = run.step(step, |target| latest.get(target).map(|&j| &done[j]));
         if outcome.invoked {
             executed += 1;
         }
-        let (status, poison_roots) = match &outcome.result {
-            StepResult::Ok(_) => (SpanStatus::Ok, Vec::new()),
+        let status = match &outcome.result {
+            StepResult::Ok(_) => SpanStatus::Ok,
             StepResult::Failed(_) => {
                 failed += 1;
-                (SpanStatus::Failed, Vec::new())
+                SpanStatus::Failed
             }
-            StepResult::Poisoned { failed_dependencies } => {
+            StepResult::Poisoned { .. } => {
                 poisoned += 1;
-                let roots = failed_dependencies.iter().map(|id| id.0.clone()).collect();
-                (SpanStatus::Poisoned, roots)
+                SpanStatus::Poisoned
             }
         };
+        // A step that never reaches the runtime costs one tick; a
+        // poisoned one carries its root causes.
+        run.record(|r| {
+            if !outcome.invoked {
+                if let StepResult::Poisoned { failed_dependencies } = &outcome.result {
+                    let roots = failed_dependencies.iter().map(|id| id.0.clone()).collect();
+                    r.emit(EventKind::PoisonAttributed { roots });
+                }
+                r.advance(1);
+            }
+            r.end_span(status);
+        });
         retries += outcome.retries;
         backoff_ticks += outcome.backoff_ticks;
-        if options.recorder.is_some() {
-            observations.push(StepObservation {
-                step: step.id.0.clone(),
-                function: step.function.to_string(),
-                invoked: outcome.invoked,
-                retries: outcome.retries as u32,
-                status,
-                poison_roots,
-            });
-        }
         qa.extend(outcome.qa);
         latest.insert(&step.id, done.len());
         done.push(outcome.result);
     }
-
-    if let Some(recorder) = &options.recorder {
-        recorder.record_workflow(&workflow.id, options.retry.backoff_base_ticks, &observations);
-    }
+    // Any failed or poisoned step degrades the workflow span; the session
+    // span carries the authoritative `RunHealth` mapping.
+    run.record(|r| {
+        r.end_span(if failed + poisoned == 0 { SpanStatus::Ok } else { SpanStatus::Degraded });
+    });
 
     // Results are keyed canonically; a later duplicate id overwrites an
     // earlier one.
@@ -444,25 +454,34 @@ fn compute_health(
 }
 
 /// What every step of one execution reads: the registry, the runtime,
-/// the query arguments and the retry budget.
+/// the query arguments and the options (retry budget, recorder).
 struct StepRunner<'a> {
     registry: &'a Registry,
     runtime: &'a dyn ToolRuntime,
     query_args: &'a BTreeMap<String, Value>,
-    retry: &'a RetryPolicy,
+    options: &'a ExecOptions,
 }
 
 impl StepRunner<'_> {
+    /// Records onto the options' recorder, when there is one.
+    fn record<T>(&self, record: impl FnOnce(&Recorder) -> T) {
+        if let Some(recorder) = &self.options.recorder {
+            record(recorder);
+        }
+    }
+
     /// Runs one step: binding resolution (the first unsatisfiable
     /// binding in parameter-name order decides the step's category),
-    /// tool invocation with budgeted retries, woven-in QA. `prior`
-    /// returns the result of the latest earlier step with a given id.
+    /// tool invocation with budgeted retries, each attempt in its own
+    /// span, woven-in QA. `prior` returns the result of the latest earlier
+    /// step with a given id.
     fn step<'r>(
         &self,
         step: &crate::Step,
         prior: impl Fn(&StepId) -> Option<&'r StepResult>,
     ) -> StepOutcome {
-        let StepRunner { registry, runtime, query_args, retry } = *self;
+        let StepRunner { registry, runtime, query_args, options } = *self;
+        let retry = &options.retry;
         let mut qa: Vec<QaFinding> = Vec::new();
 
         // Resolve bindings. Once a poisoned binding is seen, the remaining
@@ -525,18 +544,29 @@ impl StepRunner<'_> {
             };
         }
 
-        // Invoke (composites expand to their sequence), retrying transient
-        // failures within the policy's budget. Backoff is logical ticks, so
-        // the loop — and therefore the report — is deterministic.
+        // Invoke (composites expand to their sequence) inside an attempt
+        // span, retrying transient failures within the policy's budget.
+        // Backoff is logical ticks, so the loop — and therefore the report
+        // and the trace — is deterministic.
         let mut attempt: u32 = 0;
         let mut backoff_ticks: u64 = 0;
         let invoked = loop {
             let ctx = InvokeContext { step: &step.id, attempt };
-            match invoke_entry(registry, runtime, &ctx, &step.function, &args) {
+            self.record(|r| r.begin_span(SpanKind::Attempt, &step.function.0));
+            let result = invoke_entry(registry, runtime, &ctx, &step.function, &args);
+            self.record(|r| {
+                r.advance(1);
+                r.end_span(if result.is_ok() { SpanStatus::Ok } else { SpanStatus::Failed });
+            });
+            match result {
                 Err(ToolError::Failed { function, message, transient: true })
                     if attempt < retry.max_retries =>
                 {
                     let ticks = retry.backoff_ticks(attempt);
+                    self.record(|r| {
+                        r.emit(EventKind::Retry { attempt, backoff_ticks: ticks });
+                        r.advance(ticks);
+                    });
                     backoff_ticks += ticks;
                     qa.push(QaFinding {
                         step: step.id.clone(),
@@ -1072,6 +1102,184 @@ mod tests {
         assert!(!report.all_ok());
         assert_eq!(report.outputs.len(), 1, "the healthy output survives");
         assert!(report.outputs.contains_key(&StepId::from("good")));
+    }
+
+    /// A runtime standing in for a fault injector under the executor:
+    /// `toy.fail` fails persistently, every other function fails
+    /// transiently on attempts below `fail_attempts`, and each injected
+    /// failure emits a `FaultInjected` event onto the recorder, as the
+    /// chaos wrapper does.
+    struct Injector {
+        recorder: Arc<Recorder>,
+        fail_attempts: u32,
+    }
+
+    impl ToolRuntime for Injector {
+        fn invoke(
+            &self,
+            function: &FunctionId,
+            args: &BTreeMap<String, Value>,
+        ) -> Result<Value, ToolError> {
+            ToyRuntime.invoke(function, args)
+        }
+
+        fn invoke_with(
+            &self,
+            ctx: &InvokeContext<'_>,
+            function: &FunctionId,
+            args: &BTreeMap<String, Value>,
+        ) -> Result<Value, ToolError> {
+            let transient = match function.0.as_str() {
+                "toy.fail" => false,
+                _ if ctx.attempt < self.fail_attempts => true,
+                _ => return self.invoke(function, args),
+            };
+            self.recorder
+                .emit(EventKind::FaultInjected { function: function.to_string(), transient });
+            Err(ToolError::Failed {
+                function: function.clone(),
+                message: "injected".into(),
+                transient,
+            })
+        }
+    }
+
+    /// Executes `wf` over an [`Injector`] with a recorder shared by the
+    /// runtime and the executor.
+    fn traced(
+        wf: &Workflow,
+        retry: RetryPolicy,
+        fail_attempts: u32,
+    ) -> (ExecutionReport, Arc<Recorder>) {
+        let recorder = Arc::new(Recorder::new());
+        let runtime = Injector { recorder: Arc::clone(&recorder), fail_attempts };
+        let options =
+            ExecOptions { retry, recorder: Some(Arc::clone(&recorder)), ..Default::default() };
+        let report = execute_with(wf, &registry(), &runtime, &BTreeMap::new(), &options);
+        (report, recorder)
+    }
+
+    fn attempt_spans(trace: &telemetry::Trace) -> Vec<&telemetry::Span> {
+        trace.spans.iter().filter(|s| s.kind == SpanKind::Attempt).collect()
+    }
+
+    #[test]
+    fn recorder_gets_parented_spans_on_the_logical_clock() {
+        let wf = Workflow::new("w", "q")
+            .with_step(Step::new("s0", "toy.make"))
+            .with_step(Step::new("s1", "toy.count").bind_step("table", "s0"));
+        let (report, recorder) = traced(&wf, RetryPolicy::default(), 0);
+        assert!(report.all_ok(), "qa: {:?}", report.qa);
+        let trace = recorder.trace();
+        // workflow + 2 steps + 2 attempts
+        assert_eq!(trace.spans.len(), 5);
+        let workflow = &trace.spans[0];
+        assert_eq!(workflow.kind, SpanKind::Workflow);
+        assert_eq!(workflow.parent, None);
+        assert_eq!((workflow.start, workflow.end), (0, 2));
+        let step0 = &trace.spans[1];
+        assert_eq!(step0.parent, Some(workflow.id));
+        let attempt0 = &trace.spans[2];
+        assert_eq!(attempt0.kind, SpanKind::Attempt);
+        assert_eq!(attempt0.name, "toy.make");
+        assert_eq!(attempt0.parent, Some(step0.id));
+        assert_eq!((attempt0.start, attempt0.end), (0, 1));
+        let step1 = &trace.spans[3];
+        assert_eq!((step1.start, step1.end), (1, 2));
+    }
+
+    #[test]
+    fn retries_advance_backoff_and_emit_retry_events() {
+        let wf = Workflow::new("w", "q").with_step(Step::new("s0", "toy.make"));
+        let retry = RetryPolicy { max_retries: 2, backoff_base_ticks: 2 };
+        let (report, recorder) = traced(&wf, retry, 3);
+        assert_eq!(report.failed, 1, "the retry budget runs out");
+        let trace = recorder.trace();
+        // attempts at ticks [0,1), [3,4) (backoff 2), [8,9) (backoff 4)
+        let attempts = attempt_spans(&trace);
+        assert_eq!(attempts.len(), 3);
+        assert_eq!((attempts[0].start, attempts[0].end), (0, 1));
+        assert_eq!((attempts[1].start, attempts[1].end), (3, 4));
+        assert_eq!((attempts[2].start, attempts[2].end), (8, 9));
+        assert_eq!(attempts[0].status, SpanStatus::Failed);
+        let retries: Vec<&telemetry::Event> = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Retry { .. }))
+            .collect();
+        assert_eq!(retries.len(), 2);
+        let step = attempts[0].parent;
+        assert!(retries.iter().all(|e| e.span == step), "retries sit on the step span");
+        let snap = recorder.metrics_snapshot();
+        assert_eq!(snap.counter("events.retry"), 2);
+    }
+
+    #[test]
+    fn wrapper_events_land_on_their_attempt_span() {
+        let wf = Workflow::new("w", "q").with_step(Step::new("s0", "toy.make"));
+        let (report, recorder) = traced(&wf, RetryPolicy::with_retries(2), 2);
+        assert!(report.all_ok(), "qa: {:?}", report.qa);
+        let trace = recorder.trace();
+        let attempts = attempt_spans(&trace);
+        let faults: Vec<&telemetry::Event> = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::FaultInjected { .. }))
+            .collect();
+        assert_eq!(faults.len(), 2, "one injected fault per failed attempt");
+        for (fault, attempt) in faults.iter().zip(&attempts) {
+            assert_eq!(fault.span, Some(attempt.id));
+            assert_eq!(fault.at, attempt.start);
+        }
+        assert_eq!(attempts[1].start, 2, "the second attempt starts after its backoff");
+    }
+
+    #[test]
+    fn poisoned_steps_get_attribution_events() {
+        let wf = Workflow::new("w", "q")
+            .with_step(Step::new("s0", "toy.fail"))
+            .with_step(Step::new("s1", "toy.count").bind_step("table", "s0"));
+        let (report, recorder) = traced(&wf, RetryPolicy::default(), 0);
+        assert_eq!(report.poisoned, 1);
+        let trace = recorder.trace();
+        let attribution = trace
+            .events
+            .iter()
+            .find(|e| matches!(e.kind, EventKind::PoisonAttributed { .. }))
+            .expect("poison attribution recorded");
+        assert_eq!(attribution.kind, EventKind::PoisonAttributed { roots: vec!["s0".into()] });
+        let step1 = trace
+            .spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Step && s.name == "s1")
+            .expect("poisoned step span");
+        assert_eq!(attribution.span, Some(step1.id));
+        assert_eq!(step1.status, SpanStatus::Poisoned);
+    }
+
+    /// Two steps sharing an id (an unchecked workflow, run defensively)
+    /// each keep the events of their own invocation.
+    #[test]
+    fn same_id_steps_keep_their_own_wrapper_events() {
+        let wf = Workflow::new("w", "q")
+            .with_step(Step::new("s", "toy.fail"))
+            .with_step(Step::new("s", "toy.fail"));
+        let (report, recorder) = traced(&wf, RetryPolicy::default(), 0);
+        assert_eq!(report.executed, 2);
+        let trace = recorder.trace();
+        let per_attempt: Vec<usize> = attempt_spans(&trace)
+            .iter()
+            .map(|a| {
+                trace
+                    .events
+                    .iter()
+                    .filter(|e| {
+                        e.span == Some(a.id) && matches!(e.kind, EventKind::FaultInjected { .. })
+                    })
+                    .count()
+            })
+            .collect();
+        assert_eq!(per_attempt, vec![1, 1]);
     }
 
     #[test]
