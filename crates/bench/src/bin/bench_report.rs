@@ -1,5 +1,5 @@
 //! Bench trajectory: the component rows behind the paper's timing claims,
-//! written as `BENCH_pr26.json` at the repo root.
+//! written as `BENCH_pr28.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p benchkit --bin bench_report            # repo root
@@ -320,7 +320,6 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     };
     let (fleet_scenarios, fleet_worlds) = (campaign_fleet.len(), fleet_cache.len());
     let scan_root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let scan_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows = vec![
         row("substrates/bgp/full_routing_table", 9, move || {
@@ -502,14 +501,14 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         row("xaminer/control_plane_leak", 25, move || {
             xaminer_sim::control_plane::assess(world, &leak).affected_ases.len()
         }),
-        // The scan keeps no cache between scans, so both arms scan cold.
+        // The scan keeps no cache between scans, so every round scans cold.
         row("conformance/scan_workspace", 9, move || {
-            conformance::scan::scan_parallel(scan_root, 0).expect("workspace scans").findings.len()
-        })
-        .vs("the same scan run serially", move || {
             conformance::scan(scan_root).expect("workspace scans").findings.len()
         })
-        .with("workers", scan_workers),
+        .note(
+            "since BENCH_pr28 this times the one serial scan; earlier files timed a scan \
+             sharded across every core against it",
+        ),
     ];
     let cs5 = Engine::new(Arc::clone(&fx.model), catalog::standard_registry());
     cs5.register_scenario("cs5", fx.cs5.clone());
@@ -559,7 +558,7 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| {
         // The binary lives in crates/bench; the trajectory file lives at
         // the repo root.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr26.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr28.json").to_string()
     });
 
     let fx = Fixtures::new();
@@ -570,7 +569,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
-        "pr": 26,
+        "pr": 28,
         "machine": { "cpus": cpus, "profile": profile },
         "world": {
             "ases": world.ases.len(),

@@ -184,10 +184,8 @@ impl<R: ToolRuntime> ChaosRuntime<R> {
         salt: &str,
         attempt: u32,
         function: &FunctionId,
-        args: &BTreeMap<String, Value>,
         call: impl FnOnce(&R) -> Result<Value, ToolError>,
     ) -> Result<Value, ToolError> {
-        let _ = args;
         match self.plan.faults.get(function) {
             Some(FaultKind::Transient { failures }) if attempt < *failures => {
                 self.note(
@@ -246,7 +244,7 @@ impl<R: ToolRuntime> ToolRuntime for ChaosRuntime<R> {
             *slot += 1;
             index
         };
-        self.dispatch(false, &format!("#{index}"), index, function, args, |inner| {
+        self.dispatch(false, &format!("#{index}"), index, function, |inner| {
             inner.invoke(function, args)
         })
     }
@@ -257,7 +255,7 @@ impl<R: ToolRuntime> ToolRuntime for ChaosRuntime<R> {
         function: &FunctionId,
         args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
-        self.dispatch(true, &ctx.step.0, ctx.attempt, function, args, |inner| {
+        self.dispatch(true, &ctx.step.0, ctx.attempt, function, |inner| {
             inner.invoke_with(ctx, function, args)
         })
     }

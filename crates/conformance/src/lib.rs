@@ -10,41 +10,36 @@
 //! The engine is self-contained: a hand-rolled lexer ([`lexer`]), a
 //! brace-matched item tree over it ([`syntax`]), a file scanner
 //! ([`source`]), the crate-dependency graph parsed from every
-//! `Cargo.toml` ([`deps`]), inline allow pragmas ([`pragma`]), a rule
-//! framework ([`rules`]), a parallel scanner ([`scan`](mod@scan)) and
-//! a committed baseline for grandfathered findings ([`baseline`]). CI
-//! gates on the binary:
+//! `Cargo.toml` ([`deps`]), inline allow pragmas ([`pragma`]) and a
+//! rule framework ([`rules`]). [`scan()`] runs every rule over the
+//! workspace, one file after another in path order. CI gates on the
+//! binary, which fails on any finding:
 //!
 //! ```text
-//! cargo run -p conformance -- --deny-new
+//! cargo run -p conformance
 //! ```
 //!
-//! The parallel scanner is pinned byte-identical to the serial scan at
-//! any worker count: files are sharded across `std::thread::scope`
-//! workers and the per-file results folded back in path order.
+//! An inline `allow(rule, reason = "...")` pragma is the only per-site
+//! exception, and a pragma that suppresses nothing is itself a finding.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-pub mod baseline;
 pub mod deps;
 pub mod lexer;
 pub mod pragma;
 pub mod report;
 pub mod rules;
-pub mod scan;
 pub mod source;
 pub mod syntax;
 
-pub use baseline::{Baseline, BaselineEntry, BaselineOutcome};
 pub use rules::{all_rules, FileRule, Finding, Rule, RuleInfo, Sink};
 pub use source::SourceFile;
 
 /// The lexed workspace rules run over.
 pub struct Workspace {
     pub root: PathBuf,
-    pub files: Vec<Arc<SourceFile>>,
+    pub files: Vec<SourceFile>,
     /// The crate-dependency DAG parsed from the workspace manifests
     /// (`None` when the root has no `Cargo.toml` — fixture workspaces
     /// assembled from strings).
@@ -57,7 +52,7 @@ impl Workspace {
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut files = Vec::new();
         for rel in source::collect_files(root)? {
-            files.push(Arc::new(SourceFile::load(root, &rel)?));
+            files.push(SourceFile::load(root, &rel)?);
         }
         Ok(Workspace {
             root: root.to_path_buf(),
@@ -68,12 +63,12 @@ impl Workspace {
 
     /// Looks a file up by workspace-relative path.
     pub fn file(&self, rel_path: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel_path == rel_path).map(|f| f.as_ref())
+        self.files.iter().find(|f| f.rel_path == rel_path)
     }
 }
 
-/// The result of running every rule over a workspace, before the
-/// baseline is applied.
+/// The result of running every rule over a workspace. Any entry in
+/// `findings` fails the gate.
 pub struct Scan {
     pub files_scanned: usize,
     /// Findings that survived pragma filtering.
@@ -86,28 +81,21 @@ pub struct Scan {
 }
 
 /// Runs every active rule (plus the pragma-hygiene checks) over the
-/// workspace at `root`, serially. [`scan::scan_parallel`] is the
-/// sharded equivalent, pinned byte-identical to this.
+/// workspace at `root`.
 pub fn scan(root: &Path) -> std::io::Result<Scan> {
     let ws = Workspace::load(root)?;
     Ok(scan_workspace(&ws))
 }
 
 /// [`scan()`] over an already-loaded workspace (used by the fixture
-/// tests, which assemble workspaces from strings).
+/// tests, which assemble workspaces from strings): the per-file rules
+/// in file order, then the workspace rules, pragma filtering, pragma
+/// hygiene (syntax + unused) and deterministic ordering.
 pub fn scan_workspace(ws: &Workspace) -> Scan {
-    let mut file_findings = Vec::new();
+    let mut sink = Sink::default();
     for file in &ws.files {
-        file_findings.extend(scan::check_file(file));
+        sink.findings.extend(check_file(file));
     }
-    finish_scan(ws, file_findings)
-}
-
-/// The serial tail every scan shares: workspace rules, pragma
-/// filtering, pragma hygiene (syntax + unused), deterministic ordering.
-/// `file_findings` are the per-file rule findings, in file order.
-pub(crate) fn finish_scan(ws: &Workspace, file_findings: Vec<Finding>) -> Scan {
-    let mut sink = Sink { findings: file_findings, used_allows: Vec::new() };
     for rule in rules::workspace_rules() {
         rule.check(ws, &mut sink);
     }
@@ -144,7 +132,7 @@ pub(crate) fn finish_scan(ws: &Workspace, file_findings: Vec<Finding>) -> Scan {
             });
         }
         // A well-formed pragma that suppresses nothing is a finding of
-        // its own: the pragma set is shrink-only, like the baseline.
+        // its own: the pragma set is shrink-only.
         // (Neither pragma-syntax nor unused-pragma findings can be
         // pragma-allowed — they are emitted after filtering.)
         for a in &file.allows {
@@ -157,7 +145,7 @@ pub(crate) fn finish_scan(ws: &Workspace, file_findings: Vec<Finding>) -> Scan {
                     message: format!(
                         "`allow({})` suppresses no finding: the violation it \
                          acknowledged is gone — delete the pragma (pragmas are \
-                         shrink-only, like the baseline)",
+                         shrink-only)",
                         a.rule
                     ),
                     snippet: file.line_text(a.line).to_string(),
@@ -180,5 +168,11 @@ pub(crate) fn finish_scan(ws: &Workspace, file_findings: Vec<Finding>) -> Scan {
     }
 }
 
-/// The default baseline location, relative to the workspace root.
-pub const BASELINE_PATH: &str = "crates/conformance/baseline.json";
+/// Runs every per-file rule over one parsed file.
+fn check_file(file: &SourceFile) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for rule in rules::file_rules() {
+        rule.check_file(file, &mut out);
+    }
+    out
+}

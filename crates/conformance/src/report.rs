@@ -3,7 +3,6 @@
 
 use serde_json::{json, Value};
 
-use crate::baseline::BaselineOutcome;
 use crate::deps::CrateGraph;
 use crate::rules::{all_rules, Finding};
 use crate::Scan;
@@ -57,7 +56,7 @@ fn deps_json(graph: &CrateGraph, findings: &[Finding]) -> Value {
 
 /// The machine-readable report (uploaded as a CI artifact alongside the
 /// BENCH trajectory files).
-pub fn to_json(scan: &Scan, outcome: &BaselineOutcome) -> Value {
+pub fn to_json(scan: &Scan) -> Value {
     let rules: Vec<Value> = all_rules()
         .iter()
         .map(|r| {
@@ -67,31 +66,15 @@ pub fn to_json(scan: &Scan, outcome: &BaselineOutcome) -> Value {
         })
         .collect();
     let files_scanned = scan.files_scanned;
-    let new_count = outcome.new.len();
-    let baselined_count = outcome.baselined.len();
+    let findings_count = scan.findings.len();
     let allowed_count = scan.allowed.len();
-    let stale_count = outcome.stale.len();
     let summary = json!({
         "files_scanned": files_scanned,
-        "new": new_count,
-        "baselined": baselined_count,
+        "findings": findings_count,
         "allowed": allowed_count,
-        "stale_baseline_entries": stale_count,
     });
-    let new: Vec<Value> = outcome.new.iter().map(finding_json).collect();
-    let baselined: Vec<Value> = outcome.baselined.iter().map(finding_json).collect();
+    let findings: Vec<Value> = scan.findings.iter().map(finding_json).collect();
     let allowed: Vec<Value> = scan.allowed.iter().map(finding_json).collect();
-    let stale: Vec<Value> = outcome
-        .stale
-        .iter()
-        .map(|e| {
-            let rule = e.rule.clone();
-            let file = e.file.clone();
-            let snippet = e.snippet.clone();
-            let count = e.count;
-            json!({ "rule": rule, "file": file, "snippet": snippet, "count": count })
-        })
-        .collect();
     let deps = match &scan.graph {
         Some(graph) => deps_json(graph, &scan.findings),
         None => Value::Null,
@@ -100,10 +83,8 @@ pub fn to_json(scan: &Scan, outcome: &BaselineOutcome) -> Value {
         "tool": "conformance",
         "rules": rules,
         "summary": summary,
-        "new": new,
-        "baselined": baselined,
+        "findings": findings,
         "allowed": allowed,
-        "stale_baseline_entries": stale,
         "deps": deps,
     })
 }
@@ -122,18 +103,11 @@ fn render_finding(f: &Finding) -> String {
 }
 
 /// The human-readable report printed by the binary.
-pub fn render_text(scan: &Scan, outcome: &BaselineOutcome) -> String {
+pub fn render_text(scan: &Scan) -> String {
     let mut out = String::new();
-    for f in &outcome.new {
+    for f in &scan.findings {
         out.push_str(&render_finding(f));
         out.push('\n');
-    }
-    for e in &outcome.stale {
-        out.push_str(&format!(
-            "{}: [baseline-expired] entry for rule `{}` covers {} finding(s) that no \
-             longer exist — shrink the baseline (`--update-baseline`)\n",
-            e.file, e.rule, e.count,
-        ));
     }
     if let Some(graph) = &scan.graph {
         let det = graph.packages.iter().filter(|p| p.deterministic).count();
@@ -144,14 +118,11 @@ pub fn render_text(scan: &Scan, outcome: &BaselineOutcome) -> String {
         ));
     }
     out.push_str(&format!(
-        "conformance: {} files scanned, {} rules active; {} new, {} baselined, \
-         {} allowed by pragma, {} stale baseline entries\n",
+        "conformance: {} files scanned, {} rules active; {} findings, {} allowed by pragma\n",
         scan.files_scanned,
         all_rules().len(),
-        outcome.new.len(),
-        outcome.baselined.len(),
+        scan.findings.len(),
         scan.allowed.len(),
-        outcome.stale.len(),
     ));
     out
 }

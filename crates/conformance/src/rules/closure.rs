@@ -11,8 +11,8 @@ const SELF_PATH: &str = "crates/conformance/src/rules/closure.rs";
 
 /// Dependency edges out of the deterministic set that are sound anyway,
 /// each with a written justification. Member `"*"` covers every
-/// deterministic crate. Like the baseline and the pragma set, this
-/// table is shrink-only: an entry matching no live edge is itself a
+/// deterministic crate. Like the pragma set, this table is
+/// shrink-only: an entry matching no live edge is itself a
 /// finding.
 const ALLOWED_EDGES: &[(&str, &str, &str)] = &[
     (
@@ -52,7 +52,7 @@ const ALLOWED_EDGES: &[(&str, &str, &str)] = &[
 ///    in both directions;
 /// 3. no deterministic crate pulls an external registry dependency;
 /// 4. every `ALLOWED_EDGES` entry still matches a live edge
-///    (shrink-only, like the baseline).
+///    (shrink-only, like the pragma set).
 pub struct DeterministicClosure;
 
 impl Rule for DeterministicClosure {

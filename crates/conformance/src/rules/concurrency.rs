@@ -12,9 +12,8 @@ pub const SUBSTRATE_CRATES: [&str; 6] =
     ["bgp-sim", "traceroute-sim", "xaminer-sim", "nautilus-sim", "world", "scenario-forge"];
 
 /// The crates whose non-test code may start scoped threads: the campaign
-/// runner's workers, the conformance scan's shards, and the benches that
-/// measure concurrent callers.
-pub const THREAD_CRATES: [&str; 3] = ["campaign", "conformance", "bench"];
+/// runner's workers and the benches that measure concurrent callers.
+pub const THREAD_CRATES: [&str; 2] = ["campaign", "bench"];
 
 /// `scoped-threads-only`:
 ///
@@ -47,7 +46,7 @@ impl FileRule for ScopedThreadsOnly {
 
     fn description(&self) -> &'static str {
         "thread::spawn is banned (use std::thread::scope), thread::scope is only for \
-         campaign, conformance and bench, Mutex lock-and-push accumulation inside \
+         campaign and bench, Mutex lock-and-push accumulation inside \
          scoped sweeps must be per-shard ordered merges, and substrate crates never \
          read available_parallelism"
     }
@@ -77,7 +76,7 @@ impl FileRule for ScopedThreadsOnly {
                     self.id(),
                     file,
                     sig.line(i),
-                    "only campaign, conformance and bench start threads: run on the \
+                    "only campaign and bench start threads: run on the \
                      caller's thread and let the caller parallelize across queries"
                         .to_string(),
                 ));

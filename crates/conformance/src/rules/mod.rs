@@ -1,12 +1,11 @@
 //! The rule framework.
 //!
 //! Rules come in two shapes. A [`FileRule`] checks one file at a time —
-//! these are the parallelizable, cacheable majority, sharded across
-//! workers by the scanner ([`crate::scan`](mod@crate::scan)). A workspace [`Rule`] sees
-//! the whole [`Workspace`] (and its crate graph), so cross-file
-//! invariants like the dense/reference engine pairing and the
-//! dependency closure are expressible; those run serially after the
-//! per-file pass. Adding a rule: implement the right trait, register it
+//! the majority, run file by file by [`crate::scan_workspace`]. A
+//! workspace [`Rule`] sees the whole [`Workspace`] (and its crate
+//! graph), so cross-file invariants like the dense/reference engine
+//! pairing and the dependency closure are expressible; those run after
+//! the per-file pass. Adding a rule: implement the right trait, register it
 //! in [`file_rules`] / [`workspace_rules`], add a violating + clean
 //! fixture under `fixtures/`, and document it in the README table.
 
@@ -26,9 +25,9 @@ pub mod shared_mutation;
 pub const PRAGMA_SYNTAX: &str = "pragma-syntax";
 
 /// Rule id for allow pragmas that suppress nothing (reported by the
-/// engine after pragma filtering — see [`crate::scan_workspace`]). Like
-/// the baseline, the pragma set is shrink-only: a pragma whose finding
-/// was burned down must be deleted, not left to rot.
+/// engine after pragma filtering — see [`crate::scan_workspace`]). The
+/// pragma set is shrink-only: a pragma whose finding was burned down
+/// must be deleted, not left to rot.
 pub const UNUSED_PRAGMA: &str = "unused-pragma";
 
 /// One diagnostic: a rule violated at a file/line.
@@ -41,17 +40,8 @@ pub struct Finding {
     /// 1-based line, or 0 for crate-level aggregates.
     pub line: u32,
     pub message: String,
-    /// Trimmed source line — the baseline matches on this, not the line
-    /// number, so unrelated edits don't invalidate grandfathered
-    /// findings.
+    /// Trimmed source line, shown under the diagnostic.
     pub snippet: String,
-}
-
-impl Finding {
-    /// The identity the baseline matches on.
-    pub fn key(&self) -> (String, String, String) {
-        (self.rule.to_string(), self.file.clone(), self.snippet.clone())
-    }
 }
 
 /// Where workspace rules deposit findings — plus the allow pragmas they
@@ -78,8 +68,7 @@ impl Sink {
 }
 
 /// A rule over one source file. Implementations must not consult
-/// anything beyond the file — the scanner runs them in parallel and
-/// caches their findings per file content.
+/// anything beyond the file.
 pub trait FileRule {
     fn id(&self) -> &'static str;
     fn description(&self) -> &'static str;
@@ -87,7 +76,7 @@ pub trait FileRule {
 }
 
 /// A static-analysis rule over the whole lexed workspace (cross-file or
-/// crate-graph context; runs serially after the per-file pass).
+/// crate-graph context; runs after the per-file pass).
 pub trait Rule {
     fn id(&self) -> &'static str;
     fn description(&self) -> &'static str;
@@ -137,7 +126,7 @@ pub fn all_rules() -> Vec<RuleInfo> {
         id: UNUSED_PRAGMA,
         description:
             "a `// conformance: allow(...)` pragma that suppresses no finding is \
-             itself a finding; the pragma set is shrink-only, like the baseline",
+             itself a finding; the pragma set is shrink-only",
     });
     out
 }

@@ -116,8 +116,7 @@ impl SourceFile {
         &self.sig_idx
     }
 
-    /// The trimmed text of a 1-based line (for diagnostics and baseline
-    /// keys).
+    /// The trimmed text of a 1-based line (for diagnostics).
     pub fn line_text(&self, line: u32) -> &str {
         self.text
             .lines()

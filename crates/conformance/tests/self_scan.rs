@@ -1,50 +1,25 @@
 //! The workspace scans itself clean — and the gate actually fires when
 //! a violation is injected, for every rule class.
 
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::PathBuf;
 
-use conformance::{scan_workspace, Baseline, SourceFile, Workspace, BASELINE_PATH};
+use conformance::{scan_workspace, SourceFile, Workspace};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
 #[test]
-fn workspace_has_zero_non_baselined_findings() {
+fn workspace_has_zero_findings() {
     let root = workspace_root();
     let scan = conformance::scan(&root).expect("workspace scans");
     assert!(scan.files_scanned > 80, "scanned {} files", scan.files_scanned);
     assert!(conformance::all_rules().len() >= 10);
-
-    let baseline = Baseline::load(&root.join(BASELINE_PATH)).expect("baseline loads");
-    let outcome = baseline.apply(scan.findings);
     assert_eq!(
-        outcome.new,
+        scan.findings,
         Vec::new(),
-        "the workspace must scan clean against the committed baseline"
+        "the workspace must scan clean: fix the finding or allow it inline with a reason"
     );
-    assert_eq!(outcome.stale.len(), 0, "stale baseline entries must be removed");
-
-    // The committed baseline grandfathers no determinism findings in
-    // the crates whose byte-identical outputs the ROADMAP pins.
-    for entry in &baseline.entries {
-        let determinism = matches!(
-            entry.rule.as_str(),
-            "no-unordered-iteration"
-                | "no-wall-clock"
-                | "no-unseeded-rng"
-                | "float-total-order"
-                | "no-shared-mutation"
-        );
-        let pinned_crate = ["crates/core", "crates/workflow", "crates/scenario-forge"]
-            .iter()
-            .any(|p| entry.file.starts_with(p));
-        assert!(
-            !(determinism && pinned_crate),
-            "determinism finding grandfathered in a pinned crate: {entry:?}"
-        );
-    }
 }
 
 #[test]
@@ -84,30 +59,27 @@ fn injected_violation_fails_the_gate() {
 
     // Inject a determinism violation into a pinned crate, exactly as a
     // bad PR would.
-    ws.files.push(Arc::new(SourceFile::from_text(
+    ws.files.push(SourceFile::from_text(
         "crates/world/src/injected.rs",
         "use std::collections::HashMap;\n\
          pub fn drift() -> HashMap<u32, u32> { HashMap::new() }\n\
          pub fn when() -> std::time::Instant { std::time::Instant::now() }\n"
             .to_string(),
-    )));
+    ));
 
     let scan = scan_workspace(&ws);
-    let baseline =
-        Baseline::load(&root.join(BASELINE_PATH)).expect("baseline loads");
-    let outcome = baseline.apply(scan.findings);
-    let injected: Vec<_> = outcome
-        .new
+    let injected: Vec<_> = scan
+        .findings
         .iter()
         .filter(|f| f.file == "crates/world/src/injected.rs")
         .collect();
     assert!(
         injected.iter().any(|f| f.rule == "no-unordered-iteration"),
-        "injected HashMap must surface as a new finding"
+        "injected HashMap must surface as a finding"
     );
     assert!(
         injected.iter().any(|f| f.rule == "no-wall-clock"),
-        "injected Instant must surface as a new finding"
+        "injected Instant must surface as a finding"
     );
 }
 
@@ -116,7 +88,7 @@ fn injected_float_and_sharing_violations_fail_the_gate() {
     let root = workspace_root();
     let mut ws = Workspace::load(&root).expect("workspace loads");
 
-    ws.files.push(Arc::new(SourceFile::from_text(
+    ws.files.push(SourceFile::from_text(
         "crates/world/src/injected_v2.rs",
         "pub fn rank(xs: &mut Vec<f64>) {\n\
              xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
@@ -128,7 +100,7 @@ fn injected_float_and_sharing_violations_fail_the_gate() {
          // conformance: allow(no-wall-clock, reason = \"nothing here reads a clock\")\n\
          pub fn idle() {}\n"
             .to_string(),
-    )));
+    ));
 
     let scan = scan_workspace(&ws);
     let rules_hit: Vec<&str> = scan
@@ -202,5 +174,4 @@ fn fixture_trees_are_not_part_of_the_workspace_scan() {
     assert!(files.iter().all(|f| !f.contains("/fixtures/")));
     assert!(files.iter().all(|f| !f.starts_with("vendor")));
     assert!(files.contains(&"crates/bgp-sim/src/routing.rs".to_string()));
-    assert!(Path::new(&root).join(BASELINE_PATH).is_file());
 }

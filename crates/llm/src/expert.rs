@@ -541,14 +541,6 @@ pub fn implement(req: &ImplementRequest, registry: &Registry) -> ImplementationP
     // Splice converters before their consumers and rebind.
     for (idx, conv) in extra.into_iter().rev() {
         let conv_id = conv.id.clone();
-        let consumer = &mut steps[idx];
-        for binding in consumer.bindings.values_mut() {
-            let source_bad = match binding {
-                PlannedBinding::FromStep(_) | PlannedBinding::FromArg(_) => true,
-                PlannedBinding::Const { .. } => false,
-            };
-            let _ = source_bad;
-        }
         // Rebind the specific param: the converter's id encodes it.
         if let Some(param_name) = conv_id.split("_convert_").nth(1) {
             if let Some(b) = steps[idx].bindings.get_mut(param_name) {

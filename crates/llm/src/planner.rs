@@ -281,7 +281,7 @@ fn chain_via(
     in_progress.insert(entry.id.0.clone());
 
     let mut functions: Vec<String> = Vec::new();
-    let mut score = step_cost(entry, frameworks_in_plan, &functions, variant);
+    let mut score = step_cost(entry, frameworks_in_plan, variant);
 
     // Group required inputs by format: params sharing a format need that
     // many *distinct* sources (the instantiation phase binds them
@@ -356,10 +356,8 @@ fn chain_via(
 fn step_cost(
     entry: &CapabilityEntry,
     frameworks_in_plan: &BTreeSet<String>,
-    chain_so_far: &[String],
     variant: u64,
 ) -> f64 {
-    let _ = chain_so_far;
     let mut cost = entry.cost.weight() + (1.0 - entry.reliability) * 4.0;
     if !frameworks_in_plan.contains(&entry.framework) {
         cost += 2.0; // framework-spread penalty (restraint)

@@ -64,7 +64,6 @@ pub fn forwarding_path(
 
     let down = sim.scenario().links_down_at(time);
     let mut steps = Vec::new();
-    let mut current_city = probe_info.city;
 
     for w in route.as_path.windows(2) {
         let (from_as, to_as) = (w[0], w[1]);
@@ -96,9 +95,7 @@ pub fn forwarding_path(
             egress_addr: egress.addr,
             ingress_addr: ingress.addr,
         });
-        current_city = ingress.city;
     }
-    let _ = current_city;
 
     ForwardingPath { as_path: route.as_path, steps, routed: true }
 }

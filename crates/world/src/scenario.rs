@@ -186,9 +186,8 @@ impl Scenario {
         let failed = self.failed_segments_at(t);
         let mut down = BTreeSet::new();
         for link in &self.world.links {
-            let rides_failed = link.path.hops.iter().enumerate().any(|(i, hop)| {
+            let rides_failed = link.path.hops.iter().any(|hop| {
                 if let crate::physical::PathHop::Cable { cable, segment, .. } = hop {
-                    let _ = i;
                     failed.contains(&(*cable, *segment))
                 } else {
                     false
