@@ -240,10 +240,8 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             .with_fault_plan(plan);
         engine.register_scenario("cs5", fx.cs5.clone());
         let session = engine.session("cs5").expect("cs5 registered");
-        let scenario = session.scenario();
-        let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-        let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
-        session.run(toolkit::scenarios::CS5_QUERY, &context).expect("query serves").report.executed
+        let run = session.run(toolkit::scenarios::CS5_QUERY, &session.context());
+        run.expect("query serves").report.executed
     };
     let scenario_queries = fx.campaign_scenarios * fx.campaign_spec.queries.len();
     let campaign = move |workers| {
@@ -518,9 +516,7 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         .chain([(cs5, "cs5".to_string(), toolkit::scenarios::CS5_QUERY)]);
     for (engine, key, query) in plans {
         let session = engine.session(&key).expect("registered");
-        let scenario = session.scenario();
-        let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-        let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
+        let context = session.context();
         rows.push(row(format!("engine/plan_only/{key}"), 11, move || {
             session.generate(query, &context).expect("generation succeeds").loc
         }));

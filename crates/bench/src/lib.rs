@@ -181,10 +181,7 @@ pub fn ensemble_consensus(case: CaseStudy, n: usize) -> (f64, Vec<(String, f64)>
     let session = engine
         .session(&format!("cs{}", case.index()))
         .expect("scenario registered by case_study_engine");
-    let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
-    let report = ensemble::generate_ensemble(&session, case.query(), &context, n)
+    let report = ensemble::generate_ensemble(&session, case.query(), &session.context(), n)
         .expect("ensemble generation succeeds");
     let agreements = report
         .agreements
@@ -339,11 +336,7 @@ pub fn serve_sessions(
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(key) = keys.get(i) else { return };
                 let session = engine.session(key).expect("registered");
-                let scenario = session.scenario();
-                let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-                let context =
-                    catalog::query_context(&scenario.world, scenario.now, horizon_days);
-                let run = session.run(query, &context).expect("query serves");
+                let run = session.run(query, &session.context()).expect("query serves");
                 assert!(run.report.all_ok(), "qa: {:?}", run.report.qa);
                 outputs.fetch_add(
                     run.report.outputs.len(),

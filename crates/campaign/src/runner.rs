@@ -234,10 +234,7 @@ impl<'a> CampaignRunner<'a> {
             }
         };
         let epoch = session.epoch_sequence();
-        let horizon_days =
-            (scenario.horizon.duration().as_seconds() / 86_400).max(1);
-        let context = toolkit::query_context(&scenario.world, scenario.now, horizon_days);
-        match session.run(&task.query, &context) {
+        match session.run(&task.query, &session.context()) {
             Ok(run) => {
                 let trace_hash = trace_of(&recorder);
                 QueryOutcome {

@@ -13,7 +13,8 @@
 //!
 //! * scheduled faults key on the *function id* and the *attempt index*
 //!   the executor hands down via [`InvokeContext`], never on arrival
-//!   order;
+//!   order (a direct [`ToolRuntime::invoke`] is attempt 0 of
+//!   [`InvokeContext::DIRECT`]);
 //! * background faults hash `(seed, function, step, attempt)` through a
 //!   splitmix64-style mixer and compare against a parts-per-million
 //!   threshold;
@@ -24,7 +25,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use registry::{DataFormat, FunctionId};
 use telemetry::{EventKind, Recorder};
 use workflow::exec::{InvokeContext, ToolError, ToolRuntime, Value};
@@ -92,13 +92,13 @@ impl FaultPlan {
     /// Whether a background fault fires for this invocation key. Pure
     /// function of the plan seed and the key — identical in any call order
     /// and across reruns.
-    fn background_fires(&self, function: &FunctionId, salt: &str, attempt: u32) -> bool {
+    fn background_fires(&self, function: &FunctionId, step: &str, attempt: u32) -> bool {
         if self.background_failure_ppm == 0 {
             return false;
         }
         let mut h = mix(self.seed ^ 0x0063_6861_6f73); // "chaos"
         h = fold(h, function.0.as_bytes());
-        h = fold(h, salt.as_bytes());
+        h = fold(h, step.as_bytes());
         h = mix(h ^ u64::from(attempt));
         h % 1_000_000 < u64::from(self.background_failure_ppm)
     }
@@ -120,114 +120,47 @@ fn fold(h: u64, bytes: &[u8]) -> u64 {
 /// Wraps any [`ToolRuntime`] and injects the faults a [`FaultPlan`]
 /// schedules.
 ///
-/// Under the executor (which always calls [`ToolRuntime::invoke_with`]),
-/// injection keys on `(step, attempt)` and is therefore bit-identical in
-/// any call order. The plain [`ToolRuntime::invoke`] path keeps a
-/// per-function invocation counter instead — deterministic for
-/// sequential callers, which is what direct invocation is.
+/// Every call takes one path, keyed on its [`InvokeContext`]'s
+/// `(step, attempt)`, so injection is bit-identical in any call order. A
+/// plain [`ToolRuntime::invoke`] is attempt 0 of [`InvokeContext::DIRECT`].
 pub struct ChaosRuntime<R> {
     inner: R,
     plan: FaultPlan,
-    /// Invocation counters for the context-free `invoke` path.
-    counters: Mutex<BTreeMap<FunctionId, u32>>,
     /// Optional telemetry sink: injection decisions become trace events.
     recorder: Option<Arc<Recorder>>,
 }
 
 impl<R: ToolRuntime> ChaosRuntime<R> {
     pub fn new(inner: R, plan: FaultPlan) -> ChaosRuntime<R> {
-        ChaosRuntime {
-            inner,
-            plan,
-            counters: Mutex::new(BTreeMap::new()),
-            recorder: None,
-        }
+        ChaosRuntime { inner, plan, recorder: None }
     }
 
-    /// Attach a telemetry recorder: under the executor, every injection
-    /// decision becomes an event on the attempt span that is open while
-    /// the call runs (the executor must record into the same recorder);
-    /// on the context-free `invoke` path it is only counted. Deterministic,
-    /// because injection itself is a pure function of `(step, attempt)`.
+    /// Attach a telemetry recorder: every injection decision becomes an
+    /// event on the span that is open while the call runs (under the
+    /// executor, the attempt span, so the executor must record into the
+    /// same recorder). Deterministic, because injection itself is a pure
+    /// function of `(step, attempt)`.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> ChaosRuntime<R> {
         self.recorder = Some(recorder);
         self
     }
 
-    /// Emit a trace event onto the open attempt span when the call has
-    /// executor context, or just count it when it does not.
-    fn note(&self, has_context: bool, kind: EventKind) {
+    /// Emit a trace event onto the open span.
+    fn note(&self, kind: EventKind) {
         if let Some(recorder) = &self.recorder {
-            if has_context {
-                recorder.emit(kind);
-            } else {
-                recorder.count_event(&kind);
-            }
+            recorder.emit(kind);
         }
     }
 
-    fn injected_failure(&self, function: &FunctionId, transient: bool) -> ToolError {
+    /// Notes an injected failure and builds its error.
+    fn fail(&self, function: &FunctionId, transient: bool) -> ToolError {
+        self.note(EventKind::FaultInjected { function: function.to_string(), transient });
         let flavor = if transient { "transient" } else { "persistent" };
         ToolError::Failed {
             function: function.clone(),
             message: format!("chaos: injected {flavor} failure"),
             transient,
         }
-    }
-
-    /// The shared injection path. `salt` distinguishes invocation sites
-    /// (step id under the executor, synthetic counter otherwise);
-    /// `attempt` is the retry attempt for scheduled transient faults.
-    fn dispatch(
-        &self,
-        has_context: bool,
-        salt: &str,
-        attempt: u32,
-        function: &FunctionId,
-        call: impl FnOnce(&R) -> Result<Value, ToolError>,
-    ) -> Result<Value, ToolError> {
-        match self.plan.faults.get(function) {
-            Some(FaultKind::Transient { failures }) if attempt < *failures => {
-                self.note(
-                    has_context,
-                    EventKind::FaultInjected { function: function.to_string(), transient: true },
-                );
-                return Err(self.injected_failure(function, true));
-            }
-            Some(FaultKind::Persistent) => {
-                self.note(
-                    has_context,
-                    EventKind::FaultInjected { function: function.to_string(), transient: false },
-                );
-                return Err(self.injected_failure(function, false));
-            }
-            Some(FaultKind::Corrupt) => {
-                let _ = call(&self.inner)?;
-                self.note(
-                    has_context,
-                    EventKind::OutputCorrupted { function: function.to_string() },
-                );
-                return Ok(Value::new(
-                    DataFormat::Text,
-                    serde_json::json!(format!("chaos: corrupted output of {function}")),
-                ));
-            }
-            Some(FaultKind::Slow { ticks }) => {
-                self.note(
-                    has_context,
-                    EventKind::SlowTicks { function: function.to_string(), ticks: *ticks },
-                );
-            }
-            Some(FaultKind::Transient { .. }) | None => {}
-        }
-        if self.plan.background_fires(function, salt, attempt) {
-            self.note(
-                has_context,
-                EventKind::FaultInjected { function: function.to_string(), transient: true },
-            );
-            return Err(self.injected_failure(function, true));
-        }
-        call(&self.inner)
     }
 }
 
@@ -237,16 +170,7 @@ impl<R: ToolRuntime> ToolRuntime for ChaosRuntime<R> {
         function: &FunctionId,
         args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
-        let index = {
-            let mut counters = self.counters.lock();
-            let slot = counters.entry(function.clone()).or_insert(0);
-            let index = *slot;
-            *slot += 1;
-            index
-        };
-        self.dispatch(false, &format!("#{index}"), index, function, |inner| {
-            inner.invoke(function, args)
-        })
+        self.invoke_with(&InvokeContext::DIRECT, function, args)
     }
 
     fn invoke_with(
@@ -255,9 +179,28 @@ impl<R: ToolRuntime> ToolRuntime for ChaosRuntime<R> {
         function: &FunctionId,
         args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
-        self.dispatch(true, &ctx.step.0, ctx.attempt, function, |inner| {
-            inner.invoke_with(ctx, function, args)
-        })
+        match self.plan.faults.get(function) {
+            Some(FaultKind::Transient { failures }) if ctx.attempt < *failures => {
+                return Err(self.fail(function, true));
+            }
+            Some(FaultKind::Persistent) => return Err(self.fail(function, false)),
+            Some(FaultKind::Corrupt) => {
+                let _ = self.inner.invoke_with(ctx, function, args)?;
+                self.note(EventKind::OutputCorrupted { function: function.to_string() });
+                return Ok(Value::new(
+                    DataFormat::Text,
+                    serde_json::json!(format!("chaos: corrupted output of {function}")),
+                ));
+            }
+            Some(FaultKind::Slow { ticks }) => {
+                self.note(EventKind::SlowTicks { function: function.to_string(), ticks: *ticks });
+            }
+            Some(FaultKind::Transient { .. }) | None => {}
+        }
+        if self.plan.background_fires(function, &ctx.step.0, ctx.attempt) {
+            return Err(self.fail(function, true));
+        }
+        self.inner.invoke_with(ctx, function, args)
     }
 }
 
@@ -393,11 +336,18 @@ mod tests {
     }
 
     #[test]
-    fn context_free_invoke_counts_invocations() {
+    fn direct_invoke_is_attempt_zero_and_traced() {
         let plan = FaultPlan::new(7).with_fault("f.x", FaultKind::Transient { failures: 1 });
-        let rt = ChaosRuntime::new(EchoRuntime, plan);
+        let (rt, recorder) = traced(plan);
         let f = FunctionId::from("f.x");
-        assert!(rt.invoke(&f, &BTreeMap::new()).is_err(), "first invocation fails");
-        assert!(rt.invoke(&f, &BTreeMap::new()).is_ok(), "counter advances past the fault");
+        // No arrival order: every direct call is attempt 0, so the fault
+        // never clears, and each injection enters the trace.
+        for _ in 0..2 {
+            assert!(rt.invoke(&f, &BTreeMap::new()).is_err());
+        }
+        assert_eq!(recorder.trace().events.len(), 2);
+        assert_eq!(recorder.metrics_snapshot().counter("events.fault_injected"), 2);
+        let step = StepId::from("s");
+        assert!(rt.invoke_with(&ctx(&step, 1), &f, &BTreeMap::new()).is_ok());
     }
 }

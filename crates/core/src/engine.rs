@@ -473,6 +473,14 @@ impl Session {
         &self.scenario
     }
 
+    /// The context a query on this session is planned against: the
+    /// scenario's world, its `now`, and its horizon in whole days (at
+    /// least one).
+    pub fn context(&self) -> QueryContext {
+        let days = (self.scenario.horizon.duration().as_seconds() / 86_400).max(1);
+        toolkit::query_context(&self.scenario.world, self.scenario.now, days)
+    }
+
     /// A tool runtime over this session's scenario and shared artifacts —
     /// useful for executing externally supplied workflows (e.g. expert
     /// baselines) against the same cache.

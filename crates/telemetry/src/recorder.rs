@@ -8,10 +8,11 @@
 //! [`Recorder::advance`] moves the logical clock. The session opens its
 //! span, the executor opens a workflow span around the run and step and
 //! attempt spans as steps run, and runtime wrappers (chaos, resilience)
-//! emit onto the attempt span that is open while their call runs. The
-//! executor runs a workflow's steps one at a time in list order on the
-//! caller's thread, so a recorder that records one query at a time gets
-//! the same trace, byte for byte, on every rerun.
+//! emit onto the attempt span that is open while their call runs. Every
+//! `events.<label>` counter counts events the trace holds. The executor
+//! runs a workflow's steps one at a time in list order on the caller's
+//! thread, so a recorder that records one query at a time gets the same
+//! trace, byte for byte, on every rerun.
 //!
 //! Logical clock: the executor charges one tick per attempt, the
 //! retry policy's backoff per retry, and one tick per step that never
@@ -114,15 +115,6 @@ impl Recorder {
     /// Advance the logical clock.
     pub fn advance(&self, ticks: u64) {
         self.state.lock().clock += ticks;
-    }
-
-    /// Count an event that has no invocation context (direct `invoke`
-    /// outside the executor): metrics only, never enters the trace.
-    pub fn count_event(&self, kind: &EventKind) {
-        self.state
-            .lock()
-            .metrics
-            .add(&format!("events.{}", kind.label()), 1);
     }
 
     /// Add to a named counter.

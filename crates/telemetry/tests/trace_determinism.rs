@@ -312,11 +312,8 @@ fn serve_degraded_cs5() -> (Arc<Recorder>, workflow::RunHealth) {
     .with_recorder(Arc::clone(&recorder));
     engine.register_scenario("cs5", toolkit::scenarios::cs5_hijack_scenario());
     let session = engine.session("cs5").expect("cs5 registered");
-    let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context = toolkit::query_context(&scenario.world, scenario.now, horizon_days);
     let run = session
-        .run(toolkit::scenarios::CS5_QUERY, &context)
+        .run(toolkit::scenarios::CS5_QUERY, &session.context())
         .expect("query serves despite faults");
     (recorder, run.health)
 }

@@ -32,5 +32,5 @@ pub mod scenarios;
 
 pub use catalog::{query_context, standard_registry};
 pub use metrics::QueryMetrics;
-pub use resilience::{BreakerConfig, BreakerPhase, ResilienceConfig, ResilientRuntime};
+pub use resilience::{BreakerConfig, ResilienceConfig, ResilientRuntime};
 pub use runtime::{ArtifactStore, StandardRuntime};

@@ -18,8 +18,10 @@
 //!   its circuit is open, the substitute is invoked instead, and the
 //!   step carries the substitute's output.
 //!
-//! Trips, sheds and fallbacks are read back from an attached
-//! [`Recorder`] as events and `events.*` counters.
+//! Every call takes one path: a plain [`ToolRuntime::invoke`] is
+//! attempt 0 of [`InvokeContext::DIRECT`]. Trips, sheds and fallbacks
+//! are read back from an attached [`Recorder`] as trace events and
+//! their `events.*` counters.
 //!
 //! Breaker state is per-runtime, and sessions build a fresh runtime
 //! stack for every query they execute (see `arachnet::Session`): a
@@ -94,14 +96,6 @@ impl ResilienceConfig {
     }
 }
 
-/// Observable breaker phase of one function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerPhase {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
 /// Internal per-function breaker state.
 #[derive(Debug, Clone, Copy)]
 enum BreakerState {
@@ -141,40 +135,40 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
         }
     }
 
-    /// Attach a telemetry recorder. Events observed during an executor
-    /// invocation go onto the attempt span that is open while the call
-    /// runs (the executor must record into the same recorder); events on
-    /// the context-free `invoke` path are counted in metrics only. See
-    /// the module docs for why transition sequences are deterministic.
+    /// Attach a telemetry recorder. Every breaker transition, shed and
+    /// fallback becomes an event on the span that is open while the call
+    /// runs (under the executor, the attempt span, so the executor must
+    /// record into the same recorder). See the module docs for why
+    /// transition sequences are deterministic.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> ResilientRuntime<R> {
         self.recorder = Some(recorder);
         self
     }
 
-    /// Emit (with executor context) or count (without) a trace event.
-    fn note(&self, has_context: bool, kind: EventKind) {
+    /// Emit a trace event onto the open span.
+    fn note(&self, kind: EventKind) {
         if let Some(recorder) = &self.recorder {
-            if has_context {
-                recorder.emit(kind);
-            } else {
-                recorder.count_event(&kind);
-            }
+            recorder.emit(kind);
         }
     }
 
-    /// The wrapped runtime.
-    pub fn inner(&self) -> &R {
-        &self.inner
+    /// Emit a breaker phase transition, if there was one.
+    fn note_transition(&self, function: &FunctionId, transition: Option<(&str, &str)>) {
+        if let Some((from, to)) = transition {
+            self.note(EventKind::BreakerTransition {
+                function: function.to_string(),
+                from: from.to_string(),
+                to: to.to_string(),
+            });
+        }
     }
 
-    /// The observable breaker phase of a function (Closed when never
-    /// invoked).
-    pub fn breaker_phase(&self, function: &FunctionId) -> BreakerPhase {
-        match self.breakers.lock().get(function) {
-            None | Some(BreakerState::Closed { .. }) => BreakerPhase::Closed,
-            Some(BreakerState::Open { .. }) => BreakerPhase::Open,
-            Some(BreakerState::HalfOpen) => BreakerPhase::HalfOpen,
-        }
+    /// Emit a fallback substitution.
+    fn note_fallback(&self, function: &FunctionId, substitute: &FunctionId) {
+        self.note(EventKind::FallbackInvoked {
+            function: function.to_string(),
+            substitute: substitute.to_string(),
+        });
     }
 
     /// Decides, atomically, whether this invocation may reach the
@@ -231,39 +225,34 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
         let to = state.label();
         (from != to).then_some((from, to))
     }
+}
 
-    /// The shared serving path: breaker admission, primary invocation,
-    /// fallback substitution. `has_context` says whether the executor is
-    /// calling, so telemetry events belong on its open attempt span.
-    fn dispatch(
+impl<R: ToolRuntime> ToolRuntime for ResilientRuntime<R> {
+    fn invoke(
         &self,
-        has_context: bool,
         function: &FunctionId,
-        call: impl Fn(&R, &FunctionId) -> Result<Value, ToolError>,
+        args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
+        self.invoke_with(&InvokeContext::DIRECT, function, args)
+    }
+
+    /// The serving path: breaker admission, primary invocation, fallback
+    /// substitution.
+    fn invoke_with(
+        &self,
+        ctx: &InvokeContext<'_>,
+        function: &FunctionId,
+        args: &BTreeMap<String, Value>,
+    ) -> Result<Value, ToolError> {
+        let call = |f: &FunctionId| self.inner.invoke_with(ctx, f, args);
         let fallback = self.config.fallbacks.get(function);
         let (admitted, transition) = self.admit(function);
-        if let Some((from, to)) = transition {
-            self.note(
-                has_context,
-                EventKind::BreakerTransition {
-                    function: function.to_string(),
-                    from: from.to_string(),
-                    to: to.to_string(),
-                },
-            );
-        }
+        self.note_transition(function, transition);
         if !admitted {
-            self.note(has_context, EventKind::CallShed { function: function.to_string() });
+            self.note(EventKind::CallShed { function: function.to_string() });
             if let Some(substitute) = fallback {
-                self.note(
-                    has_context,
-                    EventKind::FallbackInvoked {
-                        function: function.to_string(),
-                        substitute: substitute.to_string(),
-                    },
-                );
-                return call(&self.inner, substitute);
+                self.note_fallback(function, substitute);
+                return call(substitute);
             }
             return Err(ToolError::Failed {
                 function: function.clone(),
@@ -276,50 +265,16 @@ impl<R: ToolRuntime> ResilientRuntime<R> {
                 transient: true,
             });
         }
-        let primary = call(&self.inner, function);
+        let primary = call(function);
         let failed = matches!(primary, Err(ToolError::Failed { .. }));
-        if let Some((from, to)) = self.record(function, failed) {
-            self.note(
-                has_context,
-                EventKind::BreakerTransition {
-                    function: function.to_string(),
-                    from: from.to_string(),
-                    to: to.to_string(),
-                },
-            );
-        }
+        self.note_transition(function, self.record(function, failed));
         match (primary, fallback) {
             (Err(ToolError::Failed { .. }), Some(substitute)) => {
-                self.note(
-                    has_context,
-                    EventKind::FallbackInvoked {
-                        function: function.to_string(),
-                        substitute: substitute.to_string(),
-                    },
-                );
-                call(&self.inner, substitute)
+                self.note_fallback(function, substitute);
+                call(substitute)
             }
             (other, _) => other,
         }
-    }
-}
-
-impl<R: ToolRuntime> ToolRuntime for ResilientRuntime<R> {
-    fn invoke(
-        &self,
-        function: &FunctionId,
-        args: &BTreeMap<String, Value>,
-    ) -> Result<Value, ToolError> {
-        self.dispatch(false, function, |inner, f| inner.invoke(f, args))
-    }
-
-    fn invoke_with(
-        &self,
-        ctx: &InvokeContext<'_>,
-        function: &FunctionId,
-        args: &BTreeMap<String, Value>,
-    ) -> Result<Value, ToolError> {
-        self.dispatch(true, function, |inner, f| inner.invoke_with(ctx, f, args))
     }
 }
 
@@ -370,27 +325,40 @@ mod tests {
         rt.invoke_with(&ctx, &FunctionId::from(f), &BTreeMap::new())
     }
 
-    /// Counts the breaker trips the trace holds so far: transitions into
-    /// `Open`.
-    fn trips(recorder: &Recorder) -> usize {
+    /// The breaker phases the trace holds so far, in order: the `to` of
+    /// every `BreakerTransition`.
+    fn phases(recorder: &Recorder) -> Vec<String> {
         recorder
             .trace()
             .events
-            .iter()
-            .filter(|e| matches!(&e.kind, EventKind::BreakerTransition { to, .. } if to == "Open"))
-            .count()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::BreakerTransition { to, .. } => Some(to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The breaker's current phase: `Closed` until its first transition.
+    fn phase(recorder: &Recorder) -> String {
+        phases(recorder).pop().unwrap_or_else(|| "Closed".into())
+    }
+
+    /// Counts the breaker trips the trace holds so far: transitions into
+    /// `Open`.
+    fn trips(recorder: &Recorder) -> usize {
+        phases(recorder).iter().filter(|to| *to == "Open").count()
     }
 
     #[test]
     fn breaker_trips_after_consecutive_failures_and_half_opens() {
         let config = ResilienceConfig::new(BreakerConfig { trip_after: 3, cooldown_invocations: 2 });
         let (rt, recorder) = traced(SplitRuntime, config);
-        let f = FunctionId::from("t.flaky");
         // Three primary failures trip the circuit.
         for n in 0..3 {
             assert!(invoke_at(&rt, "t.flaky", n).is_err());
         }
-        assert_eq!(rt.breaker_phase(&f), BreakerPhase::Open);
+        assert_eq!(phase(&recorder), "Open");
         assert_eq!(trips(&recorder), 1);
         // Two shed invocations drain the cooldown...
         assert!(invoke_at(&rt, "t.flaky", 3).is_err());
@@ -398,9 +366,9 @@ mod tests {
         assert_eq!(recorder.metrics_snapshot().counter("events.call_shed"), 2);
         // ...then the next call half-opens and probes the (still broken)
         // primary, re-opening the circuit.
-        assert_eq!(rt.breaker_phase(&f), BreakerPhase::HalfOpen);
+        assert_eq!(phase(&recorder), "HalfOpen");
         assert!(invoke_at(&rt, "t.flaky", 5).is_err());
-        assert_eq!(rt.breaker_phase(&f), BreakerPhase::Open);
+        assert_eq!(phase(&recorder), "Open");
         assert_eq!(trips(&recorder), 2);
     }
 
@@ -408,7 +376,7 @@ mod tests {
     fn half_open_probe_success_closes_the_circuit() {
         use std::sync::atomic::{AtomicBool, Ordering};
         struct Recovering {
-            healthy: AtomicBool,
+            healthy: Arc<AtomicBool>,
         }
         impl ToolRuntime for Recovering {
             fn invoke(
@@ -428,17 +396,17 @@ mod tests {
             }
         }
         let config = ResilienceConfig::new(BreakerConfig { trip_after: 2, cooldown_invocations: 1 });
-        let rt = ResilientRuntime::new(Recovering { healthy: AtomicBool::new(false) }, config);
-        let f = FunctionId::from("t.svc");
+        let healthy = Arc::new(AtomicBool::new(false));
+        let (rt, recorder) = traced(Recovering { healthy: Arc::clone(&healthy) }, config);
         assert!(invoke(&rt, "t.svc").is_err());
         assert!(invoke(&rt, "t.svc").is_err());
-        assert_eq!(rt.breaker_phase(&f), BreakerPhase::Open);
+        assert_eq!(phase(&recorder), "Open");
         // Service recovers while the circuit is open.
-        rt.inner().healthy.store(true, Ordering::SeqCst);
+        healthy.store(true, Ordering::SeqCst);
         assert!(invoke(&rt, "t.svc").is_err(), "cooldown invocation is still shed");
-        assert_eq!(rt.breaker_phase(&f), BreakerPhase::HalfOpen);
+        assert_eq!(phase(&recorder), "HalfOpen");
         assert!(invoke(&rt, "t.svc").is_ok(), "half-open probe reaches the primary");
-        assert_eq!(rt.breaker_phase(&f), BreakerPhase::Closed);
+        assert_eq!(phases(&recorder), ["Open", "HalfOpen", "Closed"]);
     }
 
     #[test]
@@ -452,7 +420,7 @@ mod tests {
         assert_eq!(first.json(), &serde_json::json!(["t.reference"]));
         let second = invoke(&rt, "t.flaky").unwrap();
         assert_eq!(second.json(), &serde_json::json!(["t.reference"]));
-        assert_eq!(rt.breaker_phase(&FunctionId::from("t.flaky")), BreakerPhase::Open);
+        assert_eq!(phase(&recorder), "Open");
         // While open, the primary is never touched but the fallback still
         // serves.
         let shed = invoke(&rt, "t.flaky").unwrap();
@@ -479,7 +447,7 @@ mod tests {
         for n in 0..4 {
             assert!(matches!(invoke_at(&rt, "t.x", n), Err(ToolError::BadArgument { .. })));
         }
-        assert_eq!(rt.breaker_phase(&FunctionId::from("t.x")), BreakerPhase::Closed);
+        assert_eq!(phase(&recorder), "Closed");
         assert_eq!(trips(&recorder), 0);
     }
 

@@ -74,6 +74,15 @@ pub struct InvokeContext<'a> {
     pub attempt: u32,
 }
 
+impl InvokeContext<'static> {
+    /// The context of a call made outside the executor: attempt 0 of an
+    /// empty step id. Runtime wrappers route their plain
+    /// [`ToolRuntime::invoke`] through it, so a direct call takes the
+    /// same path as an executor call.
+    pub const DIRECT: InvokeContext<'static> =
+        InvokeContext { step: &StepId(String::new()), attempt: 0 };
+}
+
 /// The binding from registry functions to actual tool implementations.
 ///
 /// Runtimes are `Sync`: concurrent callers (campaign workers, session
@@ -244,31 +253,23 @@ impl ExecutionReport {
 /// Budgeted retries with deterministic logical backoff.
 ///
 /// Only [`ToolError::Failed`] with `transient: true` is retried. Backoff
-/// is counted in *logical ticks* — `base << attempt` — never wall-clock
+/// is counted in *logical ticks* — `1 << attempt` — never wall-clock
 /// sleeps, so retried runs stay bit-identical across reruns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first (0 disables retries).
     pub max_retries: u32,
-    /// Base of the exponential logical backoff, in ticks.
-    pub backoff_base_ticks: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 0, backoff_base_ticks: 1 }
-    }
 }
 
 impl RetryPolicy {
     /// A policy allowing `max_retries` extra attempts.
     pub fn with_retries(max_retries: u32) -> RetryPolicy {
-        RetryPolicy { max_retries, ..RetryPolicy::default() }
+        RetryPolicy { max_retries }
     }
 
     /// Logical ticks charged before re-running attempt `attempt + 1`.
     pub fn backoff_ticks(&self, attempt: u32) -> u64 {
-        self.backoff_base_ticks << attempt.min(16)
+        1 << attempt.min(16)
     }
 }
 
@@ -954,7 +955,7 @@ mod tests {
             function: &FunctionId,
             args: &BTreeMap<String, Value>,
         ) -> Result<Value, ToolError> {
-            self.invoke_with(&InvokeContext { step: &StepId::from("?"), attempt: 0 }, function, args)
+            self.invoke_with(&InvokeContext::DIRECT, function, args)
         }
 
         fn invoke_with(
@@ -988,7 +989,7 @@ mod tests {
         assert!(report.all_ok(), "qa: {:?}", report.qa);
         assert_eq!(report.health, RunHealth::Ok);
         assert_eq!(report.retries, 2);
-        // base 1: 1 << 0 + 1 << 1 = 3 logical ticks of backoff.
+        // 1 << 0 + 1 << 1 = 3 logical ticks of backoff.
         assert_eq!(report.backoff_ticks, 3);
         assert_eq!(
             report.qa.iter().filter(|f| f.severity == QaSeverity::Info).count(),
@@ -1191,16 +1192,15 @@ mod tests {
     #[test]
     fn retries_advance_backoff_and_emit_retry_events() {
         let wf = Workflow::new("w", "q").with_step(Step::new("s0", "toy.make"));
-        let retry = RetryPolicy { max_retries: 2, backoff_base_ticks: 2 };
-        let (report, recorder) = traced(&wf, retry, 3);
+        let (report, recorder) = traced(&wf, RetryPolicy::with_retries(2), 3);
         assert_eq!(report.failed, 1, "the retry budget runs out");
         let trace = recorder.trace();
-        // attempts at ticks [0,1), [3,4) (backoff 2), [8,9) (backoff 4)
+        // attempts at ticks [0,1), [2,3) (backoff 1), [5,6) (backoff 2)
         let attempts = attempt_spans(&trace);
         assert_eq!(attempts.len(), 3);
         assert_eq!((attempts[0].start, attempts[0].end), (0, 1));
-        assert_eq!((attempts[1].start, attempts[1].end), (3, 4));
-        assert_eq!((attempts[2].start, attempts[2].end), (8, 9));
+        assert_eq!((attempts[1].start, attempts[1].end), (2, 3));
+        assert_eq!((attempts[2].start, attempts[2].end), (5, 6));
         assert_eq!(attempts[0].status, SpanStatus::Failed);
         let retries: Vec<&telemetry::Event> = trace
             .events

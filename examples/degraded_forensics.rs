@@ -34,10 +34,7 @@ fn serve(plan: FaultPlan, retry: RetryPolicy) -> SessionRun {
     .with_retry_policy(retry);
     engine.register_scenario("cs5", scenarios::cs5_hijack_scenario());
     let session = engine.session("cs5").expect("cs5 registered");
-    let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
-    session.run(scenarios::CS5_QUERY, &context).expect("query serves despite faults")
+    session.run(scenarios::CS5_QUERY, &session.context()).expect("query serves despite faults")
 }
 
 fn print_run(label: &str, run: &SessionRun) {

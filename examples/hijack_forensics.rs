@@ -26,10 +26,7 @@ use toolkit::{catalog, scenarios};
 
 fn serve(engine: &Engine, key: &str) -> (ControlPlaneReportData, CountryTableData) {
     let session = engine.session(key).expect("scenario registered");
-    let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
-    let run = session.run(scenarios::CS5_QUERY, &context).expect("query serves");
+    let run = session.run(scenarios::CS5_QUERY, &session.context()).expect("query serves");
     assert!(run.report.all_ok(), "qa: {:?}", run.report.qa);
     let attribution = run
         .report

@@ -44,9 +44,7 @@ fn main() {
     for entry in &fleet {
         let session = engine.session(&entry.key).expect("fleet key registered");
         let scenario = session.scenario();
-        let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-        let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
-        let run = session.run(query, &context).expect("query serves");
+        let run = session.run(query, &session.context()).expect("query serves");
         assert!(run.report.all_ok(), "qa findings: {:?}", run.report.qa);
 
         let top = run.report.outputs.iter().next().and_then(|(_, value)| {

@@ -47,11 +47,8 @@ fn main() {
 
     engine.register_scenario("cs5", scenarios::cs5_hijack_scenario());
     let session = engine.session("cs5").expect("cs5 registered");
-    let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
     let run = session
-        .run(scenarios::CS5_QUERY, &context)
+        .run(scenarios::CS5_QUERY, &session.context())
         .expect("query serves despite faults");
     println!("health:     {:?}", run.health);
     println!(

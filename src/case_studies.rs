@@ -160,11 +160,9 @@ pub fn run_case_study(case: CaseStudy) -> CaseStudyRun {
         .session(&format!("cs{}", case.index()))
         .expect("scenario registered at engine build time");
     let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
 
     let run = session
-        .run(case.query(), &context)
+        .run(case.query(), &session.context())
         .unwrap_or_else(|e| panic!("case study {} generation failed: {e}", case.index()));
 
     // The expert runs with the full catalog (experts are never restricted)

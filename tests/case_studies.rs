@@ -200,10 +200,7 @@ fn planning_transcript_is_pinned() {
         let engine = Engine::new(model.clone(), registry);
         engine.register_scenario("case", scenario);
         let session = engine.session("case").unwrap();
-        let s = session.scenario();
-        let days = s.horizon.duration().as_seconds() / 86_400;
-        let context = catalog::query_context(&s.world, s.now, days);
-        corpus.push(session.generate(query, &context).unwrap().summary(true));
+        corpus.push(session.generate(query, &session.context()).unwrap().summary(true));
         engines.push(engine);
     }
     let curated = engines.last().unwrap().curate(&corpus, 1).unwrap();
@@ -224,4 +221,38 @@ fn planning_transcript_is_pinned() {
     }
     let hash = stable_str_hash(&text);
     assert_eq!(hash, 0xf1ba_9e06_50da_f5ff, "transcript hash {hash:016x}");
+}
+
+#[test]
+fn session_context_is_the_horizon_day_derivation() {
+    // `Session::context` clamps the horizon to at least one day; every
+    // case study and every forged family scenario has a whole-day horizon
+    // of at least one day, so it equals the unclamped derivation.
+    use std::sync::Arc;
+
+    use arachnet::{DeterministicExpertModel, Engine, Family, FamilyParams};
+    use toolkit::{catalog, scenarios};
+
+    let model = Arc::new(DeterministicExpertModel::new());
+    let engine = Engine::new(model, catalog::standard_registry());
+    let mut keys: Vec<String> = CaseStudy::ALL
+        .iter()
+        .map(|c| {
+            let key = format!("cs{}", c.index());
+            engine.register_scenario(&key, c.scenario());
+            key
+        })
+        .collect();
+    engine.register_scenario("cs5", scenarios::cs5_hijack_scenario());
+    keys.push("cs5".into());
+    let fleet = engine.register_families(&Family::ALL, &FamilyParams::default());
+    assert!(!fleet.is_empty());
+    keys.extend(fleet.into_iter().map(|f| f.key));
+    for key in &keys {
+        let session = engine.session(key).expect("registered");
+        let s = session.scenario();
+        let days = s.horizon.duration().as_seconds() / 86_400;
+        assert!(days >= 1, "{key}: horizon of {days} days");
+        assert_eq!(session.context(), catalog::query_context(&s.world, s.now, days), "{key}");
+    }
 }

@@ -9,7 +9,6 @@
 use std::sync::Arc;
 
 use arachnet::{DeterministicExpertModel, Engine, FamilyScenario, SessionRun};
-use llm::protocol::QueryContext;
 use toolkit::catalog;
 use toolkit::data::{ControlPlaneReportData, CountryTableData};
 
@@ -33,11 +32,7 @@ fn hijack_engine() -> (Engine, Vec<FamilyScenario>) {
 /// Opens a session on `key` and serves the forensics query through it.
 fn serve_on(engine: &Engine, key: &str) -> SessionRun {
     let session = engine.session(key).expect("fleet registered");
-    let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context: QueryContext =
-        catalog::query_context(&scenario.world, scenario.now, horizon_days);
-    session.run(FORENSICS_QUERY, &context).expect("forensics query serves")
+    session.run(FORENSICS_QUERY, &session.context()).expect("forensics query serves")
 }
 
 fn serve() -> (String, SessionRun) {

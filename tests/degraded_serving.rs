@@ -11,11 +11,12 @@
 use std::sync::Arc;
 
 use arachnet::{
-    DeterministicExpertModel, Engine, FaultKind, FaultPlan, RetryPolicy, RunHealth, SessionRun,
+    BreakerConfig, ChaosRuntime, DeterministicExpertModel, Engine, EventKind, FaultKind,
+    FaultPlan, Recorder, ResilienceConfig, ResilientRuntime, RetryPolicy, RunHealth, SessionRun,
+    SpanKind, SpanStatus,
 };
-use llm::protocol::QueryContext;
 use toolkit::{catalog, scenarios};
-use workflow::StepResult;
+use workflow::{execute_with, ExecOptions, StepResult};
 
 const FORENSICS_QUERY: &str =
     "Multiple origin ASes were observed announcing the same prefixes starting two days \
@@ -36,11 +37,7 @@ fn engine(plan: FaultPlan, retry: RetryPolicy) -> Engine {
 /// Opens a CS5 session and serves the forensics query through it.
 fn serve_on(engine: &Engine) -> SessionRun {
     let session = engine.session("cs5").expect("cs5 registered");
-    let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context: QueryContext =
-        catalog::query_context(&scenario.world, scenario.now, horizon_days);
-    session.run(FORENSICS_QUERY, &context).expect("query serves despite the fault")
+    session.run(FORENSICS_QUERY, &session.context()).expect("query serves despite the fault")
 }
 
 fn serve(plan: FaultPlan, retry: RetryPolicy) -> SessionRun {
@@ -115,4 +112,58 @@ fn transient_valley_failure_rides_through_on_retries() {
     assert_eq!(run.health, RunHealth::Ok, "qa: {:?}", run.report.qa);
     assert!(run.report.all_ok());
     assert_eq!(run.report.retries, 2);
+}
+
+/// The runtime stack `Session::execute` builds, rebuilt from public parts
+/// — resilience over chaos over the session's standard runtime, each
+/// layer reporting into one recorder — and run through `execute_with`
+/// inside a hand-opened session span, serves the fault drill's plan with
+/// the same report and the same trace as `Session::run`.
+#[test]
+fn hand_built_runtime_stack_matches_session_run() {
+    let plan = FaultPlan::new(3)
+        .with_fault("bgp.valley_violations", FaultKind::Persistent)
+        .with_fault("bgp.detect_moas", FaultKind::Transient { failures: 1 });
+    let resilience = ResilienceConfig::new(BreakerConfig::default());
+    let retry = RetryPolicy::with_retries(2);
+    let engine = Engine::new(
+        Arc::new(DeterministicExpertModel::new()),
+        catalog::standard_registry(),
+    )
+    .with_fault_plan(plan.clone())
+    .with_resilience(resilience.clone())
+    .with_retry_policy(retry);
+    engine.register_scenario("cs5", scenarios::cs5_hijack_scenario());
+    let session = engine.session("cs5").expect("cs5 registered");
+    let context = session.context();
+
+    let served = Arc::new(Recorder::new());
+    let expected = engine
+        .session("cs5")
+        .expect("cs5 registered")
+        .with_recorder(Arc::clone(&served))
+        .run(scenarios::CS5_QUERY, &context)
+        .expect("query serves despite faults");
+    assert!(expected.health.is_degraded(), "health: {:?}", expected.health);
+
+    let recorder = Arc::new(Recorder::new());
+    recorder.begin_span(SpanKind::Session, scenarios::CS5_QUERY);
+    recorder.emit(EventKind::EpochPinned { sequence: session.epoch_sequence() });
+    let solution = session.generate(scenarios::CS5_QUERY, &context).expect("generates");
+    let standard = session.runtime().with_recorder(Arc::clone(&recorder));
+    let chaos = ChaosRuntime::new(standard, plan).with_recorder(Arc::clone(&recorder));
+    let runtime = ResilientRuntime::new(chaos, resilience).with_recorder(Arc::clone(&recorder));
+    let options = ExecOptions { retry, recorder: Some(Arc::clone(&recorder)), ..Default::default() };
+    let report = execute_with(
+        &solution.workflow,
+        session.registry(),
+        &runtime,
+        &solution.query_args(),
+        &options,
+    );
+    recorder.end_span(SpanStatus::Degraded);
+
+    assert_eq!(report, expected.report);
+    assert_eq!(solution.source_code, expected.solution.source_code);
+    assert_eq!(recorder.trace_hash(), served.trace_hash());
 }
