@@ -1,5 +1,5 @@
 //! Bench trajectory: the component rows behind the paper's timing claims,
-//! written as `BENCH_pr28.json` at the repo root.
+//! written as `BENCH_pr30.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p benchkit --bin bench_report            # repo root
@@ -194,6 +194,10 @@ const SEQUENTIAL_EXECUTOR: &str = "since BENCH_pr26 both arms run the DAG's step
 const CALLERS_THREAD: &str = "since BENCH_pr23 the measured arm computes its routing table on \
     the caller's thread; earlier files shard it across every core";
 
+/// The note of the cold-session rows.
+const COLD_SESSION: &str = "a fresh Engine and session each round, so the artifact stores start \
+    empty; worlds and the Nautilus mapping are process-global and therefore warm";
+
 /// The table. Nothing is timed until a row runs.
 fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     let scenario = &fx.scenario;
@@ -257,11 +261,13 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     // keeps it), CS5's hijack, and a multi-homed leaker.
     let cs4 = toolkit::scenarios::cs4_scenario();
     let cs4_args = baselines::expert::expert_args(4, cs4.horizon.end.0);
-    let cs4_campaign: toolkit::data::CampaignData = toolkit::StandardRuntime::new(cs4)
-        .invoke(&registry::FunctionId::from("traceroute.campaign"), &cs4_args)
-        .expect("the CS4 campaign serves")
-        .parse()
-        .expect("a campaign");
+    let cs4_campaign_cold = move || {
+        toolkit::StandardRuntime::new(cs4.clone())
+            .invoke(&registry::FunctionId::from("traceroute.campaign"), &cs4_args)
+            .expect("the CS4 campaign serves")
+    };
+    let cs4_campaign: toolkit::data::CampaignData =
+        cs4_campaign_cold().parse().expect("a campaign");
     let cs4_measurements = cs4_campaign.measurements.len();
     let cs5_world = &*fx.cs5.world;
     let (hijacker, hijacked) = toolkit::scenarios::cs5_actors(cs5_world);
@@ -482,6 +488,10 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             .with("scenario_queries", scenario_queries)
             .with("scenarios", fx.campaign_scenarios)
             .with("workers", workers),
+        // A fresh runtime each round, so its artifact store holds no
+        // campaign: the simulator build and the whole probe grid.
+        row("toolkit/traceroute_campaign_cold", 11, cs4_campaign_cold)
+            .with("measurements", cs4_measurements),
         row("toolkit/detect_anomaly_cs4", 51, move || {
             toolkit::analysis::detect_anomaly(&cs4_campaign).affected_pairs.len()
         })
@@ -521,6 +531,16 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             session.generate(query, &context).expect("generation succeeds").loc
         }));
     }
+    for case in [CaseStudy::Cs3CascadingFailure, CaseStudy::Cs4ForensicRca] {
+        let key = format!("cs{}", case.index());
+        rows.push(
+            row(format!("engine/cold_session/{key}"), 11, move || {
+                let session = case_study_engine(case).session(&key).expect("registered");
+                session.run(case.query(), &session.context()).expect("query serves").report.executed
+            })
+            .note(COLD_SESSION),
+        );
+    }
     let case = CaseStudy::Cs1CableImpact;
     let session = case_study_engine(case).session("cs1").expect("registered");
     let context = catalog::query_context(&session.scenario().world, session.scenario().now, 10);
@@ -554,7 +574,7 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| {
         // The binary lives in crates/bench; the trajectory file lives at
         // the repo root.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr28.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr30.json").to_string()
     });
 
     let fx = Fixtures::new();
@@ -565,7 +585,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
-        "pr": 28,
+        "pr": 30,
         "machine": { "cpus": cpus, "profile": profile },
         "world": {
             "ases": world.ases.len(),

@@ -825,19 +825,14 @@ fn corridor_cables(
     scored.into_iter().take(limit).map(|(_, c)| c).collect()
 }
 
-/// Runs a probe campaign: up to 16 probes from `src`, up to 12 access-AS
-/// destinations in `dst`, two Paris flows per pair, sampled every 8 hours.
-/// The flow sweep broadens link coverage (MDA-style), which the forensic
-/// suspect scoring depends on.
-fn run_campaign(
-    scenario: &Scenario,
+/// A campaign's measurement grid in measurement order: up to 16 probes
+/// from `src`, up to 12 access-AS destinations in `dst`, two Paris flows
+/// per pair.
+fn campaign_grid(
+    world: &World,
     src: Region,
     dst: Region,
-    window: TimeWindow,
-) -> CampaignData {
-    let world = &scenario.world;
-    let sim = TracerouteSimulator::new(scenario);
-
+) -> Vec<(net_model::ProbeId, net_model::Ipv4Addr, u16)> {
     let all_probes: Vec<&world::Probe> =
         world.probes.iter().filter(|p| p.region == src).collect();
     let step = (all_probes.len() / 16).max(1);
@@ -858,26 +853,49 @@ fn run_campaign(
     let dests: Vec<net_model::Ipv4Addr> =
         all_dests.iter().step_by(dstep).take(12).copied().collect();
 
+    probes
+        .iter()
+        .flat_map(|p| dests.iter().flat_map(move |&d| [(p.id, d, 0u16), (p.id, d, 1)]))
+        .collect()
+}
+
+/// Runs a probe campaign over [`campaign_grid`], sampled every 8 hours.
+/// The flow sweep broadens link coverage (MDA-style), which the forensic
+/// suspect scoring depends on.
+fn run_campaign(
+    scenario: &Scenario,
+    src: Region,
+    dst: Region,
+    window: TimeWindow,
+) -> CampaignData {
+    let sim = TracerouteSimulator::new(scenario);
+    let grid = campaign_grid(&scenario.world, src, dst);
     let interval = SimDuration::hours(8);
     let mut measurements = Vec::new();
+    // The grid's forwarding paths, derived once per interval of constant
+    // link and routing state: only the RTT draws vary within one.
+    let (mut fwds, mut fwds_interval) = (Vec::new(), None);
     let mut t = window.start;
     while t < window.end {
-        for probe in &probes {
-            for &dest in &dests {
-                for flow in [0u16, 1] {
-                    let fwd =
-                        traceroute_sim::path::forwarding_path(&sim, probe.id, dest, t, flow);
-                    let trace =
-                        traceroute_sim::rtt::execute(&sim, probe.id, dest, t, flow, &fwd);
-                    measurements.push(MeasurementData {
-                        probe: probe.id.0,
-                        dst: dest.to_string(),
-                        time: t.0,
-                        rtt_ms: trace.end_to_end_rtt(),
-                        links: fwd.links().iter().map(|l| l.0).collect(),
-                    });
-                }
-            }
+        let state = sim.interval(t);
+        if fwds_interval != Some(state) {
+            fwds = grid
+                .iter()
+                .map(|&(probe, dest, flow)| {
+                    traceroute_sim::path::forwarding_path(&sim, probe, dest, t, flow)
+                })
+                .collect();
+            fwds_interval = Some(state);
+        }
+        for (&(probe, dest, flow), fwd) in grid.iter().zip(&fwds) {
+            let trace = traceroute_sim::rtt::execute(&sim, probe, dest, t, flow, fwd);
+            measurements.push(MeasurementData {
+                probe: probe.0,
+                dst: dest.to_string(),
+                time: t.0,
+                rtt_ms: trace.end_to_end_rtt(),
+                links: fwd.steps.iter().map(|s| s.link.0).collect(),
+            });
         }
         t = t + interval;
     }
@@ -940,5 +958,78 @@ mod tests {
         let ctx = query_context(&world, net_model::SimTime(86_400), 10);
         assert!(ctx.cable_names.iter().any(|n| n == "SeaMeWe-5"));
         assert_eq!(ctx.now, 86_400);
+    }
+
+    /// The campaign loop with no path sharing: one forwarding path and
+    /// one RTT draw per measurement.
+    fn reference_campaign(scenario: &Scenario, window: TimeWindow) -> Vec<MeasurementData> {
+        let sim = TracerouteSimulator::new(scenario);
+        let grid = campaign_grid(&scenario.world, Region::Europe, Region::Asia);
+        let mut measurements = Vec::new();
+        let mut t = window.start;
+        while t < window.end {
+            for &(probe, dest, flow) in &grid {
+                let fwd = traceroute_sim::path::forwarding_path(&sim, probe, dest, t, flow);
+                let trace = traceroute_sim::rtt::execute(&sim, probe, dest, t, flow, &fwd);
+                measurements.push(MeasurementData {
+                    probe: probe.0,
+                    dst: dest.to_string(),
+                    time: t.0,
+                    rtt_ms: trace.end_to_end_rtt(),
+                    links: fwd.links().iter().map(|l| l.0).collect(),
+                });
+            }
+            t = t + SimDuration::hours(8);
+        }
+        measurements
+    }
+
+    #[test]
+    fn campaign_matches_the_per_measurement_loop() {
+        use workflow::ToolRuntime;
+        // CS3 (two cuts ten hours apart), CS4, and a SeaMeWe-4 cut that
+        // lasts one second, on the campaign's 8-hour sample grid.
+        let world = crate::scenarios::standard_world();
+        let cable = world.cable_by_name(crate::scenarios::CS4_CULPRIT).expect("curated").id;
+        let blip = SimTime::EPOCH + SimDuration::hours(8 * 15);
+        let mut one_second = Scenario::quiet(world, 10);
+        one_second.push_event(
+            world::EventKind::CableCut { cable },
+            blip,
+            Some(blip + SimDuration::seconds(1)),
+        );
+        let scenarios = [
+            crate::scenarios::cs3_scenario(),
+            crate::scenarios::cs4_scenario(),
+            one_second.clone(),
+        ];
+        for scenario in scenarios {
+            let window = scenario.horizon;
+            let args = BTreeMap::from([
+                ("src_region".to_string(), Value::new(F::RegionScope, serde_json::json!("Europe"))),
+                ("dst_region".to_string(), Value::new(F::RegionScope, serde_json::json!("Asia"))),
+                (
+                    "window".to_string(),
+                    Value::new(
+                        F::TimeWindow,
+                        serde_json::json!({ "start": window.start.0, "end": window.end.0 }),
+                    ),
+                ),
+            ]);
+            let campaign: CampaignData = StandardRuntime::new(scenario.clone())
+                .invoke(&registry::FunctionId::from("traceroute.campaign"), &args)
+                .expect("the campaign serves")
+                .parse()
+                .expect("a campaign");
+            assert_eq!(campaign.measurements, reference_campaign(&scenario, window));
+        }
+        // The one-second cut moves paths at its sample only.
+        let reference = reference_campaign(&one_second, one_second.horizon);
+        let links_at = |t: SimTime| -> Vec<&[u32]> {
+            reference.iter().filter(|m| m.time == t.0).map(|m| m.links.as_slice()).collect()
+        };
+        let before = links_at(blip - SimDuration::hours(8));
+        assert_ne!(links_at(blip), before, "the cut reroutes some of the grid");
+        assert_eq!(links_at(blip + SimDuration::hours(8)), before);
     }
 }

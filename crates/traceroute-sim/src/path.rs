@@ -42,6 +42,10 @@ pub struct ForwardingPath {
 }
 
 /// Derives the forwarding path for `(probe, dst)` at `time` under `flow_id`.
+///
+/// The path depends on `time` only through
+/// [`TracerouteSimulator::interval`]: the routing table and the down-link
+/// set are both read from `time`'s interval.
 pub fn forwarding_path(
     sim: &TracerouteSimulator<'_>,
     probe: ProbeId,
@@ -57,12 +61,13 @@ pub fn forwarding_path(
         None => return ForwardingPath::default(),
     };
 
-    let route = match sim.routing_at(time).route(probe_info.asn, origin) {
+    let interval = sim.interval(time);
+    let route = match sim.routing_in(interval).route(probe_info.asn, origin) {
         Some(r) => r,
         None => return ForwardingPath::default(),
     };
 
-    let down = sim.scenario().links_down_at(time);
+    let down = sim.links_down_in(interval);
     let mut steps = Vec::new();
 
     for w in route.as_path.windows(2) {

@@ -22,10 +22,10 @@ use crate::path::ForwardingPath;
 use crate::TracerouteSimulator;
 
 /// Per-router processing/serialization cost, ms (one-way).
-const ROUTER_COST_MS: f64 = 0.15;
+pub(crate) const ROUTER_COST_MS: f64 = 0.15;
 
 /// Probability that a single hop reading times out.
-const HOP_TIMEOUT_PROB: f64 = 0.008;
+pub(crate) const HOP_TIMEOUT_PROB: f64 = 0.008;
 
 /// One traceroute hop.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,19 +78,19 @@ impl Traceroute {
     }
 }
 
-/// Deterministic jitter in `[0, max_ms)`, varying with time bucket so
-/// repeated measurements differ realistically but reproducibly.
-fn jitter_ms(seed: u64, parts: &[u64], max_ms: f64) -> f64 {
-    let mut v = vec![seed];
-    v.extend_from_slice(parts);
-    let h = stable_hash(&v);
+/// Deterministic jitter in `[0, max_ms)` from `words` (the world seed,
+/// then the reading's identity), varying with time bucket so repeated
+/// measurements differ realistically but reproducibly. Callers pass a
+/// stack array, so a hop's draws allocate nothing.
+fn jitter_ms(words: &[u64], max_ms: f64) -> f64 {
+    let h = stable_hash(words);
     (h % 10_000) as f64 / 10_000.0 * max_ms
 }
 
-fn hop_times_out(seed: u64, parts: &[u64]) -> bool {
-    let mut v = vec![seed, 0xdead];
-    v.extend_from_slice(parts);
-    let h = stable_hash(&v);
+/// Whether a hop reading times out; `words` is the world seed, `0xdead`,
+/// then the hop's identity.
+fn hop_times_out(words: &[u64]) -> bool {
+    let h = stable_hash(words);
     (h as f64 / u64::MAX as f64) < HOP_TIMEOUT_PROB
 }
 
@@ -116,7 +116,7 @@ pub fn execute(
     let mut current_city = probe_info.city;
 
     // First hop: the probe's home gateway.
-    one_way_ms += ROUTER_COST_MS + jitter_ms(seed, &[probe.0 as u64, bucket, 0], 0.4);
+    one_way_ms += ROUTER_COST_MS + jitter_ms(&[seed, probe.0 as u64, bucket, 0], 0.4);
     hops.push(Hop {
         ttl,
         addr: Some(probe_info.addr),
@@ -149,11 +149,11 @@ pub fn execute(
         one_way_ms += sim.link_congestion_ms(time, step.link);
 
         ttl += 1;
-        let hop_parts = [probe.0 as u64, dst.0 as u64, bucket, i as u64 + 1];
-        if hop_times_out(seed, &hop_parts) {
+        let (p, d, hop) = (probe.0 as u64, dst.0 as u64, i as u64 + 1);
+        if hop_times_out(&[seed, 0xdead, p, d, bucket, hop]) {
             hops.push(Hop { ttl, addr: None, asn: None, city: None, rtt_ms: None });
         } else {
-            let j = jitter_ms(seed, &hop_parts, 1.2);
+            let j = jitter_ms(&[seed, p, d, bucket, hop], 1.2);
             hops.push(Hop {
                 ttl,
                 addr: Some(step.egress_addr),
@@ -199,7 +199,7 @@ pub fn execute(
     one_way_ms += sim.scenario().congestion_extra_ms(time, probe_info.region, dst_region);
 
     ttl += 1;
-    let j = jitter_ms(seed, &[probe.0 as u64, dst.0 as u64, bucket, 0xFF], 1.2);
+    let j = jitter_ms(&[seed, probe.0 as u64, dst.0 as u64, bucket, 0xFF], 1.2);
     hops.push(Hop {
         ttl,
         addr: Some(dst),
