@@ -67,10 +67,12 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
     pearson(&rx, &ry)
 }
 
-/// Average ranks (ties share the mean rank).
+/// Average ranks (ties share the mean rank). The sort is total, so a NaN
+/// takes a rank of its own instead of panicking; `-0.0` and `0.0` still
+/// tie, because the grouping below compares with `==`.
 fn ranks(values: &[f64]) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap().then(a.cmp(&b)));
+    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]).then(a.cmp(&b)));
     let mut out = vec![0.0; values.len()];
     let mut i = 0;
     while i < idx.len() {
@@ -192,6 +194,16 @@ mod tests {
         let xs = vec![1.0, 1.0, 2.0];
         let ys = vec![1.0, 1.0, 2.0];
         assert!((spearman(&xs, &ys) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn spearman_over_a_nan_sample_returns_a_value() {
+        // A NaN takes the top rank of its own; it used to panic the sort.
+        let xs = vec![1.0, f64::NAN, 3.0, 2.0];
+        let ys = vec![1.0, 4.0, 3.0, 2.0];
+        assert!((spearman(&xs, &ys) - 1.0).abs() < 1e-12);
+        // Signed zeros still tie.
+        assert_eq!(ranks(&[0.0, -0.0, 1.0]), vec![1.5, 1.5, 3.0]);
     }
 
     #[test]

@@ -130,6 +130,10 @@ struct Fixtures {
 
 /// At least 4 workers even on small boxes, so the concurrent paths are
 /// what gets measured; a single-CPU box honestly reads ~1.0 there.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench sizes its concurrent callers from the cores"
+)]
 fn max_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(4, 8)
 }
@@ -323,7 +327,6 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             .collect()
     };
     let (fleet_scenarios, fleet_worlds) = (campaign_fleet.len(), fleet_cache.len());
-    let scan_root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
 
     let mut rows = vec![
         row("substrates/bgp/full_routing_table", 9, move || {
@@ -509,14 +512,6 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         row("xaminer/control_plane_leak", 25, move || {
             xaminer_sim::control_plane::assess(world, &leak).affected_ases.len()
         }),
-        // The scan keeps no cache between scans, so every round scans cold.
-        row("conformance/scan_workspace", 9, move || {
-            conformance::scan(scan_root).expect("workspace scans").findings.len()
-        })
-        .note(
-            "since BENCH_pr28 this times the one serial scan; earlier files timed a scan \
-             sharded across every core against it",
-        ),
     ];
     let cs5 = Engine::new(Arc::clone(&fx.model), catalog::standard_registry());
     cs5.register_scenario("cs5", fx.cs5.clone());
@@ -582,6 +577,7 @@ fn main() {
     let graph = bgp_sim::AsGraph::at_time(&fx.scenario, net_model::SimTime::EPOCH);
     let benchmarks: Vec<Value> = rows(&fx).into_iter().map(Row::run).collect();
 
+    #[expect(clippy::disallowed_methods, reason = "the machine stamp records the core count")]
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
@@ -610,7 +606,9 @@ mod tests {
     /// Committed row ids whose code went away on purpose.
     /// `workflow/exec_dag` timed the executor's worker pool against one
     /// worker; steps now always run on the caller's thread.
-    const RETIRED: [&str; 1] = ["workflow/exec_dag"];
+    /// `conformance/scan_workspace` timed the token scanner that clippy's
+    /// lint contract replaced.
+    const RETIRED: [&str; 2] = ["workflow/exec_dag", "conformance/scan_workspace"];
 
     #[test]
     fn table_ids_are_unique_and_keep_every_committed_id() {

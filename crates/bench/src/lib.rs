@@ -138,7 +138,10 @@ pub fn sample_arms(rounds: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>
     for r in 0..rounds {
         for k in 0..arms.len() {
             let i = (r + k) % arms.len();
-            // conformance: allow(no-wall-clock, reason = "the one clock read behind every bench number")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "the one clock read behind every bench number"
+            )]
             let t0 = std::time::Instant::now();
             arms[i]();
             samples[i].push(t0.elapsed().as_secs_f64() * 1e3);
@@ -330,6 +333,10 @@ pub fn serve_sessions(
     };
     let next = std::sync::atomic::AtomicUsize::new(0);
     let outputs = std::sync::atomic::AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "concurrent callers serve the sessions, as a campaign would"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..threads.clamp(1, keys.len()) {
             scope.spawn(|| loop {

@@ -32,6 +32,7 @@ pub struct RibEntry {
 
 impl RibEntry {
     /// The origin AS (last path element).
+    #[expect(clippy::expect_used, reason = "a captured path holds at least its origin")]
     pub fn origin(&self) -> Asn {
         *self.as_path.last().expect("paths are non-empty")
     }

@@ -206,12 +206,12 @@ impl RoutingTable {
         assert!(n < u16::MAX as usize, "hop counter is u16");
 
         // Leakers as dense indices, ascending (ASes absent from this
-        // graph cannot leak anything into it).
-        let leakers: Vec<u32> = overrides
-            .leakers()
-            .iter()
-            .filter_map(|&a| graph.index_of(a).map(|i| i as u32))
-            .collect();
+        // graph cannot leak anything into it). Both engines destructure
+        // the overrides, so a new field fails to compile until each one
+        // handles it.
+        let PolicyOverrides { leakers } = overrides;
+        let leakers: Vec<u32> =
+            leakers.iter().filter_map(|&a| graph.index_of(a).map(|i| i as u32)).collect();
 
         let mut scratch = Scratch::new(n);
         let dests: Vec<DestRoutes> = (0..n)
@@ -419,10 +419,10 @@ impl SelectionSweep {
     /// space; the dense index of `dst`, if the graph has it.
     fn prepare(&mut self, graph: &AsGraph, dst: Asn, overrides: &PolicyOverrides) -> Option<u32> {
         self.scratch.slots.resize(graph.node_count(), EMPTY);
+        let PolicyOverrides { leakers } = overrides;
         self.leakers.clear();
-        self.leakers.extend(
-            overrides.leakers().iter().filter_map(|&a| graph.index_of(a).map(|i| i as u32)),
-        );
+        self.leakers
+            .extend(leakers.iter().filter_map(|&a| graph.index_of(a).map(|i| i as u32)));
         graph.index_of(dst).map(|d| d as u32)
     }
 }
@@ -736,6 +736,10 @@ pub mod reference {
         let mut queue: VecDeque<Asn> = VecDeque::new();
         queue.push_back(dst);
         while let Some(v) = queue.pop_front() {
+            #[expect(
+                clippy::expect_used,
+                reason = "a node is queued only after its route is stored"
+            )]
             let v_route = best.get(&v).expect("queued nodes are routed").clone();
             for (u, kind) in graph.neighbors(v) {
                 if kind != NeighborKind::Provider {
@@ -782,6 +786,10 @@ pub mod reference {
         // Phase 3: provider routes.
         let mut queue: VecDeque<Asn> = best.keys().copied().collect();
         while let Some(v) = queue.pop_front() {
+            #[expect(
+                clippy::expect_used,
+                reason = "a node is queued only after its route is stored"
+            )]
             let v_route = best.get(&v).expect("queued nodes are routed").clone();
             for (u, kind) in graph.neighbors(v) {
                 if kind != NeighborKind::Customer {
@@ -801,13 +809,13 @@ pub mod reference {
             }
         }
 
-        if overrides.is_empty() {
+        let PolicyOverrides { leakers } = overrides;
+        if leakers.is_empty() {
             return best;
         }
 
         // Leak seeding: pre-leak snapshots, leakers ascending.
-        let leaked: Vec<(Asn, Route)> = overrides
-            .leakers()
+        let leaked: Vec<(Asn, Route)> = leakers
             .iter()
             .filter_map(|&l| best.get(&l).map(|r| (l, r.clone())))
             .filter(|(_, r)| matches!(r.kind, RouteKind::Peer | RouteKind::Provider))
@@ -838,6 +846,10 @@ pub mod reference {
 
         // Re-run phase 1: leak-gained customer routes propagate up.
         while let Some(v) = queue.pop_front() {
+            #[expect(
+                clippy::expect_used,
+                reason = "a node is queued only after its route is stored"
+            )]
             let v_route = best.get(&v).expect("queued nodes are routed").clone();
             for (u, kind) in graph.neighbors(v) {
                 if kind != NeighborKind::Provider {
@@ -884,6 +896,10 @@ pub mod reference {
         // Re-run phase 3: downward export of everything that improved.
         let mut queue: VecDeque<Asn> = best.keys().copied().collect();
         while let Some(v) = queue.pop_front() {
+            #[expect(
+                clippy::expect_used,
+                reason = "a node is queued only after its route is stored"
+            )]
             let v_route = best.get(&v).expect("queued nodes are routed").clone();
             for (u, kind) in graph.neighbors(v) {
                 if kind != NeighborKind::Customer {

@@ -94,6 +94,7 @@ fn selection_sweep_matches_the_table_on_default_world() {
 /// A leaker fixture on the default world: a multi-homed access AS (two
 /// or more providers), so the leak of one provider-learned route into
 /// the other provider is guaranteed to be an illegitimate export.
+#[expect(clippy::expect_used, reason = "a fixture lookup on the default world")]
 fn default_world_leaker(scenario: &Scenario, graph: &AsGraph) -> PolicyOverrides {
     let leaker = scenario
         .world
@@ -168,6 +169,8 @@ fn multi_homed(scenario: &Scenario, graph: &AsGraph) -> Vec<Asn> {
 /// window. Mirrors the campaign crate's composed families
 /// (hijack-during-cascade), where incidents overlap instead of running
 /// one at a time.
+#[expect(clippy::unwrap_used, reason = "a fixture lookup on the default world")]
+#[expect(clippy::expect_used, reason = "a fixture lookup on the default world")]
 fn composed_scenario() -> (Scenario, SimTime) {
     let world = generate(&WorldConfig::default());
     let cable = world.cable_by_name("SeaMeWe-5").unwrap().id;

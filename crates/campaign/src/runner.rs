@@ -108,6 +108,10 @@ impl<'a> CampaignRunner<'a> {
     /// A runner with one worker per core, capped at 8: the campaign's
     /// workers are the only threads a campaign runs.
     pub fn new(engine: &'a Engine) -> CampaignRunner<'a> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "campaign workers are the one layer of threads, sized from the cores"
+        )]
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
         CampaignRunner { engine, workers, tracing: false }
     }
@@ -183,6 +187,10 @@ impl<'a> CampaignRunner<'a> {
             // Each index is claimed once, so each slot is set once.
             let _ = slot.set(self.execute(task));
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the workers pull tasks and join before the scorecard folds"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..self.workers.min(tasks.len()) {
                 scope.spawn(worker);
@@ -396,6 +404,10 @@ mod tests {
             vec![FORENSICS_QUERY.to_string()],
         );
         let done = AtomicBool::new(false);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a noise thread registers scenarios while the campaign runs"
+        )]
         let report = std::thread::scope(|scope| {
             scope.spawn(|| {
                 let mut i = 0u64;

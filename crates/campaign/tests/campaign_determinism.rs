@@ -67,6 +67,7 @@ fn run(spec: &CampaignSpec, workers: usize, plan: Option<FaultPlan>) -> Campaign
 
 /// The serialized identity of a report: scorecard JSON plus every
 /// provenance record's JSON, in task order.
+#[expect(clippy::expect_used, reason = "reports serialize through the infallible JSON projection")]
 fn report_bytes(report: &CampaignReport) -> String {
     let mut out = serde_json::to_string(&report.scorecard).expect("scorecard serializes");
     for outcome in &report.outcomes {

@@ -37,6 +37,7 @@ use workflow::{
 /// The three workable functions fault plans can target.
 const FUNCTIONS: [&str; 3] = ["c.alpha", "c.beta", "c.gamma"];
 
+#[expect(clippy::unwrap_used, reason = "three distinct toy ids")]
 fn chaos_registry() -> Registry {
     let deps: Vec<Param> =
         (0..8).map(|i| Param::optional(&format!("d{i}"), DataFormat::Table)).collect();
@@ -150,6 +151,8 @@ fn run(
 }
 
 /// Runs `run` on `workers` threads at once and returns every result.
+#[expect(clippy::disallowed_methods, reason = "the 1/2/8 concurrent-caller pin")]
+#[expect(clippy::expect_used, reason = "a panicking caller fails the test")]
 fn concurrently<T: Send>(workers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&run)).collect();

@@ -1,4 +1,4 @@
-//! Token-rule-clean source for the manifest-layer fixture.
+//! Line-scan-clean source for the manifest-layer fixture.
 
 pub fn triple(x: u64) -> u64 {
     x * 3

@@ -1,4 +1,4 @@
-//! Token-rule-clean source: this fixture tree violates only at the
+//! Line-scan-clean source: this fixture tree violates only at the
 //! manifest layer.
 
 pub fn double(x: u64) -> u64 {

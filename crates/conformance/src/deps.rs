@@ -1,12 +1,12 @@
 //! The workspace graph layer: every crate's `Cargo.toml` parsed into a
 //! crate-dependency DAG.
 //!
-//! The `deterministic-closure` rule proves over this graph that the
+//! The `deterministic-closure` check proves over this graph that the
 //! `DETERMINISTIC_CRATES` list is closed under path dependencies — a
 //! deterministic crate can never silently grow a nondeterministic
-//! dependency, and the manifest markers
-//! (`[package.metadata.conformance] deterministic = true`) can never
-//! drift from the list the token rules enforce.
+//! dependency, and the manifests that inherit the workspace lint table
+//! (`[lints] workspace = true`) can never drift from the list the line
+//! scan covers.
 //!
 //! The parser covers exactly the TOML subset this workspace uses:
 //! `[section]` headers, `key = "string"`, `key = true`, and single-line
@@ -26,7 +26,7 @@ pub enum DepSpec {
     /// `{ path = "..." }` — resolved relative to the declaring manifest.
     Path(String),
     /// Anything else (a registry version). This workspace has none; the
-    /// closure rule flags one appearing in a deterministic crate.
+    /// closure check flags one appearing in a deterministic crate.
     External,
 }
 
@@ -47,15 +47,15 @@ pub struct Dep {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CratePackage {
     /// Graph key: `crates/<dir>` → `<dir>`, `vendor/<dir>` →
-    /// `vendor/<dir>`, root package → its package name. Matches
-    /// [`crate::source::SourceFile::crate_name`] for workspace members.
+    /// `vendor/<dir>`, root package → its package name.
     pub key: String,
     /// Directory relative to the workspace root (`""` for the root).
     pub dir: String,
     /// The `[package] name` (may differ from the key: `crates/core` is
     /// package `arachnet`).
     pub package: String,
-    /// `[package.metadata.conformance] deterministic = true`.
+    /// `[lints] workspace = true`: the crate inherits the determinism
+    /// contract's lint table.
     pub deterministic: bool,
     /// Whether this is a vendored stand-in under `vendor/`.
     pub vendored: bool,
@@ -70,7 +70,7 @@ pub struct CrateGraph {
     /// All packages, sorted by key.
     pub packages: Vec<CratePackage>,
     /// Manifest problems (unresolvable workspace deps, unreadable
-    /// files). The closure rule surfaces these as findings rather than
+    /// files). The closure check surfaces these as findings rather than
     /// silently analyzing a partial graph.
     pub errors: Vec<GraphError>,
 }
@@ -165,8 +165,7 @@ impl CrateGraph {
         self.packages.iter().find(|p| p.key == key)
     }
 
-    /// Whether the package behind `key` carries the deterministic
-    /// manifest marker.
+    /// Whether the package behind `key` inherits the workspace lints.
     pub fn is_deterministic(&self, key: &str) -> bool {
         self.package(key).is_some_and(|p| p.deterministic)
     }
@@ -266,7 +265,7 @@ impl Manifest {
                 "package" if key == "name" => {
                     doc.package_name = unquote(value).to_string();
                 }
-                "package.metadata.conformance" if key == "deterministic" => {
+                "lints" if key == "workspace" => {
                     doc.deterministic = value == "true";
                 }
                 "dependencies" => {
@@ -364,7 +363,7 @@ mod tests {
     fn parses_member_manifest() {
         let doc = Manifest::parse(
             "[package]\nname = \"world\"\nversion = \"0.1.0\"\n\n\
-             [package.metadata.conformance]\ndeterministic = true\n\n\
+             [lints]\nworkspace = true\n\n\
              [dependencies]\nnet-model = { workspace = true }\n\
              serde = { workspace = true, features = [\"derive\"] }\n\n\
              [dev-dependencies]\nproptest = { workspace = true }\n",

@@ -1,4 +1,5 @@
-//! The conformance gate CI runs.
+//! The conformance gate CI runs beside clippy: the deterministic closure
+//! and the line scan.
 //!
 //! ```text
 //! cargo run -p conformance                        # scan, report, fail on any finding
@@ -7,8 +8,7 @@
 //! ```
 //!
 //! The gate scans once, prints the text report, and exits non-zero on
-//! any finding. An inline `allow(rule, reason = "...")` pragma is the
-//! only way to accept a finding, one site at a time.
+//! any finding. There is no per-site exception: fix the code.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

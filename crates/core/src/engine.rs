@@ -1118,6 +1118,46 @@ mod tests {
     }
 
     #[test]
+    fn curation_keeps_criticality_with_the_members() {
+        // A chain that mixes a critical member with a non-critical one is
+        // rejected; a chain of non-critical members stays non-critical.
+        let proposal = CurationProposal {
+            composites: vec![
+                CompositeProposal {
+                    id: "composite.mixed".into(),
+                    sequence: vec!["bgp.updates".into(), "bgp.detect_moas".into()],
+                    capability: "updates, then the MOAS detector".into(),
+                    observed_uses: 2,
+                },
+                CompositeProposal {
+                    id: "composite.detectors".into(),
+                    sequence: vec!["bgp.detect_moas".into(), "bgp.valley_violations".into()],
+                    capability: "two enrichment detectors".into(),
+                    observed_uses: 2,
+                },
+            ],
+            rejected: Vec::new(),
+        };
+        let completion = serde_json::to_string(&proposal).unwrap();
+        let model = ScriptedModel::new(vec![(CurateRequest::TAG, completion.as_str())]);
+        let engine = Engine::new(Arc::new(model), catalog::standard_registry());
+        let outcome = engine.curate(&[], 2).unwrap();
+        assert_eq!(outcome.added, vec![FunctionId::from("composite.detectors")]);
+        assert_eq!(
+            outcome.rejected,
+            vec![(
+                "composite.mixed".to_string(),
+                "members disagree on non-critical: bgp.detect_moas would fail with \
+                 critical bgp.updates"
+                    .to_string()
+            )]
+        );
+        let registry = engine.registry();
+        let tags = &registry.get(&FunctionId::from("composite.detectors")).unwrap().tags;
+        assert!(tags.iter().any(|t| t == "non-critical"), "{tags:?}");
+    }
+
+    #[test]
     fn resilience_without_a_fault_plan_serves_like_a_plain_engine() {
         let serve = |engine: Engine| {
             engine.register_scenario("cs5", scenarios::cs5_hijack_scenario());
@@ -1141,6 +1181,7 @@ mod tests {
                 seed: 2000 + threads as u64,
                 ..scenario_forge::FamilyParams::default()
             };
+            #[expect(clippy::disallowed_methods, reason = "the 1/2/8 concurrent-caller pin")]
             let fleets: Vec<Vec<FamilyScenario>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
@@ -1176,6 +1217,7 @@ mod tests {
         let sequential = session.run(CS2_QUERY, &ctx).unwrap();
 
         // Eight concurrent sessions, one query each.
+        #[expect(clippy::disallowed_methods, reason = "the concurrent-session pin")]
         let runs: Vec<SessionRun> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {

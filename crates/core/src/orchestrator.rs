@@ -122,8 +122,10 @@ pub struct CurationOutcome {
 
 /// Registers the composites RegistryCurator proposed into `registry`,
 /// deriving each one's signature from its parts; proposals with an empty
-/// sequence, any unknown member, or an id that collides with an existing
-/// entry are rejected with the reason.
+/// sequence, any unknown member, members that disagree on `non-critical`,
+/// or an id that collides with an existing entry are rejected with the
+/// reason. A composite whose members are all non-critical is itself
+/// non-critical.
 pub(crate) fn register_composites(
     registry: &mut Registry,
     proposal: CurationProposal,
@@ -147,6 +149,23 @@ pub(crate) fn register_composites(
                 .push((composite.id.clone(), "sequence references unknown functions".into()));
             continue;
         };
+        // A composite step fails as a whole, so a chain that mixes
+        // critical and non-critical members would turn a degraded run
+        // into a failed one.
+        let (degradable, critical): (Vec<&CapabilityEntry>, Vec<&CapabilityEntry>) =
+            parts.iter().partition(|entry| is_non_critical(entry));
+        if !degradable.is_empty() && !critical.is_empty() {
+            let ids = |entries: &[&CapabilityEntry]| -> String {
+                entries.iter().map(|e| e.id.0.as_str()).collect::<Vec<_>>().join(", ")
+            };
+            let why = format!(
+                "members disagree on non-critical: {} would fail with critical {}",
+                ids(&degradable),
+                ids(&critical)
+            );
+            outcome.rejected.push((composite.id.clone(), why));
+            continue;
+        }
         let output = last.output;
         let mut inputs: Vec<registry::Param> = Vec::new();
         let mut produced: Vec<DataFormat> = Vec::new();
@@ -171,7 +190,11 @@ pub(crate) fn register_composites(
                 "mined from {} successful workflow(s)",
                 composite.observed_uses
             )],
-            tags: vec!["composite".into(), "curated".into()],
+            tags: ["composite", "curated"]
+                .into_iter()
+                .chain(critical.is_empty().then_some(NON_CRITICAL))
+                .map(String::from)
+                .collect(),
             cost: registry::CostClass::Moderate,
             reliability: 0.85,
             implementation: Implementation::Composite { sequence },
@@ -182,6 +205,14 @@ pub(crate) fn register_composites(
         }
     }
     outcome
+}
+
+/// The catalog tag of enrichment functions whose failure degrades a run
+/// instead of failing it.
+const NON_CRITICAL: &str = "non-critical";
+
+fn is_non_critical(entry: &CapabilityEntry) -> bool {
+    entry.tags.iter().any(|t| t == NON_CRITICAL)
 }
 
 /// Converts an implementation plan into the executable workflow IR.
@@ -197,10 +228,7 @@ pub(crate) fn to_workflow(
     let mut wf = Workflow::new(&plan.workflow_id, query);
     for planned in &plan.steps {
         let mut step = Step::new(&planned.id, &planned.function).because(&planned.rationale);
-        let non_critical = registry
-            .get(&step.function)
-            .is_some_and(|entry| entry.tags.iter().any(|t| t == "non-critical"));
-        if non_critical {
+        if registry.get(&step.function).is_some_and(is_non_critical) {
             step = step.non_critical();
         }
         for (param, binding) in &planned.bindings {

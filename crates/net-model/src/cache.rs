@@ -138,6 +138,7 @@ mod tests {
             let map: OnceMap<String, Arc<usize>> = OnceMap::new();
             let builds = AtomicUsize::new(0);
             let start = Barrier::new(threads);
+            #[expect(clippy::disallowed_methods, reason = "racing callers must build once")]
             let results: Vec<(Arc<usize>, bool)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
@@ -165,6 +166,7 @@ mod tests {
         let threads = 8;
         let map: OnceMap<String, Result<u32, String>> = OnceMap::new();
         let builds = AtomicUsize::new(0);
+        #[expect(clippy::disallowed_methods, reason = "every waiter must see the failed build")]
         let results: Vec<(Result<u32, String>, bool)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {

@@ -159,6 +159,7 @@ impl Country {
     }
 
     /// The two-letter code as a `&str`.
+    #[expect(clippy::expect_used, reason = "country codes are two ASCII letters")]
     pub fn code(&self) -> &str {
         std::str::from_utf8(&self.0).expect("country codes are ASCII")
     }

@@ -50,6 +50,10 @@ impl GeoPoint {
     ///
     /// Intended for compile-time-known coordinates (the world generator's
     /// city tables); use [`GeoPoint::new`] for untrusted input.
+    #[expect(
+        clippy::expect_used,
+        reason = "for coordinate literals; GeoPoint::new takes untrusted input"
+    )]
     pub fn of(lat_deg: f64, lon_deg: f64) -> Self {
         Self::new(lat_deg, lon_deg).expect("coordinate literal out of range")
     }

@@ -94,9 +94,11 @@ impl Ipv4Net {
         self.network
     }
 
-    /// The prefix length. (Not a container length — a /0 prefix covers
-    /// the whole address space, so there is no meaningful `is_empty`.)
-    #[allow(clippy::len_without_is_empty)]
+    /// The prefix length.
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "not a container length: a /0 prefix covers the whole address space"
+    )]
     pub fn len(&self) -> u8 {
         self.len
     }

@@ -13,7 +13,12 @@
 //! canonical order exists — the substrate simulators rely on deterministic
 //! iteration order for reproducibility.
 
+// The `thread_local!` canary in `canary` is reported here, at the crate root.
+#![expect(clippy::disallowed_macros, reason = "canary")]
+
 pub mod cache;
+#[cfg(clippy)]
+pub mod canary;
 pub mod country;
 pub mod geo;
 pub mod hash;

@@ -213,6 +213,7 @@ impl Family {
 
     /// Numeric tag mixed into every deterministic selection this family
     /// makes (so two families never make correlated picks).
+    #[expect(clippy::expect_used, reason = "Family::ALL lists every family")]
     fn tag(&self) -> u64 {
         Family::ALL.iter().position(|f| f == self).expect("family in ALL") as u64 + 1
     }

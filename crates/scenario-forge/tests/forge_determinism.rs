@@ -144,6 +144,7 @@ fn cache_hands_one_arc_to_every_thread() {
     for threads in [1usize, 2, 8] {
         let cache = WorldCache::new();
         let config = WorldConfig { seed: 1000 + threads as u64, ..WorldConfig::default() };
+        #[expect(clippy::disallowed_methods, reason = "racing callers must share one world")]
         let worlds: Vec<Arc<World>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| scope.spawn(|| cache.get_or_generate(&config)))

@@ -17,8 +17,8 @@
 //! Logical clock: the executor charges one tick per attempt, the
 //! retry policy's backoff per retry, and one tick per step that never
 //! reaches the runtime. Wall clocks never appear — the crate is in
-//! conformance's `DETERMINISTIC_CRATES` and scans clean under
-//! `no-wall-clock`.
+//! conformance's `DETERMINISTIC_CRATES`, and clippy bans `Instant` and
+//! `SystemTime`.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::trace::{span_id, Event, EventKind, Span, SpanKind, SpanStatus, Trace};

@@ -6,8 +6,8 @@
 //! timestamped in **logical ticks** — the executor's own attempt/backoff
 //! counters — never wall clock. Two runs of the same (scenario, query,
 //! fault seed) therefore produce byte-identical traces regardless of
-//! concurrent load or machine speed; the conformance `no-wall-clock` rule
-//! enforces the discipline statically.
+//! concurrent load or machine speed; clippy's `disallowed-types` ban on
+//! `Instant` and `SystemTime` enforces the discipline statically.
 //!
 //! Span ids are content-derived via the same SplitMix64 fold the world
 //! substrate uses (`world::events::stable_hash`), salted with a

@@ -34,6 +34,7 @@ use workflow::{
 /// chaos determinism suite — same shape, now traced).
 const FUNCTIONS: [&str; 3] = ["c.alpha", "c.beta", "c.gamma"];
 
+#[expect(clippy::unwrap_used, reason = "distinct toy ids")]
 fn toy_registry() -> Registry {
     let deps: Vec<Param> =
         (0..8).map(|i| Param::optional(&format!("d{i}"), DataFormat::Table)).collect();
@@ -204,6 +205,8 @@ fn assert_trace_matches_report(trace: &Trace, report: &ExecutionReport) {
 }
 
 /// Runs `run` on `workers` threads at once and returns every result.
+#[expect(clippy::disallowed_methods, reason = "the 1/2/8 concurrent-caller pin")]
+#[expect(clippy::expect_used, reason = "a panicking caller fails the test")]
 fn concurrently<T: Send>(workers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&run)).collect();
@@ -294,6 +297,7 @@ fn fixed_seed_matrix_traces_deterministically() {
 /// retry budget of 4, the five attempts choreograph as: inject, inject
 /// (trips Closed→Open), shed, shed (cooldown spent), half-open probe
 /// (injects again, re-opens).
+#[expect(clippy::expect_used, reason = "the fixture registers cs5 and the query serves")]
 fn serve_degraded_cs5() -> (Arc<Recorder>, workflow::RunHealth) {
     let recorder = Arc::new(Recorder::new());
     let engine = arachnet::Engine::new(

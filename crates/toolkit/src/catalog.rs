@@ -83,6 +83,7 @@ pub fn restricted_registry(withhold: &[&str]) -> Registry {
 fn registry_of<'a>(tools: impl Iterator<Item = &'a Tool>) -> Registry {
     let mut r = Registry::new();
     for t in tools {
+        #[expect(clippy::expect_used, reason = "catalog ids are unique, and a test pins it")]
         r.register(t.entry()).expect("catalog ids are unique");
     }
     r

@@ -33,7 +33,9 @@ pub fn cs2_scenario() -> Scenario {
 /// sub-analyses have real BGP and latency evolution to observe.
 pub fn cs3_scenario() -> Scenario {
     let world = standard_world();
+    #[expect(clippy::expect_used, reason = "SeaMeWe-5 is a curated cable")]
     let smw5 = world.cable_by_name("SeaMeWe-5").expect("curated").id;
+    #[expect(clippy::expect_used, reason = "AAE-1 is a curated cable")]
     let aae1 = world.cable_by_name("AAE-1").expect("curated").id;
     let t1 = SimTime::EPOCH + SimDuration::days(4);
     let t2 = t1 + SimDuration::hours(10);
@@ -49,6 +51,7 @@ pub const CS4_CULPRIT: &str = "SeaMeWe-4";
 /// before "now", producing the latency anomaly the query asks about.
 pub fn cs4_scenario() -> Scenario {
     let world = standard_world();
+    #[expect(clippy::expect_used, reason = "the CS4 culprit is a curated cable")]
     let cable = world.cable_by_name(CS4_CULPRIT).expect("curated").id;
     let horizon_days = 14;
     let cut_at = SimTime::EPOCH + SimDuration::days(horizon_days - 3);
@@ -101,6 +104,7 @@ pub fn cs5_hijack_scenario() -> Scenario {
 /// The hijacker ASN and victim prefix of [`cs5_hijack_scenario`].
 pub fn cs5_actors(world: &world::World) -> (net_model::Asn, net_model::Ipv4Net) {
     use scenario_forge::script::AsTarget;
+    #[expect(clippy::expect_used, reason = "the standard world has European transit ASes")]
     let hijacker = AsTarget::TierRank {
         region: net_model::Region::Europe,
         tier: world::AsTier::Transit,
@@ -108,6 +112,7 @@ pub fn cs5_actors(world: &world::World) -> (net_model::Asn, net_model::Ipv4Net) 
     }
     .resolve(world)
     .expect("the standard world has European transit ASes");
+    #[expect(clippy::expect_used, reason = "the standard world has Asian access ASes")]
     let victim = AsTarget::TierRank {
         region: net_model::Region::Asia,
         tier: world::AsTier::Access,
@@ -115,6 +120,7 @@ pub fn cs5_actors(world: &world::World) -> (net_model::Asn, net_model::Ipv4Net) 
     }
     .resolve(world)
     .expect("the standard world has Asian access ASes");
+    #[expect(clippy::expect_used, reason = "access ASes announce prefixes")]
     let victim_prefix = world
         .prefixes
         .iter()

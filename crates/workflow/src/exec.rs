@@ -808,6 +808,7 @@ mod tests {
     }
 
     /// Runs `run` on `callers` threads at once and returns every result.
+    #[expect(clippy::disallowed_methods, reason = "the 1/2/8 concurrent-caller pin")]
     fn concurrently<T: Send>(callers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..callers).map(|_| scope.spawn(&run)).collect();

@@ -45,6 +45,7 @@ fn step_spec() -> impl Strategy<Value = StepSpec> {
 
 /// The registry: one function per behavior, with enough optional table
 /// parameters to wire any dependency mask.
+#[expect(clippy::unwrap_used, reason = "distinct toy ids")]
 fn dag_registry() -> Registry {
     let deps: Vec<Param> =
         (0..16).map(|i| Param::optional(&format!("d{i}"), DataFormat::Table)).collect();
@@ -125,6 +126,8 @@ fn build_workflow(specs: &[StepSpec]) -> Workflow {
 }
 
 /// Runs `run` on `workers` threads at once and returns every result.
+#[expect(clippy::disallowed_methods, reason = "the 1/2/8 concurrent-caller pin")]
+#[expect(clippy::expect_used, reason = "a panicking caller fails the test")]
 fn concurrently<T: Send>(workers: usize, run: impl Fn() -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&run)).collect();

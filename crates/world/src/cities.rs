@@ -103,7 +103,9 @@ city_table! {
 
 /// Finds a city by `(country code, name)`; panics if absent — the cable
 /// table only references cities that exist.
+#[expect(clippy::panic, reason = "the cable table names only cities in this table")]
 pub fn city_index(cities: &[City], cc: &str, name: &str) -> CityId {
+    #[expect(clippy::expect_used, reason = "the cable table passes literal ISO codes")]
     let country = Country::parse(cc).expect("valid country code");
     cities
         .iter()
@@ -113,6 +115,7 @@ pub fn city_index(cities: &[City], cc: &str, name: &str) -> CityId {
 }
 
 /// The designated hub city of each region (tier-1 interconnection points).
+#[expect(clippy::expect_used, reason = "the city table has cities in every region")]
 pub fn region_hub(cities: &[City], region: Region) -> CityId {
     cities
         .iter()

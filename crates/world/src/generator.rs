@@ -318,7 +318,9 @@ fn build_ases(cities: &[City], config: &WorldConfig) -> Vec<AsInfo> {
 
     // Tier-1 backbones: present at every hub plus all home-country cities.
     for (i, cc) in TIER1_HOMES.iter().enumerate() {
+        #[expect(clippy::expect_used, reason = "TIER1_HOMES holds literal ISO codes")]
         let country = Country::parse(cc).expect("valid tier1 home");
+        #[expect(clippy::expect_used, reason = "every tier-1 home is in the country table")]
         let region = country.region().expect("known country");
         let mut presence: Vec<CityId> = hub_cities.clone();
         for c in cities.iter().filter(|c| c.country == country) {
@@ -376,7 +378,9 @@ fn build_ases(cities: &[City], config: &WorldConfig) -> Vec<AsInfo> {
 
     // Content providers: every hub city.
     for (i, cc) in CONTENT_HOMES.iter().enumerate() {
+        #[expect(clippy::expect_used, reason = "CONTENT_HOMES holds literal ISO codes")]
         let country = Country::parse(cc).expect("valid content home");
+        #[expect(clippy::expect_used, reason = "every content home is in the country table")]
         let region = country.region().expect("known country");
         ases.push(AsInfo {
             asn: Asn(asn_bands::CONTENT_BASE + i as u32),
@@ -413,7 +417,9 @@ fn build_relationships(
 
     // Transit buys from the 2–3 nearest tier-1s (by HQ anchor distance).
     for t in &transits {
+        #[expect(clippy::expect_used, reason = "transit ASes are homed in table countries")]
         let anchor = t.country.info().expect("known country").anchor;
+        #[expect(clippy::expect_used, reason = "tier-1 ASes are homed in table countries")]
         let mut ranked: Vec<(&&AsInfo, f64)> = tier1s
             .iter()
             .map(|b| {
@@ -440,6 +446,7 @@ fn build_relationships(
     // Access: customer of the home transit; ~30% multihome to a second
     // same-region transit.
     for acc in &accesses {
+        #[expect(clippy::expect_used, reason = "every access country has a transit AS")]
         let home = transits
             .iter()
             .find(|t| t.country == acc.country)
@@ -491,6 +498,10 @@ fn build_prefixes(ases: &[AsInfo]) -> Vec<PrefixInfo> {
     for a in ases {
         for _ in 0..prefixes_for_tier(a.tier) {
             let base = (10u32 << 24) | (next << 12);
+            #[expect(
+                clippy::expect_used,
+                reason = "a 10.0.0.0/8 base with its low 12 bits clear is a valid /20"
+            )]
             let net = Ipv4Net::new(Ipv4Addr(base), 20).expect("valid /20");
             prefixes.push(PrefixInfo { id: PrefixId(prefixes.len() as u32), net, origin: a.asn });
             next += 1;
@@ -522,6 +533,7 @@ fn build_links(
     graph: &PhysicalGraph,
 ) -> Vec<IpLink> {
     // `ases` is ASN-ascending (`build_ases` sorts it).
+    #[expect(clippy::expect_used, reason = "links join only ASes from this list")]
     let by_asn = |asn: Asn| {
         &ases[ases.binary_search_by_key(&asn, |a| a.asn).expect("known ASN")]
     };
@@ -532,6 +544,7 @@ fn build_links(
     // matches computing every distance on demand.
     let n = cities.len();
     let mut km = vec![f64::NAN; n * n];
+    #[expect(clippy::expect_used, reason = "every AS has at least one PoP")]
     let mut nearest_presence = |of: &AsInfo, to: CityId| -> CityId {
         let target = cities[to.index()].location;
         let mut km_to = |x: CityId| {
@@ -691,6 +704,10 @@ fn build_probes(
         for k in 0..count {
             let host = hosts[k % hosts.len()];
             let city = home_cities[k % home_cities.len()];
+            #[expect(
+                clippy::expect_used,
+                reason = "every access AS originates at least one prefix"
+            )]
             let pfx = prefixes
                 .iter()
                 .find(|p| p.origin == host.asn)

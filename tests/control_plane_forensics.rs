@@ -98,6 +98,7 @@ fn forensics_serving_is_bit_identical_across_worker_counts() {
     let (key, base) = serve();
     for workers in [1usize, 2, 8] {
         let (engine, _) = hijack_engine();
+        #[expect(clippy::disallowed_methods, reason = "the 1/2/8 concurrent-caller pin")]
         let runs: Vec<SessionRun> = std::thread::scope(|scope| {
             let handles: Vec<_> =
                 (0..workers).map(|_| scope.spawn(|| serve_on(&engine, &key))).collect();

@@ -48,6 +48,32 @@ fn valley_outage() -> FaultPlan {
     FaultPlan::new(1).with_fault("bgp.valley_violations", FaultKind::Persistent)
 }
 
+/// Curating CS5's own workflow must not turn a MOAS-detector outage
+/// from a degraded answer into no answer. The workflow chains
+/// `bgp.updates` (critical) into `bgp.detect_moas` (non-critical); a
+/// composite of the two would be one critical step.
+#[test]
+fn curating_cs5_keeps_a_moas_outage_degraded() {
+    let plan = FaultPlan::new(1).with_fault("bgp.detect_moas", FaultKind::Persistent);
+    let engine = engine(plan, RetryPolicy::default());
+    let before = serve_on(&engine);
+    let failed = before.health.failed_steps();
+    assert!(before.health.is_degraded(), "health: {:?}", before.health);
+    assert!(failed.iter().all(|s| s.0.contains("detect_moas")), "failed steps: {failed:?}");
+
+    let corpus = vec![before.solution.summary(true); 3];
+    let outcome = engine.curate(&corpus, 2).expect("curation runs");
+    assert!(
+        outcome.rejected.iter().any(|(id, why)| id.contains("detect_moas")
+            && why.starts_with("members disagree on non-critical")),
+        "the mixed chain is rejected: {:?}",
+        outcome.rejected
+    );
+    let after = serve_on(&engine);
+    assert!(after.health.is_degraded(), "curated health: {:?}", after.health);
+    assert_eq!(after.report.outputs, before.report.outputs, "curation keeps the answer");
+}
+
 #[test]
 fn persistent_valley_failure_degrades_but_keeps_moas_detections() {
     let run = serve(valley_outage(), RetryPolicy::default());
@@ -88,6 +114,7 @@ fn degraded_serving_is_bit_identical_across_worker_counts() {
     let base = serve(valley_outage(), RetryPolicy::default());
     for workers in [1usize, 2, 8] {
         let engine = engine(valley_outage(), RetryPolicy::default());
+        #[expect(clippy::disallowed_methods, reason = "the 1/2/8 concurrent-caller pin")]
         let runs: Vec<SessionRun> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|| serve_on(&engine))).collect();
             handles.into_iter().map(|h| h.join().expect("worker thread")).collect()
