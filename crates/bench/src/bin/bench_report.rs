@@ -1,5 +1,5 @@
 //! Bench trajectory: the component rows behind the paper's timing claims,
-//! written as `BENCH_pr30.json` at the repo root.
+//! written as `BENCH_pr32.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p benchkit --bin bench_report            # repo root
@@ -312,21 +312,29 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             updates.expect("updates serve").native_ref::<bgp_sim::UpdateWindow>().map_or(0, |w| w.len())
         })
         .sum();
-    // `campaign_cold`'s fleet at root 7: every base and composed family,
-    // one variant, two draws — 26 scenarios over 8 worlds, forged here.
+    // `campaign_cold`'s fleet at root 7: 26 scenarios over 8 worlds,
+    // forged here.
     let fleet_cache = arachnet::WorldCache::new();
-    let campaign_fleet: Vec<Scenario> = {
-        let params = campaign::FamilyParams { seed: 7, variants: 1, ..Default::default() };
-        let base = arachnet::Family::ALL.map(campaign::CampaignFamily::from);
-        let composed = campaign::ComposedFamily::ALL.map(campaign::CampaignFamily::from);
-        base.into_iter()
-            .chain(composed)
-            .flat_map(|f| campaign::EnsembleSpec::new(f, params.clone()).with_draws(2).expand())
-            .flat_map(|draw| draw.blueprints)
-            .map(|bp| bp.forge(&fleet_cache))
-            .collect()
-    };
+    let campaign_fleet: Vec<Scenario> = campaign_cold_spec(7)
+        .ensembles
+        .iter()
+        .flat_map(campaign::EnsembleSpec::expand)
+        .flat_map(|draw| draw.blueprints)
+        .map(|bp| bp.forge(&fleet_cache))
+        .collect();
     let (fleet_scenarios, fleet_worlds) = (campaign_fleet.len(), fleet_cache.len());
+    // Whole `campaign_cold` campaigns on a fresh engine each round. The
+    // arms take alternate roots from a range no other row touches, so
+    // every round's worlds are cold in the process-wide cache.
+    let cold_campaign = move |root: u64, workers: usize| {
+        let engine = Engine::new(Arc::clone(&fx.model), catalog::standard_registry());
+        let report = campaign::CampaignRunner::new(&engine)
+            .with_workers(workers)
+            .run(&campaign_cold_spec(root));
+        assert_eq!(report.scorecard.failed, 0, "campaign serves cleanly");
+        report.scorecard.queries
+    };
+    let cold_queries = fleet_scenarios * campaign_cold_spec(7).queries.len();
 
     let mut rows = vec![
         row("substrates/bgp/full_routing_table", 9, move || {
@@ -486,6 +494,23 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         .vs("the same CS5 forensics query served healthy (empty fault plan)", move || {
             serve_cs5(FaultPlan::empty())
         }),
+        row("forge/campaign_cold", 11, {
+            let mut root = 1_000_001;
+            move || {
+                root += 2;
+                cold_campaign(root, 2)
+            }
+        })
+        .vs("the same campaign served at 1 worker", {
+            let mut root = 1_000_000;
+            move || {
+                root += 2;
+                cold_campaign(root, 1)
+            }
+        })
+        .with("scenario_queries", cold_queries)
+        .with("worlds", fleet_worlds)
+        .with("workers", 2),
         row("forge/campaign_10k", 3, move || campaign(workers))
             .vs("the identical campaign served at 1 worker", move || campaign(1))
             .with("scenario_queries", scenario_queries)
@@ -553,6 +578,21 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
     rows
 }
 
+/// perfbench's `campaign_cold` campaign at `root`: every base and
+/// composed family, one variant, two draws, the CS5 and CS1 queries.
+fn campaign_cold_spec(root: u64) -> campaign::CampaignSpec {
+    let params = campaign::FamilyParams { seed: root, variants: 1, ..Default::default() };
+    let base = arachnet::Family::ALL.map(campaign::CampaignFamily::from);
+    let composed = campaign::ComposedFamily::ALL.map(campaign::CampaignFamily::from);
+    let ensembles = base
+        .into_iter()
+        .chain(composed)
+        .map(|f| campaign::EnsembleSpec::new(f, params.clone()).with_draws(2))
+        .collect();
+    let queries = [toolkit::scenarios::CS5_QUERY, CaseStudy::Cs1CableImpact.query()];
+    campaign::CampaignSpec::new(ensembles, queries.map(String::from).to_vec())
+}
+
 /// `bgp.updates` over `window`, then `bgp.detect_moas` on the result:
 /// how many conflicts the window shows.
 fn warm_moas(rt: &toolkit::StandardRuntime, window: &workflow::Value) -> usize {
@@ -569,7 +609,7 @@ fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| {
         // The binary lives in crates/bench; the trajectory file lives at
         // the repo root.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr30.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr32.json").to_string()
     });
 
     let fx = Fixtures::new();
@@ -581,7 +621,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let report = json!({
-        "pr": 30,
+        "pr": 32,
         "machine": { "cpus": cpus, "profile": profile },
         "world": {
             "ases": world.ases.len(),

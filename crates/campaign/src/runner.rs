@@ -16,18 +16,22 @@
 //! Campaign workers are the serving stack's one layer of parallelism:
 //! the workflow executor and the substrate kernels a query reaches
 //! (routing tables, RIB captures, update derivation) compute on the
-//! worker's own thread.
+//! worker's own thread. The same workers build the campaign's cold
+//! worlds before registration, pulling configs from a counter the same
+//! way; the world cache is content-addressed, so which worker built a
+//! world, and when, never reaches an output.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use arachnet::{Engine, PipelineError, RegistrationStats};
+use arachnet::{Engine, RegistrationStats};
 use telemetry::Recorder;
 use toolkit::QueryMetrics;
 use workflow::RunHealth;
-use world::Scenario;
+use world::{Scenario, WorldConfig};
 
-use crate::ensemble::EnsembleSpec;
+use crate::ensemble::{EnsembleDraw, EnsembleSpec};
 use crate::provenance::{str_words, ProvenanceRecord};
 use crate::scorecard::{ResilienceScorecard, ScorecardBuilder};
 
@@ -75,7 +79,8 @@ pub struct CampaignReport {
     /// scenarios its own registrations returned, so registrations other
     /// threads make on the same engine never count here (a nonzero
     /// `mismatched` means the spec's keys collided with different
-    /// timelines already registered on the engine).
+    /// timelines already registered on the engine; those blueprints'
+    /// tasks are `Failed` outcomes, not served).
     pub registration: RegistrationStats,
 }
 
@@ -95,6 +100,9 @@ struct Task {
     params_hash: u64,
     draw: u64,
     scenario: Arc<Scenario>,
+    /// Why the task is not served: its key already held a different
+    /// timeline, so the session would serve another scenario.
+    refused: Option<String>,
 }
 
 /// Executes campaigns against a borrowed engine.
@@ -133,32 +141,58 @@ impl<'a> CampaignRunner<'a> {
 
     /// Expands, registers and serves the whole campaign.
     ///
-    /// Registration happens first, serially, in spec order: worlds
-    /// generate through the engine's shared content-addressed cache
-    /// (draws that share a config share one `Arc<World>`), and every
-    /// scenario registers under `"<family>/d<draw>/<variant>"`. The
-    /// task list is then served across the worker pool.
+    /// The spec expands serially, in spec order. The workers then build
+    /// the campaign's cold worlds: every distinct config the process
+    /// cache does not hold yet, generated once through the engine's
+    /// content-addressed cache (draws that share a config share one
+    /// `Arc<World>`). Registration follows, serially and in spec order,
+    /// and finds every world built: each scenario registers under
+    /// `"<family>/d<draw>/<variant>"`. A blueprint whose key already
+    /// holds a different timeline is not served; its tasks are `Failed`
+    /// outcomes whose error names the key. The task list is then served
+    /// across the worker pool.
     pub fn run(&self, spec: &CampaignSpec) -> CampaignReport {
+        let draws: Vec<(&'static str, EnsembleDraw)> = spec
+            .ensembles
+            .iter()
+            .flat_map(|ensemble| {
+                let family = ensemble.family.id();
+                ensemble.expand().into_iter().map(move |draw| (family, draw))
+            })
+            .collect();
+        self.build_worlds(&draws);
+
         let mut registration = RegistrationStats::default();
         let mut tasks: Vec<Task> = Vec::new();
-        for ensemble in &spec.ensembles {
-            let family = ensemble.family.id();
-            for draw in ensemble.expand() {
-                let prefix = format!("{family}/d{}", draw.draw);
-                let params_hash = draw.params.content_hash();
-                let fleet = self.engine.register_blueprints(&prefix, &draw.blueprints);
-                for registered in fleet {
-                    registration.count(!registered.fresh, registered.matched);
-                    for query in &spec.queries {
-                        tasks.push(Task {
-                            key: registered.key.clone(),
-                            query: query.clone(),
-                            family,
-                            params_hash,
-                            draw: draw.draw,
-                            scenario: Arc::clone(&registered.scenario),
-                        });
-                    }
+        for (family, draw) in &draws {
+            let prefix = format!("{family}/d{}", draw.draw);
+            let params_hash = draw.params.content_hash();
+            let fleet = self.engine.register_blueprints(&prefix, &draw.blueprints);
+            for (registered, blueprint) in fleet.into_iter().zip(&draw.blueprints) {
+                registration.count(!registered.fresh, registered.matched);
+                // A kept slot with another timeline would serve that
+                // scenario under this draw's provenance: stamp the
+                // offered scenario instead, and refuse to serve it.
+                let (scenario, refused) = if registered.matched {
+                    (registered.scenario, None)
+                } else {
+                    let world = self.engine.world_cache().get_or_generate(&blueprint.config);
+                    let error = format!(
+                        "scenario key {:?} already holds a different timeline",
+                        registered.key
+                    );
+                    (Arc::new(blueprint.realize(world)), Some(error))
+                };
+                for query in &spec.queries {
+                    tasks.push(Task {
+                        key: registered.key.clone(),
+                        query: query.clone(),
+                        family,
+                        params_hash,
+                        draw: draw.draw,
+                        scenario: Arc::clone(&scenario),
+                        refused: refused.clone(),
+                    });
                 }
             }
         }
@@ -172,31 +206,61 @@ impl<'a> CampaignRunner<'a> {
         CampaignReport { outcomes, scorecard, registration }
     }
 
+    /// Builds the worlds of `draws` that the process cache does not hold
+    /// yet: each distinct config once, in first-seen spec order, pulled
+    /// across the workers. A spec whose worlds are all warm starts no
+    /// thread.
+    fn build_worlds(&self, draws: &[(&str, EnsembleDraw)]) {
+        let cache = self.engine.world_cache();
+        let mut seen: BTreeSet<&WorldConfig> = BTreeSet::new();
+        let cold: Vec<&WorldConfig> = draws
+            .iter()
+            .flat_map(|(_, draw)| &draw.blueprints)
+            .map(|blueprint| &blueprint.config)
+            .filter(|config| seen.insert(config) && cache.shared().get(config).is_none())
+            .collect();
+        self.pull(cold.len(), |i| {
+            if let Some(config) = cold.get(i) {
+                cache.get_or_generate(config);
+            }
+        });
+    }
+
     /// Serves the task list across the worker pool: slot `i` holds task
-    /// `i`'s outcome regardless of which worker ran it or when. Workers
-    /// claim task indices in ascending order from one counter until none
-    /// is left; there are never more workers than tasks.
+    /// `i`'s outcome regardless of which worker ran it or when.
     fn serve(&self, tasks: &[Task]) -> Vec<QueryOutcome> {
         let slots: Vec<OnceLock<QueryOutcome>> = tasks.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::SeqCst);
-            let (Some(task), Some(slot)) = (tasks.get(i), slots.get(i)) else {
-                break;
-            };
-            // Each index is claimed once, so each slot is set once.
-            let _ = slot.set(self.execute(task));
-        };
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the workers pull tasks and join before the scorecard folds"
-        )]
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(tasks.len()) {
-                scope.spawn(worker);
+        self.pull(tasks.len(), |i| {
+            if let (Some(task), Some(slot)) = (tasks.get(i), slots.get(i)) {
+                // Each index is claimed once, so each slot is set once.
+                let _ = slot.set(self.execute(task));
             }
         });
         slots.into_iter().filter_map(OnceLock::into_inner).collect()
+    }
+
+    /// Runs `job(i)` for every `i` in `0..n` on `min(workers, n)` scoped
+    /// threads. Workers claim indices in ascending order from one
+    /// counter until none is left, so a worker that drew cheap jobs
+    /// takes more of them.
+    fn pull(&self, n: usize, job: impl Fn(usize) + Sync) {
+        let next = AtomicUsize::new(0);
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            if i >= n {
+                break;
+            }
+            job(i);
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the workers pull jobs and join before registration or the scorecard fold"
+        )]
+        std::thread::scope(|scope| {
+            for _ in 0..self.workers.min(n) {
+                scope.spawn(worker);
+            }
+        });
     }
 
     /// Serves one task through its own engine session. With tracing
@@ -219,18 +283,22 @@ impl<'a> CampaignRunner<'a> {
             query_hash: str_words(&task.query),
             trace_hash,
         };
-        let failed = |epoch: u64, error: PipelineError, trace_hash: Option<u64>| QueryOutcome {
+        let failed = |epoch: u64, error: String, trace_hash: Option<u64>| QueryOutcome {
             provenance: provenance(epoch, trace_hash),
             query: task.query.clone(),
             health: RunHealth::Failed { failed_steps: Vec::new() },
             metrics: QueryMetrics::default(),
             retries: 0,
             trace_hash,
-            error: Some(error.to_string()),
+            error: Some(error),
         };
         let trace_of = |recorder: &Option<Arc<Recorder>>| {
             recorder.as_ref().map(|r| r.trace_hash())
         };
+        if let Some(error) = &task.refused {
+            let trace_hash = trace_of(&recorder);
+            return failed(self.engine.epoch().sequence, error.clone(), trace_hash);
+        }
         let session = match self.engine.session(&task.key) {
             Ok(session) => match &recorder {
                 Some(rec) => session.with_recorder(Arc::clone(rec)),
@@ -238,7 +306,7 @@ impl<'a> CampaignRunner<'a> {
             },
             Err(e) => {
                 let trace_hash = trace_of(&recorder);
-                return failed(self.engine.epoch().sequence, e, trace_hash);
+                return failed(self.engine.epoch().sequence, e.to_string(), trace_hash);
             }
         };
         let epoch = session.epoch_sequence();
@@ -257,7 +325,7 @@ impl<'a> CampaignRunner<'a> {
             }
             Err(e) => {
                 let trace_hash = trace_of(&recorder);
-                failed(epoch, e, trace_hash)
+                failed(epoch, e.to_string(), trace_hash)
             }
         }
     }
@@ -425,6 +493,84 @@ mod tests {
         assert_eq!(report.registration.fresh, 12);
         assert_eq!(report.registration.kept_existing, 0);
         assert_eq!(report.registration.mismatched, 0);
+    }
+
+    #[test]
+    fn colliding_keys_fail_closed_instead_of_serving_the_kept_scenario() {
+        // Two ensembles of one family at different seeds share the key
+        // prefix `<family>/d0`, and blueprint names ignore the seed: the
+        // second ensemble's blueprint finds the first one's slot.
+        let ensemble = |seed| {
+            let params = FamilyParams { seed, variants: 1, ..FamilyParams::default() };
+            EnsembleSpec::new(Family::TransitDePeering, params)
+        };
+        let spec = CampaignSpec::new(vec![ensemble(1), ensemble(2)], vec![FORENSICS_QUERY.into()]);
+        let engine = engine();
+        let report = CampaignRunner::new(&engine).with_workers(2).run(&spec);
+        assert_eq!(report.registration.fresh, 1);
+        assert_eq!(report.registration.mismatched, 1);
+        let [first, second] = &report.outcomes[..] else {
+            panic!("2 scenarios × 1 query, got {:?}", report.outcomes);
+        };
+        assert_eq!(first.provenance.scenario_key, second.provenance.scenario_key);
+        assert!(first.error.is_none(), "the first ensemble serves: {first:?}");
+        let key = &second.provenance.scenario_key;
+        assert_eq!(
+            second.error.as_deref(),
+            Some(format!("scenario key {key:?} already holds a different timeline").as_str())
+        );
+        assert!(matches!(second.health, RunHealth::Failed { .. }));
+        assert_eq!(report.scorecard.failed, 1);
+        // The refused outcome stamps the scenario its own draw offered,
+        // not the kept one.
+        let offered = ensemble(2).expand().remove(0).blueprints.remove(0);
+        assert_eq!(second.provenance.world_hash, offered.world_hash());
+        assert_ne!(second.provenance.world_hash, first.provenance.world_hash);
+        assert_ne!(second.provenance.scenario_hash, first.provenance.scenario_hash);
+        assert_eq!(second.provenance.params_hash, ensemble(2).params.content_hash());
+        // A rerun on the same engine refuses the same blueprint again.
+        let rerun = CampaignRunner::new(&engine).run(&spec);
+        assert_eq!(rerun.outcomes, report.outcomes);
+    }
+
+    #[test]
+    fn workers_build_each_cold_world_once_before_registration() {
+        // A seed no other test in this crate uses, so every world starts
+        // cold. Three families over two draws, where blueprints of one
+        // draw share a config.
+        let params = FamilyParams { seed: 32_032, variants: 1, ..FamilyParams::default() };
+        let families =
+            [Family::TargetedPrefixHijack, Family::TransitDePeering, Family::RegionalBlackout];
+        let spec = CampaignSpec::new(
+            families.map(|f| EnsembleSpec::new(f, params.clone()).with_draws(2)).to_vec(),
+            vec![FORENSICS_QUERY.to_string()],
+        );
+        let blueprints: Vec<_> = spec
+            .ensembles
+            .iter()
+            .flat_map(EnsembleSpec::expand)
+            .flat_map(|draw| draw.blueprints)
+            .collect();
+        let configs: BTreeSet<&WorldConfig> = blueprints.iter().map(|b| &b.config).collect();
+        assert!(configs.len() < blueprints.len(), "several blueprints share a config");
+
+        let recorder = Arc::new(Recorder::new());
+        let engine = engine().with_recorder(Arc::clone(&recorder));
+        let report =
+            CampaignRunner::new(&engine).with_workers(2).with_tracing(true).run(&spec);
+        assert_eq!(report.scorecard.failed, 0, "outcomes: {:?}", report.outcomes);
+        assert_eq!(engine.world_cache().generations(), configs.len());
+        // Registration found every world built: the engine's warmth
+        // probe reads a hit for each blueprint and never a miss.
+        let metrics = recorder.metrics_snapshot();
+        assert_eq!(metrics.counter("world_cache.miss"), 0);
+        assert_eq!(metrics.counter("world_cache.hit"), blueprints.len() as u64);
+        for config in configs {
+            let built = engine.world_cache().shared().get(config);
+            let built = built.map(|world| format!("{world:?}"));
+            let fresh = format!("{:?}", world::generate(config));
+            assert_eq!(built.as_ref(), Some(&fresh), "the worker built the generated world");
+        }
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! campaign produces are **byte-identical** at 1, 2 and 8 workers, and
 //! across same-seed reruns — with and without a fault plan installed.
 //!
+//! The first run of each case uses 8 workers, so it is the one that
+//! builds the spec's worlds on the workers (the world cache is
+//! process-wide); the 2- and 1-worker reruns find them warm.
+//!
 //! Outcome payloads are compared structurally (`CampaignReport` is
 //! `PartialEq` all the way down) *and* through their serialized JSON
 //! bytes, so a formatting-level divergence (float canonicalization, map
@@ -88,16 +92,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Scorecards and provenance are worker-count invariant and rerun
-    /// stable on arbitrary specs.
+    /// stable on arbitrary specs, from a cold 8-worker run.
     #[test]
     fn campaigns_are_worker_invariant_and_rerun_stable(spec in arbitrary_spec()) {
-        let base = run(&spec, 1, None);
+        let base = run(&spec, 8, None);
         prop_assert!(base.scorecard.queries > 0, "spec expands to at least one task");
-        for workers in [2usize, 8] {
+        for workers in [2usize, 1] {
             let other = run(&spec, workers, None);
             assert_identical(&base, &other, &format!("{workers} workers"));
         }
-        let rerun = run(&spec, 1, None);
+        let rerun = run(&spec, 8, None);
         assert_identical(&base, &rerun, "same-seed rerun");
     }
 
@@ -109,12 +113,12 @@ proptest! {
         let plan = || {
             FaultPlan::new(seed).with_fault("bgp.valley_violations", FaultKind::Persistent)
         };
-        let base = run(&spec, 1, Some(plan()));
-        for workers in [2usize, 8] {
+        let base = run(&spec, 8, Some(plan()));
+        for workers in [2usize, 1] {
             let other = run(&spec, workers, Some(plan()));
             assert_identical(&base, &other, &format!("faulted, {workers} workers"));
         }
-        let rerun = run(&spec, 1, Some(plan()));
+        let rerun = run(&spec, 8, Some(plan()));
         assert_identical(&base, &rerun, "faulted same-seed rerun");
         for outcome in &base.outcomes {
             prop_assert_eq!(outcome.provenance.fault_seed, Some(seed));

@@ -307,6 +307,12 @@ impl Engine {
     /// [`Engine::register_family`] takes, exposed so composed and
     /// ensemble-swept blueprints (which no single [`Family`] expands to)
     /// ride the identical world-dedup and idempotency machinery.
+    ///
+    /// With a recorder attached, each blueprint probes whether its world
+    /// is already built in this process and counts a `world_cache.hit`
+    /// or `world_cache.miss` (plus the matching cache event). Under a
+    /// `CampaignRunner` every probe reads `hit`: the campaign's workers
+    /// build its worlds before it registers.
     pub fn register_blueprints(
         &self,
         prefix: &str,
@@ -317,7 +323,7 @@ impl Engine {
             .map(|blueprint| {
                 let key = format!("{}/{}", prefix, blueprint.name);
                 if let Some(recorder) = &self.recorder {
-                    // Registration is the engine's serial lane, so the
+                    // Registration runs on the caller's thread, so the
                     // warmth probe is safe to emit as a trace event; the
                     // cache itself is process-global, so whether a config
                     // is warm depends on what ran before in this process.
