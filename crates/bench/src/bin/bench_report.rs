@@ -200,7 +200,8 @@ const CALLERS_THREAD: &str = "since BENCH_pr23 the measured arm computes its rou
 
 /// The note of the cold-session rows.
 const COLD_SESSION: &str = "a fresh Engine and session each round, so the artifact stores start \
-    empty; worlds and the Nautilus mapping are process-global and therefore warm";
+    empty and the Nautilus mapping runs cold; the case studies' standard world is generated once \
+    per process and therefore warm";
 
 /// The table. Nothing is timed until a row runs.
 fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
@@ -322,10 +323,10 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
         .flat_map(|draw| draw.blueprints)
         .map(|bp| bp.forge(&fleet_cache))
         .collect();
-    let (fleet_scenarios, fleet_worlds) = (campaign_fleet.len(), fleet_cache.len());
-    // Whole `campaign_cold` campaigns on a fresh engine each round. The
-    // arms take alternate roots from a range no other row touches, so
-    // every round's worlds are cold in the process-wide cache.
+    let (fleet_scenarios, fleet_worlds) = (campaign_fleet.len(), fleet_cache.generations());
+    // Whole `campaign_cold` campaigns on a fresh engine each round, so
+    // every round's worlds and world artifacts are cold. The arms take
+    // alternate roots from a range no other row touches.
     let cold_campaign = move |root: u64, workers: usize| {
         let engine = Engine::new(Arc::clone(&fx.model), catalog::standard_registry());
         let report = campaign::CampaignRunner::new(&engine)
@@ -395,9 +396,9 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             traced.trace_json().len() + traced.chrome_trace().len()
         })
         .with("spans", spans),
-        // World-keyed artifact stores share the mapping run across any
-        // registrations of one world, so the contrast left in-tree is
-        // thread scaling over that shared store.
+        // Each call serves from a fresh engine, so both arms pay one cold
+        // mapping run, which the engine's world store then shares across
+        // the sessions; the contrast is thread scaling over that store.
         row("engine/concurrent_sessions", 7, move || {
             benchkit::serve_sessions(scenario, serve_query, 8, true, workers)
         })
@@ -415,11 +416,10 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             generate(&WorldConfig::default()).links.len()
         }),
         // Engine setup + fleet registration of cold worlds: every call
-        // draws a fresh reseed of the fleet params, so the process-wide
-        // world cache has none of its worlds and the arm generates each
-        // distinct world once. The baseline generates one world per
-        // scenario from the same draws. The model and registry are built
-        // outside the arm.
+        // builds a fresh engine, whose world cache starts empty, so the
+        // arm generates each distinct world once. The baseline generates
+        // one world per scenario from the same reseeded draws. The model
+        // and registry are built outside the arm.
         row("forge/register_family_fleet", 3, {
             let mut draw = 0;
             move || {
@@ -461,13 +461,16 @@ fn rows(fx: &Fixtures) -> Vec<Row<'_>> {
             [net_model::SimTime::EPOCH, cut_at + net_model::SimDuration::hours(1)]
                 .map(|t| bgp_sim::AsGraph::at_time(&cable_cut, t).edge_count())
         }),
+        // Four scenarios over one world, registered on a fresh engine each
+        // round: its world store runs the mapping once and serves the
+        // other three sessions from it.
         row("toolkit/mapping_shared_world", 5, move || {
+            let engine = Engine::new(Arc::clone(&fx.model), catalog::standard_registry());
             (0..4)
-                .map(|_| {
-                    let rt = toolkit::StandardRuntime::new(Scenario::quiet(
-                        scenario.world_handle(),
-                        10,
-                    ));
+                .map(|i| {
+                    let key = format!("quiet{i}");
+                    engine.register_scenario(&key, Scenario::quiet(scenario.world_handle(), 10));
+                    let rt = engine.session(&key).expect("registered").runtime();
                     rt.invoke(&registry::FunctionId::from("nautilus.map_links"), &BTreeMap::new())
                         .expect("mapping serves")
                         .is_native()

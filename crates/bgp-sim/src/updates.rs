@@ -58,7 +58,7 @@ use std::sync::Arc;
 
 use net_model::{Asn, Ipv4Net, SimTime, TimeWindow};
 use serde::{Deserialize, Serialize};
-use world::events::stable_hash;
+use net_model::hash::stable_hash;
 use world::{ControlPlaneState, Scenario, World};
 
 use crate::graph::AsGraph;

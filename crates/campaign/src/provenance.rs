@@ -11,7 +11,7 @@
 //! determinism suite pins exactly that.
 
 use serde::{Deserialize, Serialize};
-use world::events::stable_hash;
+use net_model::hash::stable_hash;
 
 /// Fold a string into the stable-hash word stream (length-prefixed so
 /// `"ab" + "c"` and `"a" + "bc"` cannot collide across fields).

@@ -142,8 +142,8 @@ impl<'a> CampaignRunner<'a> {
     /// Expands, registers and serves the whole campaign.
     ///
     /// The spec expands serially, in spec order. The workers then build
-    /// the campaign's cold worlds: every distinct config the process
-    /// cache does not hold yet, generated once through the engine's
+    /// the campaign's cold worlds: every distinct config the engine's
+    /// cache does not hold yet, generated once through that
     /// content-addressed cache (draws that share a config share one
     /// `Arc<World>`). Registration follows, serially and in spec order,
     /// and finds every world built: each scenario registers under
@@ -206,7 +206,7 @@ impl<'a> CampaignRunner<'a> {
         CampaignReport { outcomes, scorecard, registration }
     }
 
-    /// Builds the worlds of `draws` that the process cache does not hold
+    /// Builds the worlds of `draws` that the engine's cache does not hold
     /// yet: each distinct config once, in first-seen spec order, pulled
     /// across the workers. A spec whose worlds are all warm starts no
     /// thread.
@@ -217,7 +217,7 @@ impl<'a> CampaignRunner<'a> {
             .iter()
             .flat_map(|(_, draw)| &draw.blueprints)
             .map(|blueprint| &blueprint.config)
-            .filter(|config| seen.insert(config) && cache.shared().get(config).is_none())
+            .filter(|config| seen.insert(config) && cache.get(config).is_none())
             .collect();
         self.pull(cold.len(), |i| {
             if let Some(config) = cold.get(i) {
@@ -535,10 +535,9 @@ mod tests {
 
     #[test]
     fn workers_build_each_cold_world_once_before_registration() {
-        // A seed no other test in this crate uses, so every world starts
-        // cold. Three families over two draws, where blueprints of one
-        // draw share a config.
-        let params = FamilyParams { seed: 32_032, variants: 1, ..FamilyParams::default() };
+        // Three families over two draws, where blueprints of one draw
+        // share a config. The engine is fresh, so every world starts cold.
+        let params = FamilyParams { variants: 1, ..FamilyParams::default() };
         let families =
             [Family::TargetedPrefixHijack, Family::TransitDePeering, Family::RegionalBlackout];
         let spec = CampaignSpec::new(
@@ -566,11 +565,39 @@ mod tests {
         assert_eq!(metrics.counter("world_cache.miss"), 0);
         assert_eq!(metrics.counter("world_cache.hit"), blueprints.len() as u64);
         for config in configs {
-            let built = engine.world_cache().shared().get(config);
+            let built = engine.world_cache().get(config);
             let built = built.map(|world| format!("{world:?}"));
             let fresh = format!("{:?}", world::generate(config));
             assert_eq!(built.as_ref(), Some(&fresh), "the worker built the generated world");
         }
+    }
+
+    #[test]
+    fn dropping_the_engine_frees_its_worlds_and_world_stores() {
+        // Nothing outside the engine keeps a campaign's worlds or its
+        // world-level artifacts alive: once the engine and the report
+        // are dropped, every handle to them is dead.
+        let engine = engine();
+        let spec = small_spec();
+        let report = CampaignRunner::new(&engine).with_workers(2).run(&spec);
+        assert_eq!(report.scorecard.failed, 0, "outcomes: {:?}", report.outcomes);
+        let worlds: Vec<_> = spec
+            .ensembles
+            .iter()
+            .flat_map(EnsembleSpec::expand)
+            .flat_map(|draw| draw.blueprints)
+            .map(|blueprint| engine.world_cache().get(&blueprint.config))
+            .map(|world| Arc::downgrade(&world.expect("the campaign built every world")))
+            .collect();
+        let key = &report.outcomes[0].provenance.scenario_key;
+        let runtime = engine.session(key).expect("registered").runtime();
+        let mapping = registry::FunctionId::from("nautilus.map_links");
+        workflow::ToolRuntime::invoke(&runtime, &mapping, &Default::default()).expect("maps");
+        assert!(runtime.world_artifacts().contains("nautilus.mapping"));
+        let store = Arc::downgrade(runtime.world_artifacts());
+        drop((runtime, report, engine));
+        assert!(worlds.iter().all(|world| world.upgrade().is_none()), "a world outlived its engine");
+        assert!(store.upgrade().is_none(), "a world store outlived its engine");
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! campaign produces are **byte-identical** at 1, 2 and 8 workers, and
 //! across same-seed reruns — with and without a fault plan installed.
 //!
-//! The first run of each case uses 8 workers, so it is the one that
-//! builds the spec's worlds on the workers (the world cache is
-//! process-wide); the 2- and 1-worker reruns find them warm.
+//! Every run gets a fresh engine, which owns its world cache, so each
+//! run builds the spec's worlds cold on its own workers.
 //!
 //! Outcome payloads are compared structurally (`CampaignReport` is
 //! `PartialEq` all the way down) *and* through their serialized JSON

@@ -13,9 +13,11 @@
 //!   and swaps the epoch pointer — in-flight sessions are never blocked
 //!   and never observe a half-curated registry;
 //! * measurement artifacts live in per-scenario [`ArtifactStore`]s shared
-//!   by every session of that scenario (and across epochs): the mapping
+//!   by every session of that scenario (and across epochs), and in one
+//!   per-world store shared by every scenario of that world: the mapping
 //!   run, the BGP update stream, probe campaigns are computed once per
-//!   dataset, not once per query;
+//!   dataset, not once per query. The engine owns its worlds and both
+//!   kinds of store, so dropping it frees them;
 //! * a [`Session`] generates and executes any number of queries, from any
 //!   thread (`Session: Send + Sync`); each query's workflow runs one step
 //!   at a time, in list order, on the calling thread, via
@@ -32,14 +34,14 @@ use llm::protocol::{
 use llm::{LanguageModel, RegistryDocument};
 use parking_lot::{Mutex, RwLock};
 use registry::Registry;
-use scenario_forge::{Family, FamilyParams, ScenarioBlueprint, SharedWorldCache};
+use scenario_forge::{Family, FamilyParams, OnceMap, ScenarioBlueprint, WorldCache};
 use telemetry::{EventKind, Recorder, SpanKind, SpanStatus};
 use toolkit::{ArtifactStore, ResilienceConfig, ResilientRuntime, StandardRuntime};
 use workflow::{
     check, execute_with, to_source, ExecOptions, ExecutionReport, RetryPolicy, RunHealth,
     ToolRuntime, Value, Workflow,
 };
-use world::Scenario;
+use world::{Scenario, WorldConfig};
 
 use crate::agents::ask;
 use crate::orchestrator::{
@@ -75,6 +77,9 @@ impl RegistryEpoch {
 struct ScenarioSlot {
     scenario: Arc<Scenario>,
     artifacts: Arc<ArtifactStore>,
+    /// The store of the scenario's world, shared with every other
+    /// scenario this engine serves over that world.
+    world_artifacts: Arc<ArtifactStore>,
 }
 
 /// The serving engine. Cheap to share (`&Engine` is all a session needs
@@ -98,13 +103,15 @@ pub struct Engine {
     /// fleet keys read these to *observe* collisions instead of fishing
     /// them out of logs.
     reg_stats: Mutex<RegistrationStats>,
-    /// Content-addressed `Arc<World>` view: every scenario registered
+    /// Content-addressed `Arc<World>` cache: every scenario registered
     /// through [`Engine::register_family`] whose config matches an
-    /// already-generated world shares that world. Generation delegates
-    /// to [`scenario_forge::global_cache`], so engine fleets, case
-    /// studies and benches in one process share one build per config;
-    /// the view keeps deterministic per-engine generation stats.
-    worlds: SharedWorldCache,
+    /// already-generated world shares that world.
+    worlds: WorldCache,
+    /// World-level artifact stores (the Nautilus mapping run, the default
+    /// dependency table), keyed by the full config — the same bit-exact
+    /// identity `worlds` uses, not the u64 content hash, so a hash
+    /// collision cannot alias two worlds' artifacts.
+    world_artifacts: OnceMap<WorldConfig, Arc<ArtifactStore>>,
     /// Optional telemetry recorder handed to every session (spans,
     /// events, metrics) and to the serial registration lane (world-cache
     /// probes, epoch publications).
@@ -189,7 +196,8 @@ impl Engine {
             curation: Mutex::new(()),
             scenarios: Mutex::new(BTreeMap::new()),
             reg_stats: Mutex::new(RegistrationStats::default()),
-            worlds: SharedWorldCache::over_global(),
+            worlds: WorldCache::new(),
+            world_artifacts: OnceMap::new(),
             recorder: None,
         }
     }
@@ -267,10 +275,13 @@ impl Engine {
                     ScenarioRegistration { scenario: existing, kept_existing: true, matched }
                 }
                 std::collections::btree_map::Entry::Vacant(slot) => {
+                    let world_artifacts =
+                        self.world_artifacts.get_or_init(&scenario.world.config, Arc::default).0;
                     let scenario = Arc::new(scenario);
                     slot.insert(ScenarioSlot {
                         scenario: Arc::clone(&scenario),
                         artifacts: Arc::new(ArtifactStore::new()),
+                        world_artifacts,
                     });
                     ScenarioRegistration { scenario, kept_existing: false, matched: true }
                 }
@@ -308,9 +319,10 @@ impl Engine {
     /// ensemble-swept blueprints (which no single [`Family`] expands to)
     /// ride the identical world-dedup and idempotency machinery.
     ///
-    /// With a recorder attached, each blueprint probes whether its world
-    /// is already built in this process and counts a `world_cache.hit`
-    /// or `world_cache.miss` (plus the matching cache event). Under a
+    /// With a recorder attached, each blueprint probes whether this
+    /// engine already built its world and counts a `world_cache.hit` or
+    /// `world_cache.miss` (plus the matching cache event), so the probes
+    /// depend only on what was registered on this engine before. Under a
     /// `CampaignRunner` every probe reads `hit`: the campaign's workers
     /// build its worlds before it registers.
     pub fn register_blueprints(
@@ -324,11 +336,9 @@ impl Engine {
                 let key = format!("{}/{}", prefix, blueprint.name);
                 if let Some(recorder) = &self.recorder {
                     // Registration runs on the caller's thread, so the
-                    // warmth probe is safe to emit as a trace event; the
-                    // cache itself is process-global, so whether a config
-                    // is warm depends on what ran before in this process.
+                    // warmth probe is safe to emit as a trace event.
                     let cache_key = format!("world:{:016x}", blueprint.config.content_hash());
-                    let warm = self.worlds.shared().get(&blueprint.config).is_some();
+                    let warm = self.worlds.get(&blueprint.config).is_some();
                     if warm {
                         recorder.counter_add("world_cache.hit", 1);
                         recorder.emit(EventKind::CacheHit { key: cache_key });
@@ -366,15 +376,16 @@ impl Engine {
         self.fault_plan.as_ref()
     }
 
-    /// The engine's content-addressed world-cache view (diagnostics:
-    /// distinct worlds this engine requested; actual builds happen at
-    /// most once per process in the global cache underneath).
-    pub fn world_cache(&self) -> &SharedWorldCache {
+    /// The engine's content-addressed world cache: the worlds it built
+    /// for registered blueprints, held until the engine drops.
+    /// [`Engine::register_scenario`] takes a built world and adds none.
+    pub fn world_cache(&self) -> &WorldCache {
         &self.worlds
     }
 
     /// Opens a session against a registered scenario. The session pins
-    /// the *current* epoch and the scenario's shared artifact store.
+    /// the *current* epoch and the scenario's and its world's shared
+    /// artifact stores.
     pub fn session(&self, scenario_key: &str) -> Result<Session, PipelineError> {
         let slot = self.scenarios.lock().get(scenario_key).cloned().ok_or_else(|| {
             PipelineError::Invalid(format!("unknown scenario {scenario_key:?}"))
@@ -391,6 +402,7 @@ impl Engine {
             epoch,
             scenario: slot.scenario,
             artifacts: slot.artifacts,
+            world_artifacts: slot.world_artifacts,
             retry: self.retry,
             fault_plan: self.fault_plan.clone(),
             resilience: self.resilience.clone(),
@@ -449,6 +461,7 @@ pub struct Session {
     epoch: Arc<RegistryEpoch>,
     scenario: Arc<Scenario>,
     artifacts: Arc<ArtifactStore>,
+    world_artifacts: Arc<ArtifactStore>,
     retry: RetryPolicy,
     fault_plan: Option<FaultPlan>,
     resilience: Option<ResilienceConfig>,
@@ -492,7 +505,11 @@ impl Session {
     /// baselines) against the same cache.
     pub fn runtime(&self) -> StandardRuntime {
         self.traced(
-            StandardRuntime::shared(Arc::clone(&self.scenario), Arc::clone(&self.artifacts)),
+            StandardRuntime::shared(
+                Arc::clone(&self.scenario),
+                Arc::clone(&self.artifacts),
+                Arc::clone(&self.world_artifacts),
+            ),
             StandardRuntime::with_recorder,
         )
     }
@@ -1250,27 +1267,75 @@ mod tests {
     }
 
     #[test]
-    fn engine_fleets_share_the_process_wide_world_cache() {
-        // The PR-5 cache unification: a fleet whose config matches the
-        // standard evaluation world holds the *same* Arc<World> the case
-        // studies draw from scenario_forge::global_cache() — no duplicate
-        // generation for a process mixing both. FamilyParams::default()
-        // scripts over WorldConfig::default(), the standard world.
-        let engine = engine();
+    fn engines_over_one_config_share_no_world() {
+        // Each engine builds the worlds it serves: two engines over one
+        // config each count one generation and hold their own Arc<World>.
         let params = scenario_forge::FamilyParams::default();
-        let fleet = engine.register_family(scenario_forge::Family::RegionalBlackout, &params);
-        let standard = toolkit::scenarios::standard_world();
-        assert!(
-            Arc::ptr_eq(&fleet[0].scenario.world, &standard),
-            "engine fleet and case studies share one world generation"
-        );
-        // The per-engine stats hook still reads deterministically even
-        // though the global cache may already have been warm.
-        assert_eq!(engine.world_cache().generations(), 1);
-        assert!(engine
-            .world_cache()
-            .shared()
-            .get(&world::WorldConfig::default())
-            .is_some());
+        let fleet = |engine: &Engine| {
+            engine.register_family(scenario_forge::Family::RegionalBlackout, &params)
+        };
+        let (a, b) = (engine(), engine());
+        let (fleet_a, fleet_b) = (fleet(&a), fleet(&b));
+        assert_eq!(a.world_cache().generations(), 1);
+        assert_eq!(b.world_cache().generations(), 1);
+        assert!(!Arc::ptr_eq(&fleet_a[0].scenario.world, &fleet_b[0].scenario.world));
+        // Nor does either share the case studies' standard world, though
+        // FamilyParams::default() scripts over its config.
+        let standard = scenarios::standard_world();
+        assert_eq!(fleet_a[0].scenario.world.config, standard.config);
+        assert!(!Arc::ptr_eq(&fleet_a[0].scenario.world, &standard));
+    }
+
+    #[test]
+    fn fresh_engines_trace_one_registration_identically() {
+        // The world-cache probes read this engine's cache only, so the
+        // same registration traces the same on every fresh engine,
+        // whatever ran before in the process.
+        let traced = || {
+            let recorder = Arc::new(Recorder::new());
+            let engine = engine().with_recorder(Arc::clone(&recorder));
+            let params = scenario_forge::FamilyParams::default();
+            engine.register_family(scenario_forge::Family::CableCutCascade, &params);
+            (recorder.trace_json(), recorder.metrics_snapshot())
+        };
+        let (first, first_metrics) = traced();
+        let (second, second_metrics) = traced();
+        assert_eq!(first, second);
+        let variants = scenario_forge::FamilyParams::default().variants as u64;
+        for metrics in [first_metrics, second_metrics] {
+            // One probe event per blueprint, and only the first misses.
+            assert_eq!(metrics.counter("world_cache.miss"), 1, "one world, built once");
+            assert_eq!(metrics.counter("world_cache.hit"), variants - 1);
+            assert_eq!(metrics.counter("events.cache_miss"), 1);
+            assert_eq!(metrics.counter("events.cache_hit"), variants - 1);
+        }
+    }
+
+    #[test]
+    fn scenarios_over_one_world_share_one_mapping_run() {
+        // cs1 (quiet) and cs3 (two cable cuts) are different scenarios
+        // over one world: on one engine they share the world's store, so
+        // the Nautilus mapping run is computed once; another engine runs
+        // its own.
+        let engine = engine();
+        engine.register_scenario("cs1", scenarios::cs1_scenario());
+        engine.register_scenario("cs3", scenarios::cs3_scenario());
+        let recorder = Arc::new(Recorder::new());
+        let runtime = |engine: &Engine, key: &str| {
+            engine.session(key).unwrap().with_recorder(Arc::clone(&recorder)).runtime()
+        };
+        let (rt1, rt3) = (runtime(&engine, "cs1"), runtime(&engine, "cs3"));
+        assert!(Arc::ptr_eq(rt1.world_artifacts(), rt3.world_artifacts()));
+        assert!(!Arc::ptr_eq(rt1.artifacts(), rt3.artifacts()));
+        for rt in [&rt1, &rt3] {
+            rt.invoke(&FunctionId::from("nautilus.map_links"), &BTreeMap::new()).unwrap();
+        }
+        let metrics = recorder.metrics_snapshot();
+        assert_eq!(metrics.counter("artifact_cache.miss"), 1, "one mapping run");
+        assert_eq!(metrics.counter("artifact_cache.hit"), 1);
+
+        let other = Engine::new(Arc::new(DeterministicExpertModel::new()), mini_registry());
+        other.register_scenario("cs1", scenarios::cs1_scenario());
+        assert!(!Arc::ptr_eq(runtime(&other, "cs1").world_artifacts(), rt1.world_artifacts()));
     }
 }

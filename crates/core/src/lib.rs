@@ -58,4 +58,4 @@ pub use llm::{DeterministicExpertModel, LanguageModel};
 
 // Re-export the scenario-forge surface the engine integrates
 // ([`Engine::register_family`]) so fleet registration needs one import.
-pub use scenario_forge::{Family, FamilyParams, ScenarioBlueprint, SharedWorldCache, WorldCache};
+pub use scenario_forge::{Family, FamilyParams, ScenarioBlueprint, WorldCache};

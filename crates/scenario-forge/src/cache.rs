@@ -9,18 +9,17 @@
 //! names two or three distinct [`WorldConfig`]s — so the cache keys
 //! generated worlds by the config's bit-exact content identity
 //! ([`WorldConfig::canonical_bits`]) and hands every matching request
-//! the same `Arc<World>`. `toolkit`'s `ArtifactStore` and its
-//! `world_artifacts` map are `OnceMap`s too.
+//! the same `Arc<World>`. A cache holds its worlds for as long as its
+//! owner keeps it (each `arachnet::Engine` owns one); there is no
+//! process-wide cache. `toolkit`'s `ArtifactStore` is an `OnceMap` too.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 pub use net_model::OnceMap;
-use parking_lot::Mutex;
 use world::{generate, World, WorldConfig};
 
 /// Generated worlds, content-addressed by [`WorldConfig`]: a
-/// [`OnceMap`] whose builder is [`world::generate`]. Generation cannot
-/// fail, so `len()` is the number of worlds built.
+/// [`OnceMap`] whose builder is [`world::generate`].
 #[derive(Default)]
 pub struct WorldCache(OnceMap<WorldConfig, Arc<World>>);
 
@@ -40,69 +39,10 @@ impl WorldCache {
         self.0.get(config)
     }
 
-    /// Number of worlds built or being built.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether no world has been requested.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-/// The process-wide world cache. `toolkit::scenarios` routes the
-/// standard evaluation world through it, and `arachnet::Engine` delegates
-/// through a [`SharedWorldCache`] view, so case studies, benches and
-/// engine fleets in one process all share a single generation per
-/// config.
-pub fn global_cache() -> &'static WorldCache {
-    static CACHE: OnceLock<WorldCache> = OnceLock::new();
-    CACHE.get_or_init(WorldCache::new)
-}
-
-/// A per-owner view over the process-wide [`global_cache`]: generation
-/// delegates to the shared cache — so a process mixing case-study
-/// scenarios with engine fleets pays **one** build per config instead of
-/// one per cache — while the view keeps its own deterministic stats hook.
-///
-/// The hook counts the *distinct configs first requested through this
-/// view*: exactly the number of generations a private cache would have
-/// performed for this owner, regardless of what other owners (or earlier
-/// tests in the process) already warmed in the shared cache. That keeps
-/// per-engine diagnostics deterministic; [`SharedWorldCache::shared`]
-/// exposes the underlying cache for process-wide truth.
-pub struct SharedWorldCache {
-    shared: &'static WorldCache,
-    requested: Mutex<std::collections::BTreeSet<WorldConfig>>,
-}
-
-impl SharedWorldCache {
-    /// A view over the process-wide [`global_cache`].
-    pub fn over_global() -> SharedWorldCache {
-        SharedWorldCache {
-            shared: global_cache(),
-            requested: Mutex::new(std::collections::BTreeSet::new()),
-        }
-    }
-
-    /// The shared world for `config` — generated at most once per
-    /// *process*, and recorded against this view's stats.
-    pub fn get_or_generate(&self, config: &WorldConfig) -> Arc<World> {
-        self.requested.lock().insert(config.clone());
-        self.shared.get_or_generate(config)
-    }
-
-    /// Distinct configs requested through this view — the number of
-    /// generations a private cache would have performed for this owner.
-    /// Deterministic regardless of what else warmed the shared cache.
+    /// Number of worlds this cache built or is building. Generation
+    /// cannot fail, so every requested config counts once.
     pub fn generations(&self) -> usize {
-        self.requested.lock().len()
-    }
-
-    /// The underlying shared cache (process-wide stats live there).
-    pub fn shared(&self) -> &'static WorldCache {
-        self.shared
+        self.0.len()
     }
 }
 
@@ -117,7 +57,7 @@ mod tests {
         let a = cache.get_or_generate(&config);
         let b = cache.get_or_generate(&config);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.generations(), 1);
         assert!(cache.get(&config).is_some());
     }
 
@@ -127,37 +67,13 @@ mod tests {
         let a = cache.get_or_generate(&WorldConfig { seed: 1, ..WorldConfig::default() });
         let b = cache.get_or_generate(&WorldConfig { seed: 2, ..WorldConfig::default() });
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.generations(), 2);
     }
 
     #[test]
     fn get_misses_before_generation() {
         let cache = WorldCache::new();
-        assert!(cache.is_empty());
+        assert_eq!(cache.generations(), 0);
         assert!(cache.get(&WorldConfig::default()).is_none());
-    }
-
-    #[test]
-    fn shared_view_counts_deterministically_and_shares_arcs() {
-        // Two views over the global cache: each counts its own distinct
-        // requests (as if it owned a private cache), but both hand out
-        // the *same* Arc — one generation per process per config.
-        let a = SharedWorldCache::over_global();
-        let b = SharedWorldCache::over_global();
-        assert_eq!(a.generations(), 0);
-        let config = WorldConfig { seed: 90_001, ..WorldConfig::default() };
-        let wa = a.get_or_generate(&config);
-        let wb = b.get_or_generate(&config);
-        assert!(Arc::ptr_eq(&wa, &wb), "views share the process-wide generation");
-        assert_eq!(a.generations(), 1);
-        assert_eq!(b.generations(), 1, "a warm shared cache still counts the request");
-        // Re-requesting through one view does not inflate its count.
-        let _ = a.get_or_generate(&config);
-        assert_eq!(a.generations(), 1);
-        // The view's stats see only its own traffic.
-        let other = WorldConfig { seed: 90_002, ..WorldConfig::default() };
-        let _ = b.get_or_generate(&other);
-        assert_eq!(b.generations(), 2);
-        assert_eq!(a.generations(), 1);
     }
 }

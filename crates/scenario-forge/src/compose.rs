@@ -14,7 +14,7 @@
 //! order, and probabilistic disaster draws are keyed by event id, so an
 //! unstable merge would change which segments fail.
 
-use world::events::stable_hash;
+use net_model::hash::stable_hash;
 
 use crate::blueprint::ScenarioBlueprint;
 use crate::script::ScriptStep;

@@ -3,7 +3,7 @@
 //! A [`Family`] is a deterministic generator: [`Family::expand`] maps a
 //! [`FamilyParams`] to a fleet of [`ScenarioBlueprint`]s with no hidden
 //! state — every choice (which region, which corridor, which country)
-//! is a pure function of the params via [`world::events::stable_hash`].
+//! is a pure function of the params via [`net_model::hash::stable_hash`].
 //! Equal params produce byte-identical fleets on every run and
 //! platform; different seeds rotate every selection.
 //!
@@ -19,7 +19,7 @@
 //!   cache is for.
 
 use net_model::Region;
-use world::events::stable_hash;
+use net_model::hash::stable_hash;
 use world::{AsTier, WorldConfig};
 
 use crate::blueprint::ScenarioBlueprint;

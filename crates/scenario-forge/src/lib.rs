@@ -24,7 +24,9 @@
 //!   `net_model` and also backs `toolkit::ArtifactStore` and the expert
 //!   model's parsed registry documents): concurrent requesters for one config
 //!   block on the single builder instead of duplicating the (hundreds of
-//!   milliseconds) generation.
+//!   milliseconds) generation. Its owner decides how long worlds live —
+//!   each `arachnet::Engine` owns one and frees its worlds when it drops;
+//!   there is no process-wide cache.
 //!
 //! Everything is a pure function of [`FamilyParams`]: equal params
 //! expand to byte-identical blueprints and realize byte-identical
@@ -38,7 +40,7 @@ pub mod families;
 pub mod script;
 
 pub use blueprint::ScenarioBlueprint;
-pub use cache::{global_cache, OnceMap, SharedWorldCache, WorldCache};
+pub use cache::{OnceMap, WorldCache};
 pub use compose::{compose, merge_scripts, ComposeError};
 pub use families::{Family, FamilyParams};
 pub use script::{AsTarget, CableTarget, DisasterSite, ScriptStep};

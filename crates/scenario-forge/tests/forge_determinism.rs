@@ -17,7 +17,7 @@ use scenario_forge::{Family, FamilyParams, WorldCache};
 use world::{generate, World, WorldConfig};
 
 /// A stable structural fingerprint of a generated world: every layer's
-/// identifying fields folded through `world::events::stable_hash`. Two
+/// identifying fields folded through `net_model::hash::stable_hash`. Two
 /// worlds with equal fingerprints are byte-identical for every field a
 /// scenario can observe.
 fn world_fingerprint(w: &World) -> u64 {
@@ -54,7 +54,7 @@ fn world_fingerprint(w: &World) -> u64 {
         parts.push(p.city.0 as u64);
         parts.push(p.addr.0 as u64);
     }
-    world::events::stable_hash(&parts)
+    net_model::hash::stable_hash(&parts)
 }
 
 fn params_strategy() -> impl Strategy<Value = FamilyParams> {
@@ -154,7 +154,7 @@ fn cache_hands_one_arc_to_every_thread() {
         for w in &worlds {
             assert!(Arc::ptr_eq(w, &worlds[0]), "{threads} threads");
         }
-        assert_eq!(cache.len(), 1, "{threads} threads, one generation");
+        assert_eq!(cache.generations(), 1, "{threads} threads, one generation");
     }
 }
 
@@ -217,7 +217,7 @@ fn control_plane_families_realize_into_control_plane_events() {
     }
 
     // Both families script over the shared base config: one generation.
-    assert_eq!(cache.len(), 1);
+    assert_eq!(cache.generations(), 1);
 }
 
 #[test]
@@ -233,10 +233,10 @@ fn full_forge_fleet_dedups_worlds_through_the_cache() {
     assert_eq!(scenarios.len(), Family::ALL.len() * params.variants);
     // Generations equal the number of *distinct* configs, not scenarios.
     assert!(
-        cache.len() < scenarios.len(),
+        cache.generations() < scenarios.len(),
         "{} scenarios must share {} worlds",
         scenarios.len(),
-        cache.len()
+        cache.generations()
     );
     // The six event-script families share the base config's Arc.
     let base = &scenarios[0].1;

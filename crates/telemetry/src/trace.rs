@@ -10,12 +10,12 @@
 //! `Instant` and `SystemTime` enforces the discipline statically.
 //!
 //! Span ids are content-derived via the same SplitMix64 fold the world
-//! substrate uses (`world::events::stable_hash`), salted with a
+//! substrate uses (`net_model::hash::stable_hash`), salted with a
 //! per-trace sequence number so repeated (kind, name) pairs stay
 //! distinct.
 
 use serde::{Deserialize, Serialize};
-use world::events::stable_hash;
+use net_model::hash::stable_hash;
 
 /// What level of the serving stack a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]

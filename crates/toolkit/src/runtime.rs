@@ -27,19 +27,21 @@
 //! observation, and the valley detector its reference graph (the
 //! derivation's start state). Artifacts that depend only on the world
 //! (the Nautilus mapping run, the default dependency table) live in a
-//! store shared per world ([`world_artifacts`]). Both are [`OnceMap`]s,
-//! the workspace's one build-once cache shape, and every probe of either
-//! goes through one counted path, so
+//! second store that the runtime's owner shares between the scenarios
+//! of one world: `arachnet::Engine` keeps one per world it serves, and
+//! [`StandardRuntime::new`] makes a private one. No store outlives its
+//! owners. Both are [`OnceMap`]s, the workspace's one build-once cache
+//! shape, and every probe of either goes through one counted path, so
 //! `artifact_cache.hit`/`artifact_cache.miss` see them all.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use net_model::Region;
 use registry::{DataFormat as F, FunctionId};
 use scenario_forge::OnceMap;
 use workflow::{ToolError, ToolRuntime, Value, ValueView};
-use world::{Scenario, World, WorldConfig};
+use world::{Scenario, World};
 
 use bgp_sim::{BgpSimulator, UpdateWindow};
 use nautilus_sim::{DependencyTable, MappingConfig, MappingTable, NautilusMapper};
@@ -73,25 +75,6 @@ impl ArtifactStore {
     }
 }
 
-/// The process-wide store of **world-level** artifact stores,
-/// content-addressed by the world's full [`WorldConfig`] (the same
-/// bit-exact identity `scenario_forge::WorldCache` keys worlds by).
-///
-/// Artifacts that depend only on the world — the Nautilus mapping run,
-/// the default dependency table — used to live in the per-*scenario*
-/// stores, so scenarios sharing one `Arc<World>` (the whole point of the
-/// scenario-forge cache) still recomputed the mapping once per scenario
-/// key. Keying them by world content identity finishes the job: any
-/// number of scenarios, sessions and engines over one world share one
-/// mapping run per process.
-pub fn world_artifacts(world: &World) -> Arc<ArtifactStore> {
-    // Keyed by the full config (bit-exact `Ord`, the same identity the
-    // scenario-forge `WorldCache` uses), not the u64 content hash — a
-    // hash collision must not silently alias two worlds' artifacts.
-    static STORES: OnceLock<OnceMap<WorldConfig, Arc<ArtifactStore>>> = OnceLock::new();
-    STORES.get_or_init(OnceMap::new).get_or_init(&world.config, Arc::default).0
-}
-
 /// The standard runtime over one scenario.
 pub struct StandardRuntime {
     scenario: Arc<Scenario>,
@@ -99,27 +82,32 @@ pub struct StandardRuntime {
     /// every session of this scenario.
     artifacts: Arc<ArtifactStore>,
     /// World-level artifacts (mapping run, default deps): shared by every
-    /// scenario over this world — see [`world_artifacts`].
+    /// scenario its owner serves over this world.
     world_artifacts: Arc<ArtifactStore>,
     /// Optional telemetry sink: cached-artifact probes become
     /// `artifact_cache.hit` / `artifact_cache.miss` counters. Counters
-    /// only — store warmth is process-global and arrival-order dependent,
-    /// so cache probes must never enter the (byte-stable) trace.
+    /// only — whether a shared store is warm depends on which of its
+    /// concurrent sessions asked first, so cache probes must never enter
+    /// the (byte-stable) trace.
     recorder: Option<Arc<telemetry::Recorder>>,
 }
 
 impl StandardRuntime {
-    /// A runtime owning a private scenario-level artifact store (the
-    /// world-level store is always the shared, content-addressed one).
+    /// A runtime owning private scenario-level and world-level artifact
+    /// stores.
     pub fn new(scenario: Scenario) -> Self {
-        StandardRuntime::shared(Arc::new(scenario), Arc::new(ArtifactStore::new()))
+        StandardRuntime::shared(Arc::new(scenario), Arc::default(), Arc::default())
     }
 
-    /// A runtime over a shared scenario and artifact store — the serving
-    /// engine hands every session of a scenario the same store, so
-    /// artifacts are computed once across all concurrent sessions.
-    pub fn shared(scenario: Arc<Scenario>, artifacts: Arc<ArtifactStore>) -> Self {
-        let world_artifacts = world_artifacts(&scenario.world);
+    /// A runtime over a shared scenario and artifact stores — the serving
+    /// engine hands every session of a scenario the same scenario store,
+    /// and every scenario of one world the same world store, so artifacts
+    /// are computed once across all concurrent sessions.
+    pub fn shared(
+        scenario: Arc<Scenario>,
+        artifacts: Arc<ArtifactStore>,
+        world_artifacts: Arc<ArtifactStore>,
+    ) -> Self {
         StandardRuntime { scenario, artifacts, world_artifacts, recorder: None }
     }
 
@@ -162,7 +150,7 @@ impl StandardRuntime {
     }
 
     /// The world-level artifact store this runtime shares with every
-    /// other scenario over the same world.
+    /// other scenario its owner serves over the same world.
     pub fn world_artifacts(&self) -> &Arc<ArtifactStore> {
         &self.world_artifacts
     }
@@ -439,21 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_sharing_a_world_share_the_mapping_artifact() {
-        // The PR-5 bugfix: cs1 (quiet) and cs3 (two cable cuts) are
-        // different scenarios with private scenario stores over the same
-        // Arc<World> — the Nautilus mapping run must be computed once.
-        let rt1 = StandardRuntime::new(scenarios::cs1_scenario());
-        let rt3 = StandardRuntime::new(scenarios::cs3_scenario());
-        assert!(Arc::ptr_eq(rt1.world_artifacts(), rt3.world_artifacts()));
-        let m1 = invoke(&rt1, "nautilus.map_links", vec![]).unwrap();
-        let m3 = invoke(&rt3, "nautilus.map_links", vec![]).unwrap();
-        let p1: *const MappingTable = m1.native_ref::<MappingTable>().unwrap();
-        let p3: *const MappingTable = m3.native_ref::<MappingTable>().unwrap();
-        assert!(std::ptr::eq(p1, p3), "one mapping run across scenarios sharing a world");
-    }
-
-    #[test]
     fn artifact_store_retries_after_a_failed_build() {
         let rt = StandardRuntime::new(scenarios::cs1_scenario());
         let store = ArtifactStore::new();
@@ -469,17 +442,23 @@ mod tests {
     #[test]
     fn shared_artifact_store_is_computed_once_across_runtimes() {
         let scenario = Arc::new(scenarios::cs1_scenario());
-        let store = Arc::new(ArtifactStore::new());
-        let rt1 = StandardRuntime::shared(Arc::clone(&scenario), Arc::clone(&store));
-        let rt2 = StandardRuntime::shared(Arc::clone(&scenario), Arc::clone(&store));
+        let (store, world_store) = (Arc::new(ArtifactStore::new()), Arc::new(ArtifactStore::new()));
+        let shared = || {
+            StandardRuntime::shared(Arc::clone(&scenario), Arc::clone(&store), Arc::clone(&world_store))
+        };
+        let (rt1, rt2) = (shared(), shared());
 
         let m1 = invoke(&rt1, "nautilus.map_links", vec![]).unwrap();
         let m2 = invoke(&rt2, "nautilus.map_links", vec![]).unwrap();
         assert!(store.is_empty(), "the mapping lives in the world store, not the scenario one");
+        assert!(world_store.contains("nautilus.mapping"));
         // Both runtimes serve the same native artifact.
         let p1: *const MappingTable = m1.native_ref::<MappingTable>().unwrap();
         let p2: *const MappingTable = m2.native_ref::<MappingTable>().unwrap();
         assert!(std::ptr::eq(p1, p2), "artifact is shared, not recomputed");
+        // A runtime built with `new` owns its stores: it finds no mapping.
+        let private = StandardRuntime::new(scenarios::cs1_scenario());
+        assert!(private.world_artifacts().is_empty());
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Standard case-study scenarios — the measurement conditions under which
 //! the paper's four queries are asked.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use net_model::{Region, SimDuration, SimTime};
-use world::{EventKind, Scenario, WorldConfig};
+use world::{EventKind, Scenario, World, WorldConfig};
 
-/// The standard evaluation world (seed 42), served from the process-wide
-/// content-addressed world cache: the five case-study scenarios (and any
-/// engine fleet naming the default config) share **one** generation per
-/// process instead of regenerating per scenario.
-pub fn standard_world() -> Arc<world::World> {
-    scenario_forge::global_cache().get_or_generate(&WorldConfig::default())
+/// The standard evaluation world (seed 42), generated once per process:
+/// the five case-study scenarios share **one** generation instead of
+/// regenerating per scenario. It is one fixed world, so holding it for
+/// the life of the process is bounded; an engine fleet naming the
+/// default config builds its own copy in the engine's cache.
+pub fn standard_world() -> Arc<World> {
+    static WORLD: OnceLock<Arc<World>> = OnceLock::new();
+    Arc::clone(WORLD.get_or_init(|| Arc::new(world::generate(&WorldConfig::default()))))
 }
 
 /// CS1 — "impact at a country level due to SeaMeWe-5 cable failure".
@@ -169,8 +171,8 @@ mod tests {
 
     #[test]
     fn case_studies_share_one_cached_world() {
-        // Every case-study scenario draws the standard world from the
-        // process-wide cache: same Arc, one generation.
+        // Every case-study scenario draws the one standard world,
+        // generated once per process: same Arc, one generation.
         let quiet = cs1_scenario();
         for s in [
             cs2_scenario(),

@@ -263,7 +263,7 @@ fn link_congestion(scenario: &Scenario, t: SimTime) -> BTreeMap<net_model::LinkI
 #[cfg(test)]
 mod reference {
     use net_model::{Ipv4Addr, LinkId, ProbeId, SimTime};
-    use world::events::stable_hash;
+    use net_model::hash::stable_hash;
 
     use crate::path::{ForwardingPath, PathStep};
     use crate::rtt::{Hop, Traceroute, HOP_TIMEOUT_PROB, ROUTER_COST_MS};

@@ -7,7 +7,7 @@
 //! picks one deterministically — same flow, same path.
 
 use net_model::{Asn, CityId, Ipv4Addr, LinkId, ProbeId, SimTime};
-use world::events::stable_hash;
+use net_model::hash::stable_hash;
 
 use crate::TracerouteSimulator;
 

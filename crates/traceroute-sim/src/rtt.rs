@@ -16,7 +16,7 @@
 
 use net_model::{Asn, CityId, Ipv4Addr, ProbeId, SimTime};
 use serde::{Deserialize, Serialize};
-use world::events::stable_hash;
+use net_model::hash::stable_hash;
 
 use crate::path::ForwardingPath;
 use crate::TracerouteSimulator;

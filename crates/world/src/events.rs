@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 /// Re-exported from `net_model::hash`, where the workspace's stable
 /// hashes live.
-pub use net_model::hash::stable_hash;
+use net_model::hash::stable_hash;
 
 /// Identifier of a timeline event within a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

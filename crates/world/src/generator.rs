@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use net_model::{Asn, CableId, CityId, Country, Ipv4Addr, Ipv4Net, LinkId, PrefixId, ProbeId, Region};
+use net_model::hash::stable_hash;
 
 use crate::ases::{asn_bands, AsInfo, AsRelationship, AsTier, RelKind};
 use crate::cables::{build_curated_cables, sea_path_km, Cable};
@@ -86,7 +87,7 @@ impl WorldConfig {
     }
 
     /// A stable structural hash of the config — the world cache's content
-    /// address. Mixed with [`crate::events::stable_hash`], so it is
+    /// address. Mixed with [`stable_hash`], so it is
     /// identical across platforms, runs and releases (unlike
     /// `std::hash::Hasher` output, which is allowed to vary).
     pub fn content_hash(&self) -> u64 {
@@ -94,7 +95,7 @@ impl WorldConfig {
         let mut parts = [0u64; 6];
         parts[0] = 0x574F_524C_4443_4647; // "WORLDCFG"
         parts[1..].copy_from_slice(&bits);
-        crate::events::stable_hash(&parts)
+        stable_hash(&parts)
     }
 }
 
@@ -603,7 +604,7 @@ fn build_links(
         for (ca, cb) in endpoints {
             // Per-link bias spreads long-haul links across parallel cable
             // systems on the same corridor (route diversity).
-            let bias = crate::events::stable_hash(&[
+            let bias = stable_hash(&[
                 0x4C4E4B, // "LNK"
                 rel.a.0 as u64,
                 rel.b.0 as u64,
@@ -653,7 +654,7 @@ fn build_links(
         pops.sort();
         for w in pops.windows(2) {
             let (ca, cb) = (w[0], w[1]);
-            let bias = crate::events::stable_hash(&[
+            let bias = stable_hash(&[
                 0xBB0E, // backbone marker
                 a.asn.0 as u64,
                 ca.0 as u64,
@@ -731,6 +732,7 @@ fn build_probes(
 /// equivalence test compares [`generate`] against.
 #[cfg(test)]
 mod reference {
+    use net_model::hash::stable_hash;
     use net_model::{Asn, CityId, Ipv4Addr, LinkId};
 
     use crate::ases::{AsInfo, AsRelationship, AsTier, RelKind};
@@ -801,7 +803,7 @@ mod reference {
             for (ca, cb) in endpoints {
                 // Per-link bias spreads long-haul links across parallel cable
                 // systems on the same corridor (route diversity).
-                let bias = crate::events::stable_hash(&[
+                let bias = stable_hash(&[
                     0x4C4E4B, // "LNK"
                     rel.a.0 as u64,
                     rel.b.0 as u64,
@@ -851,7 +853,7 @@ mod reference {
             pops.sort();
             for w in pops.windows(2) {
                 let (ca, cb) = (w[0], w[1]);
-                let bias = crate::events::stable_hash(&[
+                let bias = stable_hash(&[
                     0xBB0E, // backbone marker
                     a.asn.0 as u64,
                     ca.0 as u64,

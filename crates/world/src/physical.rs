@@ -13,6 +13,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use net_model::{CableId, CityId};
+use net_model::hash::stable_hash;
 use serde::{Deserialize, Serialize};
 
 use crate::cables::Cable;
@@ -220,7 +221,7 @@ impl PhysicalGraph {
             match bias {
                 None => to_mm(e.length_km),
                 Some(seed) => {
-                    let h = crate::events::stable_hash(&[seed, e.ident]);
+                    let h = stable_hash(&[seed, e.ident]);
                     let factor = 0.75 + (h % 1000) as f64 / 2000.0; // [0.75, 1.25)
                     to_mm(e.length_km * factor)
                 }
@@ -280,6 +281,7 @@ pub(crate) mod reference {
     use std::cmp::Ordering;
     use std::collections::{BTreeMap, BinaryHeap};
 
+    use net_model::hash::stable_hash;
     use net_model::CityId;
 
     use super::{PathHop, PhysicalPath, TerrestrialEdge};
@@ -410,7 +412,7 @@ pub(crate) mod reference {
                                 0x2_0000_0000u64 | ((lo as u64) << 16) | hi as u64
                             }
                         };
-                        let h = crate::events::stable_hash(&[seed, ident]);
+                        let h = stable_hash(&[seed, ident]);
                         let factor = 0.75 + (h % 1000) as f64 / 2000.0; // [0.75, 1.25)
                         to_mm(e.length_km * factor)
                     }
@@ -500,7 +502,7 @@ mod tests {
         let (cities, mut cables, mut terrestrial) =
             crate::generator::physical_layer(config, &mut rng);
         if let Some(seed) = keep {
-            let kept = |i: usize| crate::events::stable_hash(&[seed, i as u64]).is_multiple_of(4);
+            let kept = |i: usize| stable_hash(&[seed, i as u64]).is_multiple_of(4);
             let mut i = 0;
             cables.retain(|_| {
                 i += 1;

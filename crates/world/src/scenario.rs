@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use net_model::{Asn, CableId, Ipv4Net, LinkId, Region, SimDuration, SimTime, TimeWindow};
 use net_model::geo::GeoCircle;
+use net_model::hash::stable_hash;
 use serde::{Deserialize, Serialize};
 
 use crate::events::{fails, Event, EventId, EventKind};
@@ -81,8 +82,7 @@ impl Scenario {
 
     /// Content identity of the whole scenario: world config hash, the
     /// observation window, "now", and every timeline event (id, kind,
-    /// bounds) folded through
-    /// [`stable_hash`](net_model::hash::stable_hash). Two scenarios hash
+    /// bounds) folded through [`stable_hash`]. Two scenarios hash
     /// equal iff a replay from their specs produces identical measurement
     /// records — this is the word a campaign provenance record stamps
     /// on every query result.
@@ -104,7 +104,7 @@ impl Scenario {
                 None => 0x4F50_454E_5F45_4E44,
             });
         }
-        crate::events::stable_hash(&words)
+        stable_hash(&words)
     }
 
     /// The serializable spec for this scenario.

@@ -4,7 +4,7 @@
 //! Three acts:
 //!
 //! 1. register the `targeted-prefix-hijack` family (worlds deduplicated
-//!    through the process-wide content-addressed cache) and serve the
+//!    through the engine's content-addressed cache) and serve the
 //!    forensics query against its first scenario — the generated
 //!    workflow composes `bgp.updates → bgp.detect_moas /
 //!    bgp.valley_violations → util.attribute_control_plane →
@@ -104,7 +104,7 @@ fn main() {
     print_report(&format!("family scenario {}", leaks[0].key), &report, &table);
 
     println!(
-        "\nengine worlds requested: {} (process-wide cache shared with the case studies)",
+        "\nengine worlds requested: {} (built and held by this engine)",
         engine.world_cache().generations()
     );
 }
